@@ -3,7 +3,7 @@
 //! The paper's datasets (SNAP graphs and an unnamed 938-instance QUBO corpus)
 //! are not redistributable in this offline environment, so every experiment
 //! regenerates *matched synthetic instances*: same node count, edge count and
-//! density, with planted community structure (see DESIGN.md, "Substitutions").
+//! density, with planted community structure (see README.md, "Substitutions").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -98,25 +98,63 @@ impl Hierarchy {
     }
 }
 
+/// Scores every non-loop edge of `graph` by Eq. 6, as `(score, u, v)` with
+/// `u < v`, in no particular order. The Jaccard term compares `N(u) \ {u, v}`
+/// with `N(v) \ {u, v}`.
+///
+/// Each edge is scored once, from the endpoint with more neighbours (the
+/// higher id on a tie). Every node stamps its neighbours into one `mark`
+/// vector, and for each edge it outranks, the other endpoint's neighbour list
+/// is scanned against the stamps. Work is `O(m + Σ_edges min(|N(u)|, |N(v)|))`
+/// with no hashing and no per-edge allocation, so a hub costs one stamp pass
+/// rather than one pass per incident edge. The intersection and union are
+/// integer counts, so the score does not depend on how they are counted.
+fn edge_scores(graph: &Graph, config: &CoarsenConfig) -> Vec<(f64, usize, usize)> {
+    let n = graph.num_nodes();
+    let max_weight = graph.edges().map(|(_, _, w)| w).fold(0.0f64, f64::max).max(f64::MIN_POSITIVE);
+    let rank = |x: usize| (graph.neighbor_count(x), x);
+    let mut scored = Vec::with_capacity(graph.num_edges());
+    let mut mark = vec![usize::MAX; n];
+    for u in 0..n {
+        // |N(u) \ {u}|, stamped with `u`.
+        let mut size_u = 0usize;
+        for &x in graph.neighbor_ids(u) {
+            if x != u {
+                mark[x] = u;
+                size_u += 1;
+            }
+        }
+        for (v, w) in graph.neighbors(u) {
+            if v == u || rank(v) > rank(u) {
+                continue;
+            }
+            let (mut inter, mut size_v) = (0usize, 0usize);
+            for &x in graph.neighbor_ids(v) {
+                if x != u && x != v {
+                    size_v += 1;
+                    inter += usize::from(mark[x] == u);
+                }
+            }
+            // v ∈ N(u), so |N(u) \ {u, v}| = size_u − 1.
+            let union = size_u - 1 + size_v - inter;
+            let jaccard = if union == 0 { 0.0 } else { inter as f64 / union as f64 };
+            let score = config.alpha * jaccard + config.beta * w / max_weight;
+            scored.push((score, u.min(v), u.max(v)));
+        }
+    }
+    scored
+}
+
 /// Computes the Eq. 6 matching score for every edge of `graph` and performs one
 /// round of greedy heavy-edge matching, returning the super-node index of every
 /// node. Unmatched nodes become singleton super-nodes.
 fn match_round(graph: &Graph, config: &CoarsenConfig) -> Vec<usize> {
     let n = graph.num_nodes();
-    let max_weight = graph.edges().map(|(_, _, w)| w).fold(0.0f64, f64::max).max(f64::MIN_POSITIVE);
-
-    // Score every edge by Eq. 6.
-    let mut scored: Vec<(f64, usize, usize)> = Vec::with_capacity(graph.num_edges());
-    for (u, v, w) in graph.edges() {
-        if u == v {
-            continue;
-        }
-        let jaccard = neighborhood_jaccard(graph, u, v);
-        let score = config.alpha * jaccard + config.beta * w / max_weight;
-        scored.push((score, u, v));
-    }
-    // Highest score first; ties broken by node ids for determinism.
-    scored.sort_by(|a, b| {
+    let mut scored = edge_scores(graph, config);
+    // Highest score first; ties broken by node ids for determinism. The
+    // `(u, v)` keys are unique, so the order is total and an unstable sort
+    // yields the same sequence as a stable one.
+    scored.sort_unstable_by(|a, b| {
         b.0.partial_cmp(&a.0).expect("scores are finite").then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
     });
 
@@ -144,22 +182,6 @@ fn match_round(graph: &Graph, config: &CoarsenConfig) -> Vec<usize> {
         next += 1;
     }
     super_of
-}
-
-/// Jaccard similarity of the neighbourhoods of `u` and `v` (excluding `u`, `v`
-/// themselves).
-fn neighborhood_jaccard(graph: &Graph, u: usize, v: usize) -> f64 {
-    let set_u: std::collections::HashSet<usize> =
-        graph.neighbors(u).map(|(x, _)| x).filter(|&x| x != u && x != v).collect();
-    let set_v: std::collections::HashSet<usize> =
-        graph.neighbors(v).map(|(x, _)| x).filter(|&x| x != u && x != v).collect();
-    let intersection = set_u.intersection(&set_v).count() as f64;
-    let union = set_u.union(&set_v).count() as f64;
-    if union == 0.0 {
-        0.0
-    } else {
-        intersection / union
-    }
 }
 
 /// Performs one coarsening step (one matching round + aggregation).
@@ -202,13 +224,15 @@ pub fn coarsen_once(graph: &Graph, config: &CoarsenConfig) -> Result<CoarseLevel
 pub fn coarsen_hierarchy(graph: &Graph, config: &CoarsenConfig) -> Result<Hierarchy, CdError> {
     config.validate()?;
     let mut hierarchy = Hierarchy::default();
-    let mut current = graph.clone();
-    while current.num_nodes() > config.threshold && hierarchy.levels.len() < config.max_levels {
-        let level = coarsen_once(&current, config)?;
+    while hierarchy.levels.len() < config.max_levels {
+        let current = hierarchy.coarsest().unwrap_or(graph);
+        if current.num_nodes() <= config.threshold {
+            break;
+        }
+        let level = coarsen_once(current, config)?;
         if level.graph.num_nodes() >= current.num_nodes() {
             break; // No progress: nothing could be matched.
         }
-        current = level.graph.clone();
         hierarchy.levels.push(level);
     }
     Ok(hierarchy)
@@ -217,6 +241,7 @@ pub fn coarsen_hierarchy(graph: &Graph, config: &CoarsenConfig) -> Result<Hierar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qhdcd_graph::{generators, GraphBuilder};
 
     #[test]
@@ -312,13 +337,87 @@ mod tests {
 
     #[test]
     fn jaccard_is_between_zero_and_one() {
+        // With α = 1 and β = 0 the Eq. 6 score is the Jaccard term alone.
         let g = generators::karate_club();
-        for (u, v, _) in g.edges() {
+        let config = CoarsenConfig { alpha: 1.0, beta: 0.0, ..CoarsenConfig::default() };
+        let scores = edge_scores(&g, &config);
+        assert_eq!(scores.len(), g.edges().filter(|&(u, v, _)| u != v).count());
+        for (j, u, v) in scores {
+            assert!(u < v && g.has_edge(u, v));
+            assert!((0.0..=1.0).contains(&j), "({u}, {v}): {j}");
+        }
+    }
+
+    /// The per-edge `HashSet` Jaccard the stamped kernel replaced: the oracle
+    /// for its scores.
+    fn reference_scores(graph: &Graph, config: &CoarsenConfig) -> Vec<(f64, usize, usize)> {
+        use std::collections::HashSet;
+        let max_weight =
+            graph.edges().map(|(_, _, w)| w).fold(0.0f64, f64::max).max(f64::MIN_POSITIVE);
+        let mut scored = Vec::new();
+        for (u, v, w) in graph.edges() {
             if u == v {
                 continue;
             }
-            let j = neighborhood_jaccard(&g, u, v);
-            assert!((0.0..=1.0).contains(&j));
+            let set_u: HashSet<usize> =
+                graph.neighbors(u).map(|(x, _)| x).filter(|&x| x != u && x != v).collect();
+            let set_v: HashSet<usize> =
+                graph.neighbors(v).map(|(x, _)| x).filter(|&x| x != u && x != v).collect();
+            let intersection = set_u.intersection(&set_v).count() as f64;
+            let union = set_u.union(&set_v).count() as f64;
+            let jaccard = if union == 0.0 { 0.0 } else { intersection / union };
+            scored.push((config.alpha * jaccard + config.beta * w / max_weight, u, v));
+        }
+        scored
+    }
+
+    /// Random graphs with real weights, self-loops, parallel edges (merged by
+    /// the builder), isolated nodes, and optionally a star over every node.
+    fn arbitrary_graph() -> impl Strategy<Value = Graph> {
+        let edge = (0usize..64, 0usize..64, 0u32..4);
+        (1usize..48, proptest::collection::vec(edge, 0..160), any::<bool>(), 0usize..64).prop_map(
+            |(n, raw, star, hub)| {
+                let mut b = GraphBuilder::new(n);
+                // The top quarter of the ids gets no random edges.
+                let span = (n - n / 4).max(1);
+                for (u, v, w) in raw {
+                    let w = match w {
+                        0 => 1.0,
+                        1 => 0.0,
+                        2 => 0.1 + (u * v) as f64 / 7.0,
+                        _ => 2.5,
+                    };
+                    b.add_edge(u % span, v % span, w).unwrap();
+                }
+                if star {
+                    let hub = hub % n;
+                    for leaf in (0..n).filter(|&leaf| leaf != hub) {
+                        b.add_edge(hub, leaf, 1.0).unwrap();
+                    }
+                }
+                b.build()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every edge's Eq. 6 score from the stamped kernel is bit-equal to the
+        /// `HashSet` oracle's.
+        #[test]
+        fn stamped_scores_are_bit_equal_to_the_hash_set_oracle(
+            graph in arbitrary_graph(),
+            alpha in 0.0f64..2.0,
+            beta in 0.0f64..2.0,
+        ) {
+            let config = CoarsenConfig { alpha, beta, ..CoarsenConfig::default() };
+            let key = |s: &(f64, usize, usize)| (s.1, s.2, s.0.to_bits());
+            let mut fast: Vec<_> = edge_scores(&graph, &config).iter().map(key).collect();
+            let mut oracle: Vec<_> = reference_scores(&graph, &config).iter().map(key).collect();
+            fast.sort_unstable();
+            oracle.sort_unstable();
+            prop_assert_eq!(fast, oracle);
         }
     }
 

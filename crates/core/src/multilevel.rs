@@ -29,7 +29,19 @@ pub struct MultilevelConfig {
     pub formulation: FormulationConfig,
     /// Refinement parameters applied at every level during uncoarsening.
     pub refine: RefineConfig,
-    /// Also run a final refinement pass on the original graph.
+    /// Also run a final refinement pass on the original graph, unless the
+    /// uncoarsening refine of the original graph (level 0's, or the coarsest
+    /// graph's when no level was built) converged: its last pass applied no
+    /// move, so the final pass would only re-price the same partition.
+    ///
+    /// The skip is output-identical whenever that re-pricing is: the final
+    /// pass sums its local fields and `Σtot` afresh, where the converged
+    /// refine maintained them move by move. With integer edge weights both
+    /// are exact sums, so the skipped pass provably moves nothing. With real
+    /// weights, or when the converged partition's smaller community count
+    /// routes the final pass to the other gain path of
+    /// [`refine_partition`], it could differ only on a gain within rounding
+    /// of the move tolerance ([`qhdcd_graph::modularity::MOVE_EPSILON`]).
     pub final_refine: bool,
     /// Optional warm-start partition of the *original* graph. It is pushed
     /// through the coarsening hierarchy (each super-node inherits the label of
@@ -150,7 +162,9 @@ pub fn detect<S: QuboSolver>(
 /// the uncoarsening phase: once exhausted, the remaining refinement passes are
 /// skipped and the partition is only *projected* down to the original graph —
 /// projection is cheap and always required to return a valid partition.
-/// [`MultilevelOutcome::completion`] records whether anything was skipped.
+/// [`MultilevelOutcome::completion`] records whether anything was skipped; a
+/// final refine left out because the original graph's refine converged (see
+/// [`MultilevelConfig::final_refine`]) is not a truncation.
 ///
 /// # Errors
 ///
@@ -214,31 +228,32 @@ pub fn detect_bounded<S: QuboSolver>(
     // --- Uncoarsening with per-level refinement. The budget is observed at
     // every level boundary: refinement is optional polish, projection is not.
     let mut partition = base.partition;
+    // Refines `partition` on `g` unless the budget is exhausted; returns
+    // whether a refine ran and converged.
+    let mut refine = |g: &Graph, partition: &mut Partition| -> Result<bool, CdError> {
+        if budget.is_exhausted() {
+            skipped_refinement = true;
+            return Ok(false);
+        }
+        let out = refine_partition(g, partition, &config.refine)?;
+        *partition = out.partition;
+        Ok(out.converged)
+    };
     // Refine on the coarsest graph itself first.
-    if budget.is_exhausted() {
-        skipped_refinement = true;
-    } else {
-        partition = refine_partition(coarsest, &partition, &config.refine)?.partition;
-    }
+    let mut converged = refine(coarsest, &mut partition)?;
     for level_index in (0..hierarchy.levels.len()).rev() {
         let level = &hierarchy.levels[level_index];
         // Project one level down: the finer graph is the previous level's graph
         // (or the original graph at the bottom).
         partition = partition.project(&level.coarse_of);
-        if budget.is_exhausted() {
-            skipped_refinement = true;
-            continue;
-        }
         let finer_graph: &Graph =
             if level_index == 0 { graph } else { &hierarchy.levels[level_index - 1].graph };
-        partition = refine_partition(finer_graph, &partition, &config.refine)?.partition;
+        converged = refine(finer_graph, &mut partition)?;
     }
-    if config.final_refine {
-        if budget.is_exhausted() {
-            skipped_refinement = true;
-        } else {
-            partition = refine_partition(graph, &partition, &config.refine)?.partition;
-        }
+    // `converged` now describes the refine of the original graph; once it has
+    // converged, the final pass would only repeat it.
+    if config.final_refine && !converged {
+        refine(graph, &mut partition)?;
     }
     let completion = if skipped_refinement && base.completion.is_full() {
         // The base solve finished but uncoarsening was cut short; there is no

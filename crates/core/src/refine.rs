@@ -91,6 +91,11 @@ pub struct RefineOutcome {
     pub moves: usize,
     /// Number of full passes performed.
     pub passes: usize,
+    /// Whether the last pass applied no move, i.e. the result is a local
+    /// optimum of the gain the run priced (for [`refine_frontier`]: the
+    /// worklist ran empty). A run cut short by `max_passes` or `min_gain`
+    /// while still moving nodes reports `false`.
+    pub converged: bool,
 }
 
 /// Refines `partition` on `graph` by greedy single-node quality-gain moves
@@ -191,8 +196,10 @@ fn refine_with_engine(
     let mut total_gain = 0.0;
     let mut moves = 0usize;
     let mut passes = 0usize;
+    let mut converged = false;
     for _ in 0..config.max_passes {
         passes += 1;
+        let moves_before = moves;
         let mut pass_gain = 0.0;
         for node in 0..n {
             visit += 1;
@@ -253,13 +260,14 @@ fn refine_with_engine(
             }
         }
         total_gain += pass_gain;
+        converged = moves == moves_before;
         if pass_gain < config.min_gain {
             break;
         }
     }
     state.debug_validate();
     let partition = Partition::from_labels(labels).map_err(CdError::Graph)?.renumbered();
-    Ok(RefineOutcome { partition, total_gain, moves, passes })
+    Ok(RefineOutcome { partition, total_gain, moves, passes, converged })
 }
 
 /// Refines only a *frontier* of nodes (plus whatever the moves reach), leaving
@@ -338,7 +346,13 @@ pub fn refine_frontier(
             break;
         }
     }
-    Ok(RefineOutcome { partition: state.to_partition().renumbered(), total_gain, moves, passes })
+    Ok(RefineOutcome {
+        partition: state.to_partition().renumbered(),
+        total_gain,
+        moves,
+        passes,
+        converged: worklist.is_empty(),
+    })
 }
 
 /// The aggregate-only fallback for instances too large to materialise the
@@ -353,8 +367,10 @@ fn refine_with_aggregates(
     let mut total_gain = 0.0;
     let mut moves = 0usize;
     let mut passes = 0usize;
+    let mut converged = false;
     for _ in 0..config.max_passes {
         passes += 1;
+        let moves_before = moves;
         let mut pass_gain = 0.0;
         for node in 0..graph.num_nodes() {
             if let Some((target, gain)) = state.best_move(graph, node) {
@@ -364,11 +380,18 @@ fn refine_with_aggregates(
             }
         }
         total_gain += pass_gain;
+        converged = moves == moves_before;
         if pass_gain < config.min_gain {
             break;
         }
     }
-    Ok(RefineOutcome { partition: state.to_partition().renumbered(), total_gain, moves, passes })
+    Ok(RefineOutcome {
+        partition: state.to_partition().renumbered(),
+        total_gain,
+        moves,
+        passes,
+        converged,
+    })
 }
 
 #[cfg(test)]
@@ -416,6 +439,32 @@ mod tests {
         let second = refine_partition(&g, &first.partition, &RefineConfig::default()).unwrap();
         assert!(second.total_gain.abs() < 1e-6);
         assert_eq!(second.partition, first.partition);
+    }
+
+    #[test]
+    fn refining_a_local_optimum_reports_convergence_after_one_pass() {
+        let g = generators::karate_club();
+        let config = RefineConfig::default();
+        let first = refine_partition(&g, &Partition::singletons(34), &config).unwrap();
+        assert!(first.converged && first.passes > 1);
+        let all: Vec<usize> = (0..34).collect();
+        // The engine path, the aggregate path and the frontier loop each
+        // report a local optimum after one pass that applies no move.
+        let renum = first.partition.renumbered();
+        for again in [
+            refine_partition(&g, &first.partition, &config).unwrap(),
+            refine_with_aggregates(&g, &renum, &config).unwrap(),
+            refine_frontier(&g, &first.partition, &all, &config).unwrap(),
+        ] {
+            assert!(again.converged);
+            assert_eq!((again.passes, again.moves), (1, 0));
+            assert_eq!(again.partition, first.partition);
+        }
+        // A pass budget that stops a run while it is still moving nodes is not
+        // convergence.
+        let one_pass = RefineConfig { max_passes: 1, ..config };
+        let cut = refine_partition(&g, &Partition::singletons(34), &one_pass).unwrap();
+        assert!(cut.moves > 0 && !cut.converged);
     }
 
     #[test]

@@ -97,45 +97,10 @@ impl GraphBuilder {
 
     /// Consumes the builder and produces the immutable CSR [`Graph`].
     pub fn build(self) -> Graph {
-        let n = self.num_nodes;
-        let mut counts = vec![0usize; n];
-        for &(u, v) in self.edges.keys() {
-            counts[u] += 1;
-            if u != v {
-                counts[v] += 1;
-            }
-        }
-        let mut offsets = vec![0usize; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + counts[i];
-        }
-        let nnz = offsets[n];
-        let mut neighbors = vec![0usize; nnz];
-        let mut weights = vec![0.0f64; nnz];
-        let mut cursor = offsets.clone();
-        let mut total_edge_weight = 0.0;
-        // BTreeMap iteration is ordered by (u, v), so each node's neighbour list
-        // comes out sorted without an extra sort pass.
-        for (&(u, v), &w) in &self.edges {
-            total_edge_weight += w;
-            neighbors[cursor[u]] = v;
-            weights[cursor[u]] = w;
-            cursor[u] += 1;
-            if u != v {
-                neighbors[cursor[v]] = u;
-                weights[cursor[v]] = w;
-                cursor[v] += 1;
-            }
-        }
-        let num_edges = self.edges.len();
-        Graph::from_csr(
-            offsets,
-            neighbors,
-            weights,
-            self.node_weights,
-            num_edges,
-            total_edge_weight,
-        )
+        // BTreeMap iteration is ordered by (u, v), the order the CSR assembly
+        // needs for sorted neighbour lists.
+        let edges = self.edges.iter().map(|(&(u, v), &w)| (u, v, w));
+        Graph::from_sorted_edges(self.num_nodes, edges, self.node_weights)
     }
 
     /// Builds a graph directly from an iterator of `(u, v, weight)` triples.

@@ -4,7 +4,7 @@
 //! tvshow) and on a corpus of unnamed small/medium networks. Those files are not
 //! redistributable in this offline environment, so the benchmark harness uses the
 //! generators in this module to synthesise graphs with *matched node counts, edge
-//! counts and densities* and with planted community structure (see DESIGN.md,
+//! counts and densities* and with planted community structure (see README.md,
 //! "Substitutions"). All generators are seeded and fully deterministic.
 
 use crate::{Graph, GraphBuilder, GraphError, Partition};

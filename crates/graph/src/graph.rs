@@ -68,6 +68,47 @@ impl Graph {
         Graph { offsets, neighbors, weights, degrees, node_weights, num_edges, total_edge_weight }
     }
 
+    /// Assembles the CSR form of an undirected graph from its distinct edges
+    /// `(u, v, w)` with `u <= v`, sorted by `(u, v)`.
+    ///
+    /// Every edge lands in its endpoints' rows in the order given, so each row
+    /// comes out sorted without a sort pass. The total edge weight is summed
+    /// in the order given too, which makes it a pure function of the edge list.
+    pub(crate) fn from_sorted_edges<I>(num_nodes: usize, edges: I, node_weights: Vec<f64>) -> Self
+    where
+        I: Iterator<Item = (NodeId, NodeId, f64)> + Clone,
+    {
+        let mut offsets = vec![0usize; num_nodes + 1];
+        let mut num_edges = 0;
+        for (u, v, _) in edges.clone() {
+            num_edges += 1;
+            offsets[u + 1] += 1;
+            if u != v {
+                offsets[v + 1] += 1;
+            }
+        }
+        for i in 0..num_nodes {
+            offsets[i + 1] += offsets[i];
+        }
+        let nnz = offsets[num_nodes];
+        let mut neighbors = vec![0; nnz];
+        let mut weights = vec![0.0; nnz];
+        let mut cursor = offsets.clone();
+        let mut total_edge_weight = 0.0;
+        for (u, v, w) in edges {
+            total_edge_weight += w;
+            neighbors[cursor[u]] = v;
+            weights[cursor[u]] = w;
+            cursor[u] += 1;
+            if u != v {
+                neighbors[cursor[v]] = u;
+                weights[cursor[v]] = w;
+                cursor[v] += 1;
+            }
+        }
+        Graph::from_csr(offsets, neighbors, weights, node_weights, num_edges, total_edge_weight)
+    }
+
     /// Number of nodes in the graph.
     pub fn num_nodes(&self) -> usize {
         self.offsets.len() - 1
@@ -160,6 +201,16 @@ impl Graph {
             weights: &self.weights[range],
             pos: 0,
         }
+    }
+
+    /// Neighbour ids of `node` in ascending order (a self-loop appears as
+    /// `node` itself), aligned with the pairs [`Graph::neighbors`] yields.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node >= self.num_nodes()`.
+    pub fn neighbor_ids(&self, node: NodeId) -> &[NodeId] {
+        &self.neighbors[self.offsets[node]..self.offsets[node + 1]]
     }
 
     /// Weight of the edge `(u, v)` if present.

@@ -6,7 +6,7 @@
 //! operation of the multilevel coarsening phase (Algorithm 2 of the paper) and
 //! of the Louvain baseline.
 
-use crate::{Graph, GraphBuilder, GraphError, Partition};
+use crate::{Graph, GraphError, Partition};
 
 /// Result of aggregating a graph by a partition.
 #[derive(Debug, Clone)]
@@ -51,27 +51,38 @@ pub fn aggregate(graph: &Graph, partition: &Partition) -> Result<QuotientGraph, 
     let k = renum.num_communities();
     let coarse_of: Vec<usize> = (0..graph.num_nodes()).map(|u| renum.community_of(u)).collect();
 
-    let mut builder = GraphBuilder::new(k);
     let mut node_weights = vec![0.0f64; k];
     for u in 0..graph.num_nodes() {
         node_weights[coarse_of[u]] += graph.node_weight(u);
     }
-    for (c, &w) in node_weights.iter().enumerate() {
-        builder.set_node_weight(c, w)?;
-    }
-    // Sum edge weights per super-node pair. Iterate undirected edges once.
-    for (u, v, w) in graph.edges() {
-        let cu = coarse_of[u];
-        let cv = coarse_of[v];
-        builder.add_edge(cu.min(cv), cu.max(cv), w)?;
-    }
-    Ok(QuotientGraph { graph: builder.build(), coarse_of })
+    // Map every undirected edge to its super-node pair. The stable sort keeps
+    // each pair's edges in `graph.edges()` order, so folding a run from 0.0
+    // performs exactly the additions a map entry accumulating in that order
+    // would: the merged weights are bit-equal to `GraphBuilder`'s. (`0.0 + w`
+    // turns a −0.0 weight into +0.0, as the fold from 0.0 does.)
+    let mut edges: Vec<(usize, usize, f64)> = graph
+        .edges()
+        .map(|(u, v, w)| {
+            let (cu, cv) = (coarse_of[u], coarse_of[v]);
+            (cu.min(cv), cu.max(cv), 0.0 + w)
+        })
+        .collect();
+    edges.sort_by_key(|&(cu, cv, _)| (cu, cv));
+    edges.dedup_by(|later, kept| {
+        let same = (later.0, later.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += later.2;
+        }
+        same
+    });
+    let graph = Graph::from_sorted_edges(k, edges.into_iter(), node_weights);
+    Ok(QuotientGraph { graph, coarse_of })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, modularity, Partition};
+    use crate::{generators, modularity, GraphBuilder, Partition};
 
     #[test]
     fn aggregation_preserves_total_edge_weight_and_node_weight() {
@@ -99,6 +110,45 @@ mod tests {
         let q_coarse =
             modularity::modularity(&agg.graph, &Partition::singletons(agg.graph.num_nodes()));
         assert!((q_fine - q_coarse).abs() < 1e-12, "fine={q_fine} coarse={q_coarse}");
+    }
+
+    #[test]
+    fn aggregation_merges_weights_bit_for_bit_like_the_builder() {
+        // Real weights, self-loops, a zero weight and many parallel super-node
+        // edges: the quotient must equal adding every fine edge to a
+        // `GraphBuilder` in `edges()` order, down to the last bit.
+        let mut b = GraphBuilder::new(40);
+        for i in 0..40usize {
+            b.add_edge(i, (i * 7 + 3) % 40, 0.1 * (i % 9) as f64 + 0.37).unwrap();
+            b.add_edge(i, (i * 13 + 5) % 40, 1.0 / (i + 1) as f64).unwrap();
+            if i % 5 == 0 {
+                b.add_edge(i, i, 0.3).unwrap();
+            }
+        }
+        b.add_edge(1, 2, 0.0).unwrap();
+        let g = b.build();
+        let p = Partition::from_labels((0..40).map(|i| (i * i) % 6).collect()).unwrap();
+        let q = aggregate(&g, &p).unwrap();
+        let mut reference = GraphBuilder::new(q.graph.num_nodes());
+        for (u, v, w) in g.edges() {
+            reference.add_edge(q.coarse_of[u], q.coarse_of[v], w).unwrap();
+        }
+        for (c, &w) in q.graph.node_weights().iter().enumerate() {
+            reference.set_node_weight(c, w).unwrap();
+        }
+        let reference = reference.build();
+        let bits = |g: &Graph| {
+            let mut words = vec![g.num_edges() as u64, g.total_edge_weight().to_bits()];
+            for u in 0..g.num_nodes() {
+                words.extend([g.degree(u).to_bits(), g.node_weight(u).to_bits()]);
+                for (v, w) in g.neighbors(u) {
+                    words.extend([v as u64, w.to_bits()]);
+                }
+            }
+            words
+        };
+        assert_eq!(bits(&q.graph), bits(&reference));
+        assert!((q.graph.total_node_weight() - 40.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! wave packets and measurement seeds), each followed by classical greedy
 //! refinement, and returns the best solution found. Samples are distributed
 //! over worker threads with `crossbeam` scoped threads — the CPU stand-in for
-//! the multi-GPU batching described in the paper (see DESIGN.md,
+//! the multi-GPU batching described in the paper (see README.md,
 //! "Substitutions"). The solver implements [`QuboSolver`], so it is a drop-in
 //! replacement for the classical baselines everywhere in the workspace.
 

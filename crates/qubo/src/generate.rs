@@ -3,7 +3,7 @@
 //! The paper's solver comparison (Figures 3 and 4) is run on a corpus of 938
 //! QUBO instances with sizes from a few dozen to well over a thousand variables
 //! and densities between roughly 0.03 and 0.16. These generators rebuild that
-//! corpus synthetically (see DESIGN.md, "Substitutions").
+//! corpus synthetically (see README.md, "Substitutions").
 
 use crate::{QuboBuilder, QuboError, QuboModel};
 use rand::prelude::*;

@@ -7,7 +7,7 @@
 //!
 //! * [`BranchAndBound`] — exact best-first/depth-first branch-and-bound with a
 //!   wall-clock time limit and an `Optimal` / `TimeLimit` status, the stand-in
-//!   for GUROBI in every experiment (see DESIGN.md, "Substitutions").
+//!   for GUROBI in every experiment (see README.md, "Substitutions").
 //! * [`ExhaustiveSearch`] — brute force over all assignments, the ground truth
 //!   for small instances in tests.
 //! * [`SimulatedAnnealing`] — single-flip Metropolis with geometric cooling.
