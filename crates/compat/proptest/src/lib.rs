@@ -237,7 +237,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// A size specification for [`vec`]: a fixed length or a half-open range.
+    /// A size specification for [`vec()`]: a fixed length or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

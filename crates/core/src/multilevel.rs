@@ -35,13 +35,11 @@ pub struct MultilevelConfig {
     /// move, so the final pass would only re-price the same partition.
     ///
     /// The skip is output-identical whenever that re-pricing is: the final
-    /// pass sums its local fields and `Σtot` afresh, where the converged
-    /// refine maintained them move by move. With integer edge weights both
-    /// are exact sums, so the skipped pass provably moves nothing. With real
-    /// weights, or when the converged partition's smaller community count
-    /// routes the final pass to the other gain path of
-    /// [`refine_partition`], it could differ only on a gain within rounding
-    /// of the move tolerance ([`qhdcd_graph::modularity::MOVE_EPSILON`]).
+    /// pass sums `Σtot` afresh, where the converged refine maintained it move
+    /// by move. With integer edge weights both are exact sums, so the skipped
+    /// pass provably moves nothing. With real weights it could differ only on
+    /// a gain within rounding of the move tolerance
+    /// ([`qhdcd_graph::modularity::MOVE_EPSILON`]).
     pub final_refine: bool,
     /// Optional warm-start partition of the *original* graph. It is pushed
     /// through the coarsening hierarchy (each super-node inherits the label of

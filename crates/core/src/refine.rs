@@ -3,63 +3,42 @@
 //! At each level of the multilevel pipeline, nodes are repeatedly moved to the
 //! neighbouring community with the highest positive quality gain — under the
 //! configured [`QualityFunction`], unit-resolution modularity by default —
-//! until no improving move remains or the pass budget is exhausted. The same
-//! routine also powers the local phase of the Louvain baseline.
+//! until no improving move remains or the pass budget is exhausted. This is
+//! the local-move step of Louvain (Blondel et al. 2008), and the same routine
+//! runs the local phase of the Louvain baseline.
 //!
-//! # Unified move engine
+//! # One kernel
 //!
-//! Refinement is one-hot local search: node `i` in community `a` corresponds
-//! to the indicator `x_{i,a} = 1`, and moving it to community `b` clears
-//! `x_{i,a}` and sets `x_{i,b}` — exactly the native
-//! [`LocalFieldState::apply_reassign`] move of the shared QUBO engine. The
-//! modularity gain splits into
+//! Every refinement in the workspace prices and applies moves through one
+//! per-node step: [`NeighborScan`] accumulates the node's edge weight into
+//! each neighbouring community in one O(deg) pass over its adjacency, prices
+//! every candidate from those sums and the per-community aggregates of
+//! [`ModularityState`] (`Σtot` degree sums for modularity, carried node counts
+//! for CPM), and the best move is applied to the state. [`refine_partition`]
+//! runs that step over every node per pass; [`refine_frontier`] runs it over
+//! a worklist. The streaming detector calls the same [`NeighborScan`] on its
+//! dynamic graph.
 //!
-//! * a **sparse part** `(k_{i→b} − k_{i→a})/m` carried by a per-slot adjacency
-//!   QUBO (`nk` variables, one `−2 A_uv` coupling per edge per slot) whose
-//!   cached local fields price a candidate reassignment in O(1) via
-//!   [`LocalFieldState::reassign_delta_with_coupling`], and
-//! * a **dense part** `−d_i (Σtot_b − Σtot_a + d_i)/(2m²)` from the
-//!   degree-product term, which collapses to the per-community degree sums
-//!   `Σtot_c` and is maintained as a k-length aggregate — it never needs the
-//!   O(n²) pair expansion.
-//!
-//! The sum is algebraically identical to the classical Louvain gain formula
-//! (`ModularityState::gain`); a test pins the two paths against each other.
-//! Because the engine path materialises `n·k` variables and `m·k` couplings
-//! per call, it runs only where that construction pays off: community counts
-//! up to [`ENGINE_MAX_SLOTS`] (the multilevel regime) or instances small
-//! enough that it is free ([`ENGINE_SMALL_VARIABLES`]), within the
-//! [`ENGINE_MAX_VARIABLES`] / [`ENGINE_MAX_COUPLINGS`] memory budget.
-//! Everything else — notably the k ≈ n singleton starts of Louvain local
-//! phases — keeps the O(m)-setup aggregate-only [`ModularityState`]
-//! bookkeeping.
+//! **Tie-break rule.** A move is applied only if its gain is positive and
+//! exceeds [`QualityFunction::move_tolerance`], and the largest gain wins. An
+//! exact gain tie goes to the community of the earliest neighbour in the
+//! adjacency list when the start has `k ≤ 64` communities, `n·k ≤ 100 000`
+//! and `m·k ≤ 1 500 000` (`n` nodes, `m` non-loop edges), and to the lowest
+//! community id otherwise. Within those limits refinement used to build a
+//! per-slot QUBO whose scan kept first-seen order; larger starts went through
+//! an ascending-id scan. Keeping both rules keeps every output bit-identical
+//! (pinned in `tests/coarsening.rs` and `tests/quality_functions.rs`): ties
+//! are frequent from starts with many small communities and on sparse graphs
+//! with equal weights, and there the rule that resolves them moves the reached
+//! quality by several percent per instance, in both directions.
+//! [`refine_frontier`] always uses the first-seen rule, as the streaming
+//! detector does.
 
 use crate::CdError;
 use qhdcd_graph::{
     modularity::{ModularityState, NeighborScan},
-    Graph, Partition, QualityFunction,
+    Graph, GraphError, Partition, QualityFunction,
 };
-use qhdcd_qubo::{LocalFieldState, QuboBuilder};
-
-/// Upper bound on `n·k` (one-hot indicator variables) for the engine-backed
-/// refinement path; larger instances use the aggregate fallback.
-pub const ENGINE_MAX_VARIABLES: usize = 100_000;
-
-/// Upper bound on `m·k` (per-slot adjacency couplings) for the engine-backed
-/// refinement path; larger instances use the aggregate fallback.
-pub const ENGINE_MAX_COUPLINGS: usize = 1_500_000;
-
-/// Upper bound on the community count `k` for the engine-backed path (unless
-/// the whole instance is tiny, see [`ENGINE_SMALL_VARIABLES`]). The engine
-/// pays O(m·k) construction per call, which is wasted effort in the k ≈ n
-/// regime (Louvain local phases start from singletons every level) where the
-/// O(m)-setup aggregate path reaches the same quality.
-pub const ENGINE_MAX_SLOTS: usize = 64;
-
-/// `n·k` threshold below which the engine path is used regardless of
-/// [`ENGINE_MAX_SLOTS`] — tiny instances (karate-scale singleton starts)
-/// build their QUBO in microseconds.
-pub const ENGINE_SMALL_VARIABLES: usize = 4_096;
 
 /// Configuration of the quality-gain refinement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,12 +80,15 @@ pub struct RefineOutcome {
 /// Refines `partition` on `graph` by greedy single-node quality-gain moves
 /// under `config.quality` (unit-resolution modularity by default).
 ///
-/// The refined partition's quality is never lower than the input's.
+/// Each pass visits the nodes in ascending order and applies a node's best
+/// move before visiting the next (see the module docs for the tie-break
+/// rule). The refined partition's quality is never lower than the input's.
 ///
 /// # Errors
 ///
 /// Returns [`CdError::Graph`] if the partition does not cover exactly the nodes
-/// of `graph`, or [`CdError::InvalidConfig`] if `config.max_passes` is zero.
+/// of `graph` or `graph` has no nodes, or [`CdError::InvalidConfig`] if
+/// `config.max_passes` is zero.
 ///
 /// # Example
 ///
@@ -127,72 +109,12 @@ pub fn refine_partition(
     partition: &Partition,
     config: &RefineConfig,
 ) -> Result<RefineOutcome, CdError> {
-    if config.max_passes == 0 {
-        return Err(CdError::InvalidConfig { reason: "max_passes must be > 0".into() });
-    }
-    partition.check_matches(graph).map_err(CdError::Graph)?;
-    let renum = partition.renumbered();
-    let n = graph.num_nodes();
-    let k = renum.num_communities().max(1);
-    let num_couplings = k * graph.edges().filter(|&(u, v, _)| u != v).count();
-    let within_budget = n * k <= ENGINE_MAX_VARIABLES && num_couplings <= ENGINE_MAX_COUPLINGS;
-    let worthwhile = k <= ENGINE_MAX_SLOTS || n * k <= ENGINE_SMALL_VARIABLES;
-    if within_budget && worthwhile {
-        refine_with_engine(graph, &renum, config)
+    let mut state = initial_state(graph, partition, config)?;
+    let mut scan = if lowest_id_ties(graph, state.num_community_slots()) {
+        NeighborScan::with_lowest_id_ties()
     } else {
-        refine_with_aggregates(graph, &renum, config)
-    }
-}
-
-/// The engine-backed path: reassign moves on a per-slot adjacency QUBO plus
-/// the `Σtot` aggregate for the degree-product term.
-fn refine_with_engine(
-    graph: &Graph,
-    renum: &Partition,
-    config: &RefineConfig,
-) -> Result<RefineOutcome, CdError> {
-    let n = graph.num_nodes();
-    let k = renum.num_communities().max(1);
-    let two_m = 2.0 * graph.total_edge_weight();
-    let m = two_m / 2.0;
-    let idx = |node: usize, c: usize| node * k + c;
-
-    // Per-slot adjacency QUBO: E_sparse(x) = −Σ_c Σ_{u<v} 2 A_uv x_uc x_vc.
-    // Self-loops contribute identically to every slot of their node and cancel
-    // in every reassignment, so they are omitted. The degree-product part of
-    // the modularity matrix is handled by the Σtot aggregate below instead of
-    // an O(n²k) pair expansion.
-    let mut builder = QuboBuilder::new(n * k);
-    for (u, v, w) in graph.edges() {
-        if u == v {
-            continue;
-        }
-        for c in 0..k {
-            builder.add_quadratic(idx(u, c), idx(v, c), -2.0 * w).map_err(CdError::Qubo)?;
-        }
-    }
-    let model = builder.build();
-
-    let mut labels: Vec<usize> = (0..n).map(|node| renum.community_of(node)).collect();
-    let mut x = vec![false; n * k];
-    for (node, &c) in labels.iter().enumerate() {
-        x[idx(node, c)] = true;
-    }
-    let mut state = LocalFieldState::try_new(&model, x).map_err(CdError::Qubo)?;
-    // Per-community aggregate of the configured quality function: Σtot degree
-    // sums for modularity, node counts for CPM.
-    let quality = config.quality;
-    let mut sigma_tot = vec![0.0f64; k];
-    for node in 0..n {
-        sigma_tot[labels[node]] +=
-            quality.node_factor_weighted(graph.degree(node), graph.node_weight(node));
-    }
-    let tolerance = quality.move_tolerance(two_m);
-
-    // Per-(pass, node) visit stamps for candidate-community deduplication.
-    let mut stamp = vec![usize::MAX; k];
-    let mut visit = 0usize;
-
+        NeighborScan::new()
+    };
     let mut total_gain = 0.0;
     let mut moves = 0usize;
     let mut passes = 0usize;
@@ -201,60 +123,8 @@ fn refine_with_engine(
         passes += 1;
         let moves_before = moves;
         let mut pass_gain = 0.0;
-        for node in 0..n {
-            visit += 1;
-            let cur = labels[node];
-            let d_i = graph.degree(node);
-            let w_i = graph.node_weight(node);
-            let mut best: Option<(usize, f64)> = None;
-            for (v, _) in graph.neighbors(node) {
-                if v == node {
-                    continue;
-                }
-                let c = labels[v];
-                if c == cur || stamp[c] == visit {
-                    continue;
-                }
-                stamp[c] = visit;
-                // The two indicators of a node are never coupled (all
-                // couplings live within one slot), so w_ij = 0.
-                let delta_sparse =
-                    state.reassign_delta_with_coupling(idx(node, cur), idx(node, c), 0.0);
-                // The sparse reassign delta is −2(k_target − k_cur) for both
-                // quality functions; only the dense correction and the overall
-                // normalization differ.
-                let gain = match quality {
-                    QualityFunction::Modularity { resolution } => {
-                        let delta_dense = if m > 0.0 {
-                            resolution * ((d_i / m) * (sigma_tot[c] - sigma_tot[cur] + d_i))
-                        } else {
-                            0.0
-                        };
-                        if two_m > 0.0 {
-                            -(delta_sparse + delta_dense) / two_m
-                        } else {
-                            0.0
-                        }
-                    }
-                    QualityFunction::Cpm { resolution } => {
-                        // Weighted CPM null delta (super-node counts carried
-                        // through coarsening): 2γ w_i (n_target − n_cur + w_i),
-                        // bit-identical to the old counts-as-one form at w = 1.
-                        let delta_dense =
-                            2.0 * resolution * (w_i * (sigma_tot[c] - sigma_tot[cur] + w_i));
-                        -(delta_sparse + delta_dense) / 2.0
-                    }
-                };
-                if gain > best.map_or(0.0, |(_, g)| g) && gain > tolerance {
-                    best = Some((c, gain));
-                }
-            }
-            if let Some((target, gain)) = best {
-                state.apply_reassign(idx(node, cur), idx(node, target));
-                let factor = quality.node_factor_weighted(d_i, w_i);
-                sigma_tot[cur] -= factor;
-                sigma_tot[target] += factor;
-                labels[node] = target;
+        for node in 0..graph.num_nodes() {
+            if let Some(gain) = move_to_best(graph, &mut state, &mut scan, node) {
                 pass_gain += gain;
                 moves += 1;
             }
@@ -265,9 +135,61 @@ fn refine_with_engine(
             break;
         }
     }
-    state.debug_validate();
-    let partition = Partition::from_labels(labels).map_err(CdError::Graph)?.renumbered();
-    Ok(RefineOutcome { partition, total_gain, moves, passes, converged })
+    Ok(RefineOutcome {
+        partition: state.to_partition().renumbered(),
+        total_gain,
+        moves,
+        passes,
+        converged,
+    })
+}
+
+/// Whether [`refine_partition`] resolves exact gain ties to the lowest
+/// community id rather than to the first-seen neighbour's community, for a
+/// start with `communities` communities (see the tie-break rule in the module
+/// docs).
+fn lowest_id_ties(graph: &Graph, communities: usize) -> bool {
+    communities > 64
+        || graph.num_nodes() * communities > 100_000
+        || graph.edges().filter(|&(u, v, _)| u != v).count() * communities > 1_500_000
+}
+
+/// Checks the inputs both entry points share and sets up the move state.
+fn initial_state(
+    graph: &Graph,
+    partition: &Partition,
+    config: &RefineConfig,
+) -> Result<ModularityState, CdError> {
+    if config.max_passes == 0 {
+        return Err(CdError::InvalidConfig { reason: "max_passes must be > 0".into() });
+    }
+    partition.check_matches(graph).map_err(CdError::Graph)?;
+    if graph.num_nodes() == 0 {
+        return Err(CdError::Graph(GraphError::EmptyPartition));
+    }
+    Ok(ModularityState::with_quality(graph, partition, config.quality))
+}
+
+/// Moves `node` to its best neighbouring community, if one beats the move
+/// tolerance, and returns the gain of that move.
+fn move_to_best(
+    graph: &Graph,
+    state: &mut ModularityState,
+    scan: &mut NeighborScan,
+    node: usize,
+) -> Option<f64> {
+    let (target, gain) = scan.best_move_with_quality_weighted(
+        node,
+        graph.neighbors(node),
+        state.labels(),
+        graph.degree(node),
+        graph.node_weight(node),
+        state.two_m(),
+        state.sigma_tot(),
+        state.quality_function(),
+    )?;
+    state.apply_move(graph, node, target);
+    Some(gain)
 }
 
 /// Refines only a *frontier* of nodes (plus whatever the moves reach), leaving
@@ -280,34 +202,26 @@ fn refine_with_engine(
 /// a node moves, it and its neighbours are re-enqueued for the next pass, so
 /// improvements propagate outward exactly as far as they keep paying off.
 ///
-/// The gain logic is the same Louvain gain the engine-backed path prices
-/// (pinned against it by tests); the traversal is fully deterministic — the
-/// worklist is scanned in ascending node order and candidate communities in
-/// ascending neighbour order, strict-improvement tie-breaks — which the
+/// Each node is moved by the same step [`refine_partition`] applies; the
+/// traversal is fully deterministic — the worklist is scanned in ascending
+/// node order, under the tie-break rule of the module docs — which the
 /// streaming determinism contract relies on.
 ///
 /// # Errors
 ///
 /// Returns [`CdError::Graph`] if the partition does not cover exactly the
-/// nodes of `graph` or a frontier node is out of range, and
-/// [`CdError::InvalidConfig`] if `config.max_passes` is zero.
+/// nodes of `graph`, `graph` has no nodes or a frontier node is out of range,
+/// and [`CdError::InvalidConfig`] if `config.max_passes` is zero.
 pub fn refine_frontier(
     graph: &Graph,
     partition: &Partition,
     frontier: &[usize],
     config: &RefineConfig,
 ) -> Result<RefineOutcome, CdError> {
-    if config.max_passes == 0 {
-        return Err(CdError::InvalidConfig { reason: "max_passes must be > 0".into() });
-    }
-    partition.check_matches(graph).map_err(CdError::Graph)?;
+    let mut state = initial_state(graph, partition, config)?;
     for &node in frontier {
         graph.check_node(node).map_err(CdError::Graph)?;
     }
-    let mut state = ModularityState::with_quality(graph, &partition.renumbered(), config.quality);
-    // The deterministic one-pass best-move scan (first-seen candidate order,
-    // O(deg) per node) shared — implementation and all — with the streaming
-    // detector's incremental twin, so the two cannot drift apart.
     let mut scan = NeighborScan::new();
     let mut worklist: std::collections::BTreeSet<usize> = frontier.iter().copied().collect();
     let mut total_gain = 0.0;
@@ -321,17 +235,7 @@ pub fn refine_frontier(
         let mut pass_gain = 0.0;
         let mut next = std::collections::BTreeSet::new();
         for &node in &worklist {
-            if let Some((target, gain)) = scan.best_move_with_quality_weighted(
-                node,
-                graph.neighbors(node),
-                state.labels(),
-                graph.degree(node),
-                graph.node_weight(node),
-                state.two_m(),
-                state.sigma_tot(),
-                config.quality,
-            ) {
-                state.apply_move(graph, node, target);
+            if let Some(gain) = move_to_best(graph, &mut state, &mut scan, node) {
                 pass_gain += gain;
                 moves += 1;
                 next.insert(node);
@@ -355,68 +259,40 @@ pub fn refine_frontier(
     })
 }
 
-/// The aggregate-only fallback for instances too large to materialise the
-/// per-slot QUBO: classic `ModularityState` bookkeeping (`Σtot` per community,
-/// O(deg) gain scans).
-fn refine_with_aggregates(
-    graph: &Graph,
-    renum: &Partition,
-    config: &RefineConfig,
-) -> Result<RefineOutcome, CdError> {
-    let mut state = ModularityState::with_quality(graph, renum, config.quality);
-    let mut total_gain = 0.0;
-    let mut moves = 0usize;
-    let mut passes = 0usize;
-    let mut converged = false;
-    for _ in 0..config.max_passes {
-        passes += 1;
-        let moves_before = moves;
-        let mut pass_gain = 0.0;
-        for node in 0..graph.num_nodes() {
-            if let Some((target, gain)) = state.best_move(graph, node) {
-                state.apply_move(graph, node, target);
-                pass_gain += gain;
-                moves += 1;
-            }
-        }
-        total_gain += pass_gain;
-        converged = moves == moves_before;
-        if pass_gain < config.min_gain {
-            break;
-        }
-    }
-    Ok(RefineOutcome {
-        partition: state.to_partition().renumbered(),
-        total_gain,
-        moves,
-        passes,
-        converged,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qhdcd_graph::{generators, modularity};
+    use qhdcd_graph::{generators, modularity, GraphBuilder};
 
     #[test]
     fn refinement_never_decreases_modularity() {
-        let pg = generators::planted_partition(&generators::PlantedPartitionConfig {
-            num_nodes: 120,
-            num_communities: 4,
-            p_in: 0.3,
-            p_out: 0.02,
-            seed: 1,
-        })
-        .unwrap();
-        for start in
-            [Partition::singletons(120), Partition::all_in_one(120), pg.ground_truth.clone()]
-        {
-            let before = modularity::modularity(&pg.graph, &start);
-            let out = refine_partition(&pg.graph, &start, &RefineConfig::default()).unwrap();
-            let after = modularity::modularity(&pg.graph, &out.partition);
+        let planted = |num_nodes, num_communities, p_in, p_out, seed| {
+            generators::planted_partition(&generators::PlantedPartitionConfig {
+                num_nodes,
+                num_communities,
+                p_in,
+                p_out,
+                seed,
+            })
+            .unwrap()
+        };
+        let small = planted(120, 4, 0.3, 0.02, 1);
+        // 600 singletons: past the 64-community limit of first-seen ties.
+        let large = planted(600, 6, 0.1, 0.005, 4);
+        for (graph, start) in [
+            (&small.graph, Partition::singletons(120)),
+            (&small.graph, Partition::all_in_one(120)),
+            (&small.graph, small.ground_truth.clone()),
+            (&large.graph, Partition::singletons(600)),
+        ] {
+            let before = modularity::modularity(graph, &start);
+            let out = refine_partition(graph, &start, &RefineConfig::default()).unwrap();
+            let after = modularity::modularity(graph, &out.partition);
             assert!(after >= before - 1e-12, "before={before} after={after}");
             assert!((after - before - out.total_gain).abs() < 1e-6);
+            if start.num_communities() == graph.num_nodes() {
+                assert!(out.moves > 0 && after > before, "singletons must improve");
+            }
         }
     }
 
@@ -448,12 +324,10 @@ mod tests {
         let first = refine_partition(&g, &Partition::singletons(34), &config).unwrap();
         assert!(first.converged && first.passes > 1);
         let all: Vec<usize> = (0..34).collect();
-        // The engine path, the aggregate path and the frontier loop each
-        // report a local optimum after one pass that applies no move.
-        let renum = first.partition.renumbered();
+        // The full sweep and the frontier loop each report a local optimum
+        // after one pass that applies no move.
         for again in [
             refine_partition(&g, &first.partition, &config).unwrap(),
-            refine_with_aggregates(&g, &renum, &config).unwrap(),
             refine_frontier(&g, &first.partition, &all, &config).unwrap(),
         ] {
             assert!(again.converged);
@@ -478,185 +352,21 @@ mod tests {
     }
 
     #[test]
+    fn both_entry_points_reject_an_empty_graph_alike() {
+        let g = GraphBuilder::new(0).build();
+        let p = Partition::singletons(0);
+        let config = RefineConfig::default();
+        let empty = Err(CdError::Graph(GraphError::EmptyPartition));
+        assert_eq!(refine_partition(&g, &p, &config).map(|out| out.partition), empty);
+        assert_eq!(refine_frontier(&g, &p, &[], &config).map(|out| out.partition), empty);
+    }
+
+    #[test]
     fn pass_budget_is_respected() {
         let pg = generators::ring_of_cliques(20, 5).unwrap();
         let config = RefineConfig { max_passes: 1, ..RefineConfig::default() };
         let out = refine_partition(&pg.graph, &Partition::singletons(100), &config).unwrap();
         assert_eq!(out.passes, 1);
-    }
-
-    #[test]
-    fn engine_and_aggregate_paths_agree_on_quality() {
-        // Both paths implement the same greedy gain formula; tie-breaking and
-        // rounding can route individual moves differently, so pin the reached
-        // modularity (and local-optimality) rather than exact partitions.
-        let pg = generators::planted_partition(&generators::PlantedPartitionConfig {
-            num_nodes: 90,
-            num_communities: 3,
-            p_in: 0.3,
-            p_out: 0.02,
-            seed: 9,
-        })
-        .unwrap();
-        for start in [Partition::singletons(90), pg.ground_truth.clone()] {
-            let engine =
-                refine_with_engine(&pg.graph, &start.renumbered(), &RefineConfig::default())
-                    .unwrap();
-            let aggregate =
-                refine_with_aggregates(&pg.graph, &start.renumbered(), &RefineConfig::default())
-                    .unwrap();
-            let q_engine = modularity::modularity(&pg.graph, &engine.partition);
-            let q_aggregate = modularity::modularity(&pg.graph, &aggregate.partition);
-            assert!(
-                (q_engine - q_aggregate).abs() < 0.06,
-                "engine={q_engine} aggregate={q_aggregate}"
-            );
-            // The engine result is a local optimum of the aggregate gain too:
-            // one more aggregate pass must find (almost) nothing.
-            let polish = refine_with_aggregates(
-                &pg.graph,
-                &engine.partition,
-                &RefineConfig { max_passes: 1, ..RefineConfig::default() },
-            )
-            .unwrap();
-            assert!(polish.total_gain < 1e-6, "residual gain {}", polish.total_gain);
-        }
-    }
-
-    #[test]
-    fn engine_gains_match_the_louvain_gain_formula() {
-        // For every node and neighbouring community of a fixed partition, the
-        // engine-path gain (sparse reassign delta + Σtot correction) must equal
-        // ModularityState::gain and the recomputed modularity difference.
-        let pg = generators::ring_of_cliques(4, 5).unwrap();
-        let g = &pg.graph;
-        let p = pg.ground_truth.renumbered();
-        let k = p.num_communities();
-        let n = g.num_nodes();
-        let idx = |node: usize, c: usize| node * k + c;
-        let mut builder = QuboBuilder::new(n * k);
-        for (u, v, w) in g.edges() {
-            if u != v {
-                for c in 0..k {
-                    builder.add_quadratic(idx(u, c), idx(v, c), -2.0 * w).unwrap();
-                }
-            }
-        }
-        let model = builder.build();
-        let mut x = vec![false; n * k];
-        for node in 0..n {
-            x[idx(node, p.community_of(node))] = true;
-        }
-        let state = LocalFieldState::new(&model, x);
-        let mut sigma_tot = vec![0.0f64; k];
-        for node in 0..n {
-            sigma_tot[p.community_of(node)] += g.degree(node);
-        }
-        let two_m = 2.0 * g.total_edge_weight();
-        let m = two_m / 2.0;
-        let reference = ModularityState::new(g, &p);
-        let before = modularity::modularity(g, &p);
-        for node in 0..n {
-            let cur = p.community_of(node);
-            for target in 0..k {
-                if target == cur {
-                    continue;
-                }
-                let delta_sparse =
-                    state.reassign_delta_with_coupling(idx(node, cur), idx(node, target), 0.0);
-                let delta_dense =
-                    (g.degree(node) / m) * (sigma_tot[target] - sigma_tot[cur] + g.degree(node));
-                let engine_gain = -(delta_sparse + delta_dense) / two_m;
-                let louvain_gain = reference.gain(g, node, target);
-                assert!(
-                    (engine_gain - louvain_gain).abs() < 1e-12,
-                    "node {node} -> {target}: engine {engine_gain} louvain {louvain_gain}"
-                );
-                let mut moved = p.clone();
-                moved.assign(node, target);
-                let exact = modularity::modularity(g, &moved) - before;
-                assert!(
-                    (engine_gain - exact).abs() < 1e-9,
-                    "node {node} -> {target}: engine {engine_gain} exact {exact}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn engine_and_aggregate_paths_price_generalized_gains_identically() {
-        // Under γ≠1 modularity and CPM, the engine-path gain must still match
-        // the aggregate path's ModularityState::gain for every candidate move.
-        let pg = generators::ring_of_cliques(4, 5).unwrap();
-        let g = &pg.graph;
-        let p = pg.ground_truth.renumbered();
-        let k = p.num_communities();
-        let n = g.num_nodes();
-        let idx = |node: usize, c: usize| node * k + c;
-        let mut builder = QuboBuilder::new(n * k);
-        for (u, v, w) in g.edges() {
-            if u != v {
-                for c in 0..k {
-                    builder.add_quadratic(idx(u, c), idx(v, c), -2.0 * w).unwrap();
-                }
-            }
-        }
-        let model = builder.build();
-        let mut x = vec![false; n * k];
-        for node in 0..n {
-            x[idx(node, p.community_of(node))] = true;
-        }
-        let engine = LocalFieldState::new(&model, x);
-        let two_m = 2.0 * g.total_edge_weight();
-        let m = two_m / 2.0;
-        for quality in [
-            QualityFunction::modularity(0.25),
-            QualityFunction::modularity(4.0),
-            QualityFunction::cpm(0.5),
-            QualityFunction::cpm(2.0),
-        ] {
-            let mut sigma_tot = vec![0.0f64; k];
-            for node in 0..n {
-                sigma_tot[p.community_of(node)] += quality.node_factor(g.degree(node));
-            }
-            let reference = ModularityState::with_quality(g, &p, quality);
-            let before = modularity::quality(g, &p, quality);
-            for node in 0..n {
-                let cur = p.community_of(node);
-                let d_i = g.degree(node);
-                for target in 0..k {
-                    if target == cur {
-                        continue;
-                    }
-                    let delta_sparse =
-                        engine.reassign_delta_with_coupling(idx(node, cur), idx(node, target), 0.0);
-                    let engine_gain = match quality {
-                        QualityFunction::Modularity { resolution } => {
-                            let delta_dense = resolution
-                                * ((d_i / m) * (sigma_tot[target] - sigma_tot[cur] + d_i));
-                            -(delta_sparse + delta_dense) / two_m
-                        }
-                        QualityFunction::Cpm { resolution } => {
-                            let delta_dense =
-                                2.0 * resolution * (sigma_tot[target] - sigma_tot[cur] + 1.0);
-                            -(delta_sparse + delta_dense) / 2.0
-                        }
-                    };
-                    let state_gain = reference.gain(g, node, target);
-                    assert!(
-                        (engine_gain - state_gain).abs() < 1e-12,
-                        "{quality:?} node {node} -> {target}: engine {engine_gain} state {state_gain}"
-                    );
-                    let mut moved = p.clone();
-                    moved.assign(node, target);
-                    let exact = modularity::quality(g, &moved, quality) - before;
-                    assert!(
-                        (engine_gain - exact).abs() < 1e-9,
-                        "{quality:?} node {node} -> {target}: engine {engine_gain} exact {exact}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -693,8 +403,10 @@ mod tests {
     #[test]
     fn one_pass_best_move_matches_the_per_candidate_scan() {
         // The one-pass NeighborScan must reproduce the decisions of the
-        // original per-candidate formulation (first-seen candidate order,
-        // ModularityState::gain per candidate) bit for bit.
+        // per-candidate formulation (first-seen candidate order,
+        // ModularityState::gain per candidate) bit for bit, and its gain must
+        // be the quality difference the move realizes — under γ ≠ 1, CPM and
+        // super-node weights too.
         let naive = |graph: &Graph, state: &ModularityState, node: usize| {
             let cur = state.community_of(node);
             let mut seen: Vec<usize> = Vec::new();
@@ -724,26 +436,55 @@ mod tests {
             seed: 23,
         })
         .unwrap();
+        // The same edges on super-nodes standing for 1..=3 original nodes.
+        let mut b = GraphBuilder::new(70);
+        for (u, v, w) in pg.graph.edges() {
+            b.add_edge(u, v, w).unwrap();
+        }
+        for node in 0..70 {
+            b.set_node_weight(node, (1 + node % 3) as f64).unwrap();
+        }
+        let weighted = b.build();
         let mut scan = NeighborScan::new();
-        for start in [pg.ground_truth.clone(), Partition::singletons(70)] {
-            let state = ModularityState::new(&pg.graph, &start.renumbered());
-            for node in 0..70 {
-                let fast = scan.best_move(
-                    node,
-                    pg.graph.neighbors(node),
-                    state.labels(),
-                    pg.graph.degree(node),
-                    state.two_m(),
-                    state.sigma_tot(),
-                );
-                let slow = naive(&pg.graph, &state, node);
-                match (fast, slow) {
-                    (None, None) => {}
-                    (Some((cf, gf)), Some((cs, gs))) => {
-                        assert_eq!(cf, cs, "node {node}");
-                        assert_eq!(gf.to_bits(), gs.to_bits(), "node {node}");
+        for graph in [&pg.graph, &weighted] {
+            for quality in [
+                QualityFunction::default(),
+                QualityFunction::modularity(0.25),
+                QualityFunction::modularity(4.0),
+                QualityFunction::cpm(0.05),
+                QualityFunction::cpm(2.0),
+            ] {
+                for start in [pg.ground_truth.clone(), Partition::singletons(70)] {
+                    let state = ModularityState::with_quality(graph, &start, quality);
+                    let before = modularity::quality(graph, &state.to_partition(), quality);
+                    for node in 0..70 {
+                        let fast = scan.best_move_with_quality_weighted(
+                            node,
+                            graph.neighbors(node),
+                            state.labels(),
+                            graph.degree(node),
+                            graph.node_weight(node),
+                            state.two_m(),
+                            state.sigma_tot(),
+                            quality,
+                        );
+                        let slow = naive(graph, &state, node);
+                        match (fast, slow) {
+                            (None, None) => {}
+                            (Some((cf, gf)), Some((cs, gs))) => {
+                                assert_eq!(cf, cs, "{quality:?} node {node}");
+                                assert_eq!(gf.to_bits(), gs.to_bits(), "{quality:?} node {node}");
+                                let mut moved = state.to_partition();
+                                moved.assign(node, cf);
+                                let exact = modularity::quality(graph, &moved, quality) - before;
+                                assert!(
+                                    (gf - exact).abs() < 1e-9 * before.abs().max(1.0),
+                                    "{quality:?} node {node}: scan {gf} exact {exact}"
+                                );
+                            }
+                            other => panic!("{quality:?} node {node}: {other:?}"),
+                        }
                     }
-                    other => panic!("node {node}: {other:?}"),
                 }
             }
         }
@@ -812,29 +553,5 @@ mod tests {
         );
         let bad = RefineConfig { max_passes: 0, ..RefineConfig::default() };
         assert!(refine_frontier(&g, &p, &[0], &bad).is_err());
-    }
-
-    #[test]
-    fn oversized_instances_route_to_the_aggregate_fallback() {
-        // A singleton start on a larger graph exceeds the n·k variable gate
-        // (600 nodes × 600 slots > ENGINE_MAX_VARIABLES) and must still refine
-        // correctly through the fallback.
-        let pg = generators::planted_partition(&generators::PlantedPartitionConfig {
-            num_nodes: 600,
-            num_communities: 6,
-            p_in: 0.1,
-            p_out: 0.005,
-            seed: 4,
-        })
-        .unwrap();
-        let (n, k) = (600usize, 600usize);
-        assert!(n * k > ENGINE_MAX_VARIABLES, "test premise: singleton start exceeds the gate");
-        let before = modularity::modularity(&pg.graph, &Partition::singletons(600));
-        let out =
-            refine_partition(&pg.graph, &Partition::singletons(600), &RefineConfig::default())
-                .unwrap();
-        let after = modularity::modularity(&pg.graph, &out.partition);
-        assert!(after > before);
-        assert!(out.moves > 0);
     }
 }

@@ -29,8 +29,7 @@ use crate::{Graph, Partition};
 /// returned by [`QualityFunction::move_tolerance`], which scales this constant
 /// to the gain units of the quality function in use. Keeping one named
 /// constant (instead of scattered magic numbers) makes the accept decision
-/// identical across the static refinement, the streaming twin and the
-/// engine-backed path.
+/// identical across the static refinement and the streaming twin.
 pub const MOVE_EPSILON: f64 = 1e-12;
 
 /// The quality function optimized by the refinement, multilevel and streaming
@@ -159,14 +158,14 @@ impl QualityFunction {
     ///
     /// where the aggregates are community node counts.
     ///
-    /// This is the **single source of truth** for the gain arithmetic: both
-    /// [`ModularityState::gain_from_weights`] (and through it every static
-    /// refinement path) and the streaming detector's incremental twin evaluate
-    /// candidates through this function, so their decisions stay bit-identical
-    /// by construction — the invariant the stream ↔ `refine_frontier`
-    /// conformance tests pin. At `γ = 1` the modularity branch is bit-identical
-    /// to the classical formula (the resolution factor multiplies the exact
-    /// original sub-expression).
+    /// This is the **single source of truth** for the gain arithmetic:
+    /// [`NeighborScan`] (and through it the static refinement and the
+    /// streaming detector's incremental twin) and [`ModularityState::gain`]
+    /// evaluate candidates through this function, so their decisions stay
+    /// bit-identical by construction — the invariant the stream ↔
+    /// `refine_frontier` conformance tests pin. At `γ = 1` the modularity
+    /// branch is bit-identical to the classical formula (the resolution
+    /// factor multiplies the exact original sub-expression).
     #[inline]
     pub fn gain(
         &self,
@@ -382,20 +381,21 @@ pub fn louvain_gain(
 }
 
 /// Reusable scratch for the deterministic one-pass best-move scan shared by
-/// the static frontier refinement (`qhdcd-core`) and the streaming detector's
+/// the static refinement (`qhdcd-core`) and the streaming detector's
 /// incremental twin (`qhdcd-stream`).
 ///
 /// One pass over a node's adjacency accumulates its edge weight into every
 /// neighbouring community (`weight`, valid where `stamp` matches the current
 /// visit) and records candidate communities in **first-seen neighbour order**;
 /// the gains are then evaluated in that same order from the accumulated
-/// weights via [`QualityFunction::gain`]. This replaces per-candidate
-/// neighbourhood re-scans — O(deg²) on hubs — with O(deg + candidates). The
-/// strictly best positive gain wins and exact ties keep the first candidate
-/// seen, so for a deterministic neighbour order the decision is reproducible
-/// bit for bit — the invariant the stream ↔ `refine_frontier` conformance
-/// tests pin. Both twins call this one implementation, so they cannot drift
-/// apart.
+/// weights via [`QualityFunction::gain_weighted`]. This replaces
+/// per-candidate neighbourhood re-scans — O(deg²) on hubs — with
+/// O(deg + candidates). The strictly best positive gain wins. An exact tie
+/// keeps the first candidate seen, or, for a scan made by
+/// [`NeighborScan::with_lowest_id_ties`], goes to the lowest community id.
+/// For a deterministic neighbour order the decision is reproducible bit for
+/// bit — the invariant the stream ↔ `refine_frontier` conformance tests pin.
+/// Both twins call this one implementation, so they cannot drift apart.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborScan {
     /// Visit stamp per community slot; `weight[c]` is valid iff
@@ -406,12 +406,22 @@ pub struct NeighborScan {
     /// Candidate communities of the current node, in first-seen order.
     candidates: Vec<usize>,
     visit: u64,
+    /// Whether an exact gain tie goes to the lower community id instead of
+    /// the candidate seen first.
+    lowest_id_ties: bool,
 }
 
 impl NeighborScan {
-    /// Creates an empty scan; scratch grows on demand.
+    /// Creates an empty scan whose exact gain ties keep the first candidate
+    /// seen; scratch grows on demand.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty scan whose exact gain ties go to the lowest community
+    /// id, the same decision as trying the candidates in ascending id order.
+    pub fn with_lowest_id_ties() -> Self {
+        NeighborScan { lowest_id_ties: true, ..Self::default() }
     }
 
     /// Deterministic single-node best-move scan over `neighbors` (the node's
@@ -518,7 +528,11 @@ impl NeighborScan {
                 agg_cur,
                 agg[c],
             );
-            if g > best.map_or(0.0, |(_, bg)| bg) && g > tolerance {
+            let better = match best {
+                None => g > 0.0,
+                Some((bc, bg)) => g > bg || (self.lowest_id_ties && g == bg && c < bc),
+            };
+            if better && g > tolerance {
                 best = Some((c, g));
             }
         }
@@ -682,22 +696,6 @@ impl ModularityState {
         self.quality_fn
     }
 
-    /// Weight from `node` to each community in its neighbourhood, returned as
-    /// `(community, weight)` pairs in ascending community order (a
-    /// deterministic order, so gain ties in [`ModularityState::best_move`]
-    /// always resolve the same way across runs), along with the weight to its
-    /// own community excluding self-loops.
-    fn neighbor_community_weights(&self, graph: &Graph, node: usize) -> Vec<(usize, f64)> {
-        let mut acc: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-        for (v, w) in graph.neighbors(node) {
-            if v == node {
-                continue;
-            }
-            *acc.entry(self.labels[v]).or_insert(0.0) += w;
-        }
-        acc.into_iter().collect()
-    }
-
     /// Quality gain of moving `node` from its current community to `target`.
     ///
     /// Uses the single-source-of-truth gain formula
@@ -743,12 +741,11 @@ impl ModularityState {
     /// `k_i_cur` / `k_i_target` its edge weight into the current and target
     /// community (self-loops excluded).
     ///
-    /// This is the O(1) half of the gain; callers that accumulate the
+    /// This is the O(1) half of the gain; a caller that accumulates the
     /// neighbour-community weights for *all* candidate communities in one pass
-    /// over the adjacency (the frontier refinement, the streaming detector)
-    /// evaluate every candidate through this instead of re-scanning the
-    /// neighbourhood per candidate. As long as the weights are accumulated in
-    /// neighbour order, the result is bit-identical to
+    /// over the adjacency can price every candidate through this instead of
+    /// re-scanning the neighbourhood per candidate. As long as the weights are
+    /// accumulated in neighbour order, the result is bit-identical to
     /// [`ModularityState::gain`].
     ///
     /// Both `cur` and `target` may lie beyond the tracked community slots;
@@ -795,27 +792,6 @@ impl ModularityState {
         )
     }
 
-    /// Finds the neighbouring community with the best positive gain for `node`,
-    /// if any, returning `(community, gain)`. Candidates are scanned in
-    /// ascending community order and only a strictly better gain displaces the
-    /// incumbent, so exact gain ties deterministically resolve to the lowest
-    /// community id. Moves are accepted only above
-    /// [`QualityFunction::move_tolerance`].
-    pub fn best_move(&self, graph: &Graph, node: usize) -> Option<(usize, f64)> {
-        let tolerance = self.quality_fn.move_tolerance(self.two_m);
-        let mut best: Option<(usize, f64)> = None;
-        for (c, _) in self.neighbor_community_weights(graph, node) {
-            if c == self.labels[node] {
-                continue;
-            }
-            let g = self.gain(graph, node, c);
-            if g > best.map_or(0.0, |(_, bg)| bg) && g > tolerance {
-                best = Some((c, g));
-            }
-        }
-        best
-    }
-
     /// Applies the move of `node` to `target`, updating the internal totals.
     /// A target beyond the tracked community slots grows the aggregate vector
     /// on demand (intermediate slots start empty) — the companion of the
@@ -840,6 +816,11 @@ impl ModularityState {
     }
 
     /// Converts the current state back into a [`Partition`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state covers no nodes (it was built for a graph without
+    /// nodes).
     pub fn to_partition(&self) -> Partition {
         Partition::from_labels(self.labels.clone()).expect("state always has at least one node")
     }
@@ -857,6 +838,25 @@ mod tests {
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)],
         )
         .unwrap()
+    }
+
+    /// `node`'s best move through the shared one-pass scan.
+    fn best_move(
+        scan: &mut NeighborScan,
+        graph: &Graph,
+        state: &ModularityState,
+        node: usize,
+    ) -> Option<(usize, f64)> {
+        scan.best_move_with_quality_weighted(
+            node,
+            graph.neighbors(node),
+            state.labels(),
+            graph.degree(node),
+            graph.node_weight(node),
+            state.two_m(),
+            state.sigma_tot(),
+            state.quality_function(),
+        )
     }
 
     fn two_triangles_weighted(weight: f64) -> Graph {
@@ -1061,12 +1061,13 @@ mod tests {
         let g = two_triangles();
         let p = Partition::singletons(6);
         let mut state = ModularityState::new(&g, &p);
+        let mut scan = NeighborScan::new();
         // Greedily apply best moves and check modularity never decreases.
         let mut q = modularity(&g, &state.to_partition());
         for _ in 0..10 {
             let mut moved_any = false;
             for node in 0..6 {
-                if let Some((c, gain)) = state.best_move(&g, node) {
+                if let Some((c, gain)) = best_move(&mut scan, &g, &state, node) {
                     state.apply_move(&g, node, c);
                     let q_new = modularity(&g, &state.to_partition());
                     assert!((q_new - (q + gain)).abs() < 1e-9);
@@ -1089,10 +1090,11 @@ mod tests {
         // at weight 1.0 and weight 1e-9 are identical.
         let refine = |graph: &Graph, qf: QualityFunction| {
             let mut state = ModularityState::with_quality(graph, &Partition::singletons(6), qf);
+            let mut scan = NeighborScan::new();
             for _ in 0..10 {
                 let mut moved_any = false;
                 for node in 0..6 {
-                    if let Some((c, _)) = state.best_move(graph, node) {
+                    if let Some((c, _)) = best_move(&mut scan, graph, &state, node) {
                         state.apply_move(graph, node, c);
                         moved_any = true;
                     }
@@ -1151,15 +1153,31 @@ mod tests {
         }
     }
 
+    /// Path 1 — 4 — 0 — 3 — 2 with communities {0}, {1, 4}, {2, 3}: moving
+    /// node 0 to either side has exactly the same gain by symmetry. Node 3
+    /// comes first in node 0's adjacency, but its community has the higher id.
+    fn tied_path() -> (Graph, ModularityState) {
+        let g = GraphBuilder::from_unweighted_edges(5, [(0, 3), (0, 4), (1, 4), (2, 3)]).unwrap();
+        let state = ModularityState::new(&g, &Partition::from_labels(vec![0, 1, 2, 2, 1]).unwrap());
+        assert_eq!(g.neighbors(0).next().map(|(v, _)| v), Some(3), "adjacency premise");
+        assert_eq!(state.gain(&g, 0, 1).to_bits(), state.gain(&g, 0, 2).to_bits(), "tie premise");
+        (g, state)
+    }
+
+    #[test]
+    fn best_move_ties_resolve_to_the_first_seen_neighbour() {
+        let (g, state) = tied_path();
+        let (community, gain) = best_move(&mut NeighborScan::new(), &g, &state, 0).unwrap();
+        assert_eq!(community, state.community_of(3));
+        assert_eq!(community, 2);
+        assert!(gain > 0.0);
+    }
+
     #[test]
     fn best_move_ties_resolve_to_the_lowest_community() {
-        // Path 1 — 0 — 2 with singleton communities: moving node 0 into
-        // community 1 or 2 has exactly the same gain by symmetry, so the
-        // deterministic candidate order must pick the lower community id.
-        let g = GraphBuilder::from_unweighted_edges(3, [(0, 1), (0, 2)]).unwrap();
-        let state = ModularityState::new(&g, &Partition::from_labels(vec![0, 1, 2]).unwrap());
-        let (community, gain) = state.best_move(&g, 0).unwrap();
-        assert!((state.gain(&g, 0, 1) - state.gain(&g, 0, 2)).abs() < 1e-15, "tie premise");
+        let (g, state) = tied_path();
+        let mut scan = NeighborScan::with_lowest_id_ties();
+        let (community, gain) = best_move(&mut scan, &g, &state, 0).unwrap();
         assert_eq!(community, 1);
         assert!(gain > 0.0);
     }

@@ -172,7 +172,7 @@ impl Grid {
     /// Bit-identity holds because every per-point amplitude uses the exact
     /// per-variable expression and the norm is accumulated in ascending
     /// grid-point order, the same summation order as
-    /// [`normalize`](crate::complex::normalize) on a single packet.
+    /// [`crate::complex::normalize`] on a single packet.
     ///
     /// # Panics
     ///

@@ -2,7 +2,7 @@
 //!
 //! Every batched per-step kernel of [`crate::grid`] funnels through this
 //! module, so `batch.rs`/`meanfield.rs` call one API regardless of backend.
-//! The **scalar** implementations in [`scalar`] are the source of truth — they
+//! The **scalar** implementations in `scalar` are the source of truth — they
 //! are the exact loop bodies the engine has always run — and the optional SIMD
 //! backends (AVX2 on `x86_64`, NEON on `aarch64`, behind the `simd` cargo
 //! feature) are pinned to them **bit-for-bit**:

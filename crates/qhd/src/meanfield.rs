@@ -365,7 +365,7 @@ fn sweep_block(
 /// `tests/solver_equivalence.rs` pins the two paths to bit-identical
 /// outcomes, and because the wrappers always take the *scalar* kernel path,
 /// the pin also covers the SIMD backends whenever one is active for
-/// [`evolve`]. Both paths share [`measure_shots`], so any divergence isolates
+/// [`evolve`]. Both paths share `measure_shots`, so any divergence isolates
 /// to the propagation kernels. (The `meanfield_throughput` bench times its
 /// own verbatim copy of the seed's naive per-point kernels instead, so its
 /// speedup gate is not affected by this dedup.)

@@ -3,7 +3,8 @@
 //! The paper benchmarks its QHD solver against GUROBI, using GUROBI purely as
 //! "an exact solver that either proves optimality or stops at a time limit with
 //! its best incumbent". This crate provides that role plus the usual heuristic
-//! baselines, all implementing the shared [`QuboSolver`] trait:
+//! baselines, all implementing the shared
+//! [`QuboSolver`](qhdcd_qubo::QuboSolver) trait:
 //!
 //! * [`BranchAndBound`] — exact best-first/depth-first branch-and-bound with a
 //!   wall-clock time limit and an `Optimal` / `TimeLimit` status, the stand-in

@@ -5,9 +5,8 @@
 //! search), and keeps the best result. Restart `k` runs strategy
 //! `k mod members`, so the portfolio interleaves its members round-robin
 //! across the restart schedule; all restarts execute on the deterministic
-//! parallel [`runtime`](crate::runtime), which makes the result bit-identical
-//! for every worker-thread count (see the runtime docs for the seeding
-//! scheme).
+//! parallel [`crate::runtime`], which makes the result bit-identical for
+//! every worker-thread count (see the runtime docs for the seeding scheme).
 //!
 //! # Picking a restart count
 //!

@@ -96,9 +96,9 @@ pub struct PortfolioRun {
 }
 
 impl PortfolioRun {
-    /// The [`Completion`] marker solvers put on their [`SolveReport`]
-    /// (`qhdcd_qubo::SolveReport`): `Truncated` carries the completed-restart
-    /// count whenever the budget cut the schedule short.
+    /// The [`Completion`] marker solvers put on their
+    /// [`SolveReport`](qhdcd_qubo::SolveReport): `Truncated` carries the
+    /// completed-restart count whenever the budget cut the schedule short.
     pub fn completion(&self) -> Completion {
         if self.truncated {
             Completion::Truncated { completed_restarts: self.restarts_completed }

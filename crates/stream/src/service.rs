@@ -5,8 +5,8 @@
 //! separates the three concerns a long-running deployment needs:
 //!
 //! * **Lock-free reads.** Every applied batch publishes a new epoch — an
-//!   immutable [`PartitionSnapshot`](crate::PartitionSnapshot) appended to a
-//!   publication chain (see [`crate::snapshot`]). Any number of
+//!   immutable [`PartitionSnapshot`] appended to a publication chain (see
+//!   [`crate::snapshot`]). Any number of
 //!   [`ServiceClient`]s / [`SnapshotReader`]s serve point queries from the
 //!   latest epoch with atomic loads only, while the writer refines the next
 //!   batch.

@@ -1,25 +1,26 @@
 //! The partition-aligned sharded streaming service.
 //!
-//! [`ShardedService`] scales the single-writer [`StreamingService`] pattern
-//! across shard workers that **own whole communities** (the paper's community
-//! structure doubles as the data-placement key):
+//! [`ShardedService`] scales the single-writer
+//! [`StreamingService`](crate::StreamingService) pattern across shard workers
+//! that **own whole communities** (the paper's community structure doubles as
+//! the data-placement key):
 //!
-//! * **Ownership** ([`ownership`]): every community slot is assigned to a
+//! * **Ownership** (`ownership`): every community slot is assigned to a
 //!   shard by a deterministic balanced (LPT) assignment over community sizes,
 //!   re-derived from scratch whenever the drift-threshold fallback runs a
 //!   full re-detect (which renumbers all communities).
-//! * **Routing** ([`router`]): each event of a batch goes to the shard(s)
+//! * **Routing** (`router`): each event of a batch goes to the shard(s)
 //!   owning its endpoints' communities under the pre-batch labels; a
 //!   cross-shard edge becomes a *boundary entry* replicated to both owners,
 //!   primary on the lowest shard id. Merging all primary entries in
 //!   `(batch, position)` order reconstructs the exact global journal.
-//! * **Two-phase refinement** ([`worker`]): shard workers propose best moves
+//! * **Two-phase refinement** (`worker`): shard workers propose best moves
 //!   for their nodes in parallel against the pass-start state; commits run
 //!   sequentially in ascending node order, recomputing any proposal whose
 //!   read set a committed move invalidated. The result is **bit-identical to
 //!   the unsharded service for any shard count** — partitions, maintained Q
 //!   bits, and the base checkpoint bytes (pinned 1/2/8 in `tests/sharded.rs`).
-//! * **Per-shard checkpointing** ([`recovery`]): a checkpoint is a manifest
+//! * **Per-shard checkpointing** (`recovery`): a checkpoint is a manifest
 //!   embedding the unsharded [`ServiceCheckpoint`] text plus one slice per
 //!   shard (owned communities, their Σ bits, the shard's journal), each
 //!   FNV-1a checksummed. [`ShardedService::recover`] validates every slice
@@ -27,10 +28,10 @@
 //!   named), merges the primary entries back into the global journal, and
 //!   replays — bit-identically — from the base offset.
 //! * **Fault containment**: under the `fault-injection` feature, a
-//!   [`FaultPlan`](crate::faults::FaultPlan) shard-kill panics one worker at
-//!   a chosen batch. The panic is isolated; the shard degrades to read-only
-//!   (batches routed to it are rejected atomically with
-//!   [`StreamError::ShardUnavailable`]) while survivors keep ingesting.
+//!   `FaultPlan` shard-kill panics one worker at a chosen batch. The panic is
+//!   isolated; the shard degrades to read-only (batches routed to it are
+//!   rejected atomically with [`StreamError::ShardUnavailable`]) while
+//!   survivors keep ingesting.
 //!
 //! Routing and ownership never influence refinement decisions; they only
 //! decide journal placement, fault domains and checkpoint slicing. That is
@@ -274,8 +275,8 @@ impl ShardedService {
         self.workers[shard].dead
     }
 
-    /// One shard's journal slice, serialized one entry per line (see
-    /// [`router`] for the format).
+    /// One shard's journal slice, serialized one entry per line (the format
+    /// is defined by the `router` module).
     pub fn shard_journal_log(&self, shard: usize) -> String {
         self.workers[shard].journal_log()
     }

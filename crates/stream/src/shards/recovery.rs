@@ -125,8 +125,9 @@ impl ShardSlice {
     }
 }
 
-/// A parsed sharded checkpoint manifest: the base [`ServiceCheckpoint`] text
-/// plus one validated slice per shard. Produced by
+/// A parsed sharded checkpoint manifest: the base
+/// [`ServiceCheckpoint`](crate::ServiceCheckpoint) text plus one validated
+/// slice per shard. Produced by
 /// [`ShardedService::checkpoint`](crate::ShardedService::checkpoint) and
 /// consumed by [`ShardedService::recover`](crate::ShardedService::recover).
 #[derive(Debug, Clone, PartialEq)]

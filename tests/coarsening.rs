@@ -1,20 +1,25 @@
-//! Regression pins for the coarsening layer and the multilevel pipeline.
+//! Regression pins for the coarsening layer, refinement and the multilevel
+//! pipeline.
 //!
 //! Coarsening scores every edge by Eq. 6 with a stamped neighbourhood
 //! intersection, aggregates levels straight into CSR form, and the multilevel
-//! pipeline skips a final refine that would only repeat a converged one. All
-//! of that is bound by one contract: every hierarchy, matching and partition
-//! stays **bit-identical** to the per-edge `HashSet` scoring, `GraphBuilder`
-//! aggregation and unconditional final refine it replaced. The fingerprints
-//! pinned below were captured on the commit *before* that change.
+//! pipeline skips a final refine that would only repeat a converged one.
+//! Refinement prices every move with one O(deg) `NeighborScan`. All of that is
+//! bound by one contract: every hierarchy, matching and partition stays
+//! **bit-identical** to the per-edge `HashSet` scoring, `GraphBuilder`
+//! aggregation, unconditional final refine and the per-slot QUBO and
+//! ascending-order refinement paths it replaced. The fingerprints pinned
+//! below were captured on the commit *before* each change.
 
 use qhdcd::core::coarsen::{coarsen_hierarchy, CoarsenConfig, Hierarchy};
 use qhdcd::core::formulation::build_qubo;
 use qhdcd::core::multilevel::{self, MultilevelConfig};
 use qhdcd::core::refine::{refine_partition, RefineConfig};
+use qhdcd::graph::modularity::{self, ModularityState};
 use qhdcd::graph::{generators, Graph, GraphBuilder, Partition};
 use qhdcd::prelude::*;
 use qhdcd::qubo::Budget;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Pin A: a planted 1 000-node, 8-community graph, θ = 60 (captured
@@ -272,5 +277,174 @@ fn a_hub_does_not_make_coarsening_quadratic() {
             assert_eq!(level.graph.total_edge_weight(), (N - 1) as f64, "hub {hub}, level {index}");
         }
         assert!(elapsed < Duration::from_secs(120), "hub {hub}: coarsening took {elapsed:?}");
+    }
+}
+
+/// A planted 8-community graph whose edges carry integer weights 1..=3:
+/// integer sums make exact gain ties common.
+fn planted_integer(num_nodes: usize, p_in: f64, p_out: f64, seed: u64) -> Graph {
+    let planted = generators::planted_partition(&generators::PlantedPartitionConfig {
+        num_nodes,
+        num_communities: 8,
+        p_in,
+        p_out,
+        seed,
+    })
+    .unwrap()
+    .graph;
+    let mut b = GraphBuilder::new(planted.num_nodes());
+    let mut state = seed;
+    for (u, v, _) in planted.edges() {
+        b.add_edge(u, v, (1 + splitmix(&mut state) % 3) as f64).unwrap();
+    }
+    b.build()
+}
+
+/// Labels drawn uniformly from `0..k`.
+fn random_labels(n: usize, k: u64, seed: u64) -> Partition {
+    let mut state = seed;
+    Partition::from_labels((0..n).map(|_| (splitmix(&mut state) % k) as usize).collect()).unwrap()
+}
+
+/// `k` contiguous blocks of nodes with about a quarter of the nodes
+/// relabelled at random (at `k = 8`, the planted blocks of
+/// [`planted_integer`]).
+fn noisy_blocks(n: usize, k: usize, seed: u64) -> Partition {
+    let mut state = seed;
+    let labels = (0..n)
+        .map(|i| {
+            if splitmix(&mut state).is_multiple_of(4) {
+                (splitmix(&mut state) % k as u64) as usize
+            } else {
+                i * k / n
+            }
+        })
+        .collect();
+    Partition::from_labels(labels).unwrap()
+}
+
+/// What a `refine_partition` pin holds: the labels fingerprint, moves, passes
+/// and the bits of the reached quality.
+type RefinePin = (u64, usize, usize, u64);
+
+/// Refinement pins (captured on the commit before `refine_partition` moved
+/// onto `NeighborScan`). Every start has k ≤ 64 communities.
+const PIN_R_NOISY8: RefinePin = (0x4360aede32887e01, 470, 4, 0x3fe3b6ad35cf791e);
+const PIN_R_RANDOM40: RefinePin = (0x311c7d175b0d1a60, 4365, 15, 0x3fe32ad956f96f92);
+const PIN_R_REAL_WEIGHTED: RefinePin = (0xbeeb969ddc145ae1, 243, 8, 0x3fd3c0c8d27ac364);
+const PIN_R_CPM: RefinePin = (0xd35e247ca71d91f5, 3966, 20, 0x40becf9999999997);
+const PIN_R_GAMMA2: RefinePin = (0xde3a92c8546df775, 4286, 20, 0x3fdb9869d0a3914a);
+
+#[test]
+fn refinements_from_few_communities_are_bit_identical_to_the_pins() {
+    let planted = planted_integer(2_000, 0.04, 0.002, 3);
+    let n = planted.num_nodes();
+    let real = real_weighted();
+    let cases = [
+        ("noisy k = 8", &planted, noisy_blocks(n, 8, 17), QualityFunction::default(), PIN_R_NOISY8),
+        ("k = 40", &planted, random_labels(n, 40, 29), QualityFunction::default(), PIN_R_RANDOM40),
+        (
+            "real-weighted k = 8",
+            &real,
+            random_labels(real.num_nodes(), 8, 31),
+            QualityFunction::default(),
+            PIN_R_REAL_WEIGHTED,
+        ),
+        ("CPM γ = 0.05", &planted, random_labels(n, 40, 29), QualityFunction::cpm(0.05), PIN_R_CPM),
+        (
+            "modularity γ = 2",
+            &planted,
+            random_labels(n, 40, 29),
+            QualityFunction::modularity(2.0),
+            PIN_R_GAMMA2,
+        ),
+    ];
+    for (name, graph, start, quality, pin) in cases {
+        let config = RefineConfig { quality, ..RefineConfig::default() };
+        let out = refine_partition(graph, &start, &config).unwrap();
+        let q = modularity::quality(graph, &out.partition, quality);
+        let got = (labels_fingerprint(&out.partition), out.moves, out.passes, q.to_bits());
+        assert_eq!(got, pin, "{name}");
+    }
+}
+
+/// The reference for starts with more than 64 communities: the same full
+/// sweep as `refine_partition`, but candidate communities tried in ascending
+/// id order and each priced by its own neighbourhood re-scan
+/// (`ModularityState::gain`), as refinement ran before `NeighborScan`.
+fn ascending_order_refine(graph: &Graph, start: &Partition, config: &RefineConfig) -> Partition {
+    let mut state = ModularityState::with_quality(graph, start, config.quality);
+    let tolerance = config.quality.move_tolerance(state.two_m());
+    for _ in 0..config.max_passes {
+        let mut pass_gain = 0.0;
+        for node in 0..graph.num_nodes() {
+            let cur = state.community_of(node);
+            let candidates: BTreeSet<usize> = graph
+                .neighbors(node)
+                .filter(|&(v, _)| v != node)
+                .map(|(v, _)| state.community_of(v))
+                .collect();
+            let mut best: Option<(usize, f64)> = None;
+            for c in candidates.into_iter().filter(|&c| c != cur) {
+                let gain = state.gain(graph, node, c);
+                if gain > best.map_or(0.0, |(_, g)| g) && gain > tolerance {
+                    best = Some((c, gain));
+                }
+            }
+            if let Some((target, gain)) = best {
+                state.apply_move(graph, node, target);
+                pass_gain += gain;
+            }
+        }
+        if pass_gain < config.min_gain {
+            break;
+        }
+    }
+    state.to_partition().renumbered()
+}
+
+/// Starts past the first-seen tie rule's limits resolve exact gain ties to the
+/// lowest community id: singletons (more than 64 communities, large or small)
+/// and starts with at most 64 communities but `n·k > 100 000` or
+/// `m·k > 1 500 000`. On equal or integer weights, where ties are common and
+/// their resolution moves the reached quality by several percent, they must
+/// reproduce the ascending-order oracle exactly. Each limit decides at least
+/// one case.
+#[test]
+fn starts_past_the_first_seen_limits_match_the_ascending_order_oracle() {
+    let mut cases: Vec<(Graph, Partition, QualityFunction)> = Vec::new();
+    for seed in 101..=105 {
+        let graph = planted_integer(2_000, 0.04, 0.002, seed);
+        let start = Partition::singletons(graph.num_nodes());
+        for quality in [QualityFunction::default(), QualityFunction::cpm(0.05)] {
+            cases.push((graph.clone(), start.clone(), quality));
+        }
+    }
+    let small = planted_integer(300, 0.16, 0.004, 1);
+    assert!(300 * 300 <= 100_000 && small.num_edges() * 300 <= 1_500_000, "k premise");
+    cases.push((small, Partition::singletons(300), QualityFunction::cpm(0.05)));
+    let sparse =
+        generators::planted_partition_with_edge_budget(2_000, 8, 7_300, 0.2, 1).unwrap().graph;
+    let start = noisy_blocks(2_000, 56, 5);
+    assert!(start.num_communities() * 2_000 > 100_000, "n·k premise");
+    cases.push((sparse, start, QualityFunction::default()));
+    let dense = generators::planted_partition(&generators::PlantedPartitionConfig {
+        num_nodes: 1_000,
+        num_communities: 8,
+        p_in: 0.35,
+        p_out: 0.01,
+        seed: 1,
+    })
+    .unwrap()
+    .graph;
+    let start = noisy_blocks(1_000, 64, 9);
+    let k = start.num_communities();
+    assert!(k * 1_000 <= 100_000 && k * dense.num_edges() > 1_500_000, "m·k premise");
+    cases.push((dense, start, QualityFunction::cpm(0.2)));
+    for (graph, start, quality) in &cases {
+        let config = RefineConfig { quality: *quality, ..RefineConfig::default() };
+        let out = refine_partition(graph, start, &config).unwrap();
+        let oracle = ascending_order_refine(graph, start, &config);
+        assert_eq!(out.partition, oracle, "{} nodes, {quality:?}", graph.num_nodes());
     }
 }

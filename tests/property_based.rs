@@ -65,9 +65,9 @@ proptest! {
     }
 
     /// For every quality function (modularity and CPM) across a spread of
-    /// resolutions, the incremental gain priced by `ModularityState::best_move`
-    /// equals the from-scratch quality difference of actually applying the
-    /// move.
+    /// resolutions, the incremental gain priced by the refinement's
+    /// `NeighborScan` equals the from-scratch quality difference of actually
+    /// applying the move.
     #[test]
     fn best_move_gain_matches_quality_difference(
         (n, edges) in arbitrary_graph(),
@@ -93,7 +93,16 @@ proptest! {
                 &Partition::from_labels(state.labels().to_vec()).expect("non-empty"),
                 quality,
             );
-            if let Some((target, gain)) = state.best_move(&graph, node) {
+            let best = modularity::NeighborScan::new().best_move_with_quality(
+                node,
+                graph.neighbors(node),
+                state.labels(),
+                graph.degree(node),
+                state.two_m(),
+                state.sigma_tot(),
+                quality,
+            );
+            if let Some((target, gain)) = best {
                 state.apply_move(&graph, node, target);
                 let after = modularity::quality(
                     &graph,
