@@ -47,11 +47,12 @@
 //!   combines values of two different variables, so block boundaries cannot
 //!   change any intermediate;
 //! * the cross-variable coupling (the mean fields `h_i = b_i + Σ_j W_ij ⟨x_j⟩`)
-//!   is derived by each worker for its own variables from the published
-//!   expectation vector (one atomic `f64`-bits cell per variable, disjoint
-//!   writers), walking each adjacency row in ascending-neighbour order — the
-//!   same per-field addition order as the serial flat pair sweep, because the
-//!   model's pair list is sorted;
+//!   is derived by each worker for its own variables from a copy of the
+//!   published expectation vector (one atomic `f64`-bits cell per variable,
+//!   disjoint writers) with the serial sweep's kernel,
+//!   `qhdcd_qubo::QuboModel::mean_field`, which sums each adjacency row in
+//!   ascending-neighbour order — so a field's additions, and therefore its
+//!   bits, do not depend on which worker computes it;
 //! * two barriers per step separate every worker's *read* of the expectations
 //!   from every worker's *publish* of its refreshed slice, so no half-updated
 //!   vector is ever observed.

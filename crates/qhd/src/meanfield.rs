@@ -41,7 +41,7 @@
 use crate::batch::{MeanFieldWorkspace, WaveBatch};
 use crate::complex::Complex;
 use crate::grid::{Grid, ThomasFactors};
-use crate::schedule::Schedule;
+use crate::schedule::{check_total_time, Schedule};
 use qhdcd_qubo::{Budget, LocalFieldState, QuboError, QuboModel};
 use qhdcd_solvers::runtime::{resolve_threads, shard_ranges};
 use rand::prelude::*;
@@ -108,7 +108,8 @@ pub struct MeanFieldOutcome {
 /// # Errors
 ///
 /// Returns [`QuboError::InvalidConfig`] if the configuration is degenerate
-/// (zero steps, tiny grid, empty model).
+/// (zero steps, tiny grid, empty model, or a schedule whose total time is not
+/// finite and positive).
 ///
 /// # Example
 ///
@@ -202,7 +203,7 @@ pub fn evolve_bounded(
     let dt = config.schedule.total_time() / config.steps as f64;
     let mut steps_completed = 0usize;
     if workers == 1 {
-        let mut fields = vec![0.0f64; n];
+        let mut slopes = vec![0.0f64; n];
         let mut factors = ThomasFactors::new();
         for step in 0..config.steps {
             if budget.is_exhausted() {
@@ -211,19 +212,17 @@ pub fn evolve_bounded(
             let t = step as f64 * dt;
             let kinetic_coeff = config.schedule.kinetic(t);
             let potential_coeff = config.schedule.potential(t);
-            // All wavefunctions in a step see the same expectation vector, so
-            // the mean fields h_i = b_i + Σ_j W_ij ⟨x_j⟩ can be computed for
-            // every variable at once with a single flat sweep over the
-            // coupling list — O(n + nnz) per step instead of n separate
-            // adjacency-row walks. The result is reduced to the per-variable
-            // potential slope.
-            fields.copy_from_slice(model.linear());
-            for (i, j, w) in model.quadratic_terms() {
-                fields[i] += w * expectations[j];
-                fields[j] += w * expectations[i];
-            }
-            for f in fields.iter_mut() {
-                *f = potential_coeff * (*f / scale);
+            // All wavefunctions in a step see the same expectation vector.
+            // Each mean field h_i = b_i + Σ_j W_ij ⟨x_j⟩ is gathered along
+            // variable i's adjacency row (`QuboModel::mean_field`): the rows
+            // stream in order and the scattered reads hit an n-element vector
+            // that stays in cache, where a flat sweep over the pair list
+            // scatters its writes. The row is ascending in j, so every field
+            // sums its terms in the order the flat sweep of
+            // `evolve_reference` does, bit for bit. The field is reduced
+            // to the per-variable potential slope.
+            for (i, slope) in slopes.iter_mut().enumerate() {
+                *slope = potential_coeff * (model.mean_field(&expectations, i) / scale);
             }
             // The Crank–Nicolson system depends only on (kinetic_coeff, dt,
             // h): factor it once and share it across every variable.
@@ -231,7 +230,7 @@ pub fn evolve_bounded(
             sweep_block(
                 &grid,
                 &mut blocks[0],
-                &fields,
+                &slopes,
                 dt,
                 &factors,
                 &mut workspaces[0],
@@ -244,16 +243,16 @@ pub fn evolve_bounded(
         // contiguous column block for the *whole* trajectory (spawning per
         // step would pay thread-creation costs comparable to a worker's
         // per-step share). Two barriers per step separate the read phase
-        // (every worker derives its own variables' mean fields from the
-        // published expectations) from the publish phase (every worker stores
-        // its own variables' refreshed expectations into disjoint atomic
-        // cells), so no worker ever reads a half-updated vector. Each worker
-        // walks its variables' adjacency rows in ascending-neighbour order —
-        // the same per-field addition order as the serial flat pair sweep
-        // (the pair list is sorted) — and the per-step Thomas factorization
-        // is O(resolution), so recomputing it per worker is free; results are
-        // therefore bit-identical to the serial path. See crate::batch for
-        // the full determinism contract.
+        // (every worker copies the published expectations and derives its
+        // own variables' mean fields from the copy) from the publish phase
+        // (every worker stores its own variables' refreshed expectations into
+        // disjoint atomic cells), so no worker ever reads a half-updated
+        // vector. Each worker gathers its variables' fields with the serial
+        // path's kernel (`QuboModel::mean_field` over the same expectation
+        // values), and the per-step Thomas factorization is O(resolution), so
+        // recomputing it per worker is free; results are therefore
+        // bit-identical to the serial path. See crate::batch for the full
+        // determinism contract.
         let shared: Vec<AtomicU64> =
             expectations.iter().map(|e| AtomicU64::new(e.to_bits())).collect();
         let barrier = std::sync::Barrier::new(blocks.len());
@@ -274,6 +273,7 @@ pub fn evolve_bounded(
                 scope.spawn(move |_| {
                     let leader = range.start == 0;
                     let nb = block.num_variables();
+                    let mut published = vec![0.0f64; n];
                     let mut slopes = vec![0.0f64; nb];
                     let mut local_exp = vec![0.0f64; nb];
                     let mut factors = ThomasFactors::new();
@@ -289,12 +289,11 @@ pub fn evolve_bounded(
                         let t = step as f64 * dt;
                         let kinetic_coeff = schedule.kinetic(t);
                         let potential_coeff = schedule.potential(t);
-                        for (local, i) in range.clone().enumerate() {
-                            let mut field = model.linear()[i];
-                            for (j, w) in model.couplings(i) {
-                                field += w * f64::from_bits(shared[j].load(Ordering::Relaxed));
-                            }
-                            slopes[local] = potential_coeff * (field / scale);
+                        for (e, cell) in published.iter_mut().zip(shared) {
+                            *e = f64::from_bits(cell.load(Ordering::Relaxed));
+                        }
+                        for (slope, i) in slopes.iter_mut().zip(range.clone()) {
+                            *slope = potential_coeff * (model.mean_field(&published, i) / scale);
                         }
                         // Everyone has read this step's expectations.
                         barrier.wait();
@@ -366,9 +365,12 @@ fn sweep_block(
 /// outcomes, and because the wrappers always take the *scalar* kernel path,
 /// the pin also covers the SIMD backends whenever one is active for
 /// [`evolve`]. Both paths share `measure_shots`, so any divergence isolates
-/// to the propagation kernels. (The `meanfield_throughput` bench times its
-/// own verbatim copy of the seed's naive per-point kernels instead, so its
-/// speedup gate is not affected by this dedup.)
+/// to the propagation kernels or the mean fields: this path computes the
+/// fields with a flat sweep over the sorted pair list, the reference that
+/// [`evolve`]'s row-wise gather is pinned against. (The
+/// `meanfield_throughput` bench times its own verbatim copy of the seed's
+/// naive per-point kernels instead, so its speedup gate is not affected by
+/// this dedup.)
 ///
 /// # Errors
 ///
@@ -448,7 +450,7 @@ fn validate(model: &QuboModel, config: &MeanFieldConfig) -> Result<(), QuboError
     if config.steps == 0 {
         return Err(QuboError::InvalidConfig { reason: "steps must be positive".into() });
     }
-    Ok(())
+    check_total_time(config.schedule.total_time())
 }
 
 /// Measurement: the deterministic rounding of the probabilities plus `shots`

@@ -59,6 +59,10 @@ impl Schedule {
     /// singularity at 0. The final-time imbalance (potential ≫ kinetic) is what
     /// drives the descent phase: the instantaneous ground state concentrates on
     /// low-energy assignments, so an adiabatic-ish evolution ends there.
+    ///
+    /// `total_time` is not checked here; the evolution backends reject a
+    /// schedule whose total time is not finite and positive with
+    /// [`QuboError::InvalidConfig`].
     pub fn default_qhd(total_time: f64) -> Self {
         Schedule {
             total_time,
@@ -82,9 +86,7 @@ impl Schedule {
         potential_power: f64,
         potential_scale: f64,
     ) -> Result<Self, QuboError> {
-        if !total_time.is_finite() || total_time <= 0.0 {
-            return Err(QuboError::InvalidConfig { reason: "total_time must be positive".into() });
-        }
+        check_total_time(total_time)?;
         if !t0.is_finite() || t0 <= 0.0 {
             return Err(QuboError::InvalidConfig { reason: "t0 must be positive".into() });
         }
@@ -140,6 +142,19 @@ impl Schedule {
     pub fn time_points(&self, steps: usize) -> Vec<f64> {
         let dt = self.total_time / steps.max(1) as f64;
         (0..=steps.max(1)).map(|k| k as f64 * dt).collect()
+    }
+}
+
+/// Rejects an evolution time that is not finite and positive: at `T = 0` the
+/// schedule's coefficients are NaN, and a negative or NaN `T` breaks the
+/// clamp to `[0, T]`.
+pub(crate) fn check_total_time(total_time: f64) -> Result<(), QuboError> {
+    if total_time.is_finite() && total_time > 0.0 {
+        Ok(())
+    } else {
+        Err(QuboError::InvalidConfig {
+            reason: format!("total_time must be finite and positive, got {total_time}"),
+        })
     }
 }
 

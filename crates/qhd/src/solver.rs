@@ -39,7 +39,8 @@ pub struct QhdConfig {
     pub samples: usize,
     /// Worker threads used to run samples in parallel. `1` disables threading.
     pub threads: usize,
-    /// Total evolution time of the Schrödinger dynamics.
+    /// Total evolution time of the Schrödinger dynamics. Must be finite and
+    /// positive; otherwise solving returns [`QuboError::InvalidConfig`].
     pub total_time: f64,
     /// Number of integration time steps per trajectory.
     pub steps: usize,
@@ -108,7 +109,8 @@ impl QhdConfigBuilder {
         self
     }
 
-    /// Sets the total Schrödinger evolution time.
+    /// Sets the total Schrödinger evolution time. A time that is not finite
+    /// and positive makes solving return [`QuboError::InvalidConfig`].
     pub fn total_time(mut self, total_time: f64) -> Self {
         self.config.total_time = total_time;
         self
@@ -559,6 +561,42 @@ mod tests {
         let model = QuboBuilder::new(30).build();
         let solver = QhdSolver::builder().backend(Backend::Exact).samples(1).build();
         assert!(solver.solve(&model).is_err());
+    }
+
+    #[test]
+    fn an_evolution_time_that_is_not_finite_and_positive_is_rejected() {
+        let model = random_qubo(&RandomQuboConfig {
+            num_variables: 6,
+            density: 0.5,
+            coefficient_range: 1.0,
+            seed: 2,
+        })
+        .unwrap();
+        let invalid = |result: Result<(), QuboError>| match result {
+            Err(QuboError::InvalidConfig { reason }) => reason.contains("total_time"),
+            _ => false,
+        };
+        for total_time in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            for backend in [Backend::MeanField, Backend::Exact] {
+                let solver = QhdSolver::builder()
+                    .backend(backend)
+                    .total_time(total_time)
+                    .samples(2)
+                    .threads(2)
+                    .steps(20)
+                    .build();
+                assert!(invalid(solver.solve(&model).map(drop)), "T = {total_time}, {backend:?}");
+            }
+            let schedule = Schedule::default_qhd(total_time);
+            let mean_field = MeanFieldConfig { schedule: schedule.clone(), ..Default::default() };
+            assert!(invalid(meanfield::evolve(&model, &mean_field).map(drop)), "T = {total_time}");
+            assert!(
+                invalid(meanfield::evolve_reference(&model, &mean_field).map(drop)),
+                "T = {total_time}"
+            );
+            let exact = StateVectorConfig { schedule, ..Default::default() };
+            assert!(invalid(statevector::evolve(&model, &exact).map(drop)), "T = {total_time}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! graphs in the multilevel pipeline.
 
 use crate::complex::{normalize, Complex};
-use crate::schedule::Schedule;
+use crate::schedule::{check_total_time, Schedule};
 use qhdcd_qubo::{LocalFieldState, QuboError, QuboModel};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -56,7 +56,8 @@ pub struct StateVectorOutcome {
 /// # Errors
 ///
 /// Returns [`QuboError::InvalidConfig`] if the model has more than
-/// [`MAX_EXACT_VARIABLES`] variables or the configuration is degenerate.
+/// [`MAX_EXACT_VARIABLES`] variables or the configuration is degenerate (zero
+/// steps, or a schedule whose total time is not finite and positive).
 ///
 /// # Example
 ///
@@ -90,6 +91,7 @@ pub fn evolve(
     if config.steps == 0 {
         return Err(QuboError::InvalidConfig { reason: "steps must be positive".into() });
     }
+    check_total_time(config.schedule.total_time())?;
     let dim = 1usize << n;
 
     // Pre-compute the diagonal potential: QUBO energy of every assignment,

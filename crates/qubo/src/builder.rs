@@ -1,5 +1,4 @@
 use crate::{QuboError, QuboModel};
-use std::collections::BTreeMap;
 
 /// Incremental builder for [`QuboModel`].
 ///
@@ -7,6 +6,17 @@ use std::collections::BTreeMap;
 /// terms can be layered on top of an objective. Diagonal quadratic terms
 /// `x_i x_i` are folded into the linear coefficient (binary variables satisfy
 /// `x_i² = x_i`).
+///
+/// # Accumulation order
+///
+/// Linear coefficients and the offset are summed as they are added. Each
+/// off-diagonal addition is recorded as it is made, in the row of the pair's
+/// smaller index. [`QuboBuilder::build`] sorts each row by the larger index
+/// with a stable sort, so each pair's additions keep the order they were
+/// made in, and sums them left to right starting from `0.0`. A coefficient
+/// therefore has the same bits as the running sum `((0.0 + w₁) + w₂) + …`
+/// of its additions in call order, whatever other pairs were added in
+/// between.
 ///
 /// # Example
 ///
@@ -29,7 +39,10 @@ pub struct QuboBuilder {
     num_variables: usize,
     linear: Vec<f64>,
     offset: f64,
-    quadratic: BTreeMap<(usize, usize), f64>,
+    /// Row `i` holds every off-diagonal addition to a pair `(i, j)` with
+    /// `i < j` as `(j, weight)`, in call order; folded per pair by
+    /// [`QuboBuilder::build`].
+    rows: Vec<Vec<(usize, f64)>>,
 }
 
 impl QuboBuilder {
@@ -40,7 +53,7 @@ impl QuboBuilder {
             num_variables,
             linear: vec![0.0; num_variables],
             offset: 0.0,
-            quadratic: BTreeMap::new(),
+            rows: vec![Vec::new(); num_variables],
         }
     }
 
@@ -90,8 +103,7 @@ impl QuboBuilder {
         if i == j {
             self.linear[i] += weight;
         } else {
-            let key = (i.min(j), i.max(j));
-            *self.quadratic.entry(key).or_insert(0.0) += weight;
+            self.rows[i.min(j)].push((i.max(j), weight));
         }
         Ok(())
     }
@@ -148,8 +160,7 @@ impl QuboBuilder {
                     // Duplicate index in `vars`: x_i x_i = x_i.
                     self.linear[i] += 2.0 * weight;
                 } else {
-                    let key = (i.min(j), i.max(j));
-                    *self.quadratic.entry(key).or_insert(0.0) += 2.0 * weight;
+                    self.rows[i.min(j)].push((i.max(j), 2.0 * weight));
                 }
             }
         }
@@ -158,14 +169,20 @@ impl QuboBuilder {
     }
 
     /// Consumes the builder and produces the immutable [`QuboModel`], dropping
-    /// exact-zero quadratic entries.
+    /// exact-zero quadratic entries. Each pair's coefficient is its additions
+    /// summed in call order (see [Accumulation order](Self#accumulation-order)).
     pub fn build(self) -> QuboModel {
-        let pairs: Vec<(usize, usize, f64)> = self
-            .quadratic
-            .into_iter()
-            .filter(|&(_, w)| w != 0.0)
-            .map(|((i, j), w)| (i, j, w))
-            .collect();
+        let mut pairs = Vec::new();
+        for (i, mut row) in self.rows.into_iter().enumerate() {
+            // Stable: each pair's additions stay in call order.
+            row.sort_by_key(|&(j, _)| j);
+            for run in row.chunk_by(|a, b| a.0 == b.0) {
+                let weight = run.iter().fold(0.0, |sum, &(_, w)| sum + w);
+                if weight != 0.0 {
+                    pairs.push((i, run[0].0, weight));
+                }
+            }
+        }
         QuboModel::new(self.num_variables, self.linear, self.offset, pairs)
     }
 }
@@ -173,6 +190,8 @@ impl QuboBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn coefficients_accumulate() {
@@ -251,6 +270,120 @@ mod tests {
         b.add_quadratic(0, 1, -1.0).unwrap();
         let m = b.build();
         assert_eq!(m.num_quadratic_terms(), 0);
+    }
+
+    /// The accumulator `QuboBuilder` used before it sorted and folded: every
+    /// pair summed in a `BTreeMap` as it is added, starting from `0.0`.
+    struct MapOracle {
+        linear: Vec<f64>,
+        offset: f64,
+        quadratic: BTreeMap<(usize, usize), f64>,
+    }
+
+    impl MapOracle {
+        fn new(num_variables: usize) -> Self {
+            MapOracle { linear: vec![0.0; num_variables], offset: 0.0, quadratic: BTreeMap::new() }
+        }
+
+        fn add_quadratic(&mut self, i: usize, j: usize, weight: f64) {
+            if i == j {
+                self.linear[i] += weight;
+            } else {
+                *self.quadratic.entry((i.min(j), i.max(j))).or_insert(0.0) += weight;
+            }
+        }
+
+        fn add_penalty_sum_equals(&mut self, vars: &[usize], target: f64, weight: f64) {
+            for (a, &i) in vars.iter().enumerate() {
+                self.linear[i] += weight * (1.0 - 2.0 * target);
+                for &j in &vars[(a + 1)..] {
+                    if i == j {
+                        self.linear[i] += 2.0 * weight;
+                    } else {
+                        *self.quadratic.entry((i.min(j), i.max(j))).or_insert(0.0) += 2.0 * weight;
+                    }
+                }
+            }
+            self.offset += weight * target * target;
+        }
+
+        /// Pairs with their weight bits, exact zeros dropped.
+        fn pairs(&self) -> Vec<(usize, usize, u64)> {
+            self.quadratic
+                .iter()
+                .filter(|&(_, &w)| w != 0.0)
+                .map(|(&(i, j), &w)| (i, j, w.to_bits()))
+                .collect()
+        }
+    }
+
+    /// Coefficients whose sums depend on the order they are added in (1e16
+    /// absorbs 0.5), cancel exactly to zero (±1, ±0.1), or are signed zeros.
+    const WEIGHTS: [f64; 12] = [1.0, -1.0, 0.5, -0.5, 0.1, -0.1, 0.0, -0.0, 3.0, 1e16, -1e16, 0.3];
+
+    /// One builder call: a kind, two indices, a weight and a target from
+    /// [`WEIGHTS`], and a variable list for the penalties (duplicates likely).
+    type Call = (usize, (usize, usize), (usize, usize), Vec<usize>);
+
+    fn apply(call: &Call, builder: &mut QuboBuilder, oracle: &mut MapOracle) {
+        let (kind, (i, j), (w, t), vars) = call;
+        let (i, j, weight, target) = (*i, *j, WEIGHTS[*w], WEIGHTS[*t]);
+        match kind {
+            0 => {
+                builder.add_linear(i, weight).unwrap();
+                oracle.linear[i] += weight;
+            }
+            1..=4 => {
+                builder.add_quadratic(i, j, weight).unwrap();
+                oracle.add_quadratic(i, j, weight);
+            }
+            5 => {
+                builder.add_offset(weight);
+                oracle.offset += weight;
+            }
+            6 => {
+                builder.set_offset(weight);
+                oracle.offset = weight;
+            }
+            7 => {
+                builder.add_penalty_exactly_one(vars, weight).unwrap();
+                oracle.add_penalty_sum_equals(vars, 1.0, weight);
+            }
+            _ => {
+                builder.add_penalty_sum_equals(vars, target, weight).unwrap();
+                oracle.add_penalty_sum_equals(vars, target, weight);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn built_models_are_bit_equal_to_the_map_oracle(
+            (n, calls) in (1usize..7).prop_flat_map(|n| {
+                let call = (
+                    0usize..9,
+                    (0..n, 0..n),
+                    (0..WEIGHTS.len(), 0..WEIGHTS.len()),
+                    proptest::collection::vec(0..n, 0..6),
+                );
+                (Just(n), proptest::collection::vec(call, 0..160))
+            })
+        ) {
+            let mut builder = QuboBuilder::new(n);
+            let mut oracle = MapOracle::new(n);
+            for call in &calls {
+                apply(call, &mut builder, &mut oracle);
+            }
+            let model = builder.build();
+            let pairs: Vec<(usize, usize, u64)> =
+                model.quadratic_terms().map(|(i, j, w)| (i, j, w.to_bits())).collect();
+            prop_assert_eq!(pairs, oracle.pairs());
+            let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(model.linear()), bits(&oracle.linear));
+            prop_assert_eq!(model.offset().to_bits(), oracle.offset.to_bits());
+        }
     }
 
     #[test]

@@ -217,6 +217,12 @@ impl QuboModel {
     /// Continuous-relaxation local field: like [`QuboModel::local_field`] but with
     /// fractional occupation probabilities `p ∈ [0,1]ⁿ` instead of booleans.
     ///
+    /// The terms are added in ascending-neighbour order, starting from the
+    /// linear coefficient — the order in which a sweep over the sorted pair
+    /// list reaches them — so the result is a pure function of the model,
+    /// `p` and `i`. The mean-field QHD sweep relies on that for results that
+    /// are bit-identical across shard counts.
+    ///
     /// # Panics
     ///
     /// Panics if `p` is shorter than the number of variables or `i` is out of range.

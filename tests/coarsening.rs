@@ -1,23 +1,27 @@
-//! Regression pins for the coarsening layer, refinement and the multilevel
-//! pipeline.
+//! Regression pins for the coarsening layer, refinement, QUBO assembly, the
+//! mean-field sweep and the multilevel pipeline.
 //!
 //! Coarsening scores every edge by Eq. 6 with a stamped neighbourhood
 //! intersection, aggregates levels straight into CSR form, and the multilevel
 //! pipeline skips a final refine that would only repeat a converged one.
-//! Refinement prices every move with one O(deg) `NeighborScan`. All of that is
-//! bound by one contract: every hierarchy, matching and partition stays
-//! **bit-identical** to the per-edge `HashSet` scoring, `GraphBuilder`
-//! aggregation, unconditional final refine and the per-slot QUBO and
-//! ascending-order refinement paths it replaced. The fingerprints pinned
-//! below were captured on the commit *before* each change.
+//! Refinement prices every move with one O(deg) `NeighborScan`. `QuboBuilder`
+//! folds its recorded additions after a stable sort, and the mean-field sweep
+//! gathers each mean field along its variable's adjacency row. All of that is
+//! bound by one contract: every hierarchy, matching, partition, QUBO and
+//! mean-field outcome stays **bit-identical** to the per-edge `HashSet`
+//! scoring, `GraphBuilder` aggregation, unconditional final refine, per-slot
+//! QUBO and ascending-order refinement paths, `BTreeMap` accumulation and flat
+//! pair sweep it replaced. The fingerprints pinned below were captured on the
+//! commit *before* each change.
 
 use qhdcd::core::coarsen::{coarsen_hierarchy, CoarsenConfig, Hierarchy};
-use qhdcd::core::formulation::build_qubo;
+use qhdcd::core::formulation::{build_qubo, FormulationConfig};
 use qhdcd::core::multilevel::{self, MultilevelConfig};
 use qhdcd::core::refine::{refine_partition, RefineConfig};
 use qhdcd::graph::modularity::{self, ModularityState};
 use qhdcd::graph::{generators, Graph, GraphBuilder, Partition};
 use qhdcd::prelude::*;
+use qhdcd::qhd::meanfield::{evolve, evolve_reference, MeanFieldConfig, MeanFieldOutcome};
 use qhdcd::qubo::Budget;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -446,5 +450,129 @@ fn starts_past_the_first_seen_limits_match_the_ascending_order_oracle() {
         let out = refine_partition(graph, start, &config).unwrap();
         let oracle = ascending_order_refine(graph, start, &config);
         assert_eq!(out.partition, oracle, "{} nodes, {quality:?}", graph.num_nodes());
+    }
+}
+
+/// Every bit of a QUBO: the variable count, then each pair's indices and
+/// weight bits in pair-list order, every linear coefficient's bits and the
+/// offset's bits.
+fn model_fingerprint(model: &QuboModel) -> u64 {
+    let mut f = Fnv::new();
+    f.word(model.num_variables() as u64);
+    for (i, j, w) in model.quadratic_terms() {
+        f.word(i as u64);
+        f.word(j as u64);
+        f.word(w.to_bits());
+    }
+    for &b in model.linear() {
+        f.word(b.to_bits());
+    }
+    f.word(model.offset().to_bits());
+    f.0
+}
+
+/// What a `build_qubo` pin holds: the model fingerprint and the pair count.
+type QuboPin = (u64, usize);
+
+/// `build_qubo` pins (captured on the commit before `QuboBuilder` folded its
+/// recorded additions after a stable sort instead of summing them in a
+/// `BTreeMap`).
+const PIN_Q_GAMMA1: QuboPin = (0xab75d2b4a4b3ed6b, 45_600);
+const PIN_Q_GAMMA2: QuboPin = (0xeff128e7ee4b454d, 45_600);
+const PIN_Q_CPM: QuboPin = (0x86b744a491921a53, 45_600);
+const PIN_Q_UNBALANCED: QuboPin = (0x93d8c9b4c74dae15, 45_600);
+const PIN_Q_REAL_WEIGHTED: QuboPin = (0xf92359fad176d5c3, 116_160);
+
+/// A planted 4-community graph small enough for a debug build of its dense
+/// k = 4 QUBO.
+fn planted_small(num_nodes: usize, seed: u64) -> Graph {
+    generators::planted_partition(&generators::PlantedPartitionConfig {
+        num_nodes,
+        num_communities: 4,
+        p_in: 0.15,
+        p_out: 0.01,
+        seed,
+    })
+    .unwrap()
+    .graph
+}
+
+#[test]
+fn qubo_models_are_bit_identical_to_the_pins() {
+    let planted = planted_small(150, 7);
+    let real = real_weighted();
+    let base = FormulationConfig::with_communities(4);
+    let cases = [
+        ("modularity γ = 1", &planted, base.clone(), PIN_Q_GAMMA1),
+        (
+            "modularity γ = 2",
+            &planted,
+            FormulationConfig { quality: QualityFunction::modularity(2.0), ..base.clone() },
+            PIN_Q_GAMMA2,
+        ),
+        (
+            "CPM γ = 0.05",
+            &planted,
+            FormulationConfig { quality: QualityFunction::cpm(0.05), ..base.clone() },
+            PIN_Q_CPM,
+        ),
+        (
+            "balance_weight 0",
+            &planted,
+            FormulationConfig { balance_weight: 0.0, ..base.clone() },
+            PIN_Q_UNBALANCED,
+        ),
+        ("real-weighted", &real, base.clone(), PIN_Q_REAL_WEIGHTED),
+    ];
+    for (name, graph, config, pin) in cases {
+        let qubo = build_qubo(graph, &config).unwrap();
+        let model = qubo.model();
+        assert_eq!((model_fingerprint(model), model.num_quadratic_terms()), pin, "{name}");
+    }
+}
+
+/// Every bit of a mean-field outcome.
+fn outcome_fingerprint(out: &MeanFieldOutcome) -> u64 {
+    let mut f = Fnv::new();
+    for &bit in &out.best_solution {
+        f.word(u64::from(bit));
+    }
+    f.word(out.best_energy.to_bits());
+    for (&e, &p) in out.expectations.iter().zip(&out.probabilities) {
+        f.word(e.to_bits());
+        f.word(p.to_bits());
+    }
+    f.word(out.steps_completed as u64);
+    f.0
+}
+
+/// `meanfield::evolve` pin on an 800-variable `build_qubo` model (captured on
+/// the commit before the serial sweep gathered each mean field by row): the
+/// outcome fingerprint and the best energy's bits.
+const PIN_MF_DENSE: (u64, u64) = (0x367531b0dcefbd72, 0x40ca8c8f8c2c1826);
+
+/// A `build_qubo` variable couples to its node's every other slot and to the
+/// same slot of every other node, so each of the 800 rows holds about 200
+/// entries: the dense-row shape of the benchmark's coarsest QUBOs, unlike
+/// the sparse random QUBOs of the kernel tests. The sweep must reach the pinned outcome at every
+/// sharding width and agree with the flat pair sweep of `evolve_reference`.
+#[test]
+fn mean_field_on_a_dense_qubo_is_bit_identical_to_the_pin_at_every_width() {
+    let graph = planted_small(200, 9);
+    let qubo = build_qubo(&graph, &FormulationConfig::with_communities(4)).unwrap();
+    let model = qubo.model();
+    assert!(model.num_variables() >= 800);
+    let base = MeanFieldConfig { seed: 3, steps: 40, shots: 8, ..MeanFieldConfig::default() };
+    for threads in [1usize, 2, 3] {
+        let out = evolve(model, &MeanFieldConfig { threads, ..base.clone() }).unwrap();
+        let got = (outcome_fingerprint(&out), out.best_energy.to_bits());
+        assert_eq!(got, PIN_MF_DENSE, "threads={threads}");
+    }
+    let batch = evolve(model, &base).unwrap();
+    let reference = evolve_reference(model, &base).unwrap();
+    assert_eq!(batch.best_solution, reference.best_solution);
+    assert_eq!(batch.best_energy.to_bits(), reference.best_energy.to_bits());
+    for (i, (b, r)) in batch.expectations.iter().zip(&reference.expectations).enumerate() {
+        assert!((b - r).abs() <= 1e-12, "expectation {i}: {b} vs {r}");
     }
 }
