@@ -98,69 +98,91 @@ impl Hierarchy {
     }
 }
 
-/// Scores every non-loop edge of `graph` by Eq. 6, as `(score, u, v)` with
-/// `u < v`, in no particular order. The Jaccard term compares `N(u) \ {u, v}`
-/// with `N(v) \ {u, v}`.
+/// The matching-order key of the edge `(u, v)`, `u < v`, scored `score` by
+/// Eq. 6: `!(score + 0.0).to_bits()` in the high 64 bits, then `u` and `v` in
+/// 32 bits each. Ascending keys visit edges by descending score, ties broken by
+/// ascending `(u, v)`.
 ///
-/// Each edge is scored once, from the endpoint with more neighbours (the
-/// higher id on a tie). Every node stamps its neighbours into one `mark`
-/// vector, and for each edge it outranks, the other endpoint's neighbour list
-/// is scanned against the stamps. Work is `O(m + Σ_edges min(|N(u)|, |N(v)|))`
-/// with no hashing and no per-edge allocation, so a hub costs one stamp pass
-/// rather than one pass per incident edge. The intersection and union are
-/// integer counts, so the score does not depend on how they are counted.
-fn edge_scores(graph: &Graph, config: &CoarsenConfig) -> Vec<(f64, usize, usize)> {
+/// Scores are finite and non-negative (weights, `α` and `β` are validated), and
+/// such floats order as their bit patterns do. `+ 0.0` maps −0.0 to +0.0, the
+/// one pair of distinct patterns `partial_cmp` calls equal. Every edge has its
+/// own `(u, v)`, so the keys are distinct and the order is total.
+fn match_key(score: f64, u: usize, v: usize) -> u128 {
+    (u128::from(!(score + 0.0).to_bits()) << 64) | ((u as u128) << 32) | v as u128
+}
+
+/// Scores every non-loop edge of `graph` by Eq. 6 and returns its
+/// [`match_key`], in no particular order. The Jaccard term compares
+/// `N(u) \ {u, v}` with `N(v) \ {u, v}`.
+///
+/// Each edge is scored once, from the endpoint `u` with more neighbours (the
+/// higher id on a tie). `u` stamps its neighbours other than itself into one
+/// `mark` vector, and the other endpoint's neighbour list is counted against
+/// the stamps without branching: `Σ_{x ∈ N(v)} [mark[x] = u]` counts every
+/// common neighbour, and `v` itself when `v` has a self-loop. Neighbour counts
+/// and self-loop flags are taken once per graph. Work is
+/// `O(m + Σ_edges min(|N(u)|, |N(v)|))` with no hashing and no per-edge
+/// allocation, so a hub costs one stamp pass rather than one pass per incident
+/// edge. The intersection and union are integer counts, so the score does not
+/// depend on how they are counted.
+///
+/// # Panics
+///
+/// Panics if `graph` has more than `u32::MAX` nodes, whose ids would not fit
+/// the key.
+fn edge_keys(graph: &Graph, config: &CoarsenConfig) -> Vec<u128> {
     let n = graph.num_nodes();
+    assert!(u32::try_from(n).is_ok(), "coarsening supports at most {} nodes, got {n}", u32::MAX);
     let max_weight = graph.edges().map(|(_, _, w)| w).fold(0.0f64, f64::max).max(f64::MIN_POSITIVE);
+    let self_loop: Vec<usize> =
+        (0..n).map(|x| usize::from(graph.neighbor_ids(x).binary_search(&x).is_ok())).collect();
+    // |N(x) \ {x}|.
+    let others: Vec<usize> = (0..n).map(|x| graph.neighbor_count(x) - self_loop[x]).collect();
     let rank = |x: usize| (graph.neighbor_count(x), x);
-    let mut scored = Vec::with_capacity(graph.num_edges());
-    let mut mark = vec![usize::MAX; n];
+    let mut keys = Vec::with_capacity(graph.num_edges());
+    // No node has id `u32::MAX`, so the initial marks match no stamp.
+    let mut mark = vec![u32::MAX; n];
     for u in 0..n {
-        // |N(u) \ {u}|, stamped with `u`.
-        let mut size_u = 0usize;
+        let stamp = u as u32;
         for &x in graph.neighbor_ids(u) {
             if x != u {
-                mark[x] = u;
-                size_u += 1;
+                mark[x] = stamp;
             }
         }
         for (v, w) in graph.neighbors(u) {
-            if v == u || rank(v) > rank(u) {
+            if rank(v) >= rank(u) {
                 continue;
             }
-            let (mut inter, mut size_v) = (0usize, 0usize);
-            for &x in graph.neighbor_ids(v) {
-                if x != u && x != v {
-                    size_v += 1;
-                    inter += usize::from(mark[x] == u);
-                }
-            }
-            // v ∈ N(u), so |N(u) \ {u, v}| = size_u − 1.
-            let union = size_u - 1 + size_v - inter;
+            let hits: usize =
+                graph.neighbor_ids(v).iter().map(|&x| usize::from(mark[x] == stamp)).sum();
+            let inter = hits - self_loop[v];
+            // u ∈ N(v) and v ∈ N(u): each side drops the other endpoint.
+            let union = (others[u] - 1) + (others[v] - 1) - inter;
             let jaccard = if union == 0 { 0.0 } else { inter as f64 / union as f64 };
             let score = config.alpha * jaccard + config.beta * w / max_weight;
-            scored.push((score, u.min(v), u.max(v)));
+            keys.push(match_key(score, u.min(v), u.max(v)));
         }
     }
-    scored
+    keys
 }
 
 /// Computes the Eq. 6 matching score for every edge of `graph` and performs one
 /// round of greedy heavy-edge matching, returning the super-node index of every
 /// node. Unmatched nodes become singleton super-nodes.
+///
+/// Each edge's key holds `!(score + 0.0).to_bits()` above the ids `u` and `v`
+/// ([`match_key`]), so one integer sort of the keys visits edges by descending
+/// score, ties broken by ascending `(u, v)`: the order a `partial_cmp`
+/// comparator sort gives.
 fn match_round(graph: &Graph, config: &CoarsenConfig) -> Vec<usize> {
     let n = graph.num_nodes();
-    let mut scored = edge_scores(graph, config);
-    // Highest score first; ties broken by node ids for determinism. The
-    // `(u, v)` keys are unique, so the order is total and an unstable sort
-    // yields the same sequence as a stable one.
-    scored.sort_unstable_by(|a, b| {
-        b.0.partial_cmp(&a.0).expect("scores are finite").then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
-    });
+    let mut keys = edge_keys(graph, config);
+    keys.sort_unstable();
 
     let mut matched = vec![false; n];
     let mut partner: Vec<Option<usize>> = vec![None; n];
-    for (_, u, v) in scored {
+    for key in keys {
+        let (u, v) = ((key >> 32) as u32 as usize, key as u32 as usize);
         if !matched[u] && !matched[v] {
             matched[u] = true;
             matched[v] = true;
@@ -242,7 +264,7 @@ pub fn coarsen_hierarchy(graph: &Graph, config: &CoarsenConfig) -> Result<Hierar
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use qhdcd_graph::{generators, GraphBuilder};
+    use qhdcd_graph::{generators, DynamicGraph, GraphBuilder};
 
     #[test]
     fn config_validation() {
@@ -340,12 +362,17 @@ mod tests {
         // With α = 1 and β = 0 the Eq. 6 score is the Jaccard term alone.
         let g = generators::karate_club();
         let config = CoarsenConfig { alpha: 1.0, beta: 0.0, ..CoarsenConfig::default() };
-        let scores = edge_scores(&g, &config);
-        assert_eq!(scores.len(), g.edges().filter(|&(u, v, _)| u != v).count());
-        for (j, u, v) in scores {
+        let keys = edge_keys(&g, &config);
+        assert_eq!(keys.len(), g.edges().filter(|&(u, v, _)| u != v).count());
+        for (j, u, v) in keys.into_iter().map(unpack) {
             assert!(u < v && g.has_edge(u, v));
             assert!((0.0..=1.0).contains(&j), "({u}, {v}): {j}");
         }
+    }
+
+    /// A [`match_key`] split back into `(score, u, v)`.
+    fn unpack(key: u128) -> (f64, usize, usize) {
+        (f64::from_bits(!((key >> 64) as u64)), (key >> 32) as u32 as usize, key as u32 as usize)
     }
 
     /// The per-edge `HashSet` Jaccard the stamped kernel replaced: the oracle
@@ -369,6 +396,21 @@ mod tests {
             scored.push((config.alpha * jaccard + config.beta * w / max_weight, u, v));
         }
         scored
+    }
+
+    #[test]
+    fn negative_zero_scores_tie_with_positive_zero_ones() {
+        // With α = −0.0 the path's edge (0, 1), weighted +0.0, scores +0.0 and
+        // its edge (1, 2), weighted −0.0, scores −0.0. `partial_cmp` calls the
+        // two equal, so the lower ids (0, 1) match first.
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 0.0).unwrap();
+        b.add_edge(1, 2, 0.0).unwrap();
+        let path = with_negative_zeros(&b.build());
+        assert_eq!(path.edge_weight(1, 2).map(f64::to_bits), Some((-0.0f64).to_bits()));
+        let config = CoarsenConfig { alpha: -0.0, beta: 1.0, ..CoarsenConfig::default() };
+        assert_eq!(match_round(&path, &config), [0, 0, 1]);
+        assert_eq!(reference_match_round(&path, &config), [0, 0, 1]);
     }
 
     /// Random graphs with real weights, self-loops, parallel edges (merged by
@@ -400,6 +442,64 @@ mod tests {
         )
     }
 
+    /// Random simple graphs with every weight 1: the normalised-weight terms
+    /// all tie, and so do many Jaccard terms.
+    fn unit_weight_graph() -> impl Strategy<Value = Graph> {
+        let edge = (0usize..40, 0usize..40);
+        (2usize..40, proptest::collection::vec(edge, 0..140)).prop_map(|(n, raw)| {
+            let edges: std::collections::BTreeSet<(usize, usize)> = raw
+                .into_iter()
+                .map(|(u, v)| ((u % n).min(v % n), (u % n).max(v % n)))
+                .filter(|&(u, v)| u != v)
+                .collect();
+            GraphBuilder::from_unweighted_edges(n, edges).unwrap()
+        })
+    }
+
+    /// `graph` with every other zero weight, from the second on, set to −0.0,
+    /// which the streaming graph's `update_weight` stores as given.
+    fn with_negative_zeros(graph: &Graph) -> Graph {
+        let mut dynamic = DynamicGraph::from_graph(graph);
+        for (i, (u, v, _)) in graph.edges().filter(|&(_, _, w)| w == 0.0).enumerate() {
+            if i % 2 == 1 {
+                dynamic.update_weight(u, v, -0.0).unwrap();
+            }
+        }
+        dynamic.snapshot()
+    }
+
+    /// The comparator sort and greedy matching the `u128` keys replaced, over
+    /// the `HashSet` oracle's scores: the oracle for [`match_round`].
+    fn reference_match_round(graph: &Graph, config: &CoarsenConfig) -> Vec<usize> {
+        let n = graph.num_nodes();
+        let mut scored = reference_scores(graph, config);
+        scored.sort_unstable_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .expect("scores are finite")
+                .then(a.1.cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+        });
+        let mut partner: Vec<Option<usize>> = vec![None; n];
+        for (_, u, v) in scored {
+            if partner[u].is_none() && partner[v].is_none() {
+                partner[u] = Some(v);
+                partner[v] = Some(u);
+            }
+        }
+        let mut super_of = vec![usize::MAX; n];
+        let mut next = 0usize;
+        for u in 0..n {
+            if super_of[u] == usize::MAX {
+                super_of[u] = next;
+                if let Some(v) = partner[u] {
+                    super_of[v] = next;
+                }
+                next += 1;
+            }
+        }
+        super_of
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -412,12 +512,39 @@ mod tests {
             beta in 0.0f64..2.0,
         ) {
             let config = CoarsenConfig { alpha, beta, ..CoarsenConfig::default() };
-            let key = |s: &(f64, usize, usize)| (s.1, s.2, s.0.to_bits());
-            let mut fast: Vec<_> = edge_scores(&graph, &config).iter().map(key).collect();
-            let mut oracle: Vec<_> = reference_scores(&graph, &config).iter().map(key).collect();
+            // The key stores `score + 0.0`.
+            let key = |(score, u, v): (f64, usize, usize)| (u, v, (score + 0.0).to_bits());
+            let mut fast: Vec<_> =
+                edge_keys(&graph, &config).into_iter().map(unpack).map(key).collect();
+            let mut oracle: Vec<_> =
+                reference_scores(&graph, &config).into_iter().map(key).collect();
             fast.sort_unstable();
             oracle.sort_unstable();
             prop_assert_eq!(fast, oracle);
+        }
+
+        /// Sorting `u128` keys visits edges in the comparator sort's order, so
+        /// the matching is the comparator oracle's, also where scores tie: on
+        /// unit weights, with `α` or `β` zero, and where −0.0 scores (α = −0.0
+        /// on −0.0 weights) meet +0.0 ones.
+        #[test]
+        fn key_sorted_matching_equals_the_comparator_oracle(
+            graph in arbitrary_graph(),
+            unit in unit_weight_graph(),
+            zero in 0usize..5,
+            (alpha, beta) in (0.0f64..2.0, 0.0f64..2.0),
+        ) {
+            let (alpha, beta) = match zero {
+                0 => (0.0, beta),
+                1 => (alpha, 0.0),
+                2 => (0.0, 0.0),
+                3 => (-0.0, beta),
+                _ => (alpha, beta),
+            };
+            let config = CoarsenConfig { alpha, beta, ..CoarsenConfig::default() };
+            for g in [&graph, &with_negative_zeros(&graph), &unit] {
+                prop_assert_eq!(match_round(g, &config), reference_match_round(g, &config));
+            }
         }
     }
 

@@ -155,8 +155,8 @@ impl CdQubo {
     /// Nodes violating the one-hot constraint are repaired: if several
     /// community bits are set the lowest-index one wins; if none is set the
     /// node joins the community that most of its neighbours' decoded bits point
-    /// to (community 0 if it has no decided neighbours). The result is
-    /// renumbered.
+    /// to, the lowest-index one on a tie (community 0 if it has no decided
+    /// neighbours). The result is renumbered.
     ///
     /// # Errors
     ///
@@ -185,12 +185,14 @@ impl CdQubo {
                             weight_per_community[c] += w;
                         }
                     }
-                    weight_per_community
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).expect("weights are finite"))
-                        .map(|(c, _)| c)
-                        .unwrap_or(0)
+                    // The first maximum wins, so ties go to the lowest index.
+                    (0..k).fold(0, |best, c| {
+                        if weight_per_community[c] > weight_per_community[best] {
+                            c
+                        } else {
+                            best
+                        }
+                    })
                 }
             };
         }
@@ -565,6 +567,19 @@ mod tests {
         assert_eq!(decoded.num_nodes(), 6);
         // Node 0's neighbours are all in community 0, so the repair puts it there.
         assert_eq!(decoded.community_of(0), decoded.community_of(2));
+    }
+
+    #[test]
+    fn decoder_repairs_break_ties_toward_the_lowest_community() {
+        // Node 0 decodes to community 0 and node 1 to community 2. Node 2 has
+        // no decided neighbour, and node 3 is tied between 0 and 1: both join
+        // community 0, as node 0 does.
+        let g = GraphBuilder::from_unweighted_edges(4, [(3, 0), (3, 1)]).unwrap();
+        let qubo = build_qubo(&g, &FormulationConfig::with_communities(3)).unwrap();
+        let mut x = vec![false; qubo.model().num_variables()];
+        x[qubo.variable_index(0, 0)] = true;
+        x[qubo.variable_index(1, 2)] = true;
+        assert_eq!(qubo.decode(&g, &x).unwrap().labels(), [0, 1, 0, 0]);
     }
 
     #[test]

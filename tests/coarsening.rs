@@ -1,18 +1,23 @@
 //! Regression pins for the coarsening layer, refinement, QUBO assembly, the
 //! mean-field sweep and the multilevel pipeline.
 //!
-//! Coarsening scores every edge by Eq. 6 with a stamped neighbourhood
-//! intersection, aggregates levels straight into CSR form, and the multilevel
+//! Coarsening scores every edge by Eq. 6 with a stamped, branch-free
+//! neighbourhood intersection, orders the matching by one integer sort of
+//! `u128` keys, and aggregates each level by bucketing edges by their smaller
+//! super-node and folding each row straight into CSR form. The multilevel
 //! pipeline skips a final refine that would only repeat a converged one.
 //! Refinement prices every move with one O(deg) `NeighborScan`. `QuboBuilder`
 //! folds its recorded additions after a stable sort, and the mean-field sweep
 //! gathers each mean field along its variable's adjacency row. All of that is
 //! bound by one contract: every hierarchy, matching, partition, QUBO and
 //! mean-field outcome stays **bit-identical** to the per-edge `HashSet`
-//! scoring, `GraphBuilder` aggregation, unconditional final refine, per-slot
-//! QUBO and ascending-order refinement paths, `BTreeMap` accumulation and flat
-//! pair sweep it replaced. The fingerprints pinned below were captured on the
-//! commit *before* each change.
+//! scoring, comparator-sorted matching, `GraphBuilder` and sort-based
+//! aggregation, unconditional final refine, per-slot QUBO and ascending-order
+//! refinement paths, `BTreeMap` accumulation and flat pair sweep it replaced.
+//! The fingerprints pinned below were captured on the commit *before* each
+//! change. Pins A–C are a small corpus; pins D and E are the two shapes the
+//! benchmark runs: a dense graph that halves per level and a sparse one that
+//! collapses into a star.
 
 use qhdcd::core::coarsen::{coarsen_hierarchy, CoarsenConfig, Hierarchy};
 use qhdcd::core::formulation::{build_qubo, FormulationConfig};
@@ -57,6 +62,50 @@ const PIN_C_LEVELS: [u64; 4] =
     [0x8f0266d2806d63a9, 0x92fb2ec183ba4c85, 0xb06812a6910e55ed, 0x93cb3cb279a9a851];
 const PIN_C_LABELS: u64 = 0x3fa2709d32b617a5;
 const PIN_C_QBITS: u64 = 0x3feae38e38e38e38;
+
+/// Pin D: a facebook-like planted graph, `planted_partition_with_edge_budget(
+/// 1_000, 8, 21_850, 0.2, 7)`, θ = 40 (captured pre-change): dense, so each
+/// level nearly halves the graph, 6 levels from 511 down to 28 nodes.
+const PIN_D_LEVELS: [u64; 6] = [
+    0xf653b449f1fc801a,
+    0x1b9239fdde37aefc,
+    0x47ab65e67e706d48,
+    0xd5ff75ef79276acb,
+    0xac2de574bf2eec4f,
+    0x7e0529b8ff22a01c,
+];
+const PIN_D_LABELS: u64 = 0x511729de5ab5df25;
+const PIN_D_QBITS: u64 = 0x3fe5a51c858786c2;
+
+/// Pin E: a lastfm-like planted graph, `planted_partition_with_edge_budget(
+/// 2_000, 8, 7_300, 0.2, 3)`, θ = 40 (captured pre-change): sparse, so it
+/// collapses into a star whose hub holds 95 % of the nodes, and the late
+/// levels each merge the hub with one leaf, 20 levels from 1 067 down to 70
+/// nodes.
+const PIN_E_LEVELS: [u64; 20] = [
+    0x0847133790169cca,
+    0x7e0b7a881efde1d9,
+    0xeca96ae8c2ab019b,
+    0xa52b147a0cc81c95,
+    0x3bfcb15aa0704449,
+    0xf55b0c11aedd344e,
+    0xa0209eb1dca717ef,
+    0xe378634a0ec6d336,
+    0x05d9a27db2d8f67c,
+    0x2bebbf8bc4fdc9da,
+    0x7a8a5787d22f53b6,
+    0x944c1dd7fc9c2930,
+    0xbd2ea01908fe0e59,
+    0xb1412e31e75226d8,
+    0x749bd8ce43072b32,
+    0xff88481a669dcca3,
+    0x1ab7dc83f8ae0fe7,
+    0x10a6aedd0782dd79,
+    0x24f5d53da4dc23f2,
+    0xc262c940a8aa9216,
+];
+const PIN_E_LABELS: u64 = 0x5ae47f246c7e9fc2;
+const PIN_E_QBITS: u64 = 0x3fe2933ad8d9ea95;
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -180,6 +229,31 @@ fn corpus() -> [Case; 3] {
     ]
 }
 
+/// The two graph shapes the benchmark runs and the corpus above lacks.
+fn benchmark_shaped() -> [Case; 2] {
+    let planted = |nodes, edges, seed| {
+        generators::planted_partition_with_edge_budget(nodes, 8, edges, 0.2, seed).unwrap().graph
+    };
+    [
+        Case {
+            name: "facebook-like",
+            graph: planted(1_000, 21_850, 7),
+            threshold: 40,
+            levels: &PIN_D_LEVELS,
+            labels: PIN_D_LABELS,
+            qbits: PIN_D_QBITS,
+        },
+        Case {
+            name: "lastfm-like star",
+            graph: planted(2_000, 7_300, 3),
+            threshold: 40,
+            levels: &PIN_E_LEVELS,
+            labels: PIN_E_LABELS,
+            qbits: PIN_E_QBITS,
+        },
+    ]
+}
+
 fn pipeline(threshold: usize) -> (MultilevelConfig, QhdSolver) {
     let config = MultilevelConfig {
         num_communities: 8,
@@ -191,7 +265,9 @@ fn pipeline(threshold: usize) -> (MultilevelConfig, QhdSolver) {
 
 #[test]
 fn hierarchies_and_detections_are_bit_identical_to_the_pins() {
-    for Case { name, graph, threshold, levels, labels, qbits } in corpus() {
+    for Case { name, graph, threshold, levels, labels, qbits } in
+        corpus().into_iter().chain(benchmark_shaped())
+    {
         let (config, solver) = pipeline(threshold);
         let hierarchy = coarsen_hierarchy(&graph, &config.coarsen).unwrap();
         assert_eq!(level_fingerprints(&hierarchy), levels, "{name}: hierarchy");
