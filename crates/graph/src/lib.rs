@@ -20,8 +20,6 @@
 //! * [`io`] — plain edge-list reading and writing, plus edge-event logs.
 //! * [`quotient`] — aggregation of a graph by a partition (super-node graphs),
 //!   the basic operation behind multilevel coarsening.
-//! * [`sharding`] — deterministic community → shard ownership derivation for
-//!   sharded streaming deployments.
 //!
 //! # Example
 //!
@@ -55,7 +53,6 @@ pub mod laplacian;
 pub mod metrics;
 pub mod modularity;
 pub mod quotient;
-pub mod sharding;
 
 pub use builder::GraphBuilder;
 pub use dynamic::{DynamicGraph, EdgeEvent};

@@ -178,7 +178,7 @@ fn bits(x: f64) -> String {
 /// FNV-1a over the checkpoint body: cheap, dependency-free, and enough to
 /// catch torn writes and bit rot (the threat model is storage corruption,
 /// not an adversary forging checkpoints).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);

@@ -151,43 +151,6 @@ pub struct StreamStats {
     pub elapsed: Duration,
 }
 
-/// Strategy hook for the repair phase of
-/// [`StreamingDetector::apply_events_with`]: given the dirty frontier of a
-/// just-applied batch, perform the refinement and return `(moves, passes)`.
-///
-/// The default driver runs the sequential localized refinement; the sharded
-/// service substitutes a two-phase parallel-propose / sequential-commit driver
-/// that is pinned bit-identical to the sequential one. Whatever the driver
-/// does, the epoch fallback (full warm re-detect) stays inside the detector —
-/// drivers are only notified through
-/// [`RefineDriver::after_full_redetect`] so they can re-derive any state keyed
-/// on community slots (the re-detect renumbers every label).
-pub(crate) trait RefineDriver {
-    /// Refines over `frontier`; returns `(nodes_moved, refine_passes)`.
-    fn refine(
-        &mut self,
-        detector: &mut StreamingDetector,
-        frontier: &BTreeSet<NodeId>,
-    ) -> (usize, usize);
-
-    /// Called after a full re-detect replaced the labels and aggregates.
-    fn after_full_redetect(&mut self, _detector: &StreamingDetector) {}
-}
-
-/// The default driver: the sequential localized refinement. Also used by the
-/// sharded tests as the reference the two-phase driver is pinned against.
-pub(crate) struct LocalizedDriver;
-
-impl RefineDriver for LocalizedDriver {
-    fn refine(
-        &mut self,
-        detector: &mut StreamingDetector,
-        frontier: &BTreeSet<NodeId>,
-    ) -> (usize, usize) {
-        detector.refine_localized(frontier)
-    }
-}
-
 /// Maintains a community partition of a [`DynamicGraph`] across batches of
 /// [`EdgeEvent`]s.
 ///
@@ -379,16 +342,6 @@ impl StreamingDetector {
     /// before it remain applied and the bookkeeping stays consistent), or
     /// [`StreamError::Detect`] if a full re-detect fails.
     pub fn apply_events(&mut self, events: &[EdgeEvent]) -> Result<StreamStats, StreamError> {
-        self.apply_events_with(events, &mut LocalizedDriver)
-    }
-
-    /// [`StreamingDetector::apply_events`] with an explicit [`RefineDriver`]
-    /// supplying the localized-repair strategy (the fallback path is shared).
-    pub(crate) fn apply_events_with<R: RefineDriver>(
-        &mut self,
-        events: &[EdgeEvent],
-        driver: &mut R,
-    ) -> Result<StreamStats, StreamError> {
         let start = Instant::now();
         let modularity_before = self.modularity();
 
@@ -477,11 +430,9 @@ impl StreamingDetector {
             && (frontier.len() as f64 > self.config.frontier_fraction * n as f64
                 || self.drift > effective_drift_threshold * total_weight);
         let (nodes_moved, refine_passes) = if full_redetect {
-            let moved = self.full_redetect()?;
-            driver.after_full_redetect(self);
-            (moved, 0)
+            (self.full_redetect()?, 0)
         } else {
-            driver.refine(self, &frontier)
+            self.refine_localized(&frontier)
         };
 
         self.batches += 1;
@@ -563,25 +514,8 @@ impl StreamingDetector {
     /// the stream ↔ `refine_frontier` conformance tests pin) — O(deg) per
     /// node instead of the previous O(deg²) per-candidate re-scans.
     fn best_move(&mut self, node: NodeId) -> Option<(usize, f64)> {
-        let mut scan = std::mem::replace(&mut self.scan, modularity::NeighborScan::new());
-        let result = self.propose_move(&mut scan, node);
-        self.scan = scan;
-        result
-    }
-
-    /// The read-only form of [`StreamingDetector::best_move`] with an external
-    /// scratch scan, usable from several threads at once against the same
-    /// `&self` — the sharded service's parallel proposal phase runs this with
-    /// one [`modularity::NeighborScan`] per shard worker. Byte-for-byte the
-    /// same decision procedure as the sequential path (it *is* the sequential
-    /// path; `best_move` delegates here).
-    pub(crate) fn propose_move(
-        &self,
-        scan: &mut modularity::NeighborScan,
-        node: NodeId,
-    ) -> Option<(usize, f64)> {
         let two_m = 2.0 * self.graph.total_edge_weight();
-        scan.best_move_with_quality(
+        self.scan.best_move_with_quality(
             node,
             self.graph.neighbors(node),
             &self.labels,
@@ -592,19 +526,8 @@ impl StreamingDetector {
         )
     }
 
-    /// The maintained label of every node (community slots; tombstoned and
-    /// emptied slots may be unreferenced).
-    pub(crate) fn labels(&self) -> &[usize] {
-        &self.labels
-    }
-
-    /// The per-community `Σtot` aggregates (one slot per community label).
-    pub(crate) fn sigma_tot(&self) -> &[f64] {
-        &self.sigma_tot
-    }
-
     /// Moves `node` to `target`, patching `Σtot` and `Σin` in O(deg).
-    pub(crate) fn apply_move(&mut self, node: NodeId, target: usize) {
+    fn apply_move(&mut self, node: NodeId, target: usize) {
         let cur = self.labels[node];
         if cur == target {
             return;

@@ -49,23 +49,6 @@ pub enum StreamError {
         /// Human readable description of the problem.
         reason: String,
     },
-    /// A batch was routed to a shard that has panicked and degraded to
-    /// read-only; the batch was rejected atomically with nothing applied.
-    ShardUnavailable {
-        /// The dead shard the batch was routed to.
-        shard: usize,
-        /// 1-based index of the rejected batch (the epoch it would have
-        /// published).
-        index: u64,
-    },
-    /// A sharded checkpoint manifest could not be parsed or validated.
-    Manifest {
-        /// 1-based line number of the offending entry (0 for truncation or
-        /// cross-section problems).
-        line: usize,
-        /// Human readable description of the problem.
-        reason: String,
-    },
 }
 
 impl fmt::Display for StreamError {
@@ -87,12 +70,6 @@ impl fmt::Display for StreamError {
             StreamError::Checkpoint { line, reason } => {
                 write!(f, "failed to parse service checkpoint at line {line}: {reason}")
             }
-            StreamError::ShardUnavailable { shard, index } => {
-                write!(f, "batch {index} was routed to dead shard {shard} (degraded to read-only)")
-            }
-            StreamError::Manifest { line, reason } => {
-                write!(f, "failed to parse shard manifest at line {line}: {reason}")
-            }
         }
     }
 }
@@ -106,9 +83,7 @@ impl Error for StreamError {
             | StreamError::Backpressure { .. }
             | StreamError::ServiceClosed
             | StreamError::SubmitTimeout { .. }
-            | StreamError::Checkpoint { .. }
-            | StreamError::ShardUnavailable { .. }
-            | StreamError::Manifest { .. } => None,
+            | StreamError::Checkpoint { .. } => None,
         }
     }
 }
@@ -153,14 +128,6 @@ mod tests {
         assert!(e.source().is_none());
         let e = StreamError::Checkpoint { line: 4, reason: "bad token".into() };
         assert!(e.to_string().contains("line 4"));
-        assert!(e.source().is_none());
-        let e = StreamError::ShardUnavailable { shard: 2, index: 7 };
-        assert!(e.to_string().contains("dead shard 2"));
-        assert!(e.to_string().contains("batch 7"));
-        assert!(e.source().is_none());
-        let e = StreamError::Manifest { line: 5, reason: "missing slice".into() };
-        assert!(e.to_string().contains("line 5"));
-        assert!(e.to_string().contains("missing slice"));
         assert!(e.source().is_none());
     }
 

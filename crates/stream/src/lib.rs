@@ -32,11 +32,6 @@
 //!   snapshot reads (module [`snapshot`]), bounded-queue ingestion with
 //!   backpressure, and bit-exact checkpoint/replay crash recovery (module
 //!   [`checkpoint`]).
-//! * **Sharded service.** [`ShardedService`] (module [`shards`]) scales the
-//!   service across community-owning shard workers with a two-phase
-//!   refinement that is bit-identical to the unsharded service for any shard
-//!   count, deterministic event routing, per-shard checkpoint manifests, and
-//!   shard-level fault containment.
 //!
 //! # Determinism contract
 //!
@@ -76,7 +71,6 @@ pub mod checkpoint;
 #[cfg(feature = "fault-injection")]
 pub mod faults;
 pub mod service;
-pub mod shards;
 pub mod snapshot;
 
 pub use checkpoint::{EventJournal, ServiceCheckpoint};
@@ -85,7 +79,6 @@ pub use error::StreamError;
 pub use service::{
     BackoffPolicy, CheckpointStore, DeadLetter, ServiceClient, ServiceConfig, StreamingService,
 };
-pub use shards::{ShardManifest, ShardedConfig, ShardedService};
 pub use snapshot::{PartitionSnapshot, SnapshotReader};
 
 // The dynamic-graph layer is re-exported so that streaming applications only

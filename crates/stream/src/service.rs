@@ -112,10 +112,9 @@ struct QueueState {
 ///
 /// `depth` mirrors `events.len()` so that clients can probe backpressure
 /// without taking the lock; the mutex guards only enqueue/dequeue, never the
-/// snapshot read path. Shared with the sharded service, which reuses the same
-/// queue/client machinery around its own writer.
+/// snapshot read path.
 #[derive(Debug)]
-pub(crate) struct EventQueue {
+struct EventQueue {
     state: Mutex<QueueState>,
     depth: AtomicUsize,
     capacity: usize,
@@ -126,7 +125,7 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         EventQueue {
             state: Mutex::new(QueueState { events: VecDeque::new(), closed: false }),
             depth: AtomicUsize::new(0),
@@ -145,7 +144,7 @@ impl EventQueue {
     /// [`Drop`] — the latter is what turns a dead writer (panicked thread,
     /// dropped service) into prompt [`StreamError::ServiceClosed`] errors for
     /// blocked [`ServiceClient::submit`] callers instead of a deadlock.
-    pub(crate) fn close(&self) {
+    fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
         drop(state);
@@ -154,9 +153,8 @@ impl EventQueue {
     }
 
     /// Drains up to `max` queued events in submission order and wakes blocked
-    /// submitters when space was freed — the writer-loop dequeue shared by the
-    /// unsharded and sharded services.
-    pub(crate) fn drain_batch(&self, max: usize) -> Vec<EdgeEvent> {
+    /// submitters when space was freed.
+    fn drain_batch(&self, max: usize) -> Vec<EdgeEvent> {
         let mut state = self.lock();
         let take = state.events.len().min(max);
         let batch: Vec<EdgeEvent> = state.events.drain(..take).collect();
@@ -178,12 +176,6 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// Assembles a client from its parts (used by the sharded service, which
-    /// shares the queue/snapshot machinery).
-    pub(crate) fn from_parts(queue: Arc<EventQueue>, reader: SnapshotReader) -> Self {
-        ServiceClient { queue, reader }
-    }
-
     /// Enqueues `events` if the whole batch fits, never blocking.
     ///
     /// # Errors
@@ -586,13 +578,8 @@ impl StreamingService {
 
 /// Validates `events` against `graph` *as a batch*: every event is checked
 /// against the state the preceding events would leave behind, without
-/// mutating anything. This is what makes batch application all-or-nothing;
-/// shared by [`StreamingService`] and the sharded service, which must agree
-/// on acceptance decisions event for event.
-pub(crate) fn validate_batch(
-    graph: &DynamicGraph,
-    events: &[EdgeEvent],
-) -> Result<(), StreamError> {
+/// mutating anything. This is what makes batch application all-or-nothing.
+fn validate_batch(graph: &DynamicGraph, events: &[EdgeEvent]) -> Result<(), StreamError> {
     let n = graph.num_nodes();
     let key = |u: usize, v: usize| if u <= v { (u, v) } else { (v, u) };
     // Overlay of edge presence changes the batch would make; absent keys

@@ -63,10 +63,7 @@ pub mod prelude {
     pub use crate::qhd::QhdSolver;
     pub use crate::qubo::{QuboBuilder, QuboModel, QuboSolver, SolveStatus};
     pub use crate::solvers::{BranchAndBound, SimulatedAnnealing};
-    pub use crate::stream::{
-        ServiceConfig, ShardedConfig, ShardedService, StreamConfig, StreamingDetector,
-        StreamingService,
-    };
+    pub use crate::stream::{ServiceConfig, StreamConfig, StreamingDetector, StreamingService};
 }
 
 #[cfg(test)]

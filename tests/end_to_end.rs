@@ -205,3 +205,57 @@ fn ground_truth_partition_round_trips_through_the_qubo_encoding() {
         qubo.model().evaluate(&encoded).unwrap() < qubo.model().evaluate(&random_encoded).unwrap()
     );
 }
+
+/// Degenerate inputs through the facade, for every method: each detection
+/// succeeds, covers every node, and reports the Q that a recomputation on its
+/// own partition gives, bit for bit.
+#[test]
+fn every_method_handles_degenerate_inputs() {
+    let star: Vec<(usize, usize)> = (1..10).map(|leaf| (0, leaf)).collect();
+    let inputs = [
+        ("single node", GraphBuilder::new(1).build()),
+        ("5 isolated nodes", GraphBuilder::new(5).build()),
+        (
+            "3 self-loop-only nodes",
+            GraphBuilder::from_unweighted_edges(3, [(0, 0), (1, 1), (2, 2)]).unwrap(),
+        ),
+        (
+            "triangle plus 5 isolated nodes",
+            GraphBuilder::from_unweighted_edges(8, [(0, 1), (1, 2), (0, 2)]).unwrap(),
+        ),
+        ("10-node star", GraphBuilder::from_unweighted_edges(10, star).unwrap()),
+        (
+            "zero-weight edges",
+            GraphBuilder::from_edges(4, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0)]).unwrap(),
+        ),
+    ];
+    let methods = [
+        Method::QhdDirect,
+        Method::QhdMultilevel,
+        Method::BranchAndBoundDirect,
+        Method::AnnealingMultilevel,
+        Method::PortfolioMultilevel,
+        Method::Louvain,
+        Method::LabelPropagation,
+        Method::Spectral,
+        Method::Agglomerative,
+    ];
+    for (name, graph) in &inputs {
+        for method in methods {
+            let mut detector = CommunityDetector::new(method).with_seed(5);
+            if method == Method::BranchAndBoundDirect {
+                detector = detector.with_time_limit(std::time::Duration::from_millis(200));
+            }
+            let result =
+                detector.detect(graph).unwrap_or_else(|e| panic!("{method} on {name}: {e}"));
+            assert_eq!(result.partition.num_nodes(), graph.num_nodes(), "{method} on {name}");
+            let recomputed = modularity::modularity(graph, &result.partition);
+            assert_eq!(
+                result.modularity.to_bits(),
+                recomputed.to_bits(),
+                "{method} on {name}: reported {} vs recomputed {recomputed}",
+                result.modularity
+            );
+        }
+    }
+}

@@ -135,124 +135,6 @@ fn torn_checkpoint_writes_are_detected_on_recovery() {
     assert_eq!(recovered.epoch(), service.epoch());
 }
 
-/// Sharded fault containment, seed-derived: a shard-kill fault panics one
-/// shard worker at its scheduled batch. The panic is isolated — the killed
-/// shard degrades to read-only (batches routed to it are rejected atomically
-/// with `ShardUnavailable`), survivors keep ingesting, reads keep being
-/// served, and the surviving state is bit-identical to a no-fault run that
-/// never submitted the rejected batches. The scenario reproduces from the
-/// seed alone.
-#[test]
-fn shard_kill_degrades_to_read_only_while_survivors_ingest() {
-    use qhdcd::stream::{ShardedConfig, ShardedService};
-
-    // Derive the kill from a seed: the first seed whose plan kills one of
-    // our two shards early enough to reach in a short script.
-    let (seed, kill_batch, killed) = (0u64..500)
-        .find_map(|seed| match FaultPlan::from_seed(seed).kill_shard_at {
-            Some((batch, shard)) if shard < 2 && batch <= 3 => Some((seed, batch, shard)),
-            _ => None,
-        })
-        .expect("some seed derives a reachable shard kill");
-
-    // Two cliques of five; with the ground-truth partition, shard s owns
-    // community s (balanced assignment over equal sizes).
-    let pg = generators::ring_of_cliques(2, 5).unwrap();
-    let config = ShardedConfig {
-        shards: 2,
-        stream: StreamConfig::default().with_seed(9),
-        ..ShardedConfig::default()
-    };
-    let build = || {
-        let detector = StreamingDetector::from_partition(
-            DynamicGraph::from_graph(&pg.graph),
-            pg.ground_truth.clone(),
-            config.stream.clone(),
-        )
-        .unwrap();
-        ShardedService::from_detector(detector, config.clone()).unwrap()
-    };
-    let mut service = build();
-    assert_eq!(service.owner_of_community(0), 0);
-    assert_eq!(service.owner_of_community(1), 1);
-    service.inject_faults(FaultPlan::from_seed(seed));
-
-    let kn = killed * 5; // first node of the killed shard's clique
-    let sn = (1 - killed) * 5; // first node of the survivor's clique
-    let mut accepted: Vec<Vec<EdgeEvent>> = Vec::new();
-
-    // Batches before the kill touch both communities and apply normally.
-    for i in 1..kill_batch {
-        let batch = vec![
-            EdgeEvent::Add { u: kn, v: kn + 1, weight: 1.0 + i as f64 },
-            EdgeEvent::Add { u: sn, v: sn + 1, weight: 1.0 + i as f64 },
-        ];
-        service.ingest(&batch).unwrap();
-        accepted.push(batch);
-    }
-    assert!(!service.shard_is_dead(killed));
-
-    // The kill fires while routing its scheduled batch; a survivor-only
-    // batch still applies on the live shard.
-    let batch = vec![EdgeEvent::Add { u: sn, v: sn + 2, weight: 1.5 }];
-    service.ingest(&batch).unwrap();
-    accepted.push(batch);
-    assert!(service.shard_is_dead(killed), "seed {seed}");
-    assert!(!service.shard_is_dead(1 - killed));
-    assert_eq!(service.epoch(), kill_batch);
-
-    // Batches routed to the dead shard — exclusively or as one of the
-    // boundary owners — are rejected atomically: no journal growth, no graph
-    // mutation, no epoch.
-    let journal_before = service.journal_log();
-    let graph_before = service.detector().graph().to_checkpoint_text();
-    for dead_batch in [
-        vec![EdgeEvent::Add { u: kn, v: kn + 2, weight: 2.0 }],
-        vec![EdgeEvent::Add { u: kn, v: sn, weight: 1.0 }],
-    ] {
-        match service.ingest(&dead_batch) {
-            Err(StreamError::ShardUnavailable { shard, index }) => {
-                assert_eq!((shard, index), (killed, kill_batch + 1));
-            }
-            other => panic!("expected ShardUnavailable, got {other:?}"),
-        }
-    }
-    assert_eq!(service.epoch(), kill_batch);
-    assert_eq!(service.journal_log(), journal_before);
-    assert_eq!(service.detector().graph().to_checkpoint_text(), graph_before);
-
-    // Survivors keep ingesting and reads keep being served.
-    let batch = vec![EdgeEvent::Add { u: sn, v: sn + 3, weight: 1.0 }];
-    service.ingest(&batch).unwrap();
-    accepted.push(batch);
-    assert_eq!(service.latest_snapshot().epoch(), kill_batch + 1);
-
-    // The surviving state is bit-identical to a no-fault run over exactly
-    // the accepted batches — rejected batches truly mutated nothing.
-    let mut reference = build();
-    for batch in &accepted {
-        reference.ingest(batch).unwrap();
-    }
-    assert_eq!(
-        service.detector().modularity().to_bits(),
-        reference.detector().modularity().to_bits()
-    );
-    assert_eq!(service.detector().partition(), reference.detector().partition());
-    assert_eq!(service.journal_log(), reference.journal_log());
-    assert_eq!(service.shard_journal_logs(), reference.shard_journal_logs());
-    // Shard death is an in-memory condition, not a persisted one: the
-    // checkpoints agree byte-for-byte, and recovery brings the shard back.
-    assert_eq!(service.checkpoint(), reference.checkpoint());
-    let recovered = ShardedService::recover(
-        service.latest_checkpoint().unwrap(),
-        &service.shard_journal_logs(),
-        config.clone(),
-    )
-    .unwrap();
-    assert!(!recovered.shard_is_dead(killed));
-    assert_eq!(recovered.detector().partition(), service.detector().partition());
-}
-
 #[test]
 fn queue_full_storms_lose_and_reorder_nothing() {
     let plan = FaultPlan::from_seed(0xD1CE);

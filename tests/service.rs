@@ -96,6 +96,75 @@ fn fingerprint(service: &StreamingService) -> (u64, Partition, u64, u64, u64, us
     )
 }
 
+/// 64-bit FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Runs 12 churn batches of 6 events (churn seed 99) through a service that
+/// starts from `pg`'s ground truth (detector seed 23). Returns the bit pin of
+/// the final state and the number of batches repaired by localized
+/// refinement. The pin holds the maintained Q bits, the FNV of the renumbered
+/// labels, the full re-detects, the journal length and the FNV of the
+/// checkpoint text, which carries the raw bits of every Σ aggregate and of
+/// the drift.
+fn pinned_churn_run(
+    pg: &generators::PlantedGraph,
+    drift_threshold: f64,
+) -> ((u64, u64, u64, usize, u64), usize) {
+    let config = ServiceConfig {
+        stream: StreamConfig { drift_threshold, ..StreamConfig::default() },
+        ..ServiceConfig::default()
+    }
+    .with_seed(23);
+    let mut service = seeded_service(&pg.graph, &pg.ground_truth, config);
+    let mut localized = 0;
+    for batch in churn_batches(&mut DynamicGraph::from_graph(&pg.graph), 99, 12, 6) {
+        localized += usize::from(!service.ingest(&batch).unwrap().full_redetect);
+    }
+    let partition = service.detector().partition();
+    let labels = fnv1a(partition.labels().iter().flat_map(|&l| (l as u64).to_le_bytes()));
+    let checkpoint = fnv1a(service.checkpoint().into_bytes());
+    let detector = service.detector();
+    let pin = (
+        detector.modularity().to_bits(),
+        labels,
+        detector.full_redetects(),
+        service.journal().len(),
+        checkpoint,
+    );
+    (pin, localized)
+}
+
+/// A drift-bound churn run on a ring of cliques: every batch falls back to a
+/// full warm-started re-detect.
+#[test]
+fn redetect_churn_run_matches_its_bit_pin() {
+    let pg = generators::ring_of_cliques(5, 6).unwrap();
+    let (pin, localized) = pinned_churn_run(&pg, 0.15);
+    assert_eq!(localized, 0);
+    assert_eq!(pin, (0x3fdb_f930_fc80_6804, 0x80b2_d787_9aae_b184, 12, 72, 0xa03b_9936_c364_24c4));
+}
+
+/// A churn run on a planted partition that takes both repair branches: one
+/// full re-detect, then localized refinement on the other 11 batches.
+#[test]
+fn localized_churn_run_matches_its_bit_pin() {
+    let pg = generators::planted_partition(&generators::PlantedPartitionConfig {
+        num_nodes: 1000,
+        num_communities: 8,
+        p_in: 0.1,
+        p_out: 0.005,
+        seed: 7,
+    })
+    .unwrap();
+    let (pin, localized) = pinned_churn_run(&pg, 0.02);
+    assert_eq!(localized, 11);
+    assert_eq!(pin, (0x3fe3_755f_13f2_3fa8, 0x7374_1ae9_1c36_e586, 1, 72, 0x9e9f_f0fb_a623_34f7));
+}
+
 /// Crash consistency, exhaustively: cut a checkpoint at *every* batch
 /// boundary of a mixed event sequence (including node deletions and full
 /// re-detect fallbacks), simulate a crash at the end, and require recovery
