@@ -1,8 +1,9 @@
 //! Throughput gate for the incremental local-field engine.
 //!
-//! Compares every rewritten single-flip loop against a verbatim copy of the
-//! seed implementation (naive per-candidate `QuboModel::flip_delta` scans,
-//! kept here as the reference) on a 5 000-variable, 1 %-density random QUBO.
+//! Compares the library's `first_improvement_descent` and an engine annealing
+//! loop against verbatim copies of the seed implementations (naive
+//! per-candidate `QuboModel::flip_delta` scans, kept here as the reference) on
+//! a 5 000-variable, 1 %-density random QUBO.
 //! The two variants execute *identical trajectories* (same accept/reject
 //! decisions, same RNG consumption), so the ratio is a pure engine-overhead
 //! measurement. The PR acceptance gate is a ≥ 5× speedup for
@@ -13,6 +14,7 @@
 //! `BENCH_refine.json` at the repo root).
 
 use criterion::{criterion_group, criterion_main, measure, BenchmarkId, Criterion, Summary};
+use qhdcd_qhd::refine::first_improvement_descent;
 use qhdcd_qubo::generate::{random_qubo, RandomQuboConfig};
 use qhdcd_qubo::{LocalFieldState, QuboModel};
 use rand::prelude::*;
@@ -61,28 +63,6 @@ fn naive_first_improvement(
         }
     }
     (x, energy)
-}
-
-/// Engine-based first-improvement descent: O(1) per candidate flip.
-fn engine_first_improvement(
-    model: &QuboModel,
-    x: Vec<bool>,
-    max_sweeps: usize,
-) -> (Vec<bool>, f64) {
-    let mut state = LocalFieldState::new(model, x);
-    for _ in 0..max_sweeps {
-        let mut improved = false;
-        for i in 0..state.num_variables() {
-            if state.flip_delta(i) < -1e-15 {
-                state.apply_flip(i);
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    state.into_solution()
 }
 
 /// Seed (naive) Metropolis annealing loop, single restart.
@@ -139,7 +119,7 @@ fn bench_refine_throughput(c: &mut Criterion) {
 
     // Sanity gate before timing anything: both variants walk identical paths.
     let (naive_x, naive_e) = naive_first_improvement(&model, vec![false; NUM_VARIABLES], 50);
-    let (engine_x, engine_e) = engine_first_improvement(&model, vec![false; NUM_VARIABLES], 50);
+    let (engine_x, engine_e) = first_improvement_descent(&model, vec![false; NUM_VARIABLES], 50);
     assert_eq!(naive_x, engine_x, "descent trajectories diverged");
     assert!((naive_e - engine_e).abs() < 1e-6, "descent energies diverged");
     let ne = naive_annealing(&model, 2, 7);
@@ -158,7 +138,7 @@ fn bench_refine_throughput(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("first_improvement_incremental", NUM_VARIABLES),
         &model,
-        |b, m| b.iter(|| engine_first_improvement(m, vec![false; NUM_VARIABLES], 50)),
+        |b, m| b.iter(|| first_improvement_descent(m, vec![false; NUM_VARIABLES], 50)),
     );
     group.bench_with_input(
         BenchmarkId::new("simulated_annealing_naive", NUM_VARIABLES),
@@ -183,7 +163,7 @@ fn bench_refine_throughput(c: &mut Criterion) {
         10,
     ));
     let fi_engine = time(measure(
-        || engine_first_improvement(&model, vec![false; NUM_VARIABLES], 50),
+        || first_improvement_descent(&model, vec![false; NUM_VARIABLES], 50),
         warm,
         window,
         10,

@@ -25,9 +25,10 @@
 //!   GPU implementation parallelises.
 //!
 //! The high-level entry point is [`QhdSolver`], which runs many samples in
-//! parallel threads (standing in for the paper's multi-GPU batching), rounds
-//! measurement outcomes to binary solutions and applies the same greedy
-//! classical refinement QHDOPT uses as post-processing.
+//! parallel threads on the workspace's restart runtime (standing in for the
+//! paper's multi-GPU batching), rounds measurement outcomes to binary
+//! solutions and descends each with the classical local search QHDOPT uses as
+//! post-processing.
 //!
 //! # Example
 //!

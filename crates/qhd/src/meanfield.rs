@@ -151,8 +151,7 @@ pub fn evolve_bounded(
     budget: &Budget,
 ) -> Result<MeanFieldOutcome, QuboError> {
     let n = model.num_variables();
-    validate(model, config)?;
-    let grid = Grid::new(config.grid_resolution)?;
+    let grid = validate(model, config)?;
     let resolution = grid.resolution();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
 
@@ -381,8 +380,7 @@ pub fn evolve_reference(
     config: &MeanFieldConfig,
 ) -> Result<MeanFieldOutcome, QuboError> {
     let n = model.num_variables();
-    validate(model, config)?;
-    let grid = Grid::new(config.grid_resolution)?;
+    let grid = validate(model, config)?;
     let resolution = grid.resolution();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let scale = energy_scale(model).max(1e-12);
@@ -442,15 +440,19 @@ pub fn evolve_reference(
     })
 }
 
-/// Shared validation of [`evolve`] / [`evolve_reference`] configurations.
-fn validate(model: &QuboModel, config: &MeanFieldConfig) -> Result<(), QuboError> {
+/// Shared validation of [`evolve`] / [`evolve_reference`] configurations:
+/// a non-empty model, positive steps, a total time that is finite and
+/// positive and a grid resolution of at least 4, in that order. Returns the
+/// grid the trajectory runs on.
+pub(crate) fn validate(model: &QuboModel, config: &MeanFieldConfig) -> Result<Grid, QuboError> {
     if model.num_variables() == 0 {
         return Err(QuboError::InvalidConfig { reason: "model has no variables".into() });
     }
     if config.steps == 0 {
         return Err(QuboError::InvalidConfig { reason: "steps must be positive".into() });
     }
-    check_total_time(config.schedule.total_time())
+    check_total_time(config.schedule.total_time())?;
+    Grid::new(config.grid_resolution)
 }
 
 /// Measurement: the deterministic rounding of the probabilities plus `shots`

@@ -1,31 +1,20 @@
 //! Classical post-processing of QHD measurement outcomes.
 //!
 //! QHDOPT follows every quantum(-inspired) sample with a cheap classical
-//! refinement that projects the rounded solution onto a local minimum of the
-//! QUBO. This module provides the greedy single-flip descent used for that
-//! purpose (and reused by the classical baselines), plus rounding helpers.
-//!
-//! All descents run on [`LocalFieldState`], the incremental local-field
-//! engine: candidate flips are scored in O(1) instead of the O(deg) CSR scan
-//! of [`QuboModel::flip_delta`], so a full sweep over `n` candidates costs
-//! O(n) plus O(deg) per *accepted* flip, rather than O(nnz) regardless of how
-//! many moves are accepted.
+//! descent that projects the rounded solution onto a local minimum of the
+//! QUBO. [`QhdSolver`](crate::QhdSolver) runs those descents on its workers'
+//! engines through [`qhdcd_solvers::local_search`]; this module wraps the same
+//! loops for owned solutions. Both run on [`LocalFieldState`], which prices a
+//! candidate flip in O(1), so a sweep costs O(n) plus O(deg) per accepted flip.
 
-use qhdcd_qubo::{LocalFieldState, QuboModel};
+use qhdcd_qubo::{Budget, LocalFieldState, QuboModel};
+use qhdcd_solvers::local_search;
 
-/// Rounds fractional occupation probabilities to a binary assignment
-/// (`p > 0.5` ⇒ `true`).
-pub fn round_probabilities(probabilities: &[f64]) -> Vec<bool> {
-    probabilities.iter().map(|&p| p > 0.5).collect()
-}
-
-/// Greedy 1-opt local search: repeatedly flips the single variable with the
-/// most negative energy delta until no flip improves the energy or `max_passes`
-/// full sweeps have been performed. Returns the (possibly improved) solution
-/// and its energy.
-///
-/// The solution always satisfies: no single flip can decrease the energy
-/// (unless the pass limit was hit first).
+/// First-improvement local search: sweeps the variables in order and applies
+/// every improving flip immediately, until a full sweep makes no change or
+/// `max_sweeps` is reached. Returns the (possibly improved) solution and its
+/// energy. The QHD solver uses it for mean-field runs too large for
+/// [`pair_aware_descent`].
 ///
 /// # Panics
 ///
@@ -35,88 +24,24 @@ pub fn round_probabilities(probabilities: &[f64]) -> Vec<bool> {
 ///
 /// ```
 /// use qhdcd_qubo::QuboBuilder;
-/// use qhdcd_qhd::refine::greedy_descent;
+/// use qhdcd_qhd::refine::first_improvement_descent;
 ///
 /// # fn main() -> Result<(), qhdcd_qubo::QuboError> {
 /// let mut b = QuboBuilder::new(2);
 /// b.add_linear(0, -1.0)?;
 /// let model = b.build();
-/// let (solution, energy) = greedy_descent(&model, vec![false, false], 10);
+/// let (solution, energy) = first_improvement_descent(&model, vec![false, false], 10);
 /// assert_eq!(solution, vec![true, false]);
 /// assert_eq!(energy, -1.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn greedy_descent(
-    model: &QuboModel,
-    solution: Vec<bool>,
-    max_passes: usize,
-) -> (Vec<bool>, f64) {
-    assert_eq!(solution.len(), model.num_variables(), "solution length must match the model");
-    let mut state = LocalFieldState::new(model, solution);
-    for _ in 0..max_passes {
-        // Find the best single flip in this sweep — O(1) per candidate.
-        let mut best_delta = 0.0f64;
-        let mut best_var: Option<usize> = None;
-        for i in 0..state.num_variables() {
-            let delta = state.flip_delta(i);
-            if delta < best_delta - 1e-15 {
-                best_delta = delta;
-                best_var = Some(i);
-            }
-        }
-        match best_var {
-            Some(i) => {
-                state.apply_flip(i);
-            }
-            None => break,
-        }
-    }
-    state.debug_validate();
-    state.into_solution()
-}
-
-/// First-improvement local search: sweeps the variables in order and applies
-/// every improving flip immediately, until a full sweep makes no change or
-/// `max_sweeps` is reached. Faster than [`greedy_descent`] on large instances,
-/// with very similar quality; the QHD solver uses it for big mean-field runs.
-///
-/// # Panics
-///
-/// Panics if `solution.len()` differs from the model's variable count.
 pub fn first_improvement_descent(
     model: &QuboModel,
     solution: Vec<bool>,
     max_sweeps: usize,
 ) -> (Vec<bool>, f64) {
-    assert_eq!(solution.len(), model.num_variables(), "solution length must match the model");
-    let mut state = LocalFieldState::new(model, solution);
-    for _ in 0..max_sweeps {
-        if !state.single_flip_sweep() {
-            break;
-        }
-    }
-    state.debug_validate();
-    state.into_solution()
-}
-
-/// Energy change caused by flipping variables `i` and `j` simultaneously.
-///
-/// Equals `flip_delta(i) + flip_delta(j) + w_ij·(1−2x_i)(1−2x_j)`, where the
-/// last term corrects for the joint coupling that both single-flip deltas
-/// account for independently. The coupling is found with the O(log deg)
-/// [`QuboModel::coupling`] lookup; loops that track a [`LocalFieldState`]
-/// should instead use its O(1)
-/// [`pair_flip_delta_with_coupling`](LocalFieldState::pair_flip_delta_with_coupling).
-///
-/// # Panics
-///
-/// Panics if `i == j` or either index is out of range.
-pub fn pair_flip_delta(model: &QuboModel, x: &[bool], i: usize, j: usize) -> f64 {
-    assert_ne!(i, j, "pair flip requires two distinct variables");
-    let w_ij = model.coupling(i, j);
-    let sign = |b: bool| if b { -1.0 } else { 1.0 };
-    model.flip_delta(x, i) + model.flip_delta(x, j) + w_ij * sign(x[i]) * sign(x[j])
+    local_search::descend(model, solution, max_sweeps)
 }
 
 /// Local search combining single-flip and coupled pair moves.
@@ -128,13 +53,9 @@ pub fn pair_flip_delta(model: &QuboModel, x: &[bool], i: usize, j: usize) -> f64
 /// first-improvement single-flip sweeps with sweeps over *coupled* variable
 /// pairs (pairs sharing a quadratic term), applying any pair move that lowers
 /// the energy, until neither move type improves or `max_sweeps` is reached.
-///
-/// An improving pair with one set and one clear bit — the reassignment case
-/// one-hot encodings live on — is applied as the engine's native
-/// [`LocalFieldState::apply_reassign`]: one fused O(deg i + deg j) update
-/// whose energy never passes through the invalid intermediate state, instead
-/// of two emulated single flips. Same-state pairs fall back to
-/// [`LocalFieldState::apply_pair_flip`].
+/// An improving pair with one set and one clear bit is applied as the engine's
+/// native [`LocalFieldState::apply_reassign`], which never passes through the
+/// invalid intermediate state (see [`LocalFieldState::coupled_pair_sweep`]).
 ///
 /// # Panics
 ///
@@ -144,15 +65,8 @@ pub fn pair_aware_descent(
     solution: Vec<bool>,
     max_sweeps: usize,
 ) -> (Vec<bool>, f64) {
-    assert_eq!(solution.len(), model.num_variables(), "solution length must match the model");
     let mut state = LocalFieldState::new(model, solution);
-    for _ in 0..max_sweeps {
-        // Non-short-circuiting: the pair sweep runs even when the single-flip
-        // sweep already improved, exactly one of each per iteration.
-        if !(state.single_flip_sweep() | state.coupled_pair_sweep()) {
-            break;
-        }
-    }
+    local_search::pair_aware_descend_state(&mut state, max_sweeps, &Budget::unlimited());
     state.debug_validate();
     state.into_solution()
 }
@@ -163,22 +77,15 @@ mod tests {
     use qhdcd_qubo::generate::{random_qubo, RandomQuboConfig};
     use qhdcd_qubo::QuboBuilder;
 
-    #[test]
-    fn rounding_thresholds_at_one_half() {
-        assert_eq!(round_probabilities(&[0.1, 0.9, 0.5, 0.51]), vec![false, true, false, true]);
-        assert!(round_probabilities(&[]).is_empty());
+    fn model(n: usize, density: f64, coefficient_range: f64, seed: u64) -> QuboModel {
+        random_qubo(&RandomQuboConfig { num_variables: n, density, coefficient_range, seed })
+            .unwrap()
     }
 
     #[test]
-    fn greedy_descent_reaches_a_local_minimum() {
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 25,
-            density: 0.3,
-            coefficient_range: 1.0,
-            seed: 8,
-        })
-        .unwrap();
-        let (x, e) = greedy_descent(&model, vec![false; 25], 1000);
+    fn first_improvement_reaches_a_local_minimum() {
+        let model = model(25, 0.3, 1.0, 8);
+        let (x, e) = first_improvement_descent(&model, vec![false; 25], 1000);
         assert!((model.evaluate(&x).unwrap() - e).abs() < 1e-9);
         // 1-opt local optimality.
         for i in 0..25 {
@@ -188,13 +95,7 @@ mod tests {
 
     #[test]
     fn first_improvement_never_worsens_and_matches_energy() {
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 60,
-            density: 0.1,
-            coefficient_range: 2.0,
-            seed: 21,
-        })
-        .unwrap();
+        let model = model(60, 0.1, 2.0, 21);
         let start = vec![true; 60];
         let start_energy = model.evaluate(&start).unwrap();
         let (x, e) = first_improvement_descent(&model, start, 50);
@@ -208,52 +109,34 @@ mod tests {
         b.add_linear(0, -1.0).unwrap();
         b.add_linear(1, 1.0).unwrap();
         let model = b.build();
-        let (x, e) = greedy_descent(&model, vec![true, false], 5);
+        let (x, e) = first_improvement_descent(&model, vec![true, false], 5);
         assert_eq!(x, vec![true, false]);
         assert_eq!(e, -1.0);
     }
 
     #[test]
     fn pass_limit_bounds_the_work() {
-        // A chain where each flip enables the next one; with max_passes = 1 only
-        // one flip happens.
+        // A chain the ascending sweep walks backwards: only x2 pays at first,
+        // x1 pays only once x2 is set, and x0 only once x1 is, so each sweep
+        // makes exactly one flip.
         let mut b = QuboBuilder::new(3);
-        b.add_linear(0, -1.0).unwrap();
-        b.add_linear(1, -0.5).unwrap();
-        b.add_linear(2, -0.25).unwrap();
+        b.add_linear(0, 1.0).unwrap();
+        b.add_linear(1, 1.0).unwrap();
+        b.add_linear(2, -1.0).unwrap();
+        b.add_quadratic(0, 1, -2.0).unwrap();
+        b.add_quadratic(1, 2, -2.0).unwrap();
         let model = b.build();
-        let (x, _) = greedy_descent(&model, vec![false; 3], 1);
-        assert_eq!(x.iter().filter(|&&v| v).count(), 1);
+        for sweeps in 1..=3 {
+            let (x, _) = first_improvement_descent(&model, vec![false; 3], sweeps);
+            assert_eq!(x.iter().filter(|&&v| v).count(), sweeps, "sweeps={sweeps}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "must match the model")]
     fn mismatched_length_panics() {
         let model = QuboBuilder::new(3).build();
-        greedy_descent(&model, vec![false; 2], 1);
-    }
-
-    #[test]
-    fn pair_flip_delta_matches_reevaluation() {
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 12,
-            density: 0.5,
-            coefficient_range: 1.0,
-            seed: 3,
-        })
-        .unwrap();
-        let x = vec![true, false, true, true, false, false, true, false, true, false, true, true];
-        let before = model.evaluate(&x).unwrap();
-        for i in 0..12 {
-            for j in (i + 1)..12 {
-                let mut y = x.clone();
-                y[i] = !y[i];
-                y[j] = !y[j];
-                let after = model.evaluate(&y).unwrap();
-                let delta = pair_flip_delta(&model, &x, i, j);
-                assert!((after - before - delta).abs() < 1e-9, "pair ({i},{j})");
-            }
-        }
+        first_improvement_descent(&model, vec![false; 2], 1);
     }
 
     #[test]
@@ -278,13 +161,7 @@ mod tests {
 
     #[test]
     fn pair_aware_descent_never_worsens_random_instances() {
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 40,
-            density: 0.2,
-            coefficient_range: 1.0,
-            seed: 30,
-        })
-        .unwrap();
+        let model = model(40, 0.2, 1.0, 30);
         let start = vec![false; 40];
         let start_energy = model.evaluate(&start).unwrap();
         let (x, e) = pair_aware_descent(&model, start, 50);

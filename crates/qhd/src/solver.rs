@@ -1,27 +1,40 @@
 //! The high-level QHD QUBO solver.
 //!
 //! [`QhdSolver`] drives many independent QHD samples (different random initial
-//! wave packets and measurement seeds), each followed by classical greedy
-//! refinement, and returns the best solution found. Samples are distributed
-//! over worker threads with `crossbeam` scoped threads — the CPU stand-in for
-//! the multi-GPU batching described in the paper (see README.md,
-//! "Substitutions"). The solver implements [`QuboSolver`], so it is a drop-in
-//! replacement for the classical baselines everywhere in the workspace.
+//! wave packets and measurement seeds), each followed by a classical descent,
+//! and returns the best solution found. The samples are the restarts of the
+//! workspace's parallel restart runtime, [`qhdcd_solvers::runtime`]: its worker
+//! threads are the CPU stand-in for the multi-GPU batching described in the
+//! paper (see README.md, "Substitutions"), it isolates panicking samples, and
+//! it picks the best sample by `(energy, sample index)`, so the result does not
+//! depend on the thread count. Each descent runs on the worker's
+//! [`LocalFieldState`] through [`qhdcd_solvers::local_search`]. The solver
+//! implements [`QuboSolver`], so it is a drop-in replacement for the classical
+//! baselines everywhere in the workspace.
 
 use crate::meanfield::{self, MeanFieldConfig};
-use crate::refine;
 use crate::schedule::Schedule;
 use crate::statevector::{self, StateVectorConfig, MAX_EXACT_VARIABLES};
-use parking_lot::Mutex;
-use qhdcd_qubo::{Budget, Completion, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use qhdcd_qubo::{
+    Budget, LocalFieldState, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus,
+};
+use qhdcd_solvers::local_search;
+use qhdcd_solvers::runtime::{self, RestartRun};
+use rand::prelude::*;
+use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
+
+/// Above this many quadratic terms a candidate's descent falls back from the
+/// pair-aware search, which costs O(nnz · average degree) per sweep, to the
+/// linear-time 1-opt descent.
+const PAIR_AWARE_LIMIT: usize = 200_000;
 
 /// Which simulation backend the solver uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// Choose automatically: exact state-vector simulation for instances with
-    /// at most [`MAX_EXACT_VARIABLES`] variables, mean-field otherwise.
+    /// at most 12 variables, mean-field otherwise. (Forcing [`Backend::Exact`]
+    /// accepts up to [`MAX_EXACT_VARIABLES`].)
     #[default]
     Auto,
     /// Always use the exact hypercube state-vector simulation (small instances only).
@@ -37,7 +50,8 @@ pub struct QhdConfig {
     pub backend: Backend,
     /// Number of independent QHD samples (trajectories).
     pub samples: usize,
-    /// Worker threads used to run samples in parallel. `1` disables threading.
+    /// Worker threads used to run samples in parallel (`0` = all cores, `1` =
+    /// serial). The result is the same for every value.
     pub threads: usize,
     /// Total evolution time of the Schrödinger dynamics. Must be finite and
     /// positive; otherwise solving returns [`QuboError::InvalidConfig`].
@@ -196,230 +210,142 @@ impl QhdSolver {
         }
     }
 
-    /// Runs a single QHD sample with the given per-sample seed.
+    /// The exact-backend configuration of the sample seeded with `seed`.
+    fn state_vector_config(&self, seed: u64) -> StateVectorConfig {
+        StateVectorConfig {
+            schedule: Schedule::default_qhd(self.config.total_time),
+            steps: self.config.steps.max(50),
+            shots: self.config.shots.max(1),
+            seed,
+        }
+    }
+
+    /// The mean-field configuration of the sample seeded with `seed`.
+    fn mean_field_config(&self, seed: u64) -> MeanFieldConfig {
+        MeanFieldConfig {
+            schedule: Schedule::default_qhd(self.config.total_time),
+            steps: self.config.steps,
+            grid_resolution: self.config.grid_resolution,
+            shots: self.config.shots,
+            seed,
+            randomize_initial_state: true,
+            // Samples are already distributed over worker threads; keep each
+            // trajectory's variable sweep serial rather than oversubscribing
+            // with nested parallelism.
+            threads: 1,
+        }
+    }
+
+    /// Runs the QHD sample seeded with `seed` on a worker's engine.
     ///
     /// Mirrors QHDOPT's hybrid structure: the quantum(-inspired) evolution
-    /// produces a measurement distribution, several candidate roundings are
-    /// drawn from it, and each is projected to a nearby local minimum by the
-    /// classical refinement step; the best refined candidate wins.
-    /// Returns the refined sample plus whether the trajectory was cut short by
-    /// the budget (the exact backend's short dense evolutions are not
-    /// interruptible mid-trajectory; they observe the budget between samples).
+    /// produces a measurement distribution, the backend's best measurement
+    /// and up to `min(shots, 8)` further roundings drawn from it are each
+    /// installed on `state` and descended to a nearby local minimum, and the
+    /// first candidate with the lowest energy wins. The sample is interrupted
+    /// when the budget cut its mean-field trajectory short; the exact
+    /// backend's short dense evolutions are not interruptible and observe the
+    /// budget between samples. The descents ignore the budget.
     fn run_sample(
         &self,
-        model: &QuboModel,
         backend: Backend,
         seed: u64,
+        state: &mut LocalFieldState<'_>,
         budget: &Budget,
-    ) -> Result<(Vec<bool>, f64, bool), QuboError> {
-        use rand::prelude::*;
-        let schedule = Schedule::default_qhd(self.config.total_time);
-        // The pair-aware search costs O(nnz · average degree) per sweep, which is
-        // the right tool for small and medium instances but too expensive for the
-        // largest dense QUBOs; those fall back to the linear-time 1-opt descent.
-        let pair_aware_limit = 200_000;
-        let refine_one = |solution: Vec<bool>, energy: f64| -> (Vec<bool>, f64) {
-            if self.config.refine_sweeps == 0 {
-                (solution, energy)
-            } else if model.num_quadratic_terms() <= pair_aware_limit {
-                refine::pair_aware_descent(model, solution, self.config.refine_sweeps)
+    ) -> RestartRun {
+        const VALIDATED: &str = "the configuration was validated before the samples ran";
+        let model = state.model();
+        let sweeps = self.config.refine_sweeps;
+        let unlimited = Budget::unlimited();
+        let mut descend = |candidate: &[bool]| {
+            state.set_solution(candidate).expect("samples match the model");
+            if model.num_quadratic_terms() <= PAIR_AWARE_LIMIT {
+                local_search::pair_aware_descend_state(state, sweeps, &unlimited);
             } else {
-                refine::first_improvement_descent(model, solution, self.config.refine_sweeps)
+                local_search::descend_state(state, sweeps, &unlimited);
             }
+            state.debug_validate();
+            (state.solution().to_vec(), state.energy())
         };
-        match backend {
+        // Only the mean-field backend yields probabilities to draw further
+        // roundings from.
+        let (measured, energy, probabilities, interrupted) = match backend {
             Backend::Exact => {
-                let out = statevector::evolve(
-                    model,
-                    &StateVectorConfig {
-                        schedule,
-                        steps: self.config.steps.max(50),
-                        shots: self.config.shots.max(1),
-                        seed,
-                    },
-                )?;
-                let (solution, energy) = refine_one(out.best_solution, out.best_energy);
-                Ok((solution, energy, false))
+                let out =
+                    statevector::evolve(model, &self.state_vector_config(seed)).expect(VALIDATED);
+                (out.best_solution, out.best_energy, None, false)
             }
             Backend::MeanField | Backend::Auto => {
-                let steps = self.config.steps;
-                let out = meanfield::evolve_bounded(
-                    model,
-                    &MeanFieldConfig {
-                        schedule,
-                        steps,
-                        grid_resolution: self.config.grid_resolution,
-                        shots: self.config.shots,
-                        seed,
-                        randomize_initial_state: true,
-                        // Samples are already distributed over worker threads;
-                        // keep each trajectory's variable sweep serial rather
-                        // than oversubscribing with nested parallelism.
-                        threads: 1,
-                    },
-                    budget,
-                )?;
-                let interrupted = out.steps_completed < steps;
-                let (mut best, mut best_energy) = refine_one(out.best_solution, out.best_energy);
-                // Refine additional roundings drawn from the final measurement
-                // distribution (capped so the classical work stays bounded).
-                let extra = self.config.shots.min(8);
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-                for _ in 0..extra {
-                    let candidate: Vec<bool> =
-                        out.probabilities.iter().map(|&p| rng.gen::<f64>() < p).collect();
-                    let energy = model.evaluate(&candidate)?;
-                    let (candidate, energy) = refine_one(candidate, energy);
-                    if energy < best_energy {
-                        best = candidate;
-                        best_energy = energy;
-                    }
+                let config = self.mean_field_config(seed);
+                let out = meanfield::evolve_bounded(model, &config, budget).expect(VALIDATED);
+                let interrupted = out.steps_completed < config.steps;
+                (out.best_solution, out.best_energy, Some(out.probabilities), interrupted)
+            }
+        };
+        // Without refinement a candidate keeps the energy its source reported;
+        // an energy rebuilt on the engine can differ in the last bits.
+        let (mut best, mut best_energy) =
+            if sweeps == 0 { (measured, energy) } else { descend(&measured) };
+        if let Some(probabilities) = probabilities {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+            for _ in 0..self.config.shots.min(8) {
+                let candidate: Vec<bool> =
+                    probabilities.iter().map(|&p| rng.gen::<f64>() < p).collect();
+                let (candidate, energy) = if sweeps == 0 {
+                    let energy = model.evaluate(&candidate).expect("samples match the model");
+                    (candidate, energy)
+                } else {
+                    descend(&candidate)
+                };
+                if energy < best_energy {
+                    best = candidate;
+                    best_energy = energy;
                 }
-                Ok((best, best_energy, interrupted))
             }
         }
+        RestartRun { solution: best, energy: best_energy, iterations: 1, interrupted }
     }
 
     /// Shared implementation behind [`QuboSolver::solve`] and
     /// [`QuboSolver::solve_bounded`].
     ///
-    /// Samples are reduced by `(energy, sample index)` with strict comparisons
-    /// — the lowest sample index wins ties — so the result is a pure function
-    /// of the set of completed samples, independent of worker count and
-    /// completion order. The budget is observed between samples and inside
-    /// each mean-field trajectory; budget-interrupted samples only stand in
-    /// when no sample completed. A panicking sample is isolated and counted
-    /// failed; [`QuboError::RestartPanicked`] is returned only when every
-    /// sample that ran panicked.
+    /// Every configuration error is fixed by the model, the configuration and
+    /// the backend, so it is reported once, before any sample runs. The
+    /// samples then run as the restarts of [`runtime::run_restarts`], sample
+    /// `k` seeded with `seed + k` (the runtime's per-restart streams go
+    /// unused). That runtime supplies the rules: sample 0 runs even on an
+    /// exhausted budget, a restart cap truncates the schedule, interrupted
+    /// samples stand in only when none completed, and
+    /// [`QuboError::RestartPanicked`] is returned only when every sample that
+    /// ran panicked.
     fn solve_impl(&self, model: &QuboModel, budget: &Budget) -> Result<SolveReport, QuboError> {
-        struct Merge {
-            /// Best fully-completed sample as `(solution, energy, index)`.
-            best: Option<(Vec<bool>, f64, usize)>,
-            /// Best budget-interrupted sample (used only if `best` is empty).
-            best_interrupted: Option<(Vec<bool>, f64, usize)>,
-            completed: u64,
-            failed: Vec<(usize, String)>,
-            first_error: Option<QuboError>,
-            budget_hit: bool,
-        }
-        fn reduce(slot: &mut Option<(Vec<bool>, f64, usize)>, candidate: (Vec<bool>, f64, usize)) {
-            let better = match slot {
-                None => true,
-                Some((_, e, k)) => candidate.1 < *e || (candidate.1 == *e && candidate.2 < *k),
-            };
-            if better {
-                *slot = Some(candidate);
-            }
-        }
-
         let start = Instant::now();
         let backend = self.backend_for(model);
-        let configured = self.config.samples.max(1);
-        // A restart cap truncates the sample schedule itself (mirroring the
-        // portfolio runtime); sample 0 always runs for a best-effort result.
-        let samples = match budget.restart_cap() {
-            Some(cap) => configured.min(cap.max(1) as usize),
-            None => configured,
-        };
-        let cap_truncated = samples < configured;
-        let threads = self.config.threads.max(1).min(samples);
-
-        let merge = Mutex::new(Merge {
-            best: None,
-            best_interrupted: None,
-            completed: 0,
-            failed: Vec::new(),
-            first_error: None,
-            budget_hit: false,
-        });
-
-        let run_range = |range: std::ops::Range<usize>| {
-            for k in range {
-                // Sample 0 always runs so an already-expired budget still
-                // yields a best-effort incumbent.
-                if k != 0 && budget.is_exhausted() {
-                    merge.lock().budget_hit = true;
-                    return;
-                }
-                let seed = self.config.seed.wrapping_add(k as u64);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    self.run_sample(model, backend, seed, budget)
-                }));
-                let mut guard = merge.lock();
-                match outcome {
-                    Ok(Ok((solution, energy, false))) => {
-                        guard.completed += 1;
-                        reduce(&mut guard.best, (solution, energy, k));
-                    }
-                    Ok(Ok((solution, energy, true))) => {
-                        guard.budget_hit = true;
-                        reduce(&mut guard.best_interrupted, (solution, energy, k));
-                    }
-                    Ok(Err(e)) => {
-                        if guard.first_error.is_none() {
-                            guard.first_error = Some(e);
-                        }
-                        return;
-                    }
-                    Err(payload) => {
-                        let message = qhdcd_solvers::runtime::panic_message(payload.as_ref());
-                        guard.failed.push((k, message));
-                    }
-                }
+        match backend {
+            Backend::Exact => statevector::validate(model, &self.state_vector_config(0))?,
+            Backend::MeanField | Backend::Auto => {
+                meanfield::validate(model, &self.mean_field_config(0))?;
             }
-        };
-
-        if threads <= 1 {
-            run_range(0..samples);
-        } else {
-            // Static partition of the sample indices over the worker threads —
-            // the CPU analogue of batching trajectories across GPUs, using the
-            // same contiguous sharding as the restart runtime.
-            crossbeam::thread::scope(|scope| {
-                for range in qhdcd_solvers::runtime::shard_ranges(samples, threads) {
-                    let run_range = &run_range;
-                    scope.spawn(move |_| run_range(range));
-                }
-            })
-            .expect("QHD sample workers isolate panics internally");
         }
-
-        let merged = merge.into_inner();
-        if let Some(err) = merged.first_error {
-            return Err(err);
-        }
-        let completed = merged.completed;
-        // Samples can also be missing because they panicked; panics alone do
-        // not mark the run truncated — only budget skips, interruptions and
-        // schedule caps do.
-        let truncated = merged.budget_hit || cap_truncated;
-        let (solution, objective, completion) = match (merged.best, merged.best_interrupted) {
-            (Some((solution, objective, _)), _) => {
-                let completion = if truncated {
-                    Completion::Truncated { completed_restarts: completed }
-                } else {
-                    Completion::Full
-                };
-                (solution, objective, completion)
-            }
-            (None, Some((solution, objective, _))) => {
-                (solution, objective, Completion::Truncated { completed_restarts: 0 })
-            }
-            (None, None) => {
-                let (restart, message) = merged
-                    .failed
-                    .into_iter()
-                    .min_by_key(|(k, _)| *k)
-                    .expect("at least one sample ran");
-                return Err(QuboError::RestartPanicked { restart, message });
-            }
-        };
+        let kernel =
+            |k: usize, _: &mut ChaCha8Rng, state: &mut LocalFieldState<'_>, budget: &Budget| {
+                self.run_sample(backend, self.config.seed.wrapping_add(k as u64), state, budget)
+            };
+        let run = runtime::run_restarts(
+            model,
+            self.config.samples,
+            self.config.threads,
+            self.config.seed,
+            budget,
+            &kernel,
+        )?;
+        let completion = run.completion();
         Ok(SolveReport {
-            solution,
-            objective,
+            solution: run.solution,
+            objective: run.energy,
             status: SolveStatus::Heuristic,
             elapsed: start.elapsed(),
-            iterations: completed.max(1),
+            iterations: run.restarts_completed.max(1),
             completion,
         })
     }
@@ -451,7 +377,12 @@ impl QuboSolver for QhdSolver {
 mod tests {
     use super::*;
     use qhdcd_qubo::generate::{random_qubo, RandomQuboConfig};
-    use qhdcd_qubo::QuboBuilder;
+    use qhdcd_qubo::{Completion, QuboBuilder};
+
+    fn model(n: usize, density: f64, seed: u64) -> QuboModel {
+        random_qubo(&RandomQuboConfig { num_variables: n, density, coefficient_range: 1.0, seed })
+            .unwrap()
+    }
 
     fn brute_force_minimum(model: &QuboModel) -> f64 {
         let n = model.num_variables();
@@ -496,6 +427,9 @@ mod tests {
         let large = QuboBuilder::new(100).build();
         assert_eq!(solver.backend_for(&small), Backend::Exact);
         assert_eq!(solver.backend_for(&large), Backend::MeanField);
+        // The switch sits at 12 variables, below `MAX_EXACT_VARIABLES`.
+        assert_eq!(solver.backend_for(&QuboBuilder::new(12).build()), Backend::Exact);
+        assert_eq!(solver.backend_for(&QuboBuilder::new(13).build()), Backend::MeanField);
         let forced = QhdSolver::builder().backend(Backend::MeanField).build();
         assert_eq!(forced.backend_for(&small), Backend::MeanField);
     }
@@ -503,13 +437,7 @@ mod tests {
     #[test]
     fn finds_the_optimum_of_small_instances() {
         for seed in 0..3u64 {
-            let model = random_qubo(&RandomQuboConfig {
-                num_variables: 8,
-                density: 0.5,
-                coefficient_range: 1.0,
-                seed,
-            })
-            .unwrap();
+            let model = model(8, 0.5, seed);
             let solver = QhdSolver::builder().samples(4).steps(120).seed(seed).build();
             let report = solver.solve(&model).unwrap();
             let optimum = brute_force_minimum(&model);
@@ -525,13 +453,7 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_execution_agree_on_the_result_quality() {
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 30,
-            density: 0.2,
-            coefficient_range: 1.0,
-            seed: 77,
-        })
-        .unwrap();
+        let model = model(30, 0.2, 77);
         let serial = QhdSolver::builder().samples(4).threads(1).seed(5).steps(60).build();
         let parallel = QhdSolver::builder().samples(4).threads(4).seed(5).steps(60).build();
         let rs = serial.solve(&model).unwrap();
@@ -542,13 +464,7 @@ mod tests {
 
     #[test]
     fn refinement_only_improves_solutions() {
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 40,
-            density: 0.2,
-            coefficient_range: 1.0,
-            seed: 13,
-        })
-        .unwrap();
+        let model = model(40, 0.2, 13);
         let raw = QhdSolver::builder().samples(3).refine_sweeps(0).seed(2).steps(60).build();
         let refined = QhdSolver::builder().samples(3).refine_sweeps(50).seed(2).steps(60).build();
         let r_raw = raw.solve(&model).unwrap();
@@ -565,13 +481,7 @@ mod tests {
 
     #[test]
     fn an_evolution_time_that_is_not_finite_and_positive_is_rejected() {
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 6,
-            density: 0.5,
-            coefficient_range: 1.0,
-            seed: 2,
-        })
-        .unwrap();
+        let model = model(6, 0.5, 2);
         let invalid = |result: Result<(), QuboError>| match result {
             Err(QuboError::InvalidConfig { reason }) => reason.contains("total_time"),
             _ => false,
@@ -602,13 +512,7 @@ mod tests {
     #[test]
     fn an_expired_budget_yields_a_best_effort_truncated_report() {
         use qhdcd_qubo::CancelToken;
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 30,
-            density: 0.2,
-            coefficient_range: 1.0,
-            seed: 9,
-        })
-        .unwrap();
+        let model = model(30, 0.2, 9);
         let solver = QhdSolver::builder().samples(4).threads(2).steps(60).seed(1).build();
         assert!(solver.solve(&model).unwrap().completion.is_full());
         let cancel = CancelToken::new();
@@ -623,15 +527,88 @@ mod tests {
 
     #[test]
     fn report_iterations_count_samples() {
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 10,
-            density: 0.4,
-            coefficient_range: 1.0,
-            seed: 0,
-        })
-        .unwrap();
+        let model = model(10, 0.4, 0);
         let solver = QhdSolver::builder().samples(5).steps(40).build();
         let report = solver.solve(&model).unwrap();
         assert_eq!(report.iterations, 5);
+    }
+
+    /// 64-bit FNV-1a over a solution, one byte per variable.
+    fn fnv(solution: &[bool]) -> u64 {
+        solution
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Pins captured before the samples ran on `qhdcd_solvers::runtime`: the
+    /// solution's FNV, the objective bits, `iterations` and `completion` at 1,
+    /// 2 and 8 threads. Each case moves if sample `k` is seeded `seed + k + 1`.
+    #[test]
+    fn solve_bounded_output_is_pinned_on_every_sample_path() {
+        use qhdcd_qubo::CancelToken;
+        use Completion::{Full, Truncated};
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let (unlimited, capped) = (Budget::unlimited(), Budget::unlimited().with_restart_cap(3));
+        let cancelled = Budget::unlimited().cancelled_by(&cancel);
+        // 12 variables is the largest size `Backend::Auto` simulates exactly,
+        // 150 at density 0.05 descend pair-aware, and 700 at density 0.85 have
+        // more than 200 000 couplings, so they fall back to 1-opt.
+        let (exact, mid, dense) = (model(12, 0.3, 2), model(150, 0.05, 7), model(700, 0.85, 1));
+        assert!(dense.num_quadratic_terms() > 200_000);
+        let auto = QhdSolver::builder().samples(2).steps(50).shots(16).total_time(1000.0).seed(3);
+        let mf = QhdSolver::builder().backend(Backend::MeanField).steps(10).seed(3);
+        let cases = [
+            ("exact", &exact, auto, &unlimited),
+            ("no descent", &mid, mf.clone().samples(9).shots(1).refine_sweeps(0), &unlimited),
+            ("pair-aware", &mid, mf.clone().samples(9).shots(1), &unlimited),
+            ("1-opt", &dense, mf.clone().samples(2).shots(2), &unlimited),
+            ("capped", &mid, mf.clone().samples(9).shots(1), &capped),
+            ("cancelled", &mid, mf.samples(9).shots(1), &cancelled),
+        ];
+        let pins = [
+            (0xa4fed8dd2de5a3c4, 0xbffd7b1507b0a428, 2, Full),
+            (0x3e3513cb738093ff, 0xc04411329e6cc8c1, 9, Full),
+            (0x23e27a74c770a39d, 0xc0507f07a0c53082, 9, Full),
+            (0x4ea618bd1087aca1, 0xc0a712b1747257d6, 2, Full),
+            (0x23e27a74c770a39d, 0xc0507f07a0c53082, 3, Truncated { completed_restarts: 3 }),
+            (0x23e27a74c770a39d, 0xc0507f07a0c5307f, 1, Truncated { completed_restarts: 0 }),
+        ];
+        for ((name, model, builder, budget), pin) in cases.into_iter().zip(pins) {
+            for threads in [1, 2, 8] {
+                let solver = builder.clone().threads(threads).build();
+                let report = solver.solve_bounded(model, None, budget).unwrap();
+                let got = (
+                    fnv(&report.solution),
+                    report.objective.to_bits(),
+                    report.iterations,
+                    report.completion,
+                );
+                assert_eq!(got, pin, "{name}, threads={threads}: {got:#x?}");
+            }
+        }
+    }
+
+    /// Configuration errors keep their messages and their precedence.
+    #[test]
+    fn configuration_errors_are_pinned() {
+        let message = |model: &QuboModel, builder: QhdConfigBuilder| {
+            builder.threads(2).build().solve(model).unwrap_err().to_string()
+        };
+        let (small, wide) = (model(8, 0.5, 1), model(60, 0.1, 1));
+        let nan_time = QhdSolver::builder().total_time(f64::NAN);
+        let exact = QhdSolver::builder().backend(Backend::Exact);
+        let coarse_grid = QhdSolver::builder().backend(Backend::MeanField).grid_resolution(2);
+        let time = "invalid configuration: total_time must be finite and positive, got NaN";
+        let size = "invalid configuration: exact state-vector backend supports 1..=18 variables, \
+                    got 60";
+        let grid = "invalid configuration: grid resolution must be at least 4, got 2";
+        assert_eq!(message(&small, nan_time.clone()), time);
+        assert_eq!(message(&wide, nan_time), time);
+        assert_eq!(message(&wide, exact.clone()), size);
+        assert_eq!(message(&wide, coarse_grid.clone()), grid);
+        // Size is checked before time, and time before the grid.
+        assert_eq!(message(&wide, exact.total_time(f64::NAN)), size);
+        assert_eq!(message(&wide, coarse_grid.total_time(f64::NAN)), time);
     }
 }

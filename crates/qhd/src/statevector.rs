@@ -51,6 +51,24 @@ pub struct StateVectorOutcome {
     pub distribution: Vec<f64>,
 }
 
+/// Checks an exact-simulation configuration against `model`: 1 to
+/// [`MAX_EXACT_VARIABLES`] variables, positive steps, and a total time that is
+/// finite and positive, in that order.
+pub(crate) fn validate(model: &QuboModel, config: &StateVectorConfig) -> Result<(), QuboError> {
+    let n = model.num_variables();
+    if n == 0 || n > MAX_EXACT_VARIABLES {
+        return Err(QuboError::InvalidConfig {
+            reason: format!(
+                "exact state-vector backend supports 1..={MAX_EXACT_VARIABLES} variables, got {n}"
+            ),
+        });
+    }
+    if config.steps == 0 {
+        return Err(QuboError::InvalidConfig { reason: "steps must be positive".into() });
+    }
+    check_total_time(config.schedule.total_time())
+}
+
 /// Runs the exact QHD evolution for `model` and measures the final state.
 ///
 /// # Errors
@@ -80,18 +98,8 @@ pub fn evolve(
     model: &QuboModel,
     config: &StateVectorConfig,
 ) -> Result<StateVectorOutcome, QuboError> {
+    validate(model, config)?;
     let n = model.num_variables();
-    if n == 0 || n > MAX_EXACT_VARIABLES {
-        return Err(QuboError::InvalidConfig {
-            reason: format!(
-                "exact state-vector backend supports 1..={MAX_EXACT_VARIABLES} variables, got {n}"
-            ),
-        });
-    }
-    if config.steps == 0 {
-        return Err(QuboError::InvalidConfig { reason: "steps must be positive".into() });
-    }
-    check_total_time(config.schedule.total_time())?;
     let dim = 1usize << n;
 
     // Pre-compute the diagonal potential: QUBO energy of every assignment,

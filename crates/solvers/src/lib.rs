@@ -17,8 +17,9 @@
 //! * [`PortfolioSolver`] — a restart portfolio interleaving the heuristic
 //!   families above over the deterministic parallel [`runtime`].
 //!
-//! All restart-based solvers batch their restarts through the shared
-//! [`runtime`]: one [`LocalFieldState`](qhdcd_qubo::LocalFieldState) per
+//! All restart-based solvers, and the samples of `qhdcd_qhd::QhdSolver`,
+//! batch their restarts through the shared [`runtime`]: one
+//! [`LocalFieldState`](qhdcd_qubo::LocalFieldState) per
 //! worker thread, a private ChaCha stream per restart derived from the root
 //! seed, and a reduction ordered by `(energy, restart index)`, so results are
 //! bit-identical for every thread count.
@@ -59,11 +60,13 @@ pub use portfolio::{MoveSet, PortfolioConfig, PortfolioSolver, Strategy};
 pub use simulated_annealing::SimulatedAnnealing;
 pub use tabu::TabuSearch;
 
-pub(crate) mod local_search {
-    //! Shared descent loops used to seed and polish incumbents, built on the
-    //! engine's [`LocalFieldState::single_flip_sweep`] /
-    //! [`LocalFieldState::coupled_pair_sweep`] primitives (the same sweeps the
-    //! QHD refinement uses, so trajectories agree by construction).
+pub mod local_search {
+    //! The workspace's descent loops, built on the engine's
+    //! [`LocalFieldState::single_flip_sweep`] /
+    //! [`LocalFieldState::coupled_pair_sweep`] primitives. The classical
+    //! solvers use them to seed and polish incumbents, and `QhdSolver`
+    //! descends every measured candidate with them (`qhdcd_qhd::refine` wraps
+    //! them for owned solutions).
 
     use qhdcd_qubo::{Budget, LocalFieldState, QuboModel};
 

@@ -1,7 +1,8 @@
 //! Deterministic parallel restart runtime shared by every restart-based solver.
 //!
 //! Restarts of local-search solvers (greedy descent, simulated annealing, tabu
-//! search) are embarrassingly parallel, but a naive parallelisation is
+//! search) and the samples of `qhdcd_qhd::QhdSolver` are embarrassingly
+//! parallel, but a naive parallelisation is
 //! *non-deterministic*: if all restarts draw from one shared RNG, the
 //! trajectory of restart `k` depends on how many draws earlier restarts
 //! consumed, which depends on scheduling. This runtime makes parallel restarts
@@ -10,11 +11,13 @@
 //! 1. **Per-restart streams.** Restart `k` runs on its own `ChaCha8Rng` seeded
 //!    with [`restart_stream_seed`]`(root_seed, k)` — a SplitMix64 mix of the
 //!    root seed and the restart index. A restart's trajectory is a pure
-//!    function of `(model, root_seed, k)`.
+//!    function of `(model, root_seed, k)`. A kernel may ignore the stream if
+//!    its restart is already a pure function of `k`: `QhdSolver` seeds sample
+//!    `k` with its own `seed + k`.
 //! 2. **One engine per worker.** Each worker thread owns a single
 //!    [`LocalFieldState`] reused across its restarts (`set_solution` rebuilds
-//!    the cached fields in O(n + nnz) without reallocating), the same batching
-//!    pattern `QhdSolver` uses for samples.
+//!    the cached fields in O(n + nnz) without reallocating); `QhdSolver`
+//!    descends each sample's candidates on it.
 //! 3. **Ordered reduction.** The best restart is selected by the total order
 //!    `(energy, restart index)` — strictly lower energy wins, ties go to the
 //!    lowest restart index — so the reduction result does not depend on which
@@ -46,7 +49,7 @@
 //! caught at the restart boundary, the restart is marked failed, and the
 //! surviving restarts are still reduced deterministically (a failed restart
 //! simply drops out of the completed set). Only when *every* restart that ran
-//! panicked does the runtime return [`RuntimeError::RestartPanicked`]. Kernels
+//! panicked does the runtime return [`QuboError::RestartPanicked`]. Kernels
 //! re-install their starting state via `set_solution` (a full O(n + nnz)
 //! rebuild), so a worker's engine is safe to reuse after an unwound restart.
 
@@ -108,42 +111,8 @@ impl PortfolioRun {
     }
 }
 
-/// Structured failures of the restart runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RuntimeError {
-    /// Every restart that ran panicked; no incumbent exists to report.
-    RestartPanicked {
-        /// Lowest restart index that panicked.
-        restart: usize,
-        /// The panic payload rendered as a string, when it was one.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuntimeError::RestartPanicked { restart, message } => {
-                write!(f, "restart {restart} panicked ({message}) and no restart survived")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
-
-impl From<RuntimeError> for QuboError {
-    fn from(err: RuntimeError) -> Self {
-        match err {
-            RuntimeError::RestartPanicked { restart, message } => {
-                QuboError::RestartPanicked { restart, message }
-            }
-        }
-    }
-}
-
 /// Renders a caught panic payload for the structured error.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -302,7 +271,7 @@ where
 }
 
 /// Reduces a merged worker result to the public [`PortfolioRun`].
-fn finish(merged: WorkerResult, cap_truncated: bool) -> Result<PortfolioRun, RuntimeError> {
+fn finish(merged: WorkerResult, cap_truncated: bool) -> Result<PortfolioRun, QuboError> {
     let restarts_failed = merged.failed.len() as u64;
     if let Some((energy, best_restart, solution)) = merged.best {
         Ok(PortfolioRun {
@@ -333,7 +302,7 @@ fn finish(merged: WorkerResult, cap_truncated: bool) -> Result<PortfolioRun, Run
             .first()
             .cloned()
             .expect("no result implies at least one panicked restart");
-        Err(RuntimeError::RestartPanicked { restart, message })
+        Err(QuboError::RestartPanicked { restart, message })
     }
 }
 
@@ -350,7 +319,7 @@ fn finish(merged: WorkerResult, cap_truncated: bool) -> Result<PortfolioRun, Run
 ///
 /// # Errors
 ///
-/// [`RuntimeError::RestartPanicked`] only when every restart that ran
+/// [`QuboError::RestartPanicked`] only when every restart that ran
 /// panicked; any surviving restart yields `Ok` with the panics counted in
 /// [`PortfolioRun::restarts_failed`].
 pub fn run_restarts<K>(
@@ -360,7 +329,7 @@ pub fn run_restarts<K>(
     root_seed: u64,
     budget: &Budget,
     kernel: &K,
-) -> Result<PortfolioRun, RuntimeError>
+) -> Result<PortfolioRun, QuboError>
 where
     K: Fn(usize, &mut ChaCha8Rng, &mut LocalFieldState<'_>, &Budget) -> RestartRun + Sync,
 {
@@ -387,7 +356,7 @@ where
 ///
 /// # Errors
 ///
-/// [`RuntimeError::RestartPanicked`] when every replayed restart panicked.
+/// [`QuboError::RestartPanicked`] when every replayed restart panicked.
 ///
 /// # Panics
 ///
@@ -399,7 +368,7 @@ pub fn run_restart_set<K>(
     threads: usize,
     root_seed: u64,
     kernel: &K,
-) -> Result<PortfolioRun, RuntimeError>
+) -> Result<PortfolioRun, QuboError>
 where
     K: Fn(usize, &mut ChaCha8Rng, &mut LocalFieldState<'_>, &Budget) -> RestartRun + Sync,
 {
@@ -428,7 +397,7 @@ mod tests {
         .unwrap()
     }
 
-    /// A toy kernel: random start, greedy first-improvement descent, budget
+    /// A toy kernel: random start, first-improvement descent, budget
     /// observed at sweep boundaries.
     fn descent_kernel(
         _k: usize,
@@ -436,33 +405,14 @@ mod tests {
         state: &mut LocalFieldState<'_>,
         budget: &Budget,
     ) -> RestartRun {
-        let n = state.num_variables();
-        let x: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+        let x: Vec<bool> = (0..state.num_variables()).map(|_| rng.gen()).collect();
         state.set_solution(&x).expect("same model");
-        let mut sweeps = 0u64;
-        let mut interrupted = false;
-        loop {
-            if budget.is_exhausted() {
-                interrupted = true;
-                break;
-            }
-            let mut improved = false;
-            for i in 0..n {
-                if state.flip_delta(i) < -1e-15 {
-                    state.apply_flip(i);
-                    improved = true;
-                }
-            }
-            sweeps += 1;
-            if !improved || sweeps >= 100 {
-                break;
-            }
-        }
+        let outcome = crate::local_search::descend_state(state, 100, budget);
         RestartRun {
             solution: state.solution().to_vec(),
             energy: state.energy(),
-            iterations: sweeps,
-            interrupted,
+            iterations: outcome.sweeps,
+            interrupted: outcome.interrupted,
         }
     }
 
@@ -655,13 +605,11 @@ mod tests {
                 panic!("injected total fault");
             };
         let err = run_restarts(&m, 4, 2, 0, &Budget::unlimited(), &always_panic).unwrap_err();
-        match err {
-            RuntimeError::RestartPanicked { restart, ref message } => {
-                assert_eq!(restart, 0);
-                assert!(message.contains("injected total fault"));
-            }
-        }
-        let qubo_err: QuboError = err.into();
-        assert!(qubo_err.to_string().contains("restart 0 panicked"));
+        let QuboError::RestartPanicked { restart, ref message } = err else {
+            panic!("unexpected error {err:?}");
+        };
+        assert_eq!(restart, 0);
+        assert!(message.contains("injected total fault"));
+        assert!(err.to_string().contains("restart 0 panicked"));
     }
 }

@@ -222,16 +222,16 @@ proptest! {
         }
     }
 
-    /// The greedy refinement in the QHD crate never increases the energy.
+    /// The pair-aware descent the QHD solver runs never increases the energy.
     #[test]
-    fn greedy_descent_never_increases_energy(
+    fn pair_aware_descent_never_increases_energy(
         (n, linear, quadratic) in arbitrary_qubo(),
         bits in proptest::collection::vec(any::<bool>(), 2..10),
     ) {
         let model = build_model(n, &linear, &quadratic);
         let x: Vec<bool> = (0..n).map(|i| bits[i % bits.len()]).collect();
         let before = model.evaluate(&x).expect("length matches");
-        let (improved, energy) = qhdcd::qhd::refine::greedy_descent(&model, x, 50);
+        let (improved, energy) = qhdcd::qhd::refine::pair_aware_descent(&model, x, 50);
         prop_assert!(energy <= before + 1e-9);
         prop_assert!((model.evaluate(&improved).expect("length matches") - energy).abs() < 1e-9);
     }

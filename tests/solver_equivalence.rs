@@ -31,35 +31,6 @@ fn instance(n: usize, density: f64, seed: u64) -> QuboModel {
         .unwrap()
 }
 
-/// Seed implementation of greedy (best-improvement) descent.
-fn naive_greedy_descent(
-    model: &QuboModel,
-    solution: Vec<bool>,
-    max_passes: usize,
-) -> (Vec<bool>, f64) {
-    let mut x = solution;
-    let mut energy = model.evaluate(&x).unwrap();
-    for _ in 0..max_passes {
-        let mut best_delta = 0.0f64;
-        let mut best_var: Option<usize> = None;
-        for i in 0..x.len() {
-            let delta = model.flip_delta(&x, i);
-            if delta < best_delta - 1e-15 {
-                best_delta = delta;
-                best_var = Some(i);
-            }
-        }
-        match best_var {
-            Some(i) => {
-                x[i] = !x[i];
-                energy += best_delta;
-            }
-            None => break,
-        }
-    }
-    (x, energy)
-}
-
 /// Seed implementation of first-improvement descent.
 fn naive_first_improvement(
     model: &QuboModel,
@@ -228,24 +199,6 @@ fn naive_tabu(model: &QuboModel, solver: &TabuSearch) -> (Vec<bool>, f64) {
 fn random_assignment(n: usize, seed: u64) -> Vec<bool> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen()).collect()
-}
-
-#[test]
-fn greedy_descent_walks_the_seed_trajectory() {
-    for seed in 0..5u64 {
-        let model = instance(80, 0.1, seed);
-        let start = random_assignment(80, seed ^ 0xabcd);
-        let (naive_x, naive_e) = naive_greedy_descent(&model, start.clone(), 500);
-        let (new_x, new_e) = qhdcd::qhd::refine::greedy_descent(&model, start, 500);
-        assert_eq!(new_x, naive_x, "seed={seed}");
-        assert_eq!(
-            model.evaluate(&new_x).unwrap(),
-            model.evaluate(&naive_x).unwrap(),
-            "seed={seed}"
-        );
-        assert!((new_e - naive_e).abs() < 1e-9, "seed={seed}: {new_e} vs {naive_e}");
-        assert!((model.evaluate(&new_x).unwrap() - new_e).abs() < 1e-9);
-    }
 }
 
 #[test]
