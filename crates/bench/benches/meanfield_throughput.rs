@@ -17,24 +17,13 @@
 //!   phases, kinetic solve, fused trailing-phase expectation refresh), the
 //!   part the batch engine rewrites; this carries the ≥ 4× single-core
 //!   acceptance gate, and a counting global allocator asserts the batch
-//!   variant performs **zero heap allocations** inside it;
+//!   variant performs **zero heap allocations** inside it. The batch engine
+//!   runs its AVX2 kernels on CPUs that have AVX2, so there the gate times
+//!   the AVX2 step loop;
 //! * **fused trailing phase + expectation** — the fused
 //!   `apply_prepared_phase_expectation_batch` step loop against the unfused
 //!   (separate trailing half-phase, then expectation sweep) loop it replaced,
 //!   pinned bit-identical in-bench before timing;
-//! * **SIMD vs scalar** (`--features simd` builds only) — the same batch step
-//!   loop with the runtime-detected SIMD backend against the scalar backend,
-//!   pinned bit-identical in-bench before timing, in two regimes: the full
-//!   production batch width (memory-bound: at 2 000 columns the planes far
-//!   exceed cache and a single core saturates DRAM bandwidth, which caps any
-//!   vector win) and a cache-resident 64-column width (compute-bound, where
-//!   the vector units actually show). Full mode hard-gates every row on a
-//!   ≥ 0.85× regression floor (SIMD must never be meaningfully slower than
-//!   scalar); the 1.5× design target is recorded per row as `target_met` and
-//!   becomes a hard assert under `QHDCD_BENCH_STRICT_SIMD=1`, which is meant
-//!   for capable dedicated hardware — noisy shared single-core runners
-//!   cannot express it reliably. Reports an honest `available: false` record
-//!   when no SIMD backend is detected;
 //! * **end-to-end `evolve`** — the full trajectory including initial packet
 //!   generation, mean-field coupling and measurement, reported for context;
 //! * **initial packet generation** — per-variable `gaussian_state` +
@@ -54,11 +43,7 @@ use criterion::{criterion_group, criterion_main, measure, BenchmarkId, Criterion
 use qhdcd_qhd::batch::{MeanFieldWorkspace, WaveBatch};
 use qhdcd_qhd::complex::Complex;
 use qhdcd_qhd::grid::{Grid, ThomasFactors};
-#[cfg(feature = "simd")]
-use qhdcd_qhd::kernels::{detected_simd, select_backend};
 use qhdcd_qhd::meanfield::{evolve, evolve_reference, MeanFieldConfig};
-#[cfg(feature = "simd")]
-use qhdcd_qhd::KernelBackend;
 use qhdcd_qhd::Schedule;
 use qhdcd_qubo::generate::{random_qubo, RandomQuboConfig};
 use qhdcd_qubo::QuboModel;
@@ -95,53 +80,22 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 const STEPS: usize = 20;
 const DT: f64 = 10.0 / STEPS as f64;
 
-/// Batch width for the compute-bound SIMD regime: 64 columns keep every
-/// plane comfortably inside L1/L2 at both gated resolutions.
-#[cfg(feature = "simd")]
-const CACHE_RESIDENT_WIDTH: usize = 64;
-
 struct BenchParams {
     num_variables: usize,
     density: f64,
     required_speedup: f64,
-    /// Regression floor for every SIMD row: the SIMD backend must never be
-    /// meaningfully slower than the scalar reference it replaces.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    required_simd_floor: f64,
-    /// Design target from the SIMD engine issue; recorded per row, asserted
-    /// only under `QHDCD_BENCH_STRICT_SIMD=1` (capable dedicated hardware).
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    simd_target_speedup: f64,
 }
 
 fn params() -> BenchParams {
     if smoke_mode() {
-        BenchParams {
-            num_variables: 240,
-            density: 0.05,
-            required_speedup: 1.0,
-            required_simd_floor: 0.0,
-            simd_target_speedup: 1.5,
-        }
+        BenchParams { num_variables: 240, density: 0.05, required_speedup: 1.0 }
     } else {
-        BenchParams {
-            num_variables: 2_000,
-            density: 0.01,
-            required_speedup: 4.0,
-            required_simd_floor: 0.85,
-            simd_target_speedup: 1.5,
-        }
+        BenchParams { num_variables: 2_000, density: 0.01, required_speedup: 4.0 }
     }
 }
 
 fn smoke_mode() -> bool {
     std::env::var_os("QHDCD_MEANFIELD_SMOKE").is_some_and(|v| v != "0")
-}
-
-/// Opt-in strict mode: hard-asserts the SIMD design target on every row.
-#[cfg(feature = "simd")]
-fn strict_simd_mode() -> bool {
-    std::env::var_os("QHDCD_BENCH_STRICT_SIMD").is_some_and(|v| v != "0")
 }
 
 fn gate_instance(p: &BenchParams) -> QuboModel {
@@ -357,12 +311,6 @@ fn initial_states(grid: &Grid, n: usize) -> (WaveBatch, Vec<Complex>) {
 }
 
 fn bench_meanfield_throughput(c: &mut Criterion) {
-    // Pin the scalar kernel backend for every baseline measurement so the
-    // ≥ 4× batch-vs-AoS gate stays comparable across default and `simd`
-    // builds; the SIMD section below switches backends explicitly.
-    #[cfg(feature = "simd")]
-    assert!(select_backend(KernelBackend::Scalar), "scalar backend is always selectable");
-
     let p = params();
     let model = gate_instance(&p);
     let n = p.num_variables;
@@ -510,106 +458,6 @@ fn bench_meanfield_throughput(c: &mut Criterion) {
     let e2e_batch = time(measure(|| evolve(&model, &cfg), warm, window, 10));
     let gate_speedup = engine[0].3;
 
-    // SIMD backend against the pinned scalar reference, in both regimes:
-    // bit-identity is asserted in-bench on the full schedule (per width)
-    // before the backends are timed.
-    #[cfg(feature = "simd")]
-    let simd = {
-        match detected_simd() {
-            Some(backend) => {
-                let mut rows = Vec::new();
-                for (regime, width) in
-                    [("memory_bound", n), ("cache_resident", CACHE_RESIDENT_WIDTH)]
-                {
-                    let width_schedule = step_schedule(width);
-                    for resolution in [32usize, 64] {
-                        let grid = Grid::new(resolution).expect("valid resolution");
-                        let (seed_batch, _) = initial_states(&grid, width);
-                        let mut factors = ThomasFactors::new();
-                        let mut ws = MeanFieldWorkspace::for_batch(&seed_batch);
-
-                        // Conformance first: one pass from the identical seed
-                        // state under each backend must end bit-identical.
-                        assert!(select_backend(KernelBackend::Scalar));
-                        let mut scalar_batch = seed_batch.clone();
-                        let mut e_scalar = vec![0.0f64; width];
-                        batch_step_loop(
-                            &grid,
-                            &mut scalar_batch,
-                            &width_schedule,
-                            &mut factors,
-                            &mut ws,
-                            &mut e_scalar,
-                        );
-                        assert!(select_backend(backend), "detected backend is selectable");
-                        let mut simd_batch = seed_batch.clone();
-                        let mut e_simd = vec![0.0f64; width];
-                        batch_step_loop(
-                            &grid,
-                            &mut simd_batch,
-                            &width_schedule,
-                            &mut factors,
-                            &mut ws,
-                            &mut e_simd,
-                        );
-                        assert_bits_identical(
-                            &simd_batch,
-                            &scalar_batch,
-                            &e_simd,
-                            &e_scalar,
-                            "simd vs scalar",
-                        );
-
-                        assert!(select_backend(KernelBackend::Scalar));
-                        let scalar_ms = time(measure(
-                            || {
-                                batch_step_loop(
-                                    &grid,
-                                    &mut scalar_batch,
-                                    &width_schedule,
-                                    &mut factors,
-                                    &mut ws,
-                                    &mut e_scalar,
-                                )
-                            },
-                            warm,
-                            window,
-                            10,
-                        ));
-
-                        assert!(select_backend(backend));
-                        let simd_ms = time(measure(
-                            || {
-                                batch_step_loop(
-                                    &grid,
-                                    &mut simd_batch,
-                                    &width_schedule,
-                                    &mut factors,
-                                    &mut ws,
-                                    &mut e_simd,
-                                )
-                            },
-                            warm,
-                            window,
-                            10,
-                        ));
-                        assert!(select_backend(KernelBackend::Scalar));
-                        rows.push((
-                            regime,
-                            width,
-                            resolution,
-                            scalar_ms,
-                            simd_ms,
-                            scalar_ms / simd_ms,
-                        ));
-                    }
-                }
-                Some((backend, rows))
-            }
-            None => None,
-        }
-    };
-
     // Initial packet generation: the fused plane-major fill against the
     // per-variable gaussian_state + set_variable path it replaced inside
     // `evolve`. Bit-identity is asserted before anything is timed.
@@ -668,26 +516,6 @@ fn bench_meanfield_throughput(c: &mut Criterion) {
             "  \"fused_expectation_resolution_{resolution}\": {{ \"unfused_ms\": {unfused_ms:.3}, \"fused_ms\": {fused_ms:.3}, \"speedup\": {speedup:.2} }},"
         );
     }
-    #[cfg(feature = "simd")]
-    match &simd {
-        Some((backend, rows)) => {
-            for (regime, width, resolution, scalar_ms, simd_ms, speedup) in rows {
-                println!(
-                    "  \"simd_step_loop_{regime}_resolution_{resolution}\": {{ \"backend\": \"{}\", \"batch_width\": {width}, \"scalar_ms\": {scalar_ms:.3}, \"simd_ms\": {simd_ms:.3}, \"speedup\": {speedup:.2}, \"target_speedup\": {:.1}, \"target_met\": {} }},",
-                    backend.name(),
-                    p.simd_target_speedup,
-                    *speedup >= p.simd_target_speedup,
-                );
-            }
-        }
-        None => {
-            println!(
-                "  \"simd_step_loop\": {{ \"compiled\": true, \"available\": false, \"note\": \"no SIMD backend detected on this host; scalar fallback measured nothing\" }},"
-            );
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    println!("  \"simd_step_loop\": {{ \"compiled\": false }},");
     println!(
         "  \"end_to_end_evolve_resolution_32\": {{ \"reference_ms\": {e2e_reference:.3}, \"batch_ms\": {e2e_batch:.3}, \"speedup\": {:.2} }},",
         e2e_reference / e2e_batch
@@ -710,29 +538,6 @@ fn bench_meanfield_throughput(c: &mut Criterion) {
         "engine step-loop speedup {gate_speedup:.2}x below the {:.1}x gate at resolution 32",
         p.required_speedup
     );
-    #[cfg(feature = "simd")]
-    if let Some((backend, rows)) = &simd {
-        if !smoke_mode() {
-            for (regime, _, resolution, _, _, speedup) in rows {
-                assert!(
-                    *speedup >= p.required_simd_floor,
-                    "{} {regime} step-loop speedup {speedup:.2}x below the {:.2}x regression floor at resolution {resolution}",
-                    backend.name(),
-                    p.required_simd_floor,
-                );
-            }
-        }
-        if strict_simd_mode() {
-            for (regime, _, resolution, _, _, speedup) in rows {
-                assert!(
-                    *speedup >= p.simd_target_speedup,
-                    "{} {regime} step-loop speedup {speedup:.2}x below the {:.1}x strict target at resolution {resolution}",
-                    backend.name(),
-                    p.simd_target_speedup,
-                );
-            }
-        }
-    }
 }
 
 criterion_group!(benches, bench_meanfield_throughput);

@@ -126,11 +126,11 @@ impl From<f64> for Complex {
 /// Split-component complex multiply: `(ar + i·ai)·(br + i·bi)` as a
 /// `(re, im)` pair of parts.
 ///
-/// The batched kernels in [`crate::kernels`] keep wavefunctions as split
-/// re/im `f64` planes, so they multiply components directly instead of going
-/// through [`Complex`]. This helper is the single definition of that
-/// expression — `(ar·br − ai·bi, ar·bi + ai·br)`, the exact operand order the
-/// SIMD backends mirror term for term.
+/// The batched mean-field kernels keep wavefunctions as split re/im `f64`
+/// planes, so they multiply components directly instead of going through
+/// [`Complex`]. This helper is the single definition of that expression —
+/// `(ar·br − ai·bi, ar·bi + ai·br)`, the exact operand order the AVX2 bodies
+/// mirror term for term.
 #[inline]
 pub fn cmul_parts(ar: f64, ai: f64, br: f64, bi: f64) -> (f64, f64) {
     (ar * br - ai * bi, ar * bi + ai * br)

@@ -6,18 +6,19 @@
 //! propagator (a tridiagonal solve — "only matrix operations", as the paper
 //! emphasises), the diagonal potential phase, and measurement helpers.
 //!
-//! Two call shapes share **one** set of scalar kernels (in
-//! [`crate::kernels`]):
+//! Two call shapes share **one** set of scalar kernels (in the private
+//! `kernels` module):
 //!
 //! * **per-variable** kernels ([`Grid::kinetic_step`],
 //!   [`Grid::apply_linear_potential_phase`], …) operating on one AoS
 //!   `&mut [Complex]` wavefunction — thin `n = 1` wrappers over the batched
-//!   scalar reference, always taking the scalar path regardless of the
-//!   selected SIMD backend;
+//!   scalar reference, always taking the scalar path;
 //! * **batched** kernels ([`Grid::kinetic_step_batch`],
 //!   [`Grid::apply_potential_phase_batch`], …) operating on a whole
-//!   [`WaveBatch`] of split-plane wavefunctions at once, dispatched through
-//!   [`crate::kernels`] to the active backend. The Crank–Nicolson system is
+//!   [`WaveBatch`] of split-plane wavefunctions at once. On `x86_64` CPUs
+//!   with AVX2 the per-step ones (the phases and the kinetic step) run AVX2
+//!   bodies that produce the scalar kernels' bits; the CPU is checked on
+//!   every call and nothing else selects a path. The Crank–Nicolson system is
 //!   *identical for every variable within a step* (it depends only on the
 //!   kinetic coefficient, `dt` and the grid spacing), so the batched path
 //!   factors it **once per step** into [`ThomasFactors`] and then runs a
@@ -224,7 +225,7 @@ impl Grid {
     /// Applies the linear-potential phase `ψ(x) ← e^{-i·dt·slope·x} ψ(x)` in
     /// place — the `n = 1` form of [`Grid::apply_potential_phase_batch`],
     /// running the *same* scalar phase-rotation recurrence (one `sin`/`cos`
-    /// for the whole grid, never the SIMD path). The mean-field potential is
+    /// for the whole grid, never the AVX2 path). The mean-field potential is
     /// always linear in `x`, so this is the only potential shape the engine
     /// needs.
     ///
@@ -262,7 +263,7 @@ impl Grid {
     /// norm-preserving up to floating-point error. The `n = 1` form of
     /// [`Grid::kinetic_step_batch`]: it factors the system
     /// ([`ThomasFactors`]) and runs the same scalar Thomas sweep (never the
-    /// SIMD path).
+    /// AVX2 path).
     ///
     /// # Panics
     ///
@@ -493,12 +494,14 @@ impl Grid {
         if n == 0 {
             return;
         }
-        kernels::expectation_rows(
+        kernels::scalar::expectation_rows(
             batch.re(),
             batch.im(),
             &self.points,
             &mut ws.num[..n],
             &mut ws.den[..n],
+            n,
+            0,
             n,
         );
         for (o, (&nm, &dn)) in out.iter_mut().zip(ws.num[..n].iter().zip(&ws.den[..n])) {
@@ -527,12 +530,14 @@ impl Grid {
         if n == 0 {
             return;
         }
-        kernels::probability_rows(
+        kernels::scalar::probability_rows(
             batch.re(),
             batch.im(),
             &self.points,
             &mut ws.num[..n],
             &mut ws.den[..n],
+            n,
+            0,
             n,
         );
         for (o, (&nm, &dn)) in out.iter_mut().zip(ws.num[..n].iter().zip(&ws.den[..n])) {

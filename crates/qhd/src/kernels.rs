@@ -1,160 +1,37 @@
-//! Backend-dispatched compute kernels of the batched mean-field engine.
+//! Compute kernels of the batched mean-field engine.
 //!
-//! Every batched per-step kernel of [`crate::grid`] funnels through this
-//! module, so `batch.rs`/`meanfield.rs` call one API regardless of backend.
-//! The **scalar** implementations in `scalar` are the source of truth — they
-//! are the exact loop bodies the engine has always run — and the optional SIMD
-//! backends (AVX2 on `x86_64`, NEON on `aarch64`, behind the `simd` cargo
-//! feature) are pinned to them **bit-for-bit**:
+//! Every batched kernel of [`crate::grid`] funnels through this module. The
+//! **scalar** implementations in `scalar` are the source of truth. On
+//! `x86_64` CPUs with AVX2, the three per-step kernels
+//! ([`apply_prepared_phase`], [`apply_prepared_phase_expectation`] and
+//! [`thomas_sweep`]) run hand-written AVX2 bodies instead, pinned to the
+//! scalar reference **bit for bit**:
 //!
 //! * every kernel is column-independent: the recurrences (the potential-phase
 //!   rotation and the Thomas sweep) couple *grid rows*, never variables, so a
-//!   SIMD lane owns one variable and performs the exact per-variable
-//!   arithmetic sequence of the scalar loop — four (AVX2) or two (NEON)
-//!   variables at a time instead of one;
-//! * the SIMD bodies use only plain vector multiply/add/subtract (no FMA:
+//!   vector lane owns one variable and performs the exact per-variable
+//!   arithmetic sequence of the scalar loop, four variables at a time
+//!   instead of one;
+//! * the AVX2 bodies use only plain vector multiply/add/subtract (no FMA:
 //!   Rust never contracts scalar `a*b + c` into a fused operation, so fused
 //!   vector ops would change results);
-//! * remainder columns (`n % LANES`) run through the *same* scalar code path
-//!   via its column-range parameters, so the reductions keep their
+//! * remainder columns (`n % 4`) run through the *same* scalar code path via
+//!   its column-range parameters, so the reductions keep their
 //!   ascending-grid-row per-variable summation order and no tolerance is
-//!   needed anywhere — see the conformance suites in
-//!   `tests/simd_conformance.rs` and `tests/solver_equivalence.rs`.
+//!   needed anywhere — see the unit tests below and
+//!   `tests/solver_equivalence.rs`.
 //!
-//! Backend selection is process-global: [`active_backend`] lazily detects CPU
-//! features on first use ([`detected_simd`]), honours the `QHDCD_SIMD`
-//! environment variable (`0`, `off` or `scalar` forces the scalar path), and
-//! can be overridden at runtime with [`select_backend`]. Because every backend
-//! produces bit-identical results, a mid-run backend switch is benign — the
-//! global only decides *how fast* a kernel runs, never *what* it computes.
+//! Each call picks its path with `is_x86_feature_detected!("avx2")`, which
+//! the standard library caches after the first call. Nothing else chooses:
+//! both paths produce the same bits, so the CPU decides only *how fast* a
+//! kernel runs, never *what* it computes. The reductions that run once per
+//! trajectory (`⟨x⟩` of the initial packets, `P(x > ½)` of the final state)
+//! have only their scalar bodies, `scalar::expectation_rows` and
+//! `scalar::probability_rows`.
 
 use crate::grid::ThomasFactors;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// A compute backend for the batched mean-field kernels.
-///
-/// The SIMD variants only exist when the `simd` cargo feature is enabled *and*
-/// the target architecture provides them, so no SIMD identifier (or code)
-/// leaks into default builds — CI pins this with a symbol grep on the release
-/// artifacts, the same zero-cost pattern as the fault-injection hooks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum KernelBackend {
-    /// The portable scalar reference path (always available).
-    Scalar,
-    /// 4×`f64` lanes via `std::arch::x86_64` AVX2 intrinsics.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    Avx2,
-    /// 2×`f64` lanes via `std::arch::aarch64` NEON intrinsics.
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    Neon,
-}
-
-impl KernelBackend {
-    /// A stable identifier for logs and bench records. SIMD names carry the
-    /// `qhdcd-simd` prefix that the CI zero-cost guard greps for.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            KernelBackend::Avx2 => "qhdcd-simd-avx2",
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            KernelBackend::Neon => "qhdcd-simd-neon",
-        }
-    }
-}
-
-const UNSET: u8 = 0;
-const SCALAR: u8 = 1;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const AVX2: u8 = 2;
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-const NEON: u8 = 3;
-
-/// The process-global backend choice (`UNSET` until first use).
-static SELECTED: AtomicU8 = AtomicU8::new(UNSET);
-
-fn encode(backend: KernelBackend) -> u8 {
-    match backend {
-        KernelBackend::Scalar => SCALAR,
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelBackend::Avx2 => AVX2,
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => NEON,
-    }
-}
-
-fn decode(code: u8) -> KernelBackend {
-    match code {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        AVX2 => KernelBackend::Avx2,
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        NEON => KernelBackend::Neon,
-        _ => KernelBackend::Scalar,
-    }
-}
-
-/// The SIMD backend this build *and* this CPU support, if any.
-///
-/// `None` on default (scalar-only) builds, on unsupported architectures, and
-/// on CPUs that lack the required feature (AVX2 / NEON) at runtime.
-pub fn detected_simd() -> Option<KernelBackend> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return Some(KernelBackend::Avx2);
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        return Some(KernelBackend::Neon);
-    }
-    None
-}
-
-fn default_backend() -> KernelBackend {
-    let forced_scalar =
-        std::env::var_os("QHDCD_SIMD").is_some_and(|v| v == "0" || v == "off" || v == "scalar");
-    if forced_scalar {
-        return KernelBackend::Scalar;
-    }
-    detected_simd().unwrap_or(KernelBackend::Scalar)
-}
-
-/// The backend the batched kernels currently dispatch to.
-///
-/// The first call performs runtime CPU-feature detection (and reads the
-/// `QHDCD_SIMD` environment variable); the choice then sticks until
-/// [`select_backend`] overrides it.
-pub fn active_backend() -> KernelBackend {
-    let code = SELECTED.load(Ordering::Relaxed);
-    if code == UNSET {
-        let detected = default_backend();
-        SELECTED.store(encode(detected), Ordering::Relaxed);
-        return detected;
-    }
-    decode(code)
-}
-
-/// Overrides the process-global backend. Returns `false` (leaving the
-/// selection untouched) if the running CPU does not support `backend`.
-///
-/// Primarily for conformance tests and benchmarks that pit backends against
-/// each other; regular users never need it — detection picks the fastest
-/// conforming backend automatically.
-pub fn select_backend(backend: KernelBackend) -> bool {
-    let supported = match backend {
-        KernelBackend::Scalar => true,
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-    };
-    if supported {
-        SELECTED.store(encode(backend), Ordering::Relaxed);
-    }
-    supported
-}
-
-/// Shared bounds checks making the raw-pointer SIMD bodies sound: the planes
+/// Shared bounds checks making the raw-pointer AVX2 bodies sound: the planes
 /// must hold `res` rows of `n` columns and every per-variable vector must
 /// hold `n` entries.
 fn check_plane_bounds(plane_lens: &[usize], per_variable_lens: &[usize], n: usize, res: usize) {
@@ -168,9 +45,9 @@ fn check_plane_bounds(plane_lens: &[usize], per_variable_lens: &[usize], n: usiz
 
 /// Batched potential-phase rotation recurrence (see
 /// [`crate::grid::Grid::apply_prepared_potential_phase_batch`] for the maths).
-/// Dispatches on [`active_backend`]; remainder columns take the scalar path.
+/// Runs AVX2 on CPUs that have it; remainder columns take the scalar path.
 #[allow(clippy::too_many_arguments)]
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
+#[allow(unsafe_code)]
 pub(crate) fn apply_prepared_phase(
     re: &mut [f64],
     im: &mut [f64],
@@ -187,40 +64,21 @@ pub(crate) fn apply_prepared_phase(
         n,
         res,
     );
-    match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelBackend::Avx2 => {
-            let nb = n - n % avx2::LANES;
-            if nb > 0 {
-                // SAFETY: AVX2 availability was verified when the backend was
-                // selected, and `check_plane_bounds` keeps the pointer
-                // arithmetic for `nb ≤ n` columns in bounds.
-                unsafe {
-                    avx2::apply_prepared_phase(re, im, u_re, u_im, cur_re, cur_im, n, res, nb)
-                }
-            }
-            if nb < n {
-                scalar::apply_prepared_phase(re, im, u_re, u_im, cur_re, cur_im, n, res, nb, n);
-            }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        let nb = n - n % avx2::LANES;
+        if nb > 0 {
+            // SAFETY: the test above detected AVX2 on this CPU, and
+            // `check_plane_bounds` keeps the pointer arithmetic for `nb ≤ n`
+            // columns in bounds.
+            unsafe { avx2::apply_prepared_phase(re, im, u_re, u_im, cur_re, cur_im, n, res, nb) }
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => {
-            let nb = n - n % neon::LANES;
-            if nb > 0 {
-                // SAFETY: NEON availability was verified when the backend was
-                // selected; bounds as above.
-                unsafe {
-                    neon::apply_prepared_phase(re, im, u_re, u_im, cur_re, cur_im, n, res, nb)
-                }
-            }
-            if nb < n {
-                scalar::apply_prepared_phase(re, im, u_re, u_im, cur_re, cur_im, n, res, nb, n);
-            }
+        if nb < n {
+            scalar::apply_prepared_phase(re, im, u_re, u_im, cur_re, cur_im, n, res, nb, n);
         }
-        KernelBackend::Scalar => {
-            scalar::apply_prepared_phase(re, im, u_re, u_im, cur_re, cur_im, n, res, 0, n);
-        }
+        return;
     }
+    scalar::apply_prepared_phase(re, im, u_re, u_im, cur_re, cur_im, n, res, 0, n);
 }
 
 /// Fused trailing half-phase + expectation reduction: rotates every row like
@@ -230,7 +88,7 @@ pub(crate) fn apply_prepared_phase(
 /// probability is computed from the exact post-rotation values and the
 /// accumulation stays in ascending grid order.
 #[allow(clippy::too_many_arguments)]
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
+#[allow(unsafe_code)]
 pub(crate) fn apply_prepared_phase_expectation(
     re: &mut [f64],
     im: &mut [f64],
@@ -251,52 +109,33 @@ pub(crate) fn apply_prepared_phase_expectation(
         n,
         res,
     );
-    match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelBackend::Avx2 => {
-            let nb = n - n % avx2::LANES;
-            if nb > 0 {
-                // SAFETY: backend selection verified AVX2; bounds checked above.
-                unsafe {
-                    avx2::apply_prepared_phase_expectation(
-                        re, im, u_re, u_im, cur_re, cur_im, points, num, den, n, nb,
-                    )
-                }
-            }
-            if nb < n {
-                scalar::apply_prepared_phase_expectation(
-                    re, im, u_re, u_im, cur_re, cur_im, points, num, den, n, nb, n,
-                );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        let nb = n - n % avx2::LANES;
+        if nb > 0 {
+            // SAFETY: the test above detected AVX2 on this CPU; bounds
+            // checked above.
+            unsafe {
+                avx2::apply_prepared_phase_expectation(
+                    re, im, u_re, u_im, cur_re, cur_im, points, num, den, n, nb,
+                )
             }
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => {
-            let nb = n - n % neon::LANES;
-            if nb > 0 {
-                // SAFETY: backend selection verified NEON; bounds checked above.
-                unsafe {
-                    neon::apply_prepared_phase_expectation(
-                        re, im, u_re, u_im, cur_re, cur_im, points, num, den, n, nb,
-                    )
-                }
-            }
-            if nb < n {
-                scalar::apply_prepared_phase_expectation(
-                    re, im, u_re, u_im, cur_re, cur_im, points, num, den, n, nb, n,
-                );
-            }
-        }
-        KernelBackend::Scalar => {
+        if nb < n {
             scalar::apply_prepared_phase_expectation(
-                re, im, u_re, u_im, cur_re, cur_im, points, num, den, n, 0, n,
+                re, im, u_re, u_im, cur_re, cur_im, points, num, den, n, nb, n,
             );
         }
+        return;
     }
+    scalar::apply_prepared_phase_expectation(
+        re, im, u_re, u_im, cur_re, cur_im, points, num, den, n, 0, n,
+    );
 }
 
 /// Batched Crank–Nicolson tridiagonal solve (fused rhs + Thomas forward sweep
 /// + back substitution); see [`crate::grid::Grid::kinetic_step_batch`].
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
+#[allow(unsafe_code)]
 pub(crate) fn thomas_sweep(
     re: &mut [f64],
     im: &mut [f64],
@@ -308,118 +147,29 @@ pub(crate) fn thomas_sweep(
     let res = factors.resolution();
     assert!(res >= 2, "Thomas sweep needs at least two grid rows");
     check_plane_bounds(&[re.len(), im.len(), d_re.len(), d_im.len()], &[], n, res);
-    match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelBackend::Avx2 => {
-            let nb = n - n % avx2::LANES;
-            if nb > 0 {
-                // SAFETY: backend selection verified AVX2; bounds checked above.
-                unsafe { avx2::thomas_sweep(re, im, d_re, d_im, factors, n, nb) }
-            }
-            if nb < n {
-                scalar::thomas_sweep(re, im, d_re, d_im, factors, n, nb, n);
-            }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        let nb = n - n % avx2::LANES;
+        if nb > 0 {
+            // SAFETY: the test above detected AVX2 on this CPU; bounds
+            // checked above.
+            unsafe { avx2::thomas_sweep(re, im, d_re, d_im, factors, n, nb) }
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => {
-            let nb = n - n % neon::LANES;
-            if nb > 0 {
-                // SAFETY: backend selection verified NEON; bounds checked above.
-                unsafe { neon::thomas_sweep(re, im, d_re, d_im, factors, n, nb) }
-            }
-            if nb < n {
-                scalar::thomas_sweep(re, im, d_re, d_im, factors, n, nb, n);
-            }
+        if nb < n {
+            scalar::thomas_sweep(re, im, d_re, d_im, factors, n, nb, n);
         }
-        KernelBackend::Scalar => scalar::thomas_sweep(re, im, d_re, d_im, factors, n, 0, n),
+        return;
     }
-}
-
-/// Batched `⟨x⟩` reduction accumulators (finalisation — the `num/den` divide
-/// and the zero-state default — stays with the caller).
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
-pub(crate) fn expectation_rows(
-    re: &[f64],
-    im: &[f64],
-    points: &[f64],
-    num: &mut [f64],
-    den: &mut [f64],
-    n: usize,
-) {
-    check_plane_bounds(&[re.len(), im.len()], &[num.len(), den.len()], n, points.len());
-    match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelBackend::Avx2 => {
-            let nb = n - n % avx2::LANES;
-            if nb > 0 {
-                // SAFETY: backend selection verified AVX2; bounds checked above.
-                unsafe { avx2::expectation_rows(re, im, points, num, den, n, nb) }
-            }
-            if nb < n {
-                scalar::expectation_rows(re, im, points, num, den, n, nb, n);
-            }
-        }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => {
-            let nb = n - n % neon::LANES;
-            if nb > 0 {
-                // SAFETY: backend selection verified NEON; bounds checked above.
-                unsafe { neon::expectation_rows(re, im, points, num, den, n, nb) }
-            }
-            if nb < n {
-                scalar::expectation_rows(re, im, points, num, den, n, nb, n);
-            }
-        }
-        KernelBackend::Scalar => scalar::expectation_rows(re, im, points, num, den, n, 0, n),
-    }
-}
-
-/// Batched upper-half probability mass accumulators (finalisation stays with
-/// the caller).
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
-pub(crate) fn probability_rows(
-    re: &[f64],
-    im: &[f64],
-    points: &[f64],
-    upper: &mut [f64],
-    total: &mut [f64],
-    n: usize,
-) {
-    check_plane_bounds(&[re.len(), im.len()], &[upper.len(), total.len()], n, points.len());
-    match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelBackend::Avx2 => {
-            let nb = n - n % avx2::LANES;
-            if nb > 0 {
-                // SAFETY: backend selection verified AVX2; bounds checked above.
-                unsafe { avx2::probability_rows(re, im, points, upper, total, n, nb) }
-            }
-            if nb < n {
-                scalar::probability_rows(re, im, points, upper, total, n, nb, n);
-            }
-        }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => {
-            let nb = n - n % neon::LANES;
-            if nb > 0 {
-                // SAFETY: backend selection verified NEON; bounds checked above.
-                unsafe { neon::probability_rows(re, im, points, upper, total, n, nb) }
-            }
-            if nb < n {
-                scalar::probability_rows(re, im, points, upper, total, n, nb, n);
-            }
-        }
-        KernelBackend::Scalar => scalar::probability_rows(re, im, points, upper, total, n, 0, n),
-    }
+    scalar::thomas_sweep(re, im, d_re, d_im, factors, n, 0, n);
 }
 
 pub(crate) mod scalar {
     //! The pinned scalar reference kernels.
     //!
-    //! Each kernel is parameterised by a column range `i0..i1` so the SIMD
-    //! dispatchers can hand their remainder columns (`n % LANES`) to the
-    //! *exact* code that defines the semantics — the tail is not a rewrite,
-    //! it is the reference. Passing `0..n` runs the full scalar kernel; the
+    //! Each kernel is parameterised by a column range `i0..i1` so the AVX2
+    //! path can hand its remainder columns (`n % 4`) to the *exact* code that
+    //! defines the semantics — the tail is not a rewrite, it is the
+    //! reference. Passing `0..n` runs the full scalar kernel; the
     //! single-wavefunction kernels in [`crate::grid`] are these same
     //! functions at `n = 1`.
 
@@ -677,9 +427,12 @@ pub(crate) mod scalar {
     }
 }
 
-/// AVX2 backend: 4×`f64` lanes, one variable per lane.
+/// AVX2 bodies: 4×`f64` lanes, one variable per lane.
 ///
-/// Two schedules, chosen per kernel by what the memory system rewards:
+/// Every function here is `unsafe` with `#[target_feature(enable = "avx2")]`:
+/// its caller must have detected AVX2 on the running CPU, as the dispatchers
+/// above do on every call. Two schedules, chosen per kernel by what the
+/// memory system rewards:
 ///
 /// - **Streaming kernels** (`apply_prepared_phase`, `thomas_sweep`) keep the
 ///   scalar row-outer loop order — whole `n`-wide grid rows are walked
@@ -688,16 +441,16 @@ pub(crate) mod scalar {
 ///   scalar code produces. (A column-block-outer variant strides `n·8` bytes
 ///   between consecutive accesses — several KB for realistic batches — and
 ///   measures *slower* than scalar.)
-/// - **Reduction kernels** (`apply_prepared_phase_expectation`,
-///   `expectation_rows`, `probability_rows`) iterate column blocks of four
-///   variables outermost and carry the accumulators (and running phase power)
-///   in registers the whole way down the grid, which wins because it turns
-///   the per-row accumulator read-modify-write traffic into register ops.
+/// - **The fused reduction kernel** (`apply_prepared_phase_expectation`)
+///   iterates column blocks of four variables outermost and carries the
+///   accumulators and running phase power in registers the whole way down
+///   the grid, which wins because it turns the per-row accumulator
+///   read-modify-write traffic into register ops.
 ///
 /// In both schedules the vector ops mirror the scalar expressions term for
 /// term (multiply/add/subtract only, no FMA), so each lane computes the exact
 /// per-variable arithmetic sequence of [`scalar`].
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
     use crate::grid::ThomasFactors;
@@ -816,8 +569,8 @@ mod avx2 {
     /// is evicted in between and every solve pays its DRAM traffic twice.
     /// A 256-column tile keeps the tile's `ψ`/`d′` working set
     /// (`res·256·32` bytes ≈ 0.5 MB at `res = 64`) inside L2 across both
-    /// sweeps. Must stay a multiple of every backend's lane count.
-    pub(super) const THOMAS_TILE: usize = 256;
+    /// sweeps. Must stay a multiple of [`LANES`].
+    const THOMAS_TILE: usize = 256;
 
     /// # Safety
     ///
@@ -984,378 +737,196 @@ mod avx2 {
             }
         }
     }
-
-    /// # Safety
-    ///
-    /// Same plane/column contract; `num`/`den` hold `n` entries.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::missing_safety_doc)]
-    pub(super) unsafe fn expectation_rows(
-        re: &[f64],
-        im: &[f64],
-        points: &[f64],
-        num: &mut [f64],
-        den: &mut [f64],
-        n: usize,
-        nb: usize,
-    ) {
-        let zero = _mm256_setzero_pd();
-        for i in (0..nb).step_by(LANES) {
-            let mut acc_num = zero;
-            let mut acc_den = zero;
-            for (k, &x) in points.iter().enumerate() {
-                let idx = k * n + i;
-                let z_r = _mm256_loadu_pd(re.as_ptr().add(idx));
-                let z_i = _mm256_loadu_pd(im.as_ptr().add(idx));
-                let p = _mm256_add_pd(_mm256_mul_pd(z_r, z_r), _mm256_mul_pd(z_i, z_i));
-                acc_num = _mm256_add_pd(acc_num, _mm256_mul_pd(p, _mm256_set1_pd(x)));
-                acc_den = _mm256_add_pd(acc_den, p);
-            }
-            _mm256_storeu_pd(num.as_mut_ptr().add(i), acc_num);
-            _mm256_storeu_pd(den.as_mut_ptr().add(i), acc_den);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Same plane/column contract; `upper`/`total` hold `n` entries.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::missing_safety_doc)]
-    pub(super) unsafe fn probability_rows(
-        re: &[f64],
-        im: &[f64],
-        points: &[f64],
-        upper: &mut [f64],
-        total: &mut [f64],
-        n: usize,
-        nb: usize,
-    ) {
-        let zero = _mm256_setzero_pd();
-        for i in (0..nb).step_by(LANES) {
-            let mut acc_upper = zero;
-            let mut acc_total = zero;
-            for (k, &x) in points.iter().enumerate() {
-                let idx = k * n + i;
-                let z_r = _mm256_loadu_pd(re.as_ptr().add(idx));
-                let z_i = _mm256_loadu_pd(im.as_ptr().add(idx));
-                let p = _mm256_add_pd(_mm256_mul_pd(z_r, z_r), _mm256_mul_pd(z_i, z_i));
-                acc_total = _mm256_add_pd(acc_total, p);
-                if x > 0.5 {
-                    acc_upper = _mm256_add_pd(acc_upper, p);
-                }
-            }
-            _mm256_storeu_pd(upper.as_mut_ptr().add(i), acc_upper);
-            _mm256_storeu_pd(total.as_mut_ptr().add(i), acc_total);
-        }
-    }
 }
 
-/// NEON backend: 2×`f64` lanes, one variable per lane — a line-for-line
-/// mirror of the [`avx2`] schedules with the 128-bit `aarch64` intrinsics
-/// (`vmulq`/`vaddq`/`vsubq` only; no `vfmaq`, which would fuse and break
-/// bit-identity).
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+/// AVX2 against the scalar reference on identical inputs. The contract is
+/// `to_bits()` equality, not an epsilon. The tests need an AVX2 CPU; on one
+/// without, they print a note and check nothing.
+#[cfg(all(test, target_arch = "x86_64"))]
 #[allow(unsafe_code)]
-mod neon {
-    use crate::grid::ThomasFactors;
-    use core::arch::aarch64::*;
-
-    pub(super) const LANES: usize = 2;
-
-    /// # Safety
-    ///
-    /// NEON must be available; planes must hold `res` rows of `n` columns,
-    /// the per-variable buffers `n` entries, with `nb ≤ n` and `nb % 2 == 0`.
-    #[target_feature(enable = "neon")]
-    #[allow(clippy::too_many_arguments, clippy::missing_safety_doc)]
-    pub(super) unsafe fn apply_prepared_phase(
-        re: &mut [f64],
-        im: &mut [f64],
-        u_re: &[f64],
-        u_im: &[f64],
-        cur_re: &mut [f64],
-        cur_im: &mut [f64],
-        n: usize,
-        res: usize,
-        nb: usize,
-    ) {
-        core::ptr::copy_nonoverlapping(u_re.as_ptr(), cur_re.as_mut_ptr(), nb);
-        core::ptr::copy_nonoverlapping(u_im.as_ptr(), cur_im.as_mut_ptr(), nb);
-        for k in 1..res {
-            let base = k * n;
-            for i in (0..nb).step_by(LANES) {
-                let z_r = vld1q_f64(re.as_ptr().add(base + i));
-                let z_i = vld1q_f64(im.as_ptr().add(base + i));
-                let c_r = vld1q_f64(cur_re.as_ptr().add(i));
-                let c_i = vld1q_f64(cur_im.as_ptr().add(i));
-                let p_r = vsubq_f64(vmulq_f64(z_r, c_r), vmulq_f64(z_i, c_i));
-                let p_i = vaddq_f64(vmulq_f64(z_r, c_i), vmulq_f64(z_i, c_r));
-                vst1q_f64(re.as_mut_ptr().add(base + i), p_r);
-                vst1q_f64(im.as_mut_ptr().add(base + i), p_i);
-                let u_r = vld1q_f64(u_re.as_ptr().add(i));
-                let u_i = vld1q_f64(u_im.as_ptr().add(i));
-                let n_r = vsubq_f64(vmulq_f64(c_r, u_r), vmulq_f64(c_i, u_i));
-                let n_i = vaddq_f64(vmulq_f64(c_r, u_i), vmulq_f64(c_i, u_r));
-                vst1q_f64(cur_re.as_mut_ptr().add(i), n_r);
-                vst1q_f64(cur_im.as_mut_ptr().add(i), n_i);
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as [`apply_prepared_phase`]; `points` non-empty,
-    /// `num`/`den` hold `n` entries.
-    #[target_feature(enable = "neon")]
-    #[allow(clippy::too_many_arguments, clippy::missing_safety_doc)]
-    pub(super) unsafe fn apply_prepared_phase_expectation(
-        re: &mut [f64],
-        im: &mut [f64],
-        u_re: &[f64],
-        u_im: &[f64],
-        cur_re: &mut [f64],
-        cur_im: &mut [f64],
-        points: &[f64],
-        num: &mut [f64],
-        den: &mut [f64],
-        n: usize,
-        nb: usize,
-    ) {
-        let res = points.len();
-        let zero = vdupq_n_f64(0.0);
-        for i in (0..nb).step_by(LANES) {
-            let z_r = vld1q_f64(re.as_ptr().add(i));
-            let z_i = vld1q_f64(im.as_ptr().add(i));
-            let p = vaddq_f64(vmulq_f64(z_r, z_r), vmulq_f64(z_i, z_i));
-            let x0 = vdupq_n_f64(points[0]);
-            let mut acc_num = vaddq_f64(zero, vmulq_f64(p, x0));
-            let mut acc_den = vaddq_f64(zero, p);
-            let u_r = vld1q_f64(u_re.as_ptr().add(i));
-            let u_i = vld1q_f64(u_im.as_ptr().add(i));
-            let mut c_r = u_r;
-            let mut c_i = u_i;
-            for k in 1..res {
-                let idx = k * n + i;
-                let z_r = vld1q_f64(re.as_ptr().add(idx));
-                let z_i = vld1q_f64(im.as_ptr().add(idx));
-                let p_r = vsubq_f64(vmulq_f64(z_r, c_r), vmulq_f64(z_i, c_i));
-                let p_i = vaddq_f64(vmulq_f64(z_r, c_i), vmulq_f64(z_i, c_r));
-                vst1q_f64(re.as_mut_ptr().add(idx), p_r);
-                vst1q_f64(im.as_mut_ptr().add(idx), p_i);
-                let p = vaddq_f64(vmulq_f64(p_r, p_r), vmulq_f64(p_i, p_i));
-                let x = vdupq_n_f64(*points.get_unchecked(k));
-                acc_num = vaddq_f64(acc_num, vmulq_f64(p, x));
-                acc_den = vaddq_f64(acc_den, p);
-                let n_r = vsubq_f64(vmulq_f64(c_r, u_r), vmulq_f64(c_i, u_i));
-                let n_i = vaddq_f64(vmulq_f64(c_r, u_i), vmulq_f64(c_i, u_r));
-                c_r = n_r;
-                c_i = n_i;
-            }
-            vst1q_f64(cur_re.as_mut_ptr().add(i), c_r);
-            vst1q_f64(cur_im.as_mut_ptr().add(i), c_i);
-            vst1q_f64(num.as_mut_ptr().add(i), acc_num);
-            vst1q_f64(den.as_mut_ptr().add(i), acc_den);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Same plane/column contract; `factors` must match `res ≥ 2` rows.
-    #[target_feature(enable = "neon")]
-    #[allow(clippy::too_many_arguments, clippy::missing_safety_doc)]
-    pub(super) unsafe fn thomas_sweep(
-        re: &mut [f64],
-        im: &mut [f64],
-        d_re: &mut [f64],
-        d_im: &mut [f64],
-        factors: &ThomasFactors,
-        n: usize,
-        nb: usize,
-    ) {
-        let res = factors.resolution();
-        let vd = vdupq_n_f64(factors.d);
-        let va = vdupq_n_f64(factors.a);
-        {
-            let inv_r = vdupq_n_f64(factors.inv_re[0]);
-            let inv_i = vdupq_n_f64(factors.inv_im[0]);
-            for i in (0..nb).step_by(LANES) {
-                let c_r = vld1q_f64(re.as_ptr().add(i));
-                let c_i = vld1q_f64(im.as_ptr().add(i));
-                let x_r = vld1q_f64(re.as_ptr().add(n + i));
-                let x_i = vld1q_f64(im.as_ptr().add(n + i));
-                let rr = vaddq_f64(vaddq_f64(c_r, vmulq_f64(vd, c_i)), vmulq_f64(va, x_i));
-                let ri = vsubq_f64(vsubq_f64(c_i, vmulq_f64(vd, c_r)), vmulq_f64(va, x_r));
-                let p_r = vsubq_f64(vmulq_f64(rr, inv_r), vmulq_f64(ri, inv_i));
-                let p_i = vaddq_f64(vmulq_f64(rr, inv_i), vmulq_f64(ri, inv_r));
-                vst1q_f64(d_re.as_mut_ptr().add(i), p_r);
-                vst1q_f64(d_im.as_mut_ptr().add(i), p_i);
-            }
-        }
-        for k in 1..res {
-            let inv_r = vdupq_n_f64(*factors.inv_re.get_unchecked(k));
-            let inv_i = vdupq_n_f64(*factors.inv_im.get_unchecked(k));
-            if k + 1 < res {
-                for i in (0..nb).step_by(LANES) {
-                    let prev_r = vld1q_f64(re.as_ptr().add((k - 1) * n + i));
-                    let prev_i = vld1q_f64(im.as_ptr().add((k - 1) * n + i));
-                    let cur_r = vld1q_f64(re.as_ptr().add(k * n + i));
-                    let cur_i = vld1q_f64(im.as_ptr().add(k * n + i));
-                    let next_r = vld1q_f64(re.as_ptr().add((k + 1) * n + i));
-                    let next_i = vld1q_f64(im.as_ptr().add((k + 1) * n + i));
-                    let dp_r = vld1q_f64(d_re.as_ptr().add((k - 1) * n + i));
-                    let dp_i = vld1q_f64(d_im.as_ptr().add((k - 1) * n + i));
-                    let s_r = vaddq_f64(prev_r, next_r);
-                    let s_i = vaddq_f64(prev_i, next_i);
-                    let t_r = vaddq_f64(
-                        vaddq_f64(vaddq_f64(cur_r, vmulq_f64(vd, cur_i)), vmulq_f64(va, s_i)),
-                        vmulq_f64(va, dp_i),
-                    );
-                    let t_i = vsubq_f64(
-                        vsubq_f64(vsubq_f64(cur_i, vmulq_f64(vd, cur_r)), vmulq_f64(va, s_r)),
-                        vmulq_f64(va, dp_r),
-                    );
-                    let p_r = vsubq_f64(vmulq_f64(t_r, inv_r), vmulq_f64(t_i, inv_i));
-                    let p_i = vaddq_f64(vmulq_f64(t_r, inv_i), vmulq_f64(t_i, inv_r));
-                    vst1q_f64(d_re.as_mut_ptr().add(k * n + i), p_r);
-                    vst1q_f64(d_im.as_mut_ptr().add(k * n + i), p_i);
-                }
-            } else {
-                for i in (0..nb).step_by(LANES) {
-                    let prev_r = vld1q_f64(re.as_ptr().add((k - 1) * n + i));
-                    let prev_i = vld1q_f64(im.as_ptr().add((k - 1) * n + i));
-                    let cur_r = vld1q_f64(re.as_ptr().add(k * n + i));
-                    let cur_i = vld1q_f64(im.as_ptr().add(k * n + i));
-                    let dp_r = vld1q_f64(d_re.as_ptr().add((k - 1) * n + i));
-                    let dp_i = vld1q_f64(d_im.as_ptr().add((k - 1) * n + i));
-                    let t_r = vaddq_f64(
-                        vaddq_f64(vaddq_f64(cur_r, vmulq_f64(vd, cur_i)), vmulq_f64(va, prev_i)),
-                        vmulq_f64(va, dp_i),
-                    );
-                    let t_i = vsubq_f64(
-                        vsubq_f64(vsubq_f64(cur_i, vmulq_f64(vd, cur_r)), vmulq_f64(va, prev_r)),
-                        vmulq_f64(va, dp_r),
-                    );
-                    let p_r = vsubq_f64(vmulq_f64(t_r, inv_r), vmulq_f64(t_i, inv_i));
-                    let p_i = vaddq_f64(vmulq_f64(t_r, inv_i), vmulq_f64(t_i, inv_r));
-                    vst1q_f64(d_re.as_mut_ptr().add(k * n + i), p_r);
-                    vst1q_f64(d_im.as_mut_ptr().add(k * n + i), p_i);
-                }
-            }
-        }
-        let last = (res - 1) * n;
-        core::ptr::copy_nonoverlapping(d_re.as_ptr().add(last), re.as_mut_ptr().add(last), nb);
-        core::ptr::copy_nonoverlapping(d_im.as_ptr().add(last), im.as_mut_ptr().add(last), nb);
-        for k in (0..res - 1).rev() {
-            let c_r = vdupq_n_f64(*factors.c_re.get_unchecked(k));
-            let c_i = vdupq_n_f64(*factors.c_im.get_unchecked(k));
-            for i in (0..nb).step_by(LANES) {
-                let dr = vld1q_f64(d_re.as_ptr().add(k * n + i));
-                let di = vld1q_f64(d_im.as_ptr().add(k * n + i));
-                let nxt_r = vld1q_f64(re.as_ptr().add((k + 1) * n + i));
-                let nxt_i = vld1q_f64(im.as_ptr().add((k + 1) * n + i));
-                let q_r = vsubq_f64(vmulq_f64(c_r, nxt_r), vmulq_f64(c_i, nxt_i));
-                let q_i = vaddq_f64(vmulq_f64(c_r, nxt_i), vmulq_f64(c_i, nxt_r));
-                let p_r = vsubq_f64(dr, q_r);
-                let p_i = vsubq_f64(di, q_i);
-                vst1q_f64(re.as_mut_ptr().add(k * n + i), p_r);
-                vst1q_f64(im.as_mut_ptr().add(k * n + i), p_i);
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Same plane/column contract; `num`/`den` hold `n` entries.
-    #[target_feature(enable = "neon")]
-    #[allow(clippy::missing_safety_doc)]
-    pub(super) unsafe fn expectation_rows(
-        re: &[f64],
-        im: &[f64],
-        points: &[f64],
-        num: &mut [f64],
-        den: &mut [f64],
-        n: usize,
-        nb: usize,
-    ) {
-        let zero = vdupq_n_f64(0.0);
-        for i in (0..nb).step_by(LANES) {
-            let mut acc_num = zero;
-            let mut acc_den = zero;
-            for (k, &x) in points.iter().enumerate() {
-                let idx = k * n + i;
-                let z_r = vld1q_f64(re.as_ptr().add(idx));
-                let z_i = vld1q_f64(im.as_ptr().add(idx));
-                let p = vaddq_f64(vmulq_f64(z_r, z_r), vmulq_f64(z_i, z_i));
-                acc_num = vaddq_f64(acc_num, vmulq_f64(p, vdupq_n_f64(x)));
-                acc_den = vaddq_f64(acc_den, p);
-            }
-            vst1q_f64(num.as_mut_ptr().add(i), acc_num);
-            vst1q_f64(den.as_mut_ptr().add(i), acc_den);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Same plane/column contract; `upper`/`total` hold `n` entries.
-    #[target_feature(enable = "neon")]
-    #[allow(clippy::missing_safety_doc)]
-    pub(super) unsafe fn probability_rows(
-        re: &[f64],
-        im: &[f64],
-        points: &[f64],
-        upper: &mut [f64],
-        total: &mut [f64],
-        n: usize,
-        nb: usize,
-    ) {
-        let zero = vdupq_n_f64(0.0);
-        for i in (0..nb).step_by(LANES) {
-            let mut acc_upper = zero;
-            let mut acc_total = zero;
-            for (k, &x) in points.iter().enumerate() {
-                let idx = k * n + i;
-                let z_r = vld1q_f64(re.as_ptr().add(idx));
-                let z_i = vld1q_f64(im.as_ptr().add(idx));
-                let p = vaddq_f64(vmulq_f64(z_r, z_r), vmulq_f64(z_i, z_i));
-                acc_total = vaddq_f64(acc_total, p);
-                if x > 0.5 {
-                    acc_upper = vaddq_f64(acc_upper, p);
-                }
-            }
-            vst1q_f64(upper.as_mut_ptr().add(i), acc_upper);
-            vst1q_f64(total.as_mut_ptr().add(i), acc_total);
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{avx2, scalar};
+    use crate::batch::{MeanFieldWorkspace, WaveBatch};
+    use crate::grid::{Grid, ThomasFactors};
 
-    #[test]
-    fn scalar_backend_is_always_selectable() {
-        assert!(select_backend(KernelBackend::Scalar));
-        assert_eq!(active_backend(), KernelBackend::Scalar);
-        assert_eq!(KernelBackend::Scalar.name(), "scalar");
+    const DT: f64 = 0.1;
+
+    fn avx2_detected() -> bool {
+        let detected = std::arch::is_x86_feature_detected!("avx2");
+        if !detected {
+            eprintln!("this CPU has no AVX2, so the AVX2 kernels are not checked here");
+        }
+        detected
     }
 
+    // The kernels below run columns `..nb` on the AVX2 bodies and `nb..` on
+    // the scalar reference: `nb = n - n % 4` is the split the dispatchers
+    // make on an AVX2 CPU, `nb = 0` is all scalar. Callers pass `nb > 0` only
+    // after `avx2_detected()`, with `w` sized for `batch`.
+
+    fn phase(batch: &mut WaveBatch, w: &mut MeanFieldWorkspace, nb: usize) {
+        let (n, res) = (batch.num_variables(), batch.resolution());
+        let (re, im) = batch.planes_mut();
+        let (ur, ui, cr, ci) = (&w.u_re, &w.u_im, &mut w.cur_re, &mut w.cur_im);
+        if nb > 0 {
+            // SAFETY: AVX2 was detected and `w` fits `batch` (see above).
+            unsafe { avx2::apply_prepared_phase(re, im, ur, ui, cr, ci, n, res, nb) }
+        }
+        scalar::apply_prepared_phase(re, im, ur, ui, cr, ci, n, res, nb, n);
+    }
+
+    fn kinetic(batch: &mut WaveBatch, w: &mut MeanFieldWorkspace, f: &ThomasFactors, nb: usize) {
+        let n = batch.num_variables();
+        let (re, im) = batch.planes_mut();
+        if nb > 0 {
+            // SAFETY: AVX2 was detected and `w` fits `batch` (see above).
+            unsafe { avx2::thomas_sweep(re, im, &mut w.d_re, &mut w.d_im, f, n, nb) }
+        }
+        scalar::thomas_sweep(re, im, &mut w.d_re, &mut w.d_im, f, n, nb, n);
+    }
+
+    fn fused(batch: &mut WaveBatch, w: &mut MeanFieldWorkspace, x: &[f64], nb: usize) {
+        let n = batch.num_variables();
+        let (re, im) = batch.planes_mut();
+        let (ur, ui, cr, ci) = (&w.u_re, &w.u_im, &mut w.cur_re, &mut w.cur_im);
+        let (num, den) = (&mut w.num, &mut w.den);
+        if nb > 0 {
+            // SAFETY: AVX2 was detected and `w` fits `batch` (see above).
+            unsafe {
+                avx2::apply_prepared_phase_expectation(re, im, ur, ui, cr, ci, x, num, den, n, nb)
+            }
+        }
+        scalar::apply_prepared_phase_expectation(re, im, ur, ui, cr, ci, x, num, den, n, nb, n);
+    }
+
+    /// Normalised Gaussian packets with per-column centres and widths.
+    fn packets(grid: &Grid, n: usize) -> WaveBatch {
+        let centers: Vec<f64> =
+            (0..n).map(|i| 0.15 + 0.7 * ((i * 37) % 101) as f64 / 101.0).collect();
+        let widths: Vec<f64> = (0..n).map(|i| 0.08 + 0.04 * (i % 5) as f64).collect();
+        let mut batch = WaveBatch::zeros(n, grid.resolution());
+        grid.gaussian_state_batch(&mut batch, &centers, &widths);
+        batch
+    }
+
+    /// Potential slopes of `n` columns for each of `steps` steps.
+    fn slopes(n: usize, steps: usize) -> Vec<Vec<f64>> {
+        (0..steps)
+            .map(|step| {
+                let phase = (0.3 + step as f64 * 0.37).sin();
+                (0..n).map(|i| phase * (0.2 + i as f64 / n as f64)).collect()
+            })
+            .collect()
+    }
+
+    /// One Strang step per entry of `slopes` (half phase, Thomas solve, fused
+    /// half phase and expectation) with the `nb` split above. Returns the
+    /// planes and the workspace holding the last step's `num`/`den`.
+    fn strang(
+        grid: &Grid,
+        mut batch: WaveBatch,
+        slopes: &[Vec<f64>],
+        nb: usize,
+    ) -> (WaveBatch, MeanFieldWorkspace) {
+        let mut ws = MeanFieldWorkspace::for_batch(&batch);
+        let mut factors = ThomasFactors::new();
+        for (step, step_slopes) in slopes.iter().enumerate() {
+            factors.factor(grid, 1.5 / (1.0 + step as f64 * DT), DT);
+            grid.prepare_potential_phase_batch(&batch, step_slopes, DT / 2.0, &mut ws);
+            phase(&mut batch, &mut ws, nb);
+            kinetic(&mut batch, &mut ws, &factors, nb);
+            fused(&mut batch, &mut ws, grid.points(), nb);
+        }
+        (batch, ws)
+    }
+
+    fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths differ");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: entry {i} diverged");
+        }
+    }
+
+    /// Resolutions 17 and 33 are odd, 32 and 64 even. Widths 1 and 3 have no
+    /// full vector, 4 and 8 no tail, 5 a one-column tail; 257 is one
+    /// 256-column Thomas tile and a tail, 300 ends in a partial tile and 515
+    /// is two full tiles and a three-column tail.
     #[test]
-    fn detection_is_stable_and_selectable() {
-        // Whatever detection reports must be selectable, and the selection
-        // must stick.
-        match detected_simd() {
-            Some(backend) => {
-                assert!(select_backend(backend));
-                assert_eq!(active_backend(), backend);
-                assert!(backend.name().starts_with("qhdcd-simd-"));
-                assert!(select_backend(KernelBackend::Scalar));
+    fn avx2_kernels_are_bit_identical_to_the_scalar_reference() {
+        if !avx2_detected() {
+            return;
+        }
+        for resolution in [17usize, 32, 33, 64] {
+            let grid = Grid::new(resolution).unwrap();
+            for n in [1usize, 3, 4, 5, 8, 257, 300, 515] {
+                let what = format!("resolution {resolution}, width {n}");
+                let slopes = slopes(n, 3);
+                let (scalar, ws_s) = strang(&grid, packets(&grid, n), &slopes, 0);
+                let nb = n - n % avx2::LANES;
+                let (vector, ws_v) = strang(&grid, packets(&grid, n), &slopes, nb);
+                assert_bits(scalar.re(), vector.re(), &what);
+                assert_bits(scalar.im(), vector.im(), &what);
+                assert_bits(&ws_s.num, &ws_v.num, &what);
+                assert_bits(&ws_s.den, &ws_v.den, &what);
+                assert_bits(&ws_s.cur_re, &ws_v.cur_re, &what);
+                assert_bits(&ws_s.cur_im, &ws_v.cur_im, &what);
             }
-            None => {
-                // Scalar-only build or CPU: the active backend resolves to
-                // scalar and stays there.
-                assert!(select_backend(KernelBackend::Scalar));
-                assert_eq!(active_backend(), KernelBackend::Scalar);
+        }
+    }
+
+    /// The fused AVX2 phase-and-expectation body matches the AVX2 phase body
+    /// followed by the scalar `⟨x⟩` reduction.
+    #[test]
+    fn fused_avx2_kernel_matches_separate_kernels() {
+        if !avx2_detected() {
+            return;
+        }
+        for (resolution, n) in [(17usize, 5usize), (32, 8), (33, 4), (64, 9), (64, 257)] {
+            let grid = Grid::new(resolution).unwrap();
+            let nb = n - n % avx2::LANES;
+            let mut joint = packets(&grid, n);
+            let mut ws = MeanFieldWorkspace::for_batch(&joint);
+            grid.prepare_potential_phase_batch(&joint, &slopes(n, 1)[0], 0.07, &mut ws);
+            let mut separate = joint.clone();
+
+            fused(&mut joint, &mut ws, grid.points(), nb);
+            let (joint_num, joint_den) = (ws.num.clone(), ws.den.clone());
+            phase(&mut separate, &mut ws, nb);
+            let (re, im) = (separate.re(), separate.im());
+            scalar::expectation_rows(re, im, grid.points(), &mut ws.num, &mut ws.den, n, 0, n);
+
+            let what = format!("resolution {resolution}, width {n}");
+            assert_bits(joint.re(), separate.re(), &what);
+            assert_bits(joint.im(), separate.im(), &what);
+            assert_bits(&joint_num, &ws.num, &what);
+            assert_bits(&joint_den, &ws.den, &what);
+        }
+    }
+
+    /// Columns never interact: each column of a 5-wide run (four AVX2 lanes
+    /// and a one-column scalar tail) lands on the bits of the same packet run
+    /// alone as a 1-wide batch, which is all scalar.
+    #[test]
+    fn avx2_columns_match_their_own_single_column_runs() {
+        if !avx2_detected() {
+            return;
+        }
+        let grid = Grid::new(32).unwrap();
+        let n = 5;
+        let slopes = slopes(n, 2);
+        let wide = packets(&grid, n);
+        let (wide_out, wide_ws) = strang(&grid, wide.clone(), &slopes, 4);
+        for i in 0..n {
+            let mut narrow = WaveBatch::zeros(1, 32);
+            narrow.set_variable(0, &wide.variable(i));
+            let column: Vec<Vec<f64>> = slopes.iter().map(|s| vec![s[i]]).collect();
+            let (narrow_out, narrow_ws) = strang(&grid, narrow, &column, 0);
+            for k in 0..32 {
+                assert_eq!(wide_out.re()[k * n + i].to_bits(), narrow_out.re()[k].to_bits());
+                assert_eq!(wide_out.im()[k * n + i].to_bits(), narrow_out.im()[k].to_bits());
             }
+            assert_eq!(wide_ws.num[i].to_bits(), narrow_ws.num[0].to_bits());
+            assert_eq!(wide_ws.den[i].to_bits(), narrow_ws.den[0].to_bits());
         }
     }
 }

@@ -30,13 +30,16 @@
 //! [`crate::batch::MeanFieldWorkspace`]s — the per-step loop performs zero
 //! heap allocations. The per-step variable sweep can be sharded over worker
 //! threads ([`MeanFieldConfig::threads`]) with bit-identical results for every
-//! thread count (see the determinism contract in [`crate::batch`]).
+//! thread count (see the determinism contract in [`crate::batch`]). On
+//! `x86_64` CPUs with AVX2 the per-step kernels run four variables per
+//! instruction; they produce the scalar kernels' bits, so results do not
+//! depend on the CPU either.
 //!
 //! [`evolve_reference`] retains the per-variable AoS formulation (one
 //! [`Grid::kinetic_step`] call per variable per step, always on the scalar
 //! kernels). It exists as the equivalence reference for the batch engine —
-//! see `tests/solver_equivalence.rs` — and is not otherwise used by the
-//! solver.
+//! see `tests/solver_equivalence.rs`, which pins the two bit for bit — and is
+//! not otherwise used by the solver.
 
 use crate::batch::{MeanFieldWorkspace, WaveBatch};
 use crate::complex::Complex;
@@ -362,8 +365,8 @@ fn sweep_block(
 /// Retained as the equivalence reference for the batched engine:
 /// `tests/solver_equivalence.rs` pins the two paths to bit-identical
 /// outcomes, and because the wrappers always take the *scalar* kernel path,
-/// the pin also covers the SIMD backends whenever one is active for
-/// [`evolve`]. Both paths share `measure_shots`, so any divergence isolates
+/// on a CPU with AVX2 the pin also covers the AVX2 kernels [`evolve`] runs
+/// there. Both paths share `measure_shots`, so any divergence isolates
 /// to the propagation kernels or the mean fields: this path computes the
 /// fields with a flat sweep over the sorted pair list, the reference that
 /// [`evolve`]'s row-wise gather is pinned against. (The

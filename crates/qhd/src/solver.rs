@@ -117,9 +117,9 @@ impl QhdConfigBuilder {
         self
     }
 
-    /// Sets the number of worker threads.
+    /// Sets the number of worker threads (`0` = all cores, `1` = serial).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads.max(1);
+        self.config.threads = threads;
         self
     }
 
@@ -460,6 +460,19 @@ mod tests {
         let rp = parallel.solve(&model).unwrap();
         // Same seeds and same per-sample work ⇒ identical best energies.
         assert_eq!(rs.objective, rp.objective);
+    }
+
+    #[test]
+    fn zero_threads_means_all_cores_with_the_serial_result() {
+        let builder = QhdSolver::builder().samples(4).seed(5).steps(60);
+        let all_cores = builder.clone().threads(0).build();
+        assert_eq!(all_cores.config().threads, 0);
+        let model = model(30, 0.2, 77);
+        let ra = all_cores.solve(&model).unwrap();
+        let rs = builder.threads(1).build().solve(&model).unwrap();
+        assert_eq!(ra.solution, rs.solution);
+        assert_eq!(ra.objective.to_bits(), rs.objective.to_bits());
+        assert_eq!(ra.iterations, rs.iterations);
     }
 
     #[test]
