@@ -1,12 +1,21 @@
-//! A mutable, streaming-friendly graph layer.
+//! A mutable, streaming-friendly graph layer with cheap frozen copies.
 //!
 //! [`Graph`] is an immutable CSR structure optimised for read-heavy solver
 //! loops; rebuilding it for every edge arrival would cost O(m log m) per
 //! update. [`DynamicGraph`] is the mutable counterpart for streaming
-//! workloads: an adjacency-map representation with O(log deg) edge updates,
-//! cached weighted degrees and total edge weight, and a cheap O(n + m)
-//! [`DynamicGraph::snapshot`] compaction back to CSR whenever a solver needs
-//! the immutable view.
+//! workloads: every node keeps its `(neighbour, weight)` pairs in an array
+//! sorted by neighbour id, so a lookup is a binary search and an edge update
+//! is O(deg). Weighted degrees and the total edge weight are cached, and
+//! [`DynamicGraph::snapshot`] compacts the lists back to CSR in O(n + m)
+//! whenever a solver needs the immutable view.
+//!
+//! The lists are shared copy-on-write (`Arc<[_]>`), the path copying of
+//! persistent data structures: `clone()` copies n pointers and the two
+//! degree/weight vectors, never an edge, and a mutation never writes to a
+//! list that a clone still holds; it writes a new copy of the list instead.
+//! The streaming service freezes every published epoch this way, so
+//! publishing costs O(n) pointer copies plus one copy of each list the next
+//! batch touches.
 //!
 //! Edge mutations arrive as [`EdgeEvent`] values (insert / remove / absolute
 //! weight update), the unit the streaming community-detection subsystem
@@ -23,8 +32,10 @@
 //! let mut g = DynamicGraph::new(3);
 //! g.apply(&EdgeEvent::Add { u: 0, v: 1, weight: 2.0 })?;
 //! g.apply(&EdgeEvent::Add { u: 1, v: 2, weight: 1.0 })?;
+//! let frozen = g.clone();
 //! g.apply(&EdgeEvent::Remove { u: 0, v: 1 })?;
 //! assert_eq!(g.num_edges(), 1);
+//! assert_eq!(frozen.num_edges(), 2, "the clone keeps its own version");
 //! let snap = g.snapshot();
 //! assert_eq!(snap.total_edge_weight(), 1.0);
 //! # Ok(())
@@ -32,7 +43,7 @@
 //! ```
 
 use crate::{Graph, GraphError, NodeId};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A single timestamp-ordered mutation of a dynamic graph.
 ///
@@ -90,17 +101,20 @@ impl EdgeEvent {
     }
 }
 
-/// A mutable, undirected, weighted graph in adjacency-map form.
+/// A mutable, undirected, weighted graph in sorted adjacency-list form.
 ///
-/// Maintains per-node sorted neighbour maps plus cached aggregates (weighted
-/// degrees, distinct edge count, total edge weight) so that every mutation is
-/// O(log deg) and every aggregate read is O(1). Node ids are dense
-/// (`0..num_nodes()`); new nodes are appended with [`DynamicGraph::add_node`].
+/// Maintains one neighbour list per node, sorted by neighbour id, plus cached
+/// aggregates (weighted degrees, distinct edge count, total edge weight), so
+/// every mutation is O(deg) and every aggregate read is O(1). The lists are
+/// shared copy-on-write between a graph and its clones (see the module docs).
+/// Node ids are dense (`0..num_nodes()`); new nodes are appended with
+/// [`DynamicGraph::add_node`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DynamicGraph {
-    /// Per-node neighbour → weight maps; an undirected edge `(u, v)` with
-    /// `u != v` is stored in both maps, a self-loop once in its node's map.
-    adjacency: Vec<BTreeMap<NodeId, f64>>,
+    /// Per-node `(neighbour, weight)` lists, strictly ascending by neighbour;
+    /// an undirected edge `(u, v)` with `u != v` is stored in both lists, a
+    /// self-loop once in its node's list.
+    adjacency: Vec<NeighborList>,
     /// Cached weighted degrees (self-loops counted twice).
     degrees: Vec<f64>,
     /// Node weights (1.0 for plain graphs, aggregate size for coarse graphs),
@@ -112,11 +126,47 @@ pub struct DynamicGraph {
     total_edge_weight: f64,
 }
 
+/// One node's `(neighbour, weight)` pairs, shared copy-on-write. The pairs
+/// sit inline after the reference counts, so a read reaches them in one
+/// pointer hop, as it reaches a CSR row. The price is that an insertion or a
+/// removal writes a new list, which is O(deg) like shifting a `Vec`; a weight
+/// change writes in place unless a clone shares the list.
+type NeighborList = Arc<[(NodeId, f64)]>;
+
+/// Where `v` sits in a sorted neighbour list: `Ok` with its index if present,
+/// `Err` with the index that keeps the list sorted if not.
+fn position(list: &[(NodeId, f64)], v: NodeId) -> Result<usize, usize> {
+    list.binary_search_by_key(&v, |&(x, _)| x)
+}
+
+/// Whether a neighbour list is strictly ascending (sorted, no duplicates).
+fn strictly_ascending(list: &[(NodeId, f64)]) -> bool {
+    list.windows(2).all(|pair| pair[0].0 < pair[1].0)
+}
+
+/// Adds `weight` to the entry for `v`, inserting it if absent. A new entry
+/// starts from `+0.0`, so a `−0.0` weight is stored as `+0.0`. Returns whether
+/// the entry existed.
+fn add_weight(list: &mut NeighborList, v: NodeId, weight: f64) -> bool {
+    match position(list, v) {
+        Ok(i) => {
+            Arc::make_mut(list)[i].1 += weight;
+            true
+        }
+        Err(i) => {
+            let entry = (v, 0.0 + weight);
+            *list =
+                list[..i].iter().copied().chain([entry]).chain(list[i..].iter().copied()).collect();
+            false
+        }
+    }
+}
+
 impl DynamicGraph {
     /// Creates a dynamic graph with `num_nodes` nodes and no edges.
     pub fn new(num_nodes: usize) -> Self {
         DynamicGraph {
-            adjacency: vec![BTreeMap::new(); num_nodes],
+            adjacency: vec![NeighborList::default(); num_nodes],
             degrees: vec![0.0; num_nodes],
             node_weights: vec![1.0; num_nodes],
             num_edges: 0,
@@ -125,14 +175,38 @@ impl DynamicGraph {
     }
 
     /// Builds a dynamic graph holding the same nodes, node weights and edges
-    /// as `graph`.
+    /// as `graph`, copying each CSR row as one list.
+    ///
+    /// Every bit matches an [`DynamicGraph::insert_edge`] per edge of
+    /// [`Graph::edges`]: that loop patches a node's degree in ascending
+    /// neighbour order and the total weight in `(u, v)` order, and stores a
+    /// new edge's weight added to `+0.0`, and so does this one.
     pub fn from_graph(graph: &Graph) -> Self {
-        let mut dynamic = DynamicGraph::new(graph.num_nodes());
-        dynamic.node_weights.copy_from_slice(graph.node_weights());
-        for (u, v, w) in graph.edges() {
-            dynamic.insert_edge(u, v, w).expect("edges of a valid graph are valid");
+        let n = graph.num_nodes();
+        let mut adjacency = Vec::with_capacity(n);
+        let mut degrees = Vec::with_capacity(n);
+        let (mut num_edges, mut total_edge_weight) = (0, 0.0);
+        for u in 0..n {
+            let list: NeighborList = graph.neighbors(u).map(|(v, w)| (v, 0.0 + w)).collect();
+            debug_assert!(strictly_ascending(&list), "CSR rows are sorted and merged");
+            let mut degree = 0.0;
+            for &(v, w) in list.iter() {
+                degree += if v == u { 2.0 * w } else { w };
+                if u <= v {
+                    num_edges += 1;
+                    total_edge_weight += w;
+                }
+            }
+            degrees.push(degree);
+            adjacency.push(list);
         }
-        dynamic
+        DynamicGraph {
+            adjacency,
+            degrees,
+            node_weights: graph.node_weights().to_vec(),
+            num_edges,
+            total_edge_weight,
+        }
     }
 
     /// Number of nodes.
@@ -180,7 +254,7 @@ impl DynamicGraph {
     ///
     /// Panics if `node >= self.num_nodes()`.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.adjacency[node].iter().map(|(&v, &w)| (v, w))
+        self.adjacency[node].iter().copied()
     }
 
     /// Weight of the edge `(u, v)` if present.
@@ -189,7 +263,8 @@ impl DynamicGraph {
     ///
     /// Panics if `u >= self.num_nodes()`.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        self.adjacency[u].get(&v).copied()
+        let list = &self.adjacency[u];
+        position(list, v).ok().map(|i| list[i].1)
     }
 
     /// Returns `true` if the edge `(u, v)` exists.
@@ -198,7 +273,7 @@ impl DynamicGraph {
     ///
     /// Panics if `u >= self.num_nodes()`.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.adjacency[u].contains_key(&v)
+        position(&self.adjacency[u], v).is_ok()
     }
 
     /// Node weight of `node` (1.0 unless built from a coarsened graph).
@@ -212,7 +287,7 @@ impl DynamicGraph {
 
     /// Appends a new isolated node (weight 1.0) and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.adjacency.push(BTreeMap::new());
+        self.adjacency.push(NeighborList::default());
         self.degrees.push(0.0);
         self.node_weights.push(1.0);
         self.adjacency.len() - 1
@@ -240,6 +315,15 @@ impl DynamicGraph {
         }
     }
 
+    /// Removes `v` from `u`'s list, returning its weight if it was there.
+    fn unlink(&mut self, u: NodeId, v: NodeId) -> Option<f64> {
+        let list = &self.adjacency[u];
+        let i = position(list, v).ok()?;
+        let weight = list[i].1;
+        self.adjacency[u] = list[..i].iter().chain(&list[i + 1..]).copied().collect();
+        Some(weight)
+    }
+
     /// Inserts the undirected edge `(u, v)`, adding `weight` to its current
     /// weight if it already exists. Returns the signed change of the edge's
     /// weight (always `weight` here; uniform with the other mutations).
@@ -254,10 +338,9 @@ impl DynamicGraph {
         if !weight.is_finite() || weight < 0.0 {
             return Err(GraphError::InvalidEdgeWeight { weight });
         }
-        let existing = self.adjacency[u].contains_key(&v);
-        *self.adjacency[u].entry(v).or_insert(0.0) += weight;
+        let existing = add_weight(&mut self.adjacency[u], v, weight);
         if u != v {
-            *self.adjacency[v].entry(u).or_insert(0.0) += weight;
+            add_weight(&mut self.adjacency[v], u, weight);
         }
         if !existing {
             self.num_edges += 1;
@@ -275,9 +358,9 @@ impl DynamicGraph {
     /// * [`GraphError::EdgeNotFound`] if the edge does not exist.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<f64, GraphError> {
         self.check_endpoints(u, v)?;
-        let weight = self.adjacency[u].remove(&v).ok_or(GraphError::EdgeNotFound { u, v })?;
+        let weight = self.unlink(u, v).ok_or(GraphError::EdgeNotFound { u, v })?;
         if u != v {
-            self.adjacency[v].remove(&u);
+            self.unlink(v, u);
         }
         self.num_edges -= 1;
         self.patch_aggregates(u, v, -weight);
@@ -299,16 +382,12 @@ impl DynamicGraph {
         if !weight.is_finite() || weight < 0.0 {
             return Err(GraphError::InvalidEdgeWeight { weight });
         }
-        let old = match self.adjacency[u].get_mut(&v) {
-            Some(w) => {
-                let old = *w;
-                *w = weight;
-                old
-            }
-            None => return Err(GraphError::EdgeNotFound { u, v }),
-        };
+        let i = position(&self.adjacency[u], v).map_err(|_| GraphError::EdgeNotFound { u, v })?;
+        let old = std::mem::replace(&mut Arc::make_mut(&mut self.adjacency[u])[i].1, weight);
         if u != v {
-            *self.adjacency[v].get_mut(&u).expect("symmetric entry exists") = weight;
+            let list = Arc::make_mut(&mut self.adjacency[v]);
+            let j = position(list, u).expect("symmetric entry exists");
+            list[j].1 = weight;
         }
         let delta = weight - old;
         self.patch_aggregates(u, v, delta);
@@ -327,16 +406,14 @@ impl DynamicGraph {
     /// * [`GraphError::NodeOutOfBounds`] if `node` is out of range.
     pub fn remove_node(&mut self, node: NodeId) -> Result<Vec<(NodeId, f64)>, GraphError> {
         self.check_endpoints(node, node)?;
-        let removed: Vec<(NodeId, f64)> =
-            self.adjacency[node].iter().map(|(&v, &w)| (v, w)).collect();
+        let removed = std::mem::take(&mut self.adjacency[node]).to_vec();
         for &(v, w) in &removed {
             if v != node {
-                self.adjacency[v].remove(&node);
+                self.unlink(v, node);
             }
             self.num_edges -= 1;
             self.patch_aggregates(node, v, -w);
         }
-        self.adjacency[node].clear();
         Ok(removed)
     }
 
@@ -376,23 +453,24 @@ impl DynamicGraph {
 
     /// Compacts the current state into an immutable CSR [`Graph`].
     ///
-    /// O(n + m): the adjacency maps are already sorted by neighbour id, so
-    /// the CSR arrays are filled in one pass with no sort. Aggregates (edge
-    /// count, total weight) are carried over from the cached values; degrees
-    /// are recomputed by the CSR constructor, which keeps the snapshot
+    /// O(n + m): the lists are already sorted by neighbour id, so the CSR
+    /// arrays are filled in one pass with no sort. Aggregates (edge count,
+    /// total weight) are carried over from the cached values; degrees are
+    /// recomputed by the CSR constructor, which keeps the snapshot
     /// bit-independent of the mutation history.
     pub fn snapshot(&self) -> Graph {
         let n = self.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
-        for map in &self.adjacency {
-            offsets.push(offsets.last().expect("non-empty") + map.len());
+        for list in &self.adjacency {
+            debug_assert!(strictly_ascending(list));
+            offsets.push(offsets.last().expect("non-empty") + list.len());
         }
         let nnz = *offsets.last().expect("non-empty");
         let mut neighbors = Vec::with_capacity(nnz);
         let mut weights = Vec::with_capacity(nnz);
-        for map in &self.adjacency {
-            for (&v, &w) in map {
+        for list in &self.adjacency {
+            for &(v, w) in list.iter() {
                 neighbors.push(v);
                 weights.push(w);
             }
@@ -444,7 +522,10 @@ impl DynamicGraph {
     /// # Errors
     ///
     /// Returns [`GraphError::ParseCheckpoint`] with the offending 1-based
-    /// line number for any structural or numeric problem.
+    /// line number for any structural or numeric problem, including values
+    /// the mutations would never produce: an edge or node weight that is
+    /// negative or not finite, and a degree or total weight that is not
+    /// finite.
     pub fn from_checkpoint_text(text: &str) -> Result<Self, GraphError> {
         let err = |line: usize, reason: String| GraphError::ParseCheckpoint { line, reason };
         let mut lines = text.lines().enumerate();
@@ -479,17 +560,37 @@ impl DynamicGraph {
             }
             Ok(xs)
         };
+        let check_finite = |lineno: usize, what: &str, xs: &[f64]| -> Result<(), GraphError> {
+            match xs.iter().find(|x| !x.is_finite()) {
+                Some(x) => Err(err(lineno + 1, format!("{what} {x} is not finite"))),
+                None => Ok(()),
+            }
+        };
+        let check_weight = |lineno: usize, what: &str, w: f64| -> Result<(), GraphError> {
+            if !w.is_finite() || w < 0.0 {
+                return Err(err(lineno + 1, format!("{what} {w} is negative or not finite")));
+            }
+            Ok(())
+        };
         let (lineno, body) = expect("nodes")?;
         let n = parse_usize(lineno, &body)?;
         let (lineno, body) = expect("edges")?;
         let num_edges = parse_usize(lineno, &body)?;
         let (lineno, body) = expect("total_weight")?;
         let total_edge_weight = parse_bits(lineno, &body)?;
+        check_finite(lineno, "total weight", &[total_edge_weight])?;
         let (lineno, body) = expect("degrees")?;
         let degrees = parse_vec(lineno, &body, n)?;
+        check_finite(lineno, "degree", &degrees)?;
         let (lineno, body) = expect("node_weights")?;
         let node_weights = parse_vec(lineno, &body, n)?;
-        let mut adjacency: Vec<BTreeMap<NodeId, f64>> = vec![BTreeMap::new(); n];
+        for &w in &node_weights {
+            check_weight(lineno, "node weight", w)?;
+        }
+        // The writer emits edges in ascending (u, v) order with u ≤ v, so
+        // every entry lands at the end of its lists; any other order is still
+        // accepted and placed by binary search.
+        let mut adjacency: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
         let mut parsed_edges = 0usize;
         loop {
             let (lineno, raw) = lines
@@ -513,25 +614,36 @@ impl DynamicGraph {
                     format!("edge ({u}, {v}) out of bounds for {n} nodes"),
                 ));
             }
-            if adjacency[u].insert(v, w).is_some() {
+            check_weight(lineno, "edge weight", w)?;
+            let Err(i) = position(&adjacency[u], v) else {
                 return Err(err(lineno + 1, format!("duplicate edge ({u}, {v})")));
-            }
+            };
+            adjacency[u].insert(i, (v, w));
             if u != v {
-                adjacency[v].insert(u, w);
+                let j = position(&adjacency[v], u).expect_err("lists mirror each other");
+                adjacency[v].insert(j, (u, w));
             }
             parsed_edges += 1;
         }
         if parsed_edges != num_edges {
             return Err(err(0, format!("header says {num_edges} edges, found {parsed_edges}")));
         }
-        Ok(DynamicGraph { adjacency, degrees, node_weights, num_edges, total_edge_weight })
+        Ok(DynamicGraph {
+            adjacency: adjacency.into_iter().map(NeighborList::from).collect(),
+            degrees,
+            node_weights,
+            num_edges,
+            total_edge_weight,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
+    use crate::{quotient, GraphBuilder, Partition};
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn events() -> Vec<EdgeEvent> {
         vec![
@@ -727,12 +839,16 @@ mod tests {
         assert_eq!(DynamicGraph::from_checkpoint_text(&empty.to_checkpoint_text()).unwrap(), empty);
     }
 
-    #[test]
-    fn checkpoint_parse_rejects_malformed_input() {
-        let line_of = |text: &str| match DynamicGraph::from_checkpoint_text(text).unwrap_err() {
+    /// The line a checkpoint parse error names.
+    fn line_of(text: &str) -> usize {
+        match DynamicGraph::from_checkpoint_text(text).unwrap_err() {
             GraphError::ParseCheckpoint { line, .. } => line,
             other => panic!("unexpected error {other:?}"),
-        };
+        }
+    }
+
+    #[test]
+    fn checkpoint_parse_rejects_malformed_input() {
         assert_eq!(line_of("not-a-checkpoint\n"), 1);
         assert_eq!(line_of("dyngraph v9\n"), 1);
         assert_eq!(line_of("dyngraph v1\nnodes x\n"), 2);
@@ -749,5 +865,161 @@ mod tests {
         assert_eq!(line_of(&format!("{full}edge 0 1 3ff0000000000000\nend\n")), 0);
         let dup = format!("{full}edge 0 1 3ff0000000000000\nedge 0 1 3ff0000000000000\nend\n");
         assert_eq!(line_of(&dup), 8);
+    }
+
+    #[test]
+    fn checkpoint_parse_rejects_values_the_mutations_never_produce() {
+        let bits = |x: f64| format!("{:016x}", x.to_bits());
+        let checkpoint = |total: f64, degree: f64, node_weight: f64, edge: f64| {
+            format!(
+                "dyngraph v1\nnodes 2\nedges 1\ntotal_weight {}\ndegrees {} {}\n\
+                 node_weights {} {}\nedge 0 1 {}\nend\n",
+                bits(total),
+                bits(degree),
+                bits(1.0),
+                bits(node_weight),
+                bits(1.0),
+                bits(edge),
+            )
+        };
+        assert!(DynamicGraph::from_checkpoint_text(&checkpoint(1.0, 1.0, 1.0, 1.0)).is_ok());
+        // Patched degrees can round below zero, so only non-finite ones fail.
+        assert!(DynamicGraph::from_checkpoint_text(&checkpoint(1.0, -1e-17, 1.0, 1.0)).is_ok());
+        assert_eq!(line_of(&checkpoint(f64::NAN, 1.0, 1.0, 1.0)), 4);
+        assert_eq!(line_of(&checkpoint(1.0, f64::INFINITY, 1.0, 1.0)), 5);
+        assert_eq!(line_of(&checkpoint(1.0, 1.0, f64::NAN, 1.0)), 6);
+        assert_eq!(line_of(&checkpoint(1.0, 1.0, -1.0, 1.0)), 6);
+        assert_eq!(line_of(&checkpoint(1.0, 1.0, 1.0, f64::NAN)), 7);
+        assert_eq!(line_of(&checkpoint(1.0, 1.0, 1.0, -1.0)), 7);
+        assert_eq!(line_of(&checkpoint(1.0, 1.0, 1.0, f64::NEG_INFINITY)), 7);
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_unchanged() {
+        let mut b = GraphBuilder::new(10);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7), (8, 9)] {
+            b.add_edge(u, v, 1.0 + u as f64 / 8.0).unwrap();
+        }
+        b.add_edge(2, 2, 0.5).unwrap();
+        let mut original = DynamicGraph::from_graph(&b.build());
+        let original_text = original.to_checkpoint_text();
+        let mut copy = original.clone();
+        let shared = |a: &DynamicGraph, b: &DynamicGraph, u: NodeId| {
+            Arc::ptr_eq(&a.adjacency[u], &b.adjacency[u])
+        };
+        assert!((0..10).all(|u| shared(&original, &copy, u)), "a clone copies no list");
+        copy.apply_events(&[
+            EdgeEvent::Add { u: 0, v: 4, weight: 2.0 },
+            EdgeEvent::Add { u: 2, v: 2, weight: 0.25 },
+            EdgeEvent::Update { u: 1, v: 2, weight: 3.0 },
+            EdgeEvent::Remove { u: 3, v: 4 },
+            EdgeEvent::RemoveNode { u: 6 },
+        ])
+        .unwrap();
+        copy.add_node();
+        assert_eq!(original.to_checkpoint_text(), original_text);
+        assert_ne!(copy.to_checkpoint_text(), original_text);
+        // Only the lists of the touched nodes (6's neighbours 5 and 7
+        // included) were copied.
+        assert!((0..8).all(|u| !shared(&original, &copy, u)));
+        assert!(shared(&original, &copy, 8) && shared(&original, &copy, 9));
+        // The other direction: the original's mutations leave the clone alone.
+        let copy_text = copy.to_checkpoint_text();
+        original.remove_node(8).unwrap();
+        original.update_weight(2, 2, 4.0).unwrap();
+        assert_eq!(copy.to_checkpoint_text(), copy_text);
+        assert!(!shared(&original, &copy, 9));
+    }
+
+    /// The per-edge insert loop that `from_graph` ran before it copied rows in
+    /// bulk.
+    fn insert_per_edge(graph: &Graph) -> DynamicGraph {
+        let mut dynamic = DynamicGraph::new(graph.num_nodes());
+        dynamic.node_weights.copy_from_slice(graph.node_weights());
+        for (u, v, w) in graph.edges() {
+            dynamic.insert_edge(u, v, w).unwrap();
+        }
+        dynamic
+    }
+
+    /// Every list, then the degrees, the node weights, the edge count and the
+    /// total weight, with each `f64` as its bits.
+    type Bits = (Vec<Vec<(NodeId, u64)>>, Vec<u64>, Vec<u64>, usize, u64);
+
+    fn bits(g: &DynamicGraph) -> Bits {
+        let words = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+        (
+            g.adjacency
+                .iter()
+                .map(|list| list.iter().map(|&(v, w)| (v, w.to_bits())).collect())
+                .collect(),
+            words(&g.degrees),
+            words(&g.node_weights),
+            g.num_edges,
+            g.total_edge_weight.to_bits(),
+        )
+    }
+
+    /// A snapshot of a churned graph carries the patched total weight, whose
+    /// low bits differ from a fresh sum, and `−0.0` weights, which the insert
+    /// loop stores as `+0.0`; `from_graph` must re-derive both as it does.
+    #[test]
+    fn from_graph_matches_the_insert_loop_on_a_churned_snapshot() {
+        let mut g = DynamicGraph::new(4);
+        g.insert_edge(1, 1, 2.0).unwrap();
+        g.insert_edge(2, 3, 0.5).unwrap();
+        for _ in 0..7 {
+            g.insert_edge(0, 3, 0.1).unwrap();
+        }
+        g.update_weight(0, 3, 0.3).unwrap();
+        g.insert_edge(0, 1, 1.0).unwrap();
+        g.update_weight(0, 1, -0.0).unwrap();
+        g.update_weight(1, 1, -0.0).unwrap();
+        let csr = g.snapshot();
+        let fresh = insert_per_edge(&csr);
+        assert_ne!(fresh.total_edge_weight().to_bits(), csr.total_edge_weight().to_bits());
+        assert_eq!(bits(&DynamicGraph::from_graph(&csr)), bits(&fresh));
+    }
+
+    /// `GraphBuilder` graphs whose merged weights depend on the order of
+    /// addition (parallel edges, 1e16 beside small reals, zero weights), with
+    /// self-loops, non-unit node weights and isolated nodes, and a partition
+    /// to coarsen each one by.
+    fn builder_graph_and_partition() -> impl Strategy<Value = (Graph, Partition)> {
+        let edge = (0usize..40, 0usize..40, 0usize..5);
+        (1usize..40, collection::vec(edge, 0..160), collection::vec(0usize..6, 40)).prop_map(
+            |(n, raw, labels)| {
+                let mut b = GraphBuilder::new(n);
+                for (u, v, w) in raw {
+                    let w = match w {
+                        0 => 1e16,
+                        1 => 0.1 * (u + 1) as f64,
+                        2 => v as f64 / 3.0,
+                        3 => 0.0,
+                        _ => 1.0,
+                    };
+                    b.add_edge(u % n, v % n, w).unwrap();
+                }
+                for (u, &label) in labels[..n].iter().enumerate() {
+                    b.set_node_weight(u, 0.5 + label as f64).unwrap();
+                }
+                (b.build(), Partition::from_labels(labels[..n].to_vec()).unwrap())
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Bulk row copies give the bits of the per-edge insert loop, on
+        /// builder graphs and on their coarsened quotient graphs.
+        #[test]
+        fn from_graph_is_bit_equal_to_the_insert_loop(
+            (graph, partition) in builder_graph_and_partition(),
+        ) {
+            prop_assert_eq!(bits(&DynamicGraph::from_graph(&graph)), bits(&insert_per_edge(&graph)));
+            let coarse = quotient::aggregate(&graph, &partition).unwrap().graph;
+            prop_assert_eq!(bits(&DynamicGraph::from_graph(&coarse)), bits(&insert_per_edge(&coarse)));
+        }
     }
 }

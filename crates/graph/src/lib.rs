@@ -14,8 +14,9 @@
 //! * [`generators`] — deterministic synthetic graph generators (Erdős–Rényi,
 //!   planted partition / SBM, LFR-like power-law, ring of cliques, Zachary's
 //!   karate club) used to stand in for the paper's SNAP datasets.
-//! * [`DynamicGraph`] — the mutable adjacency-map layer for streaming
-//!   workloads, mutated through [`EdgeEvent`]s and compacted back to CSR via
+//! * [`DynamicGraph`] — the mutable layer for streaming workloads: sorted
+//!   neighbour lists shared copy-on-write between a graph and its clones,
+//!   mutated through [`EdgeEvent`]s and compacted back to CSR via
 //!   `snapshot()`.
 //! * [`io`] — plain edge-list reading and writing, plus edge-event logs.
 //! * [`quotient`] — aggregation of a graph by a partition (super-node graphs),

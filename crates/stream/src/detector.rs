@@ -266,9 +266,28 @@ impl StreamingDetector {
 
     /// The maintained partition (renumbered).
     pub fn partition(&self) -> Partition {
-        Partition::from_labels(self.labels.clone())
+        Partition::from_labels(self.renumbered_labels())
             .expect("detector always tracks at least one node")
-            .renumbered()
+    }
+
+    /// The maintained labels renumbered to `0..k` in order of first
+    /// appearance, as [`Partition::renumbered`] numbers them. Every label
+    /// indexes `Σtot`, so a table indexed by community renumbers them without
+    /// hashing.
+    pub(crate) fn renumbered_labels(&self) -> Vec<usize> {
+        debug_assert!(self.labels.iter().all(|&c| c < self.sigma_tot.len()));
+        let mut renumber = vec![usize::MAX; self.sigma_tot.len()];
+        let mut next = 0;
+        self.labels
+            .iter()
+            .map(|&c| {
+                if renumber[c] == usize::MAX {
+                    renumber[c] = next;
+                    next += 1;
+                }
+                renumber[c]
+            })
+            .collect()
     }
 
     /// The maintained quality (modularity by default, see

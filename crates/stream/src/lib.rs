@@ -5,10 +5,11 @@
 //! under continuous traffic, rebuilding and re-solving on every update is
 //! unaffordable. This crate maintains communities *incrementally*:
 //!
-//! * **Event model.** The graph lives in a [`DynamicGraph`] (adjacency-map
-//!   layer from `qhdcd-graph`) and is mutated by batches of [`EdgeEvent`]s —
-//!   edge insertions, removals and absolute weight updates, optionally parsed
-//!   from timestamped logs by `qhdcd_graph::io::parse_event_log`.
+//! * **Event model.** The graph lives in a [`DynamicGraph`] (copy-on-write
+//!   neighbour lists from `qhdcd-graph`) and is mutated by batches of
+//!   [`EdgeEvent`]s — edge insertions, removals and absolute weight updates,
+//!   optionally parsed from timestamped logs by
+//!   `qhdcd_graph::io::parse_event_log`.
 //! * **Incremental bookkeeping.** [`StreamingDetector`] keeps the modularity
 //!   aggregates (per-community degree sums `Σtot` and internal weights `Σin`)
 //!   patched in O(1) per event, so the maintained modularity is always

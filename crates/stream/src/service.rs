@@ -515,11 +515,13 @@ impl StreamingService {
         }
     }
 
+    /// Freezes the detector's state as epoch `epoch`: a copy-on-write clone
+    /// of the graph (no edge is copied) and the renumbered labels.
     fn build_snapshot(detector: &StreamingDetector, epoch: u64) -> PartitionSnapshot {
         PartitionSnapshot::new(
             epoch,
-            detector.graph().snapshot(),
-            detector.partition().labels().to_vec(),
+            detector.graph().clone(),
+            detector.renumbered_labels(),
             detector.modularity(),
         )
     }

@@ -14,8 +14,17 @@
 //! A reader can therefore never observe a torn partition — it either still
 //! sees the complete previous epoch or the complete new one (the property the
 //! reader/writer interleaving tests pin).
+//!
+//! An epoch holds a frozen clone of the writer's [`DynamicGraph`], whose
+//! per-node neighbour lists it shares copy-on-write with the writer and with
+//! the other epochs, plus its own labels, community sizes and quality.
+//! Publishing one therefore costs O(n) pointer copies and never touches an
+//! edge; the writer's next batch copies only the lists it changes. The CSR
+//! [`Graph`] view is built on the first call to [`PartitionSnapshot::graph`]
+//! and cached.
 
-use qhdcd_graph::{Graph, NodeId, Partition};
+use qhdcd_graph::{DynamicGraph, Graph, NodeId, Partition};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// An immutable, epoch-stamped view of the maintained partition and the graph
@@ -23,11 +32,15 @@ use std::sync::{Arc, OnceLock};
 ///
 /// All queries are pure reads of frozen data: `community_of` and
 /// `community_size` are O(1), [`PartitionSnapshot::top_communities_near`] is
-/// O(deg · log deg) over the CSR snapshot embedded at publication time.
+/// O(deg · log deg) over the frozen neighbour list of the node, and
+/// [`PartitionSnapshot::graph`] is O(n + m) on its first call and O(1) after.
 #[derive(Debug, Clone)]
 pub struct PartitionSnapshot {
     epoch: u64,
-    graph: Graph,
+    /// The writer's graph as of this epoch, sharing its neighbour lists.
+    graph: DynamicGraph,
+    /// The CSR form of `graph`, built on the first [`Self::graph`] call.
+    csr: OnceLock<Graph>,
     labels: Vec<usize>,
     community_sizes: Vec<usize>,
     modularity: f64,
@@ -36,14 +49,26 @@ pub struct PartitionSnapshot {
 impl PartitionSnapshot {
     /// Builds a snapshot from frozen state. `labels` must be renumbered
     /// (contiguous community ids) and cover every node of `graph`.
-    pub(crate) fn new(epoch: u64, graph: Graph, labels: Vec<usize>, modularity: f64) -> Self {
+    pub(crate) fn new(
+        epoch: u64,
+        graph: DynamicGraph,
+        labels: Vec<usize>,
+        modularity: f64,
+    ) -> Self {
         debug_assert_eq!(labels.len(), graph.num_nodes());
         let k = labels.iter().copied().max().map_or(0, |max| max + 1);
         let mut community_sizes = vec![0usize; k];
         for &label in &labels {
             community_sizes[label] += 1;
         }
-        PartitionSnapshot { epoch, graph, labels, community_sizes, modularity }
+        PartitionSnapshot {
+            epoch,
+            graph,
+            csr: OnceLock::new(),
+            labels,
+            community_sizes,
+            modularity,
+        }
     }
 
     /// The epoch (generation counter) this snapshot was published at. Strictly
@@ -89,9 +114,11 @@ impl PartitionSnapshot {
         self.modularity
     }
 
-    /// The CSR graph snapshot this epoch's partition covers.
+    /// The CSR graph this epoch's partition covers. The first call builds it
+    /// from the frozen neighbour lists in O(n + m); later calls, from any
+    /// thread, return the same graph.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.csr.get_or_init(|| self.graph.snapshot())
     }
 
     /// The partition as an owned [`Partition`].
@@ -107,8 +134,7 @@ impl PartitionSnapshot {
         if node >= self.labels.len() || k == 0 {
             return Vec::new();
         }
-        let mut weight_to: std::collections::BTreeMap<usize, f64> =
-            std::collections::BTreeMap::new();
+        let mut weight_to: BTreeMap<usize, f64> = BTreeMap::new();
         for (v, w) in self.graph.neighbors(node) {
             *weight_to.entry(self.labels[v]).or_insert(0.0) += w;
         }
@@ -126,6 +152,19 @@ impl PartitionSnapshot {
 struct Link {
     snapshot: Arc<PartitionSnapshot>,
     next: OnceLock<Arc<Link>>,
+}
+
+impl Drop for Link {
+    /// Frees the chain behind this link iteratively: the derived drop would
+    /// recurse once per link, and dropping a reader idle behind a few hundred
+    /// thousand epochs would overflow the stack. The walk stops at the first
+    /// link that a reader or the publisher still holds.
+    fn drop(&mut self) {
+        let mut next = self.next.take();
+        while let Some(link) = next {
+            next = Arc::into_inner(link).and_then(|mut link| link.next.take());
+        }
+    }
 }
 
 /// The writer's handle: publishes a new epoch by appending to the chain.
@@ -204,7 +243,7 @@ mod tests {
             &graph,
             &Partition::from_labels(labels.clone()).unwrap(),
         );
-        PartitionSnapshot::new(epoch, graph, labels, q)
+        PartitionSnapshot::new(epoch, DynamicGraph::from_graph(&graph), labels, q)
     }
 
     #[test]
@@ -248,5 +287,46 @@ mod tests {
         assert_eq!(lagging.current().epoch(), 0);
         assert_eq!(lagging.latest().epoch(), 2);
         assert_eq!(publisher.reader().current().epoch(), 2);
+        // Dropping readers frees only the epochs nobody else holds.
+        let mut parked = publisher.reader();
+        publisher.publish(karate_snapshot(3));
+        drop(reader);
+        drop(lagging);
+        assert_eq!(parked.current().epoch(), 2);
+        assert_eq!(parked.latest().epoch(), 3);
+    }
+
+    #[test]
+    fn graph_is_built_once_from_the_frozen_lists() {
+        let snap = karate_snapshot(0);
+        let graph = snap.graph();
+        assert_eq!(graph, &generators::karate_club());
+        assert!(std::ptr::eq(graph, snap.graph()), "the CSR view is cached");
+        for v in 0..snap.num_nodes() {
+            let mut by_csr = BTreeMap::new();
+            for (u, w) in graph.neighbors(v) {
+                *by_csr.entry(snap.labels()[u]).or_insert(0.0) += w;
+            }
+            let near = snap.top_communities_near(v, usize::MAX);
+            assert_eq!(near.len(), by_csr.len());
+            for (c, w) in near {
+                assert_eq!(by_csr[&c].to_bits(), w.to_bits());
+            }
+        }
+    }
+
+    /// Dropping the last reader of a long chain of epochs frees the chain
+    /// without recursing: this overflowed a small stack before `Link` had its
+    /// own `Drop`.
+    #[test]
+    fn dropping_an_idle_reader_behind_a_long_chain_keeps_the_stack_flat() {
+        let tiny = |epoch| PartitionSnapshot::new(epoch, DynamicGraph::new(0), Vec::new(), 0.0);
+        let (mut publisher, idle) = SnapshotPublisher::new(tiny(0));
+        for epoch in 1..=200_000 {
+            publisher.publish(tiny(epoch));
+        }
+        drop(publisher);
+        let dropper = std::thread::Builder::new().stack_size(128 * 1024);
+        dropper.spawn(move || drop(idle)).unwrap().join().unwrap();
     }
 }

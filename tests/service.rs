@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use qhdcd::graph::{generators, modularity, Partition};
 use qhdcd::prelude::*;
-use qhdcd::stream::{ServiceClient, StreamError, StreamingService};
+use qhdcd::stream::{PartitionSnapshot, ServiceClient, StreamError, StreamingService};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// SplitMix64 — deterministic pseudo-randomness without an RNG crate.
@@ -163,6 +163,192 @@ fn localized_churn_run_matches_its_bit_pin() {
     let (pin, localized) = pinned_churn_run(&pg, 0.02);
     assert_eq!(localized, 11);
     assert_eq!(pin, (0x3fe3_755f_13f2_3fa8, 0x7374_1ae9_1c36_e586, 1, 72, 0x9e9f_f0fb_a623_34f7));
+}
+
+/// Everything `graph()` shows, with each `f64` as its bits: per node its
+/// neighbour count (the CSR offsets) and `(neighbour, weight)` pairs, then the
+/// degrees, the node weights, the edge count and the total weight.
+fn graph_words(g: &Graph) -> Vec<u64> {
+    let mut words = Vec::new();
+    for u in 0..g.num_nodes() {
+        words.push(g.neighbor_count(u) as u64);
+        for (v, w) in g.neighbors(u) {
+            words.extend([v as u64, w.to_bits()]);
+        }
+    }
+    words.extend(g.degrees().iter().chain(g.node_weights()).map(|x| x.to_bits()));
+    words.extend([g.num_edges() as u64, g.total_edge_weight().to_bits()]);
+    words
+}
+
+/// Replays the run of [`pinned_churn_run`] and hashes what a reader sees in
+/// every published epoch, epoch 0 included, as four FNVs of little-endian
+/// words:
+/// 1. `graph()`, as [`graph_words`] lists it;
+/// 2. the labels and community sizes;
+/// 3. the Q bits;
+/// 4. `top_communities_near(v, 3)` for 16 evenly spaced nodes `v`.
+fn published_epochs_pin(pg: &generators::PlantedGraph, drift_threshold: f64) -> [u64; 4] {
+    let config = ServiceConfig {
+        stream: StreamConfig { drift_threshold, ..StreamConfig::default() },
+        ..ServiceConfig::default()
+    }
+    .with_seed(23);
+    let mut service = seeded_service(&pg.graph, &pg.ground_truth, config);
+    let n = pg.graph.num_nodes();
+    let sample: Vec<usize> = (0..n).step_by(n.div_ceil(16)).collect();
+    let mut streams: [Vec<u64>; 4] = Default::default();
+    let mut digest = |snap: &PartitionSnapshot| {
+        streams[0].extend(graph_words(snap.graph()));
+        streams[1].extend(snap.labels().iter().chain(snap.community_sizes()).map(|&x| x as u64));
+        streams[2].push(snap.modularity().to_bits());
+        for &v in &sample {
+            for (c, w) in snap.top_communities_near(v, 3) {
+                streams[3].extend([c as u64, w.to_bits()]);
+            }
+        }
+    };
+    digest(&service.latest_snapshot());
+    for batch in churn_batches(&mut DynamicGraph::from_graph(&pg.graph), 99, 12, 6) {
+        service.ingest(&batch).unwrap();
+        digest(&service.latest_snapshot());
+    }
+    assert_eq!(service.latest_snapshot().epoch(), 12);
+    streams.map(|words| fnv1a(words.iter().flat_map(|w| w.to_le_bytes())))
+}
+
+/// Every epoch the re-detect churn run publishes, as readers see it.
+#[test]
+fn redetect_churn_run_publishes_pinned_epochs() {
+    let pg = generators::ring_of_cliques(5, 6).unwrap();
+    assert_eq!(
+        published_epochs_pin(&pg, 0.15),
+        [
+            0xdbcd_4da5_2458_e427,
+            0x72c0_0a44_ba51_ede3,
+            0xaff0_39c8_4276_38f7,
+            0x9320_fbad_f94d_2063
+        ]
+    );
+}
+
+/// Every epoch the localized churn run publishes, as readers see it.
+#[test]
+fn localized_churn_run_publishes_pinned_epochs() {
+    let pg = generators::planted_partition(&generators::PlantedPartitionConfig {
+        num_nodes: 1000,
+        num_communities: 8,
+        p_in: 0.1,
+        p_out: 0.005,
+        seed: 7,
+    })
+    .unwrap();
+    assert_eq!(
+        published_epochs_pin(&pg, 0.02),
+        [
+            0x7b5e_5059_1fb3_553a,
+            0x1ba9_2d46_8470_77a4,
+            0x2262_cd9b_c43c_3d5f,
+            0xd4b2_6d9e_e377_79d0
+        ]
+    );
+}
+
+/// Ingests `batches` and holds every published epoch. Each epoch shares its
+/// neighbour lists with the writer, whose later batches must copy a list
+/// before changing it. So every held epoch must still show what a deep copy
+/// taken at publish time shows, bit for bit: its `graph()`, built only after
+/// the writer has moved on, and `top_communities_near(v, ∞)` for every node.
+fn assert_epochs_stay_frozen(mut service: StreamingService, batches: &[Vec<EdgeEvent>]) {
+    let n = service.detector().num_nodes();
+    let near = |snap: &PartitionSnapshot| -> Vec<Vec<(usize, u64)>> {
+        (0..n)
+            .map(|v| {
+                let ranked = snap.top_communities_near(v, usize::MAX);
+                ranked.into_iter().map(|(c, w)| (c, w.to_bits())).collect()
+            })
+            .collect()
+    };
+    let mut held = Vec::new();
+    for batch in batches {
+        service.ingest(batch).unwrap();
+        let snap = service.latest_snapshot();
+        let deep_copy = graph_words(&service.detector().graph().snapshot());
+        let reads = near(&snap);
+        held.push((snap, deep_copy, reads));
+    }
+    for (snap, deep_copy, reads) in &held {
+        assert_eq!(graph_words(snap.graph()), *deep_copy, "epoch {}", snap.epoch());
+        assert_eq!(near(snap), *reads, "epoch {}", snap.epoch());
+    }
+}
+
+/// Localized repair only: the frontier may cover every node and the drift
+/// allowance is never reached, so no batch pays for a full re-detect.
+fn localized_only(seed: u64) -> ServiceConfig {
+    ServiceConfig {
+        stream: StreamConfig {
+            frontier_fraction: 1.0,
+            drift_threshold: 1e9,
+            ..StreamConfig::default()
+        },
+        ..ServiceConfig::default()
+    }
+    .with_seed(seed)
+}
+
+/// Copy-on-write isolation under churn: additions, removals, weight updates
+/// and node deletions, then batches that grow, update, remove and re-add a
+/// self-loop and delete its node.
+#[test]
+fn held_epochs_stay_frozen_while_the_writer_churns() {
+    let pg = generators::planted_partition(&generators::PlantedPartitionConfig {
+        num_nodes: 300,
+        num_communities: 6,
+        p_in: 0.08,
+        p_out: 0.004,
+        seed: 17,
+    })
+    .unwrap();
+    let config = localized_only(17);
+    let mut batches = churn_batches(&mut DynamicGraph::from_graph(&pg.graph), 41, 24, 8);
+    batches.extend([
+        vec![
+            EdgeEvent::Add { u: 3, v: 3, weight: 0.75 },
+            EdgeEvent::Add { u: 3, v: 3, weight: 0.5 },
+        ],
+        vec![EdgeEvent::Update { u: 3, v: 3, weight: 2.0 }],
+        vec![EdgeEvent::Remove { u: 3, v: 3 }, EdgeEvent::Add { u: 3, v: 3, weight: 1.0 }],
+        vec![EdgeEvent::RemoveNode { u: 3 }],
+    ]);
+    assert_epochs_stay_frozen(seeded_service(&pg.graph, &pg.ground_truth, config), &batches);
+}
+
+/// Copy-on-write isolation on a 5 001-node star churned at its hub: every
+/// batch updates, removes and re-adds hub edges, grows and updates a hub
+/// self-loop, and deletes and reconnects a leaf, so every epoch's copy of the
+/// 5 000-entry hub list is touched.
+#[test]
+fn held_epochs_stay_frozen_while_the_writer_churns_a_star_hub() {
+    let leaves = 5_000;
+    let star =
+        GraphBuilder::from_unweighted_edges(leaves + 1, (1..=leaves).map(|v| (0, v))).unwrap();
+    let partition = Partition::from_labels((0..=leaves).map(|v| v % 4).collect()).unwrap();
+    let batches: Vec<Vec<EdgeEvent>> = (0..6)
+        .map(|b| {
+            let leaf = |i: usize| 1 + (b * 37 + i * 11) % leaves;
+            vec![
+                EdgeEvent::Update { u: 0, v: leaf(0), weight: 2.0 + b as f64 },
+                EdgeEvent::Remove { u: leaf(1), v: 0 },
+                EdgeEvent::Add { u: 0, v: leaf(1), weight: 0.5 },
+                EdgeEvent::Add { u: 0, v: 0, weight: 0.25 },
+                EdgeEvent::Update { u: 0, v: 0, weight: 1.0 + b as f64 },
+                EdgeEvent::RemoveNode { u: leaf(2) },
+                EdgeEvent::Add { u: leaf(2), v: 0, weight: 1.5 },
+            ]
+        })
+        .collect();
+    assert_epochs_stay_frozen(seeded_service(&star, &partition, localized_only(5)), &batches);
 }
 
 /// Crash consistency, exhaustively: cut a checkpoint at *every* batch
