@@ -16,6 +16,12 @@
 //! Potts model. The solvers therefore optimize exactly the objective the
 //! refinement phase improves. The decoder maps a binary solution back to a
 //! [`Partition`], repairing nodes whose one-hot constraint is violated.
+//!
+//! Every term above joins two slots of one node or the same slot of two
+//! nodes, and each node pair gets the same coefficient bits in every slot.
+//! [`build_qubo`] declares that layout on the model it returns
+//! ([`QuboModel::with_node_slots`]), which checks it against the rows, so the
+//! mean-field sweep walks each node's couplings once for all `k` slots.
 
 use crate::CdError;
 use qhdcd_graph::{modularity, Graph, Partition, QualityFunction};
@@ -123,7 +129,18 @@ impl CdQubo {
     }
 
     /// Flat variable index of `x_{node, community}` (Algorithm 1's `idx`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node >= self.num_nodes()` or
+    /// `community >= self.num_communities()`.
     pub fn variable_index(&self, node: usize, community: usize) -> usize {
+        assert!(node < self.num_nodes, "node {node} out of range for {} nodes", self.num_nodes);
+        assert!(
+            community < self.num_communities,
+            "community {community} out of range for {} communities",
+            self.num_communities
+        );
         node * self.num_communities + community
     }
 
@@ -347,7 +364,10 @@ pub fn build_qubo(graph: &Graph, config: &FormulationConfig) -> Result<CdQubo, C
         }
     }
 
-    Ok(CdQubo { model: builder.build(), num_nodes: n, num_communities: k, quality: config.quality })
+    // Every node-pair coefficient above went into each slot with the same
+    // additions in the same order, so the declared layout holds bit for bit.
+    let model = builder.build().with_node_slots(k);
+    Ok(CdQubo { model, num_nodes: n, num_communities: k, quality: config.quality })
 }
 
 /// Evaluates the *modularity* (not the raw QUBO energy) that a binary solution
@@ -376,9 +396,13 @@ pub fn decoded_quality(qubo: &CdQubo, graph: &Graph, solution: &[bool]) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qhdcd_graph::{generators, GraphBuilder};
-    use qhdcd_qubo::QuboSolver;
+    use proptest::prelude::*;
+    use qhdcd_graph::{generators, quotient, GraphBuilder};
+    use qhdcd_qubo::{QuboBuilder, QuboSolver};
     use qhdcd_solvers::ExhaustiveSearch;
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
+    use std::ops::Range;
 
     fn two_triangles() -> Graph {
         GraphBuilder::from_unweighted_edges(
@@ -408,6 +432,21 @@ mod tests {
         assert_eq!(qubo.variable_index(1, 0), 3);
         assert_eq!(qubo.num_nodes(), 6);
         assert_eq!(qubo.num_communities(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 6 out of range for 6 nodes")]
+    fn variable_index_rejects_a_node_past_the_graph() {
+        let qubo = build_qubo(&two_triangles(), &FormulationConfig::with_communities(3)).unwrap();
+        qubo.variable_index(6, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "community 3 out of range for 3 communities")]
+    fn variable_index_rejects_a_community_past_the_slots() {
+        // Unchecked, (0, 3) would alias (1, 0).
+        let qubo = build_qubo(&two_triangles(), &FormulationConfig::with_communities(3)).unwrap();
+        qubo.variable_index(0, 3);
     }
 
     #[test]
@@ -616,5 +655,188 @@ mod tests {
         let all_one = qubo.encode(&Partition::all_in_one(10)).unwrap();
         let split = qubo.encode(&pg.ground_truth).unwrap();
         assert!(qubo.model().evaluate(&split).unwrap() < qubo.model().evaluate(&all_one).unwrap());
+    }
+
+    /// A planted graph of `nodes` nodes in three blocks, from `seed`.
+    fn planted(nodes: usize, seed: u64) -> Graph {
+        generators::planted_partition(&generators::PlantedPartitionConfig {
+            num_nodes: nodes,
+            num_communities: 3,
+            p_in: 0.5,
+            p_out: 0.1,
+            seed,
+        })
+        .unwrap()
+        .graph
+    }
+
+    /// Every encoding shape whose QUBO must carry its node slots: resolution
+    /// modularity, CPM on a coarsened graph with super-node weights and
+    /// self-loops, no balance term, no assignment penalty, and graphs with
+    /// no edges, isolated nodes, self-loops and zero-weight edges.
+    fn layout_variants(seed: u64) -> Vec<(&'static str, Graph, FormulationConfig)> {
+        let graph = planted(12 + (seed % 7) as usize, seed);
+        let base = FormulationConfig::default();
+        let with_quality = |quality| FormulationConfig { quality, ..base.clone() };
+        let halves = Partition::from_labels((0..graph.num_nodes()).map(|v| v / 2).collect());
+        let coarse = quotient::aggregate(&graph, &halves.unwrap()).unwrap().graph;
+        let mut isolated = GraphBuilder::new(graph.num_nodes() + 3);
+        let mut looped = GraphBuilder::new(graph.num_nodes());
+        let mut zero_weight = GraphBuilder::new(graph.num_nodes());
+        for (u, v, w) in graph.edges() {
+            isolated.add_edge(u, v, w).unwrap();
+            looped.add_edge(u, v, w).unwrap();
+            zero_weight.add_edge(u, v, if (u + v) % 3 == 0 { 0.0 } else { w }).unwrap();
+        }
+        for v in (0..graph.num_nodes()).step_by(3) {
+            looped.add_edge(v, v, 1.5).unwrap();
+        }
+        vec![
+            ("modularity γ = 0.5", graph.clone(), with_quality(QualityFunction::modularity(0.5))),
+            ("modularity γ = 1", graph.clone(), base.clone()),
+            ("modularity γ = 2", graph.clone(), with_quality(QualityFunction::modularity(2.0))),
+            ("CPM, coarsened", coarse, with_quality(QualityFunction::cpm(0.1))),
+            ("balance 0", graph.clone(), FormulationConfig { balance_weight: 0.0, ..base.clone() }),
+            (
+                "assignment_weight 0",
+                graph.clone(),
+                FormulationConfig { assignment_weight: 0.0, ..base.clone() },
+            ),
+            ("edgeless", GraphBuilder::new(7).build(), base.clone()),
+            ("isolated nodes", isolated.build(), base.clone()),
+            ("self-loops", looped.build(), base.clone()),
+            ("zero-weight edges", zero_weight.build(), base.clone()),
+        ]
+    }
+
+    /// `config` at `k` communities.
+    fn at(config: &FormulationConfig, k: usize) -> FormulationConfig {
+        FormulationConfig { num_communities: k, ..config.clone() }
+    }
+
+    /// Asserts that `mean_fields` gives every variable of `vars` the bits of
+    /// `mean_field`.
+    fn assert_gather_is_mean_field(model: &QuboModel, p: &[f64], vars: Range<usize>) {
+        let mut fields = vec![f64::NAN; vars.len()];
+        model.mean_fields(p, vars.clone(), &mut fields);
+        for (i, field) in vars.zip(&fields) {
+            assert_eq!(field.to_bits(), model.mean_field(p, i).to_bits(), "variable {i}");
+        }
+    }
+
+    /// `model`'s coefficients, with `edit` applied to its pair list, rebuilt
+    /// through `QuboBuilder` with `extra` uncoupled variables appended.
+    fn rebuilt(
+        model: &QuboModel,
+        extra: usize,
+        edit: impl FnOnce(&mut Vec<(usize, usize, f64)>),
+    ) -> QuboModel {
+        let mut pairs: Vec<_> = model.quadratic_terms().collect();
+        edit(&mut pairs);
+        let mut b = QuboBuilder::new(model.num_variables() + extra);
+        for (i, &w) in model.linear().iter().enumerate() {
+            b.add_linear(i, w).unwrap();
+        }
+        for (i, j, w) in pairs {
+            b.add_quadratic(i, j, w).unwrap();
+        }
+        b.build()
+    }
+
+    /// `n` occupation probabilities drawn uniformly from [0, 1].
+    fn uniform_p(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(0.0..=1.0)).collect()
+    }
+
+    #[test]
+    fn every_build_qubo_model_carries_its_node_slots() {
+        for seed in [1u64, 2] {
+            for (name, graph, config) in layout_variants(seed) {
+                for k in [2usize, 3, 5, 8] {
+                    let qubo = build_qubo(&graph, &at(&config, k)).unwrap();
+                    assert_eq!(qubo.model().node_slots(), Some(k), "{name}, k = {k}");
+                }
+                // One slot per node is no layout to share.
+                let qubo = build_qubo(&graph, &at(&config, 1)).unwrap();
+                assert_eq!(qubo.model().node_slots(), None, "{name}, k = 1");
+            }
+        }
+    }
+
+    #[test]
+    fn the_node_slot_check_refuses_every_near_miss() {
+        let k = 3;
+        let graph = planted(10, 4);
+        let qubo = build_qubo(&graph, &FormulationConfig::with_communities(k)).unwrap();
+        let model = qubo.model();
+        let p = uniform_p(model.num_variables() + 1, 9);
+        // The first slot-1 pair of two different nodes, and where it sits.
+        let (a, b, _) = model
+            .quadratic_terms()
+            .find(|&(i, j, _)| i / k != j / k && i % k == 1)
+            .expect("the graph has edges");
+        let position = |pairs: &[(usize, usize, f64)]| {
+            pairs.iter().position(|&(i, j, _)| (i, j) == (a, b)).unwrap()
+        };
+        let same = rebuilt(model, 0, |_| {});
+        assert_eq!(same.clone().with_node_slots(k).node_slots(), Some(k), "control");
+        let near_misses = [
+            (
+                "one ulp off in one slot",
+                rebuilt(model, 0, |pairs| {
+                    let at = position(pairs);
+                    pairs[at].2 = f64::from_bits(pairs[at].2.to_bits() + 1);
+                }),
+                k,
+            ),
+            (
+                "a same-slot pair missing from one slot",
+                rebuilt(model, 0, |pairs| {
+                    pairs.remove(position(pairs));
+                }),
+                k,
+            ),
+            (
+                "a cross-slot coupling between two nodes",
+                rebuilt(model, 0, |pairs| pairs.push((a - 1, b, 0.5))),
+                k,
+            ),
+            ("k does not divide the variables", rebuilt(model, 1, |_| {}), k),
+            ("k = 1", same, 1),
+        ];
+        for (name, near_miss, slots) in near_misses {
+            let declared = near_miss.with_node_slots(slots);
+            assert_eq!(declared.node_slots(), None, "{name}");
+            let n = declared.num_variables();
+            assert_gather_is_mean_field(&declared, &p[..n], 0..n);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The shared-row gather gives every variable the bits of the row
+        /// gather, over the whole model and over random ranges that may cut
+        /// nodes, on every encoding shape.
+        #[test]
+        fn the_shared_row_gather_is_bit_equal_to_mean_field(
+            (seed, variant, k) in (0u64..1_000, 0usize..10, 0usize..4),
+        ) {
+            let (_, graph, config) = layout_variants(seed).swap_remove(variant);
+            let k = [2, 3, 5, 8][k];
+            let qubo = build_qubo(&graph, &at(&config, k)).unwrap();
+            let model = qubo.model();
+            prop_assert_eq!(model.node_slots(), Some(k));
+            let n = model.num_variables();
+            let p = uniform_p(n, seed);
+            assert_gather_is_mean_field(model, &p, 0..n);
+            let mut rng = ChaCha8Rng::seed_from_u64(!seed);
+            for _ in 0..4 {
+                let start = rng.gen_range(0..=n);
+                let end = rng.gen_range(start..=n);
+                assert_gather_is_mean_field(model, &p, start..end);
+            }
+        }
     }
 }

@@ -47,12 +47,16 @@
 //!   combines values of two different variables, so block boundaries cannot
 //!   change any intermediate;
 //! * the cross-variable coupling (the mean fields `h_i = b_i + Σ_j W_ij ⟨x_j⟩`)
-//!   is derived by each worker for its own variables from a copy of the
+//!   is derived by each worker for its own variable range from a copy of the
 //!   published expectation vector (one atomic `f64`-bits cell per variable,
-//!   disjoint writers) with the serial sweep's kernel,
-//!   `qhdcd_qubo::QuboModel::mean_field`, which sums each adjacency row in
-//!   ascending-neighbour order — so a field's additions, and therefore its
-//!   bits, do not depend on which worker computes it;
+//!   disjoint writers) with the serial sweep's gather,
+//!   `qhdcd_qubo::QuboModel::mean_fields`. It gives every variable the bits
+//!   of `QuboModel::mean_field`, which sums the variable's adjacency row in
+//!   ascending-neighbour order: by that row, or, on a model with declared
+//!   node slots, by one walk over the node's slot-0 row that adds each term
+//!   into every slot at its place in that order. A node that a range
+//!   boundary cuts goes by row. So a field's additions, and therefore its
+//!   bits, do not depend on which worker computes it or which walk it takes;
 //! * two barriers per step separate every worker's *read* of the expectations
 //!   from every worker's *publish* of its refreshed slice, so no half-updated
 //!   vector is ever observed.

@@ -28,9 +28,14 @@
 //! factored **once per step** ([`crate::grid::ThomasFactors`]) and shared by
 //! every variable, and all per-step scratch lives in reusable
 //! [`crate::batch::MeanFieldWorkspace`]s — the per-step loop performs zero
-//! heap allocations. The per-step variable sweep can be sharded over worker
-//! threads ([`MeanFieldConfig::threads`]) with bit-identical results for every
-//! thread count (see the determinism contract in [`crate::batch`]). On
+//! heap allocations. Each step's mean fields come from one gather,
+//! `QuboModel::mean_fields`: on a model that declares a `node·k + slot`
+//! layout (every `build_qubo` model does) it walks each node's coupling row
+//! once for all `k` slots, elsewhere each variable's own row, and either way
+//! every field has the bits of `QuboModel::mean_field`. The per-step variable
+//! sweep can be sharded over worker threads ([`MeanFieldConfig::threads`])
+//! with bit-identical results for every thread count (see the determinism
+//! contract in [`crate::batch`]). On
 //! `x86_64` CPUs with AVX2 the per-step kernels run four variables per
 //! instruction; they produce the scalar kernels' bits, so results do not
 //! depend on the CPU either.
@@ -215,16 +220,16 @@ pub fn evolve_bounded(
             let kinetic_coeff = config.schedule.kinetic(t);
             let potential_coeff = config.schedule.potential(t);
             // All wavefunctions in a step see the same expectation vector.
-            // Each mean field h_i = b_i + Σ_j W_ij ⟨x_j⟩ is gathered along
-            // variable i's adjacency row (`QuboModel::mean_field`): the rows
-            // stream in order and the scattered reads hit an n-element vector
-            // that stays in cache, where a flat sweep over the pair list
-            // scatters its writes. The row is ascending in j, so every field
-            // sums its terms in the order the flat sweep of
-            // `evolve_reference` does, bit for bit. The field is reduced
-            // to the per-variable potential slope.
-            for (i, slope) in slopes.iter_mut().enumerate() {
-                *slope = potential_coeff * (model.mean_field(&expectations, i) / scale);
+            // Each mean field h_i = b_i + Σ_j W_ij ⟨x_j⟩ is gathered by
+            // `QuboModel::mean_fields`: along variable i's adjacency row, or,
+            // on a model with declared node slots, along its node's slot-0
+            // row once for all the node's slots. Either way every field sums
+            // its terms in ascending j, the order the flat sweep of
+            // `evolve_reference` does, bit for bit. The field is reduced to
+            // the per-variable potential slope.
+            model.mean_fields(&expectations, 0..n, &mut slopes);
+            for slope in &mut slopes {
+                *slope = potential_coeff * (*slope / scale);
             }
             // The Crank–Nicolson system depends only on (kinetic_coeff, dt,
             // h): factor it once and share it across every variable.
@@ -249,10 +254,11 @@ pub fn evolve_bounded(
         // own variables' mean fields from the copy) from the publish phase
         // (every worker stores its own variables' refreshed expectations into
         // disjoint atomic cells), so no worker ever reads a half-updated
-        // vector. Each worker gathers its variables' fields with the serial
-        // path's kernel (`QuboModel::mean_field` over the same expectation
-        // values), and the per-step Thomas factorization is O(resolution), so
-        // recomputing it per worker is free; results are therefore
+        // vector. Each worker gathers its own range's fields with the serial
+        // path's gather (`QuboModel::mean_fields` over the same expectation
+        // values; a node the range boundary cuts goes row by row, with the
+        // same bits), and the per-step Thomas factorization is O(resolution),
+        // so recomputing it per worker is free; results are therefore
         // bit-identical to the serial path. See crate::batch for the full
         // determinism contract.
         let shared: Vec<AtomicU64> =
@@ -294,8 +300,9 @@ pub fn evolve_bounded(
                         for (e, cell) in published.iter_mut().zip(shared) {
                             *e = f64::from_bits(cell.load(Ordering::Relaxed));
                         }
-                        for (slope, i) in slopes.iter_mut().zip(range.clone()) {
-                            *slope = potential_coeff * (model.mean_field(&published, i) / scale);
+                        model.mean_fields(&published, range.clone(), &mut slopes);
+                        for slope in &mut slopes {
+                            *slope = potential_coeff * (*slope / scale);
                         }
                         // Everyone has read this step's expectations.
                         barrier.wait();
@@ -369,7 +376,8 @@ fn sweep_block(
 /// there. Both paths share `measure_shots`, so any divergence isolates
 /// to the propagation kernels or the mean fields: this path computes the
 /// fields with a flat sweep over the sorted pair list, the reference that
-/// [`evolve`]'s row-wise gather is pinned against. (The
+/// [`evolve`]'s gather (`QuboModel::mean_fields`, by row or by shared node
+/// row) is pinned against. (The
 /// `meanfield_throughput` bench times its own verbatim copy of the seed's
 /// naive per-point kernels instead, so its speedup gate is not affected by
 /// this dedup.)

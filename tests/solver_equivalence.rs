@@ -384,3 +384,80 @@ mod meanfield_batch {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Shared-row mean-field gather: a `build_qubo` model declares its
+// `node·k + slot` layout, and its sweep gathers each node's k fields from one
+// walk over the node's slot-0 row. The same coefficients rebuilt through
+// `QuboBuilder` declare nothing and gather row by row. Both give the same bits.
+// ---------------------------------------------------------------------------
+
+mod shared_row_gather {
+    use qhdcd::core::formulation::{build_qubo, FormulationConfig};
+    use qhdcd::graph::generators::{planted_partition, PlantedPartitionConfig};
+    use qhdcd::qhd::meanfield::{evolve, MeanFieldConfig};
+    use qhdcd::qhd::{Backend, QhdSolver};
+    use qhdcd::qubo::{QuboBuilder, QuboModel, QuboSolver};
+
+    /// Every bit of a model's coefficients.
+    fn coefficient_bits(model: &QuboModel) -> (Vec<(usize, usize, u64)>, Vec<u64>, u64) {
+        (
+            model.quadratic_terms().map(|(i, j, w)| (i, j, w.to_bits())).collect(),
+            model.linear().iter().map(|b| b.to_bits()).collect(),
+            model.offset().to_bits(),
+        )
+    }
+
+    #[test]
+    fn a_declared_model_solves_bit_identically_to_its_builder_rebuild() {
+        let graph = planted_partition(&PlantedPartitionConfig {
+            num_nodes: 31,
+            num_communities: 3,
+            p_in: 0.4,
+            p_out: 0.05,
+            seed: 17,
+        })
+        .unwrap()
+        .graph;
+        // Five slots over 31 nodes: the gather splits each node into blocks of
+        // 4 and 1 slots, and the sweeps at 2 and 3 workers cut nodes.
+        let k = 5;
+        let qubo = build_qubo(&graph, &FormulationConfig::with_communities(k)).unwrap();
+        let declared = qubo.model();
+        let mut b = QuboBuilder::new(declared.num_variables());
+        for (i, &w) in declared.linear().iter().enumerate() {
+            b.add_linear(i, w).unwrap();
+        }
+        for (i, j, w) in declared.quadratic_terms() {
+            b.add_quadratic(i, j, w).unwrap();
+        }
+        b.set_offset(declared.offset());
+        let rebuilt = b.build();
+        assert_eq!(coefficient_bits(&rebuilt), coefficient_bits(declared));
+        assert_eq!((declared.node_slots(), rebuilt.node_slots()), (Some(k), None));
+
+        for threads in [1usize, 2, 8] {
+            let solver = QhdSolver::builder()
+                .backend(Backend::MeanField)
+                .samples(3)
+                .steps(30)
+                .shots(4)
+                .seed(11)
+                .threads(threads)
+                .build();
+            let (a, b) = (solver.solve(declared).unwrap(), solver.solve(&rebuilt).unwrap());
+            assert_eq!(a.solution, b.solution, "threads={threads}");
+            assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "threads={threads}");
+        }
+        let base = MeanFieldConfig { seed: 7, steps: 30, shots: 8, ..MeanFieldConfig::default() };
+        for threads in [1usize, 2, 3] {
+            let config = MeanFieldConfig { threads, ..base.clone() };
+            let (a, b) = (evolve(declared, &config).unwrap(), evolve(&rebuilt, &config).unwrap());
+            assert_eq!(a.best_solution, b.best_solution, "threads={threads}");
+            assert_eq!(a.best_energy.to_bits(), b.best_energy.to_bits(), "threads={threads}");
+            for (x, y) in a.expectations.iter().zip(&b.expectations) {
+                assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
+            }
+        }
+    }
+}
