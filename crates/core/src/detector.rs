@@ -1,14 +1,14 @@
 //! A one-stop front end over all community-detection pipelines.
 //!
 //! [`CommunityDetector`] selects a [`Method`] (QHD direct, QHD multilevel, the
-//! branch-and-bound / simulated-annealing classical substitutes, Louvain or
-//! label propagation), carries the shared knobs (number of communities, seed,
-//! time limit) and returns a uniform [`DetectionResult`].
+//! branch-and-bound / simulated-annealing / portfolio classical substitutes,
+//! or the Louvain baseline), carries the shared knobs (number of communities,
+//! seed, time limit) and returns a uniform [`DetectionResult`].
 
 use crate::direct::{self, DirectConfig};
 use crate::formulation::FormulationConfig;
 use crate::multilevel::{self, MultilevelConfig};
-use crate::{label_propagation, louvain, CdError};
+use crate::{louvain, CdError};
 use qhdcd_graph::{Graph, Partition, QualityFunction};
 use qhdcd_qhd::QhdSolver;
 use qhdcd_qubo::SolverOptions;
@@ -32,12 +32,6 @@ pub enum Method {
     PortfolioMultilevel,
     /// Classical Louvain baseline (no QUBO involved).
     Louvain,
-    /// Classical label-propagation baseline (no QUBO involved).
-    LabelPropagation,
-    /// Classical spectral clustering baseline (Laplacian embedding + k-means).
-    Spectral,
-    /// Classical greedy modularity agglomeration (Clauset–Newman–Moore style).
-    Agglomerative,
 }
 
 impl std::fmt::Display for Method {
@@ -49,9 +43,6 @@ impl std::fmt::Display for Method {
             Method::AnnealingMultilevel => "annealing-multilevel",
             Method::PortfolioMultilevel => "portfolio-multilevel",
             Method::Louvain => "louvain",
-            Method::LabelPropagation => "label-propagation",
-            Method::Spectral => "spectral",
-            Method::Agglomerative => "agglomerative",
         };
         f.write_str(s)
     }
@@ -191,9 +182,7 @@ impl CommunityDetector {
     ///
     /// The choice is threaded through the QUBO formulation, every refinement
     /// pass and the Louvain baseline; [`DetectionResult::modularity`] then
-    /// holds the value of *this* quality function. Methods that do not
-    /// optimise a quality function directly (label propagation, spectral,
-    /// agglomerative) still report their result under the configured quality.
+    /// holds the value of *this* quality function.
     pub fn with_quality(mut self, quality: QualityFunction) -> Self {
         self.quality = quality;
         self
@@ -329,37 +318,6 @@ impl CommunityDetector {
                 let out = louvain::detect(graph, &config)?;
                 (out.partition, out.modularity)
             }
-            Method::LabelPropagation => {
-                let out = label_propagation::detect(
-                    graph,
-                    &label_propagation::LabelPropagationConfig {
-                        seed: self.seed,
-                        ..Default::default()
-                    },
-                )?;
-                let q = qhdcd_graph::modularity::quality(graph, &out.partition, self.quality);
-                (out.partition, q)
-            }
-            Method::Spectral => {
-                let out = crate::spectral::detect(
-                    graph,
-                    &crate::spectral::SpectralConfig {
-                        num_communities: self.num_communities,
-                        seed: self.seed,
-                        ..Default::default()
-                    },
-                )?;
-                let q = qhdcd_graph::modularity::quality(graph, &out.partition, self.quality);
-                (out.partition, q)
-            }
-            Method::Agglomerative => {
-                let out = crate::agglomerative::detect(
-                    graph,
-                    &crate::agglomerative::AgglomerativeConfig::default(),
-                )?;
-                let q = qhdcd_graph::modularity::quality(graph, &out.partition, self.quality);
-                (out.partition, q)
-            }
         };
         Ok(DetectionResult {
             num_communities: partition.num_communities(),
@@ -392,9 +350,6 @@ mod tests {
             Method::AnnealingMultilevel,
             Method::PortfolioMultilevel,
             Method::Louvain,
-            Method::LabelPropagation,
-            Method::Spectral,
-            Method::Agglomerative,
         ] {
             let detector = CommunityDetector::new(method)
                 .with_communities(4)
@@ -447,7 +402,7 @@ mod tests {
         // Each representative method family reports the configured quality
         // (CPM on a ring of cliques: each 5-clique is worth 10 − 0.5·10 = 5).
         let pg = generators::ring_of_cliques(4, 5).unwrap();
-        for method in [Method::PortfolioMultilevel, Method::Louvain, Method::LabelPropagation] {
+        for method in [Method::PortfolioMultilevel, Method::Louvain] {
             let result = CommunityDetector::new(method)
                 .with_communities(4)
                 .with_seed(1)

@@ -14,9 +14,7 @@
 //! * [`multilevel`] — the multilevel pipeline of Algorithm 2 (coarsen → solve
 //!   base → project → refine) for large graphs.
 //! * [`refine`] — modularity-gain local move refinement used at every level.
-//! * [`louvain`] / [`label_propagation`] / [`spectral`] / [`agglomerative`] —
-//!   classical baselines spanning the method families of the paper's
-//!   background section.
+//! * [`louvain`] — the classical Louvain baseline (no QUBO involved).
 //! * [`detector`] — a one-stop [`CommunityDetector`] front end.
 //!
 //! # Quickstart
@@ -41,16 +39,13 @@
 
 mod error;
 
-pub mod agglomerative;
 pub mod coarsen;
 pub mod detector;
 pub mod direct;
 pub mod formulation;
-pub mod label_propagation;
 pub mod louvain;
 pub mod multilevel;
 pub mod refine;
-pub mod spectral;
 
 pub use detector::{CommunityDetector, DetectionResult, Method};
 pub use direct::DirectConfig;

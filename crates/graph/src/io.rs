@@ -42,8 +42,7 @@ use std::path::Path;
 /// ```
 pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-    let mut max_node = 0usize;
-    let mut has_nodes = false;
+    let mut num_nodes = 0usize;
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
@@ -73,11 +72,14 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
                 reason: "too many fields (expected `u v [weight]`)".into(),
             });
         }
-        max_node = max_node.max(u).max(v);
-        has_nodes = true;
+        let id = u.max(v);
+        let count = id.checked_add(1).ok_or_else(|| GraphError::ParseEdgeList {
+            line: lineno + 1,
+            reason: format!("node id {id} leaves no room for a node count"),
+        })?;
+        num_nodes = num_nodes.max(count);
         edges.push((u, v, w));
     }
-    let num_nodes = if has_nodes { max_node + 1 } else { 0 };
     GraphBuilder::from_edges(num_nodes, edges)
 }
 
@@ -303,10 +305,11 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let err = parse_edge_list("0 1\nnot_a_node 2\n").unwrap_err();
-        match err {
-            GraphError::ParseEdgeList { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other:?}"),
+        for text in ["0 1\nnot_a_node 2\n".to_string(), format!("0 1\n0 {}\n", usize::MAX)] {
+            match parse_edge_list(&text).unwrap_err() {
+                GraphError::ParseEdgeList { line, .. } => assert_eq!(line, 2, "{text:?}"),
+                other => panic!("unexpected error {other:?}"),
+            }
         }
         assert!(parse_edge_list("0\n").is_err());
         assert!(parse_edge_list("0 1 1.0 extra\n").is_err());

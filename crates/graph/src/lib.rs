@@ -8,8 +8,8 @@
 //! * [`Partition`] — an assignment of nodes to communities with renumbering and
 //!   aggregation helpers.
 //! * [`modularity`] — quality functions (Newman–Girvan modularity with a
-//!   resolution parameter, the constant Potts model), quality matrices and
-//!   single-move gains; see [`QualityFunction`].
+//!   resolution parameter, the constant Potts model) and single-move gains;
+//!   see [`QualityFunction`].
 //! * [`metrics`] — partition-quality metrics (NMI, ARI, coverage, conductance).
 //! * [`generators`] — deterministic synthetic graph generators (Erdős–Rényi,
 //!   planted partition / SBM, LFR-like power-law, ring of cliques, Zachary's
@@ -47,10 +47,8 @@ mod error;
 mod graph;
 mod partition;
 
-pub mod components;
 pub mod generators;
 pub mod io;
-pub mod laplacian;
 pub mod metrics;
 pub mod modularity;
 pub mod quotient;

@@ -1,5 +1,4 @@
-//! Quality functions (Newman–Girvan modularity, CPM), quality matrices and
-//! single-move gains.
+//! Quality functions (Newman–Girvan modularity, CPM) and single-move gains.
 //!
 //! Modularity of a partition `P` of an undirected weighted graph is
 //!
@@ -141,7 +140,7 @@ impl QualityFunction {
     }
 
     /// The single-node move gain of this quality function, expressed purely in
-    /// scalars. For modularity (cf. [`louvain_gain`]):
+    /// scalars. For modularity:
     ///
     /// ```text
     /// ΔQ = (k_{i,target} − k_{i,cur\{i\}}) / m  −  γ d_i (Σtot_target − (Σtot_cur − d_i)) / (2 m²)
@@ -353,33 +352,6 @@ pub fn modularity_dense(graph: &Graph, partition: &Partition) -> f64 {
     quality_dense(graph, partition, QualityFunction::default())
 }
 
-/// The standard Louvain modularity gain of moving a node between communities,
-/// expressed purely in scalars:
-///
-/// ```text
-/// ΔQ = (k_{i,target} − k_{i,cur\{i\}}) / m  −  d_i (Σtot_target − (Σtot_cur − d_i)) / (2 m²)
-/// ```
-///
-/// with `two_m = 2m` the doubled total edge weight, `d_i` the node's weighted
-/// degree, `k_i_cur` / `k_i_target` its edge weight into the current and
-/// target community (self-loops excluded), and `Σtot` the community degree
-/// sums.
-///
-/// This is [`QualityFunction::gain`] at the default unit-resolution
-/// modularity, kept as the stable scalar entry point (bit-identical to the
-/// pre-generalization formula).
-#[inline]
-pub fn louvain_gain(
-    two_m: f64,
-    d_i: f64,
-    k_i_cur: f64,
-    k_i_target: f64,
-    sigma_cur: f64,
-    sigma_target: f64,
-) -> f64 {
-    QualityFunction::default().gain(two_m, d_i, k_i_cur, k_i_target, sigma_cur, sigma_target)
-}
-
 /// Reusable scratch for the deterministic one-pass best-move scan shared by
 /// the static refinement (`qhdcd-core`) and the streaming detector's
 /// incremental twin (`qhdcd-stream`).
@@ -548,56 +520,6 @@ pub fn adjacency_entry(graph: &Graph, i: usize, j: usize) -> f64 {
         Some(w) => w,
         None => 0.0,
     }
-}
-
-/// Dense quality matrix `B`, row-major: `B_ij = A_ij − γ d_i d_j / (2m)` for
-/// modularity (Eq. 2 of the paper, generalized), `B_ij = A_ij − γ w_i w_j`
-/// (`i ≠ j`, with `B_ii = A_ii − γ w_i (w_i − 1)` on the diagonal, `w` the
-/// carried node counts — γ per node pair exactly, even on coarse graphs)
-/// for CPM. Maximizing `Σ_c Σ_{ij} B_ij x_ic x_jc` over one-hot assignments
-/// maximizes the corresponding quality function, which is what the QUBO
-/// formulation builds on for small graphs.
-///
-/// Returns an `n × n` row-major matrix (all zeros for graphs with zero total
-/// edge weight). `O(n²)` memory — intended for the "direct" formulation on
-/// graphs of at most a few thousand nodes.
-pub fn quality_matrix(graph: &Graph, quality_fn: QualityFunction) -> Vec<Vec<f64>> {
-    let n = graph.num_nodes();
-    let two_m = 2.0 * graph.total_edge_weight();
-    let mut b = vec![vec![0.0; n]; n];
-    if two_m <= 0.0 {
-        return b;
-    }
-    match quality_fn {
-        QualityFunction::Modularity { resolution } => {
-            for (i, row) in b.iter_mut().enumerate() {
-                for (j, entry) in row.iter_mut().enumerate() {
-                    *entry = adjacency_entry(graph, i, j)
-                        - resolution * (graph.degree(i) * graph.degree(j) / two_m);
-                }
-            }
-        }
-        QualityFunction::Cpm { resolution } => {
-            // Weighted CPM null term (see `quality_dense`): γ w_i w_j off the
-            // diagonal, γ w_i (w_i − 1) on it, so `Σ_c Σ_{ij} B_ij x_ic x_jc`
-            // still equals `2 Q` when nodes carry super-node counts. At unit
-            // weights this is bit-identical to the unweighted matrix.
-            for (i, row) in b.iter_mut().enumerate() {
-                let w_i = graph.node_weight(i);
-                for (j, entry) in row.iter_mut().enumerate() {
-                    let null = if i != j { w_i * graph.node_weight(j) } else { w_i * (w_i - 1.0) };
-                    *entry = adjacency_entry(graph, i, j) - resolution * null;
-                }
-            }
-        }
-    }
-    b
-}
-
-/// Dense modularity matrix `B` with `B_ij = A_ij − d_i d_j / (2m)` —
-/// [`quality_matrix`] at the default unit-resolution modularity.
-pub fn modularity_matrix(graph: &Graph) -> Vec<Vec<f64>> {
-    quality_matrix(graph, QualityFunction::default())
 }
 
 /// Incremental bookkeeping for single-node quality-gain moves.
@@ -902,17 +824,6 @@ mod tests {
         let qf = QualityFunction::default();
         assert_eq!(modularity(&g, &p).to_bits(), quality(&g, &p, qf).to_bits());
         assert_eq!(modularity_dense(&g, &p).to_bits(), quality_dense(&g, &p, qf).to_bits());
-        // The scalar gain formula too, across a spread of operand magnitudes.
-        for (two_m, d_i, k_c, k_t, s_c, s_t) in [
-            (156.0, 16.0, 2.0, 5.0, 33.0, 40.0),
-            (14.0, 3.0, 0.0, 1.0, 3.0, 7.0),
-            (1e-9, 2e-10, 1e-10, 3e-10, 5e-10, 4e-10),
-        ] {
-            assert_eq!(
-                louvain_gain(two_m, d_i, k_c, k_t, s_c, s_t).to_bits(),
-                qf.gain(two_m, d_i, k_c, k_t, s_c, s_t).to_bits()
-            );
-        }
     }
 
     #[test]
@@ -966,43 +877,6 @@ mod tests {
         let q = modularity(&g, &p);
         // Known value for the 4-community split is about 0.4198.
         assert!(q > 0.40 && q < 0.43, "q={q}");
-    }
-
-    #[test]
-    fn modularity_matrix_rows_sum_to_zero() {
-        let g = two_triangles();
-        let b = modularity_matrix(&g);
-        for row in &b {
-            let s: f64 = row.iter().sum();
-            assert!(s.abs() < 1e-9, "row sum {s}");
-        }
-    }
-
-    #[test]
-    fn quality_matrix_sums_track_the_quality_value() {
-        // Σ_{ij same community} B_ij equals 2m·Q for modularity and 2·Q for
-        // CPM — the affine relation the QUBO formulation relies on.
-        let g = two_triangles();
-        let p = Partition::from_labels(vec![0, 0, 0, 1, 1, 1]).unwrap();
-        let two_m = 2.0 * g.total_edge_weight();
-        for resolution in [0.25, 1.0, 4.0] {
-            for (qf, scale) in [
-                (QualityFunction::modularity(resolution), two_m),
-                (QualityFunction::cpm(resolution), 2.0),
-            ] {
-                let b = quality_matrix(&g, qf);
-                let mut s = 0.0;
-                for (i, row) in b.iter().enumerate() {
-                    for (j, &entry) in row.iter().enumerate() {
-                        if p.community_of(i) == p.community_of(j) {
-                            s += entry;
-                        }
-                    }
-                }
-                let q = quality(&g, &p, qf);
-                assert!((s - scale * q).abs() < 1e-9, "{qf:?}: sum={s} scaled q={}", scale * q);
-            }
-        }
     }
 
     #[test]

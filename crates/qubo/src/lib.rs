@@ -9,7 +9,6 @@
 //!   single-flip search loop in the workspace: O(1) flip-delta queries,
 //!   O(deg) applied flips, O(nnz) rebuilds (see [`fields`] for the
 //!   invariants).
-//! * [`ising`] — lossless conversion between QUBO and Ising (`s ∈ {−1,+1}`) form.
 //! * [`solver`] — the [`QuboSolver`] trait shared by the QHD solver and all
 //!   classical baselines, together with [`SolveReport`] / [`SolveStatus`]
 //!   describing the outcome (`Optimal` vs `TimeLimit` is exactly the split the
@@ -42,7 +41,6 @@ mod model;
 
 pub mod fields;
 pub mod generate;
-pub mod ising;
 pub mod solver;
 
 pub use builder::QuboBuilder;

@@ -20,8 +20,6 @@ use std::time::{Duration, Instant};
 pub struct BranchAndBound {
     /// Time limit and seed.
     pub options: SolverOptions,
-    /// Optional cap on the number of explored nodes (mainly for tests).
-    pub node_limit: Option<u64>,
 }
 
 impl BranchAndBound {
@@ -33,13 +31,7 @@ impl BranchAndBound {
     /// Creates a solver with a wall-clock time limit, after which the best
     /// incumbent is returned with [`SolveStatus::TimeLimit`].
     pub fn with_time_limit(limit: Duration) -> Self {
-        BranchAndBound { options: SolverOptions::with_time_limit(limit), node_limit: None }
-    }
-
-    /// Returns a copy with a node-count limit.
-    pub fn with_node_limit(mut self, nodes: u64) -> Self {
-        self.node_limit = Some(nodes);
-        self
+        BranchAndBound { options: SolverOptions::with_time_limit(limit) }
     }
 }
 
@@ -61,7 +53,6 @@ struct SearchState<'m> {
     incumbent: Vec<bool>,
     incumbent_energy: f64,
     nodes: u64,
-    node_limit: u64,
     budget: Budget,
     stopped: bool,
 }
@@ -83,10 +74,6 @@ impl SearchState<'_> {
 
     fn should_stop(&mut self) -> bool {
         if self.stopped {
-            return true;
-        }
-        if self.nodes >= self.node_limit {
-            self.stopped = true;
             return true;
         }
         // Deadline and cancellation checks are amortised over 1024 nodes; the
@@ -205,7 +192,6 @@ impl BranchAndBound {
             incumbent,
             incumbent_energy,
             nodes: 0,
-            node_limit: self.node_limit.unwrap_or(u64::MAX),
             budget: budget.clone().merged_with_time_limit(self.options.time_limit),
             stopped: false,
         };
@@ -310,20 +296,6 @@ mod tests {
         assert_eq!(report.status, SolveStatus::TimeLimit);
         // The incumbent is still a valid solution.
         assert!((model.evaluate(&report.solution).unwrap() - report.objective).abs() < 1e-12);
-    }
-
-    #[test]
-    fn node_limit_stops_the_search() {
-        let model = random_qubo(&RandomQuboConfig {
-            num_variables: 40,
-            density: 0.4,
-            coefficient_range: 1.0,
-            seed: 3,
-        })
-        .unwrap();
-        let report = BranchAndBound::default().with_node_limit(10).solve(&model).unwrap();
-        assert_eq!(report.status, SolveStatus::TimeLimit);
-        assert!(report.iterations <= 11);
     }
 
     #[test]

@@ -34,7 +34,6 @@ fn main() -> Result<(), CdError> {
         ("qhd-multilevel", Method::QhdMultilevel),
         ("annealing-multilevel", Method::AnnealingMultilevel),
         ("louvain", Method::Louvain),
-        ("label-propagation", Method::LabelPropagation),
     ];
     println!(
         "{:<22} {:>10} {:>12} {:>8} {:>10}",

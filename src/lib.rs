@@ -8,10 +8,10 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`graph`] | `qhdcd-graph` | CSR graphs, partitions, modularity, metrics, generators, I/O |
-//! | [`qubo`] | `qhdcd-qubo` | QUBO models, builders, Ising conversion, solver trait |
+//! | [`qubo`] | `qhdcd-qubo` | QUBO models, builders, solver trait |
 //! | [`qhd`] | `qhdcd-qhd` | Quantum Hamiltonian Descent simulator and solver |
 //! | [`solvers`] | `qhdcd-solvers` | branch-and-bound (exact), simulated annealing, tabu, greedy |
-//! | [`core`] | `qhdcd-core` | QUBO formulation, direct and multilevel pipelines, baselines |
+//! | [`core`] | `qhdcd-core` | QUBO formulation, direct and multilevel pipelines, Louvain baseline |
 //! | [`stream`] | `qhdcd-stream` | dynamic graphs, edge events, incremental community maintenance |
 //!
 //! # Quickstart
@@ -39,7 +39,7 @@
 /// Graph substrate: graphs, partitions, modularity, metrics, generators, I/O.
 pub use qhdcd_graph as graph;
 
-/// QUBO substrate: models, builders, Ising conversion and the solver trait.
+/// QUBO substrate: models, builders and the solver trait.
 pub use qhdcd_qubo as qubo;
 
 /// Quantum Hamiltonian Descent simulator and QUBO solver.
@@ -48,7 +48,7 @@ pub use qhdcd_qhd as qhd;
 /// Classical baseline QUBO solvers (branch-and-bound, SA, tabu, greedy).
 pub use qhdcd_solvers as solvers;
 
-/// Community-detection pipelines: formulation, direct, multilevel, baselines.
+/// Community-detection pipelines: formulation, direct, multilevel, Louvain baseline.
 pub use qhdcd_core as core;
 
 /// Streaming subsystem: dynamic graphs, edge events, incremental maintenance.

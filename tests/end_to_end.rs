@@ -105,9 +105,9 @@ fn multilevel_and_direct_agree_on_medium_graphs() {
 }
 
 #[test]
-fn qhd_beats_label_propagation_on_ambiguous_graphs() {
-    // With a noticeable mixing fraction, label propagation tends to produce
-    // coarse or trivial partitions while the QUBO-based pipeline keeps quality.
+fn qhd_multilevel_reaches_the_planted_quality_on_an_ambiguous_graph() {
+    // Mixing 0.3 blurs the planted communities; the QUBO-based pipeline must
+    // still find a partition about as good as the planted one.
     let pg = generators::lfr_like(&generators::LfrConfig {
         num_nodes: 250,
         mixing: 0.3,
@@ -122,14 +122,8 @@ fn qhd_beats_label_propagation_on_ambiguous_graphs() {
         .with_coarsen_threshold(80)
         .detect(&pg.graph)
         .unwrap();
-    let lpa =
-        CommunityDetector::new(Method::LabelPropagation).with_seed(1).detect(&pg.graph).unwrap();
-    assert!(
-        qhd.modularity >= lpa.modularity - 0.02,
-        "qhd={} lpa={}",
-        qhd.modularity,
-        lpa.modularity
-    );
+    let planted = modularity::modularity(&pg.graph, &pg.ground_truth);
+    assert!(qhd.modularity >= planted - 0.02, "qhd={} planted={planted}", qhd.modularity);
 }
 
 #[test]
@@ -236,15 +230,21 @@ fn every_method_handles_degenerate_inputs() {
         Method::AnnealingMultilevel,
         Method::PortfolioMultilevel,
         Method::Louvain,
-        Method::LabelPropagation,
-        Method::Spectral,
-        Method::Agglomerative,
     ];
     for (name, graph) in &inputs {
         for method in methods {
             let mut detector = CommunityDetector::new(method).with_seed(5);
-            if method == Method::BranchAndBoundDirect {
-                detector = detector.with_time_limit(std::time::Duration::from_millis(200));
+            // No wildcard arm: a new `Method` variant fails to compile here
+            // until it is given a budget and joins `methods` above.
+            match method {
+                Method::BranchAndBoundDirect => {
+                    detector = detector.with_time_limit(std::time::Duration::from_millis(200));
+                }
+                Method::QhdDirect
+                | Method::QhdMultilevel
+                | Method::AnnealingMultilevel
+                | Method::PortfolioMultilevel
+                | Method::Louvain => {}
             }
             let result =
                 detector.detect(graph).unwrap_or_else(|e| panic!("{method} on {name}: {e}"));

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use qhdcd::core::formulation::{build_qubo, FormulationConfig};
 use qhdcd::graph::{metrics, modularity, GraphBuilder, Partition};
-use qhdcd::qubo::{ising, LocalFieldState, QuboBuilder, QuboModel};
+use qhdcd::qubo::{LocalFieldState, QuboBuilder, QuboModel};
 
 /// Strategy: a random small undirected graph as (num_nodes, edge list).
 fn arbitrary_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
@@ -176,19 +176,6 @@ proptest! {
         y[i] = !y[i];
         let after = model.evaluate(&y).expect("length matches");
         prop_assert!((after - before - model.flip_delta(&x, i)).abs() < 1e-9);
-    }
-
-    /// QUBO → Ising conversion preserves energies on every assignment.
-    #[test]
-    fn ising_conversion_preserves_energy((n, linear, quadratic) in arbitrary_qubo()) {
-        let model = build_model(n, &linear, &quadratic);
-        let ising = ising::to_ising(&model);
-        for bits in 0..(1u32 << n.min(8)) {
-            let x: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            let eq = model.evaluate(&x).expect("length matches");
-            let ei = ising.evaluate(&x).expect("length matches");
-            prop_assert!((eq - ei).abs() < 1e-6, "qubo={eq} ising={ei}");
-        }
     }
 
     /// Encoding a valid partition into the CD QUBO and decoding it back is the
