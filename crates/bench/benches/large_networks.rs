@@ -7,7 +7,7 @@ use qhdcd_core::coarsen::CoarsenConfig;
 use qhdcd_core::louvain;
 use qhdcd_core::multilevel::{detect, MultilevelConfig};
 use qhdcd_qhd::QhdSolver;
-use qhdcd_solvers::SimulatedAnnealing;
+use qhdcd_solvers::{PortfolioConfig, PortfolioSolver, Strategy};
 
 fn bench_large_networks(c: &mut Criterion) {
     let mut group = c.benchmark_group("large_networks_table2");
@@ -33,7 +33,19 @@ fn bench_large_networks(c: &mut Criterion) {
             BenchmarkId::new("annealing_multilevel", name),
             &pg.graph,
             |b, g| {
-                let solver = SimulatedAnnealing::default().with_sweeps(100);
+                // Annealing alone: a one-member portfolio on one worker.
+                let solver = PortfolioSolver {
+                    config: PortfolioConfig {
+                        restarts: 4,
+                        threads: 1,
+                        sweeps: 100,
+                        ..PortfolioConfig::default()
+                    },
+                    strategies: vec![Strategy::Annealing {
+                        initial_temperature: 2.0,
+                        final_temperature: 0.01,
+                    }],
+                };
                 b.iter(|| detect(g, &solver, &config).expect("pipeline succeeds"))
             },
         );

@@ -6,7 +6,7 @@ use qhdcd_bench::{cd_qubo, communities_for};
 use qhdcd_graph::generators::{self, PlantedPartitionConfig};
 use qhdcd_qhd::QhdSolver;
 use qhdcd_qubo::{QuboModel, QuboSolver};
-use qhdcd_solvers::{BranchAndBound, SimulatedAnnealing, TabuSearch};
+use qhdcd_solvers::{BranchAndBound, PortfolioConfig, PortfolioSolver, Strategy};
 use std::time::Duration;
 
 fn instance(nodes: usize, seed: u64) -> QuboModel {
@@ -38,12 +38,32 @@ fn bench_solvers(c: &mut Criterion) {
             let solver = BranchAndBound::with_time_limit(Duration::from_millis(100));
             b.iter(|| solver.solve(m).expect("solve succeeds"))
         });
+        // Annealing and tabu alone: one-member portfolios on one worker.
         group.bench_with_input(BenchmarkId::new("simulated_annealing", vars), &model, |b, m| {
-            let solver = SimulatedAnnealing::default().with_sweeps(100).with_restarts(2);
+            let solver = PortfolioSolver {
+                config: PortfolioConfig {
+                    restarts: 2,
+                    threads: 1,
+                    sweeps: 100,
+                    ..PortfolioConfig::default()
+                },
+                strategies: vec![Strategy::Annealing {
+                    initial_temperature: 2.0,
+                    final_temperature: 0.01,
+                }],
+            };
             b.iter(|| solver.solve(m).expect("solve succeeds"))
         });
         group.bench_with_input(BenchmarkId::new("tabu", vars), &model, |b, m| {
-            let solver = TabuSearch::default().with_iterations(500);
+            let solver = PortfolioSolver {
+                config: PortfolioConfig {
+                    restarts: 1,
+                    threads: 1,
+                    sweeps: 500,
+                    ..PortfolioConfig::default()
+                },
+                strategies: vec![Strategy::Tabu { tenure: None }],
+            };
             b.iter(|| solver.solve(m).expect("solve succeeds"))
         });
     }

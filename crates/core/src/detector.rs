@@ -1,9 +1,9 @@
 //! A one-stop front end over all community-detection pipelines.
 //!
 //! [`CommunityDetector`] selects a [`Method`] (QHD direct, QHD multilevel, the
-//! branch-and-bound / simulated-annealing / portfolio classical substitutes,
-//! or the Louvain baseline), carries the shared knobs (number of communities,
-//! seed, time limit) and returns a uniform [`DetectionResult`].
+//! branch-and-bound and restart-portfolio classical substitutes, or the
+//! Louvain baseline), carries the shared knobs (number of communities, seed,
+//! time limit) and returns a uniform [`DetectionResult`].
 
 use crate::direct::{self, DirectConfig};
 use crate::formulation::FormulationConfig;
@@ -11,8 +11,7 @@ use crate::multilevel::{self, MultilevelConfig};
 use crate::{louvain, CdError};
 use qhdcd_graph::{Graph, Partition, QualityFunction};
 use qhdcd_qhd::QhdSolver;
-use qhdcd_qubo::SolverOptions;
-use qhdcd_solvers::{BranchAndBound, MoveSet, PortfolioSolver, SimulatedAnnealing};
+use qhdcd_solvers::{BranchAndBound, MoveSet, PortfolioConfig, PortfolioSolver, Strategy};
 use std::time::{Duration, Instant};
 
 /// The detection algorithm to run.
@@ -24,7 +23,9 @@ pub enum Method {
     QhdMultilevel,
     /// Direct QUBO formulation solved by branch-and-bound (the GUROBI stand-in).
     BranchAndBoundDirect,
-    /// Multilevel pipeline with simulated annealing on the coarsest graph.
+    /// Multilevel pipeline with simulated annealing on the coarsest graph: a
+    /// restart portfolio whose only member is annealing (4 restarts of 200
+    /// sweeps on one worker), solved without the warm-start hint.
     AnnealingMultilevel,
     /// Multilevel pipeline with the parallel restart portfolio
     /// (greedy + annealing + tabu over the deterministic runtime, pair-aware
@@ -130,7 +131,8 @@ impl CommunityDetector {
     /// beat [`Method::AnnealingMultilevel`] in the time-matched comparison on
     /// the planted corpus (see `portfolio_vs_annealing` in
     /// `BENCH_refine.json`); it is also the method with warm-start support
-    /// (`solve_with_hint` seeds one restart from the incumbent).
+    /// (a hint passed to `solve_bounded` seeds one restart from the
+    /// incumbent).
     pub fn classical_fallback() -> Self {
         CommunityDetector::new(Method::PortfolioMultilevel)
     }
@@ -232,12 +234,13 @@ impl CommunityDetector {
     ///
     /// This is the re-solve entry point of the streaming subsystem: `hint` is
     /// the incumbent community structure of a slightly different (older)
-    /// graph. The hint is threaded into the pipeline (for the QUBO methods it
-    /// is encoded and passed to the solver via `solve_with_hint`, which on the
-    /// portfolio dedicates one restart to polishing it), and the returned
-    /// result is additionally floored at the locally refined hint — warm
-    /// restarts can explore, but the caller never gets back a partition worse
-    /// than its own incumbent after local polish.
+    /// graph. The hint is threaded into the pipeline: every QUBO method but
+    /// [`Method::AnnealingMultilevel`] encodes it and passes it to the
+    /// solver's `solve_bounded`, where the portfolio of
+    /// [`Method::PortfolioMultilevel`] dedicates one restart to polishing it.
+    /// The returned result is additionally floored at the locally refined
+    /// hint — warm restarts can explore, but the caller never gets back a
+    /// partition worse than its own incumbent after local polish.
     ///
     /// # Errors
     ///
@@ -294,11 +297,22 @@ impl CommunityDetector {
                 (out.partition, out.modularity)
             }
             Method::AnnealingMultilevel => {
-                let mut solver = SimulatedAnnealing::default().with_seed(self.seed);
-                if let Some(limit) = self.time_limit {
-                    solver.options = SolverOptions::with_time_limit(limit).seeded(self.seed);
-                }
-                let out = multilevel::detect(graph, &solver, &multilevel_config())?;
+                let solver = PortfolioSolver {
+                    config: PortfolioConfig {
+                        restarts: 4,
+                        threads: 1,
+                        time_limit: self.time_limit,
+                        seed: self.seed,
+                        ..PortfolioConfig::default()
+                    },
+                    strategies: vec![Strategy::Annealing {
+                        initial_temperature: 2.0,
+                        final_temperature: 0.01,
+                    }],
+                };
+                // Always cold-started: a hint only floors the result in
+                // `detect_with_hint`.
+                let out = multilevel::detect(graph, &solver, &self.multilevel_config())?;
                 (out.partition, out.modularity)
             }
             Method::PortfolioMultilevel => {

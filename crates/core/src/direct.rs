@@ -25,8 +25,8 @@ pub struct DirectConfig {
     /// Refinement parameters (ignored when `refine` is `false`).
     pub refine_config: RefineConfig,
     /// Optional warm-start partition. When set, it is one-hot encoded and
-    /// passed to the solver through [`QuboSolver::solve_with_hint`]; solvers
-    /// without warm-start support ignore it. Labels beyond the formulation's
+    /// passed to the solver as the hint of [`QuboSolver::solve_bounded`];
+    /// solvers without warm-start support ignore it. Labels beyond the formulation's
     /// community count are folded modulo `k` by the encoder.
     pub hint: Option<Partition>,
 }
@@ -94,11 +94,14 @@ pub struct DirectOutcome {
 /// ```
 /// use qhdcd_core::direct::{detect, DirectConfig};
 /// use qhdcd_graph::generators;
-/// use qhdcd_solvers::SimulatedAnnealing;
+/// use qhdcd_solvers::{PortfolioSolver, Strategy};
 ///
 /// # fn main() -> Result<(), qhdcd_core::CdError> {
 /// let graph = generators::karate_club();
-/// let outcome = detect(&graph, &SimulatedAnnealing::default(), &DirectConfig::with_communities(4))?;
+/// // Simulated annealing: a portfolio whose one member anneals, 4 restarts.
+/// let annealing = Strategy::Annealing { initial_temperature: 2.0, final_temperature: 0.01 };
+/// let solver = PortfolioSolver::default().with_strategies(vec![annealing]).with_restarts(4);
+/// let outcome = detect(&graph, &solver, &DirectConfig::with_communities(4))?;
 /// assert!(outcome.modularity > 0.3);
 /// # Ok(())
 /// # }
@@ -158,7 +161,19 @@ mod tests {
     use super::*;
     use qhdcd_graph::{generators, metrics};
     use qhdcd_qhd::QhdSolver;
-    use qhdcd_solvers::{BranchAndBound, SimulatedAnnealing};
+    use qhdcd_solvers::{BranchAndBound, PortfolioSolver, Strategy};
+
+    /// Annealing-only portfolio: 4 restarts of 200 sweeps on one worker.
+    fn annealing(seed: u64) -> PortfolioSolver {
+        PortfolioSolver::default()
+            .with_strategies(vec![Strategy::Annealing {
+                initial_temperature: 2.0,
+                final_temperature: 0.01,
+            }])
+            .with_restarts(4)
+            .with_threads(1)
+            .with_seed(seed)
+    }
 
     #[test]
     fn recovers_planted_communities_with_simulated_annealing() {
@@ -166,12 +181,7 @@ mod tests {
         // Seed chosen to recover the planted split under the per-restart
         // stream seeding the portfolio runtime introduced (the annealer is a
         // heuristic; some seeds land in a merged local optimum).
-        let outcome = detect(
-            &pg.graph,
-            &SimulatedAnnealing::default().with_seed(2),
-            &DirectConfig::with_communities(4),
-        )
-        .unwrap();
+        let outcome = detect(&pg.graph, &annealing(2), &DirectConfig::with_communities(4)).unwrap();
         let nmi = metrics::normalized_mutual_information(&outcome.partition, &pg.ground_truth);
         assert!(nmi > 0.95, "nmi={nmi}");
         assert!(outcome.modularity > 0.5);
@@ -189,12 +199,7 @@ mod tests {
     #[test]
     fn karate_club_modularity_is_competitive() {
         let g = generators::karate_club();
-        let outcome = detect(
-            &g,
-            &SimulatedAnnealing::default().with_seed(11),
-            &DirectConfig::with_communities(4),
-        )
-        .unwrap();
+        let outcome = detect(&g, &annealing(11), &DirectConfig::with_communities(4)).unwrap();
         // The best known modularity for karate is ≈ 0.4198.
         assert!(outcome.modularity > 0.38, "modularity={}", outcome.modularity);
         assert!(outcome.elapsed >= outcome.solver_time);
@@ -203,7 +208,8 @@ mod tests {
     #[test]
     fn refinement_can_only_help() {
         let g = generators::karate_club();
-        let solver = SimulatedAnnealing::default().with_seed(5).with_sweeps(30);
+        let mut solver = annealing(5);
+        solver.config.sweeps = 30;
         let raw = detect(
             &g,
             &solver,
@@ -241,7 +247,7 @@ mod tests {
         let g = generators::karate_club();
         let full = detect_bounded(
             &g,
-            &SimulatedAnnealing::default().with_seed(11),
+            &annealing(11),
             &DirectConfig::with_communities(4),
             &Budget::unlimited(),
         )
@@ -251,7 +257,7 @@ mod tests {
         cancel.cancel();
         let out = detect_bounded(
             &g,
-            &SimulatedAnnealing::default().with_seed(11),
+            &annealing(11),
             &DirectConfig::with_communities(4),
             &Budget::unlimited().cancelled_by(&cancel),
         )
@@ -269,8 +275,7 @@ mod tests {
         let pg = generators::ring_of_cliques(3, 5).unwrap();
         let config =
             DirectConfig::with_communities(3).with_quality(qhdcd_graph::QualityFunction::cpm(0.5));
-        let outcome =
-            detect(&pg.graph, &SimulatedAnnealing::default().with_seed(2), &config).unwrap();
+        let outcome = detect(&pg.graph, &annealing(2), &config).unwrap();
         let nmi = metrics::normalized_mutual_information(&outcome.partition, &pg.ground_truth);
         assert!(nmi > 0.9, "nmi={nmi}");
         // Each clique: e = 10, pairs = 10 ⇒ 10 − 5 = 5 per community.
@@ -281,6 +286,6 @@ mod tests {
     fn invalid_formulation_is_rejected() {
         let g = generators::karate_club();
         let config = DirectConfig::with_communities(0);
-        assert!(detect(&g, &SimulatedAnnealing::default(), &config).is_err());
+        assert!(detect(&g, &annealing(0), &config).is_err());
     }
 }

@@ -43,9 +43,9 @@ pub struct MultilevelConfig {
     pub final_refine: bool,
     /// Optional warm-start partition of the *original* graph. It is pushed
     /// through the coarsening hierarchy (each super-node inherits the label of
-    /// its lowest-index constituent) and handed to the base solver via
-    /// [`qhdcd_qubo::QuboSolver::solve_with_hint`]; solvers without warm-start
-    /// support ignore it.
+    /// its lowest-index constituent) and handed to the base solver as the hint
+    /// of [`qhdcd_qubo::QuboSolver::solve_bounded`]; solvers without
+    /// warm-start support ignore it.
     pub hint: Option<Partition>,
 }
 
@@ -135,12 +135,15 @@ pub struct MultilevelOutcome {
 /// ```
 /// use qhdcd_core::multilevel::{detect, MultilevelConfig};
 /// use qhdcd_graph::generators;
-/// use qhdcd_solvers::SimulatedAnnealing;
+/// use qhdcd_solvers::{PortfolioSolver, Strategy};
 ///
 /// # fn main() -> Result<(), qhdcd_core::CdError> {
 /// let pg = generators::ring_of_cliques(30, 10)?;
 /// let config = MultilevelConfig::with_communities(30);
-/// let out = detect(&pg.graph, &SimulatedAnnealing::default(), &config)?;
+/// // Simulated annealing: a portfolio whose one member anneals, 4 restarts.
+/// let annealing = Strategy::Annealing { initial_temperature: 2.0, final_temperature: 0.01 };
+/// let solver = PortfolioSolver::default().with_strategies(vec![annealing]).with_restarts(4);
+/// let out = detect(&pg.graph, &solver, &config)?;
 /// assert!(out.modularity > 0.8);
 /// # Ok(())
 /// # }
@@ -278,7 +281,19 @@ mod tests {
     use super::*;
     use qhdcd_graph::{generators, metrics};
     use qhdcd_qhd::QhdSolver;
-    use qhdcd_solvers::SimulatedAnnealing;
+    use qhdcd_solvers::{PortfolioSolver, Strategy};
+
+    /// Annealing-only portfolio: 4 restarts of 200 sweeps on one worker.
+    fn annealing(seed: u64) -> PortfolioSolver {
+        PortfolioSolver::default()
+            .with_strategies(vec![Strategy::Annealing {
+                initial_temperature: 2.0,
+                final_temperature: 0.01,
+            }])
+            .with_restarts(4)
+            .with_threads(1)
+            .with_seed(seed)
+    }
 
     #[test]
     fn config_validation() {
@@ -289,7 +304,7 @@ mod tests {
         assert!(bad.validate().is_err());
         assert!(detect(
             &generators::karate_club(),
-            &SimulatedAnnealing::default(),
+            &annealing(0),
             &MultilevelConfig::with_communities(0)
         )
         .is_err());
@@ -310,7 +325,7 @@ mod tests {
             coarsen: CoarsenConfig { threshold: 60, ..CoarsenConfig::default() },
             ..MultilevelConfig::default()
         };
-        let out = detect(&pg.graph, &SimulatedAnnealing::default().with_seed(2), &config).unwrap();
+        let out = detect(&pg.graph, &annealing(2), &config).unwrap();
         assert!(out.levels >= 1);
         assert!(out.coarsest_nodes <= 60);
         let nmi = metrics::normalized_mutual_information(&out.partition, &pg.ground_truth);
@@ -338,12 +353,7 @@ mod tests {
         // Karate (34 nodes) is below the default threshold of 200, so no
         // coarsening levels are built and the pipeline is effectively direct.
         let g = generators::karate_club();
-        let out = detect(
-            &g,
-            &SimulatedAnnealing::default().with_seed(3),
-            &MultilevelConfig::with_communities(4),
-        )
-        .unwrap();
+        let out = detect(&g, &annealing(3), &MultilevelConfig::with_communities(4)).unwrap();
         assert_eq!(out.levels, 0);
         assert_eq!(out.coarsest_nodes, 34);
         assert!(out.modularity > 0.35, "q={}", out.modularity);
@@ -365,7 +375,7 @@ mod tests {
             coarsen: CoarsenConfig { threshold: 50, ..CoarsenConfig::default() },
             ..MultilevelConfig::default()
         };
-        let solver = SimulatedAnnealing::default().with_seed(2);
+        let solver = annealing(2);
         let full = detect_bounded(&pg.graph, &solver, &config, &Budget::unlimited()).unwrap();
         assert!(full.completion.is_full());
         let cancel = CancelToken::new();
@@ -397,7 +407,7 @@ mod tests {
             ..MultilevelConfig::default()
         }
         .with_quality(quality);
-        let out = detect(&pg.graph, &SimulatedAnnealing::default().with_seed(4), &config).unwrap();
+        let out = detect(&pg.graph, &annealing(4), &config).unwrap();
         assert!(out.levels >= 1);
         let nmi = metrics::normalized_mutual_information(&out.partition, &pg.ground_truth);
         assert!(nmi > 0.8, "nmi={nmi}");
@@ -408,7 +418,7 @@ mod tests {
     #[test]
     fn multilevel_matches_direct_quality_on_small_graphs() {
         let pg = generators::ring_of_cliques(5, 6).unwrap();
-        let solver = SimulatedAnnealing::default().with_seed(9);
+        let solver = annealing(9);
         let direct_out = crate::direct::detect(
             &pg.graph,
             &solver,

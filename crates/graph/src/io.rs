@@ -2,9 +2,12 @@
 //!
 //! The edge-list format is one edge per line: `u v [weight]`, whitespace
 //! separated. Lines starting with `#` or `%` and blank lines are ignored. Node
-//! ids must be non-negative integers; the graph gets `max_id + 1` nodes (or
-//! more if a node count is given explicitly). This matches the SNAP edge-list
-//! convention used by the datasets in the paper.
+//! ids must be non-negative integers; the graph gets `max_id + 1` nodes. This
+//! matches the SNAP edge-list convention used by the datasets in the paper.
+//! Because the node count is taken from the ids, it is bounded by the input:
+//! an id whose node count would exceed max(input length in bytes, 2²⁰) is an
+//! error, so a stray huge id cannot ask for terabytes of per-node storage,
+//! while small hand-written inputs such as `0 9` still parse.
 //!
 //! The event-log format ([`parse_event_log`]) carries a stream of mutations
 //! for the dynamic-graph layer: one event per line, optionally prefixed by a
@@ -25,7 +28,8 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::ParseEdgeList`] for malformed lines and
+/// Returns [`GraphError::ParseEdgeList`] for malformed lines and for node ids
+/// beyond the bound in the [module docs](self), and
 /// [`GraphError::InvalidEdgeWeight`] for negative/NaN weights.
 ///
 /// # Example
@@ -41,6 +45,7 @@ use std::path::Path;
 /// # }
 /// ```
 pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
+    let max_nodes = text.len().max(1 << 20);
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
     let mut num_nodes = 0usize;
     for (lineno, raw) in text.lines().enumerate() {
@@ -73,11 +78,16 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
             });
         }
         let id = u.max(v);
-        let count = id.checked_add(1).ok_or_else(|| GraphError::ParseEdgeList {
-            line: lineno + 1,
-            reason: format!("node id {id} leaves no room for a node count"),
-        })?;
-        num_nodes = num_nodes.max(count);
+        if id >= max_nodes {
+            return Err(GraphError::ParseEdgeList {
+                line: lineno + 1,
+                reason: format!(
+                    "node id {id} needs more than the {max_nodes} nodes this input may have \
+                     (max(input bytes, 2^20))"
+                ),
+            });
+        }
+        num_nodes = num_nodes.max(id + 1);
         edges.push((u, v, w));
     }
     GraphBuilder::from_edges(num_nodes, edges)
@@ -305,7 +315,14 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        for text in ["0 1\nnot_a_node 2\n".to_string(), format!("0 1\n0 {}\n", usize::MAX)] {
+        for text in [
+            "0 1\nnot_a_node 2\n".to_string(),
+            format!("0 1\n0 {}\n", usize::MAX),
+            // 2^61 − 1 nodes overflow the node-weight allocation, 10^12 would
+            // ask for terabytes: both exceed the input-size bound.
+            "0 1\n0 2305843009213693951\n".to_string(),
+            "0 1\n1000000000000 0\n".to_string(),
+        ] {
             match parse_edge_list(&text).unwrap_err() {
                 GraphError::ParseEdgeList { line, .. } => assert_eq!(line, 2, "{text:?}"),
                 other => panic!("unexpected error {other:?}"),
@@ -314,6 +331,8 @@ mod tests {
         assert!(parse_edge_list("0\n").is_err());
         assert!(parse_edge_list("0 1 1.0 extra\n").is_err());
         assert!(parse_edge_list("0 1 abc\n").is_err());
+        // The bound leaves toy inputs alone.
+        assert_eq!(parse_edge_list("0 9\n").unwrap().num_nodes(), 10);
     }
 
     #[test]

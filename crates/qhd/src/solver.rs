@@ -356,10 +356,6 @@ impl QuboSolver for QhdSolver {
         "qhd"
     }
 
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        self.solve_impl(model, &Budget::unlimited())
-    }
-
     fn solve_bounded(
         &self,
         model: &QuboModel,

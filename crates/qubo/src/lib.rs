@@ -47,6 +47,4 @@ pub use builder::QuboBuilder;
 pub use error::QuboError;
 pub use fields::LocalFieldState;
 pub use model::{BinarySolution, QuboModel};
-pub use solver::{
-    Budget, CancelToken, Completion, QuboSolver, SolveReport, SolveStatus, SolverOptions,
-};
+pub use solver::{Budget, CancelToken, Completion, QuboSolver, SolveReport, SolveStatus};

@@ -172,7 +172,7 @@ impl Budget {
     }
 
     /// Returns a copy tightened by an optional relative time limit (the
-    /// convention [`SolverOptions::time_limit`] uses). `None` leaves the
+    /// convention of the solvers' `time_limit` fields). `None` leaves the
     /// budget unchanged.
     pub fn merged_with_time_limit(self, limit: Option<Duration>) -> Self {
         match limit {
@@ -207,120 +207,53 @@ pub struct SolveReport {
     pub completion: Completion,
 }
 
-impl SolveReport {
-    /// Builds a report, evaluating the objective from the model. Convenience
-    /// used by solver implementations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuboError::SolutionSizeMismatch`] if the solution does not
-    /// match the model.
-    pub fn from_solution(
-        model: &QuboModel,
-        solution: BinarySolution,
-        status: SolveStatus,
-        elapsed: Duration,
-        iterations: u64,
-    ) -> Result<Self, QuboError> {
-        let objective = model.evaluate(&solution)?;
-        Ok(SolveReport {
-            solution,
-            objective,
-            status,
-            elapsed,
-            iterations,
-            completion: Completion::Full,
-        })
-    }
-}
-
-/// Generic knobs shared by solvers: a time budget and a deterministic seed.
-///
-/// Solvers interpret a `None` time limit as "run to completion" (exact solvers)
-/// or "use the iteration budget only" (heuristics).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SolverOptions {
-    /// Wall-clock budget for the solve.
-    pub time_limit: Option<Duration>,
-    /// Seed for any randomised decisions.
-    pub seed: u64,
-}
-
-impl SolverOptions {
-    /// Options with a wall-clock time limit.
-    pub fn with_time_limit(limit: Duration) -> Self {
-        SolverOptions { time_limit: Some(limit), seed: 0 }
-    }
-
-    /// Returns a copy with a different seed.
-    pub fn seeded(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
 /// A QUBO minimisation algorithm.
 ///
 /// Implemented by the QHD solver (`qhdcd-qhd`) and by every classical baseline
 /// (`qhdcd-solvers`), so the community-detection pipeline and the benchmark
-/// harness can swap solvers freely.
+/// harness can swap solvers freely. An implementation supplies
+/// [`QuboSolver::name`] and [`QuboSolver::solve_bounded`];
+/// [`QuboSolver::solve`] is the unbounded, cold-started shorthand.
 pub trait QuboSolver {
     /// Human-readable solver name used in reports and benchmark output.
     fn name(&self) -> &str;
 
-    /// Minimises `model`, returning the best solution found and its status.
+    /// Minimises `model` under an anytime [`Budget`], optionally warm-started
+    /// from an incumbent assignment `hint`.
+    ///
+    /// The anytime contract for implementers: check the budget at restart and
+    /// sweep boundaries; on exhaustion return the best-so-far incumbent with
+    /// [`Completion::Truncated`] instead of an error, and keep the result a
+    /// pure function of the set of restarts that completed.
+    ///
+    /// Solvers that can exploit a prior solution (the restart portfolio, which
+    /// dedicates one restart to polishing the incumbent) use `hint` and should
+    /// return a result no worse than what local polish of the hint achieves;
+    /// the others ignore it.
     ///
     /// # Errors
     ///
     /// Returns [`QuboError`] if the model is degenerate for this solver (for
     /// example, an exact state-vector simulation asked to handle more variables
-    /// than it can represent).
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError>;
-
-    /// Minimises `model`, warm-started from an incumbent assignment `hint`.
-    ///
-    /// Solvers that can exploit a prior solution (for example the restart
-    /// portfolio, which dedicates one restart to polishing the incumbent)
-    /// override this; the default simply ignores the hint and runs
-    /// [`QuboSolver::solve`]. Overrides should return a result no worse than
-    /// what local polish of the hint achieves.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuboSolver::solve`]; overrides additionally return
-    /// [`QuboError::SolutionSizeMismatch`] if the hint does not match the
-    /// model.
-    fn solve_with_hint(&self, model: &QuboModel, hint: &[bool]) -> Result<SolveReport, QuboError> {
-        let _ = hint;
-        self.solve(model)
-    }
-
-    /// Minimises `model` under an anytime [`Budget`], optionally warm-started.
-    ///
-    /// The anytime contract for implementers: check the budget at restart and
-    /// sweep boundaries; on exhaustion return the best-so-far incumbent with
-    /// [`Completion::Truncated`] instead of an error, and keep the result a
-    /// pure function of the set of restarts that completed. The default
-    /// ignores the budget and delegates to [`QuboSolver::solve_with_hint`] /
-    /// [`QuboSolver::solve`]; every solver family in this workspace overrides
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuboSolver::solve_with_hint`]. Implementations additionally
-    /// surface [`QuboError::RestartPanicked`] when every restart that ran
-    /// panicked, leaving no incumbent to report.
+    /// than it can represent), [`QuboError::SolutionSizeMismatch`] if a hint
+    /// the solver uses does not match the model, and
+    /// [`QuboError::RestartPanicked`] when every restart that ran panicked,
+    /// leaving no incumbent to report.
     fn solve_bounded(
         &self,
         model: &QuboModel,
         hint: Option<&[bool]>,
         budget: &Budget,
-    ) -> Result<SolveReport, QuboError> {
-        let _ = budget;
-        match hint {
-            Some(hint) => self.solve_with_hint(model, hint),
-            None => self.solve(model),
-        }
+    ) -> Result<SolveReport, QuboError>;
+
+    /// Minimises `model` without a hint or a budget:
+    /// [`QuboSolver::solve_bounded`] with `None` and [`Budget::unlimited`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`QuboSolver::solve_bounded`].
+    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
+        self.solve_bounded(model, None, &Budget::unlimited())
     }
 }
 
@@ -328,14 +261,6 @@ pub trait QuboSolver {
 impl<S: QuboSolver + ?Sized> QuboSolver for &S {
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        (**self).solve(model)
-    }
-
-    fn solve_with_hint(&self, model: &QuboModel, hint: &[bool]) -> Result<SolveReport, QuboError> {
-        (**self).solve_with_hint(model, hint)
     }
 
     fn solve_bounded(
@@ -353,14 +278,6 @@ impl<S: QuboSolver + ?Sized> QuboSolver for Box<S> {
         (**self).name()
     }
 
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        (**self).solve(model)
-    }
-
-    fn solve_with_hint(&self, model: &QuboModel, hint: &[bool]) -> Result<SolveReport, QuboError> {
-        (**self).solve_with_hint(model, hint)
-    }
-
     fn solve_bounded(
         &self,
         model: &QuboModel,
@@ -371,66 +288,10 @@ impl<S: QuboSolver + ?Sized> QuboSolver for Box<S> {
     }
 }
 
-/// A trivial reference solver that evaluates the all-zero and all-one
-/// assignments plus a configurable number of random assignments and keeps the
-/// best. Useful as a sanity baseline in tests and benchmarks ("any real solver
-/// must beat random sampling").
-#[derive(Debug, Clone)]
-pub struct RandomSamplingSolver {
-    /// Number of random assignments to draw.
-    pub samples: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for RandomSamplingSolver {
-    fn default() -> Self {
-        RandomSamplingSolver { samples: 100, seed: 0 }
-    }
-}
-
-impl QuboSolver for RandomSamplingSolver {
-    fn name(&self) -> &str {
-        "random-sampling"
-    }
-
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        use rand::prelude::*;
-        let start = std::time::Instant::now();
-        let n = model.num_variables();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(self.seed);
-        let mut best = vec![false; n];
-        let mut best_e = model.evaluate(&best)?;
-        let all_one = vec![true; n];
-        let e = model.evaluate(&all_one)?;
-        if e < best_e {
-            best = all_one;
-            best_e = e;
-        }
-        for _ in 0..self.samples {
-            let x: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
-            let e = model.evaluate(&x)?;
-            if e < best_e {
-                best = x;
-                best_e = e;
-            }
-        }
-        Ok(SolveReport {
-            solution: best,
-            objective: best_e,
-            status: SolveStatus::Heuristic,
-            elapsed: start.elapsed(),
-            iterations: self.samples as u64 + 2,
-            completion: Completion::Full,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::{random_qubo, RandomQuboConfig};
-    use crate::QuboBuilder;
 
     #[test]
     fn status_display_and_predicates() {
@@ -439,58 +300,6 @@ mod tests {
         assert_eq!(SolveStatus::Heuristic.to_string(), "heuristic");
         assert!(SolveStatus::Optimal.is_optimal());
         assert!(!SolveStatus::TimeLimit.is_optimal());
-    }
-
-    #[test]
-    fn report_from_solution_evaluates_objective() {
-        let mut b = QuboBuilder::new(2);
-        b.add_linear(0, -1.0).unwrap();
-        let m = b.build();
-        let r = SolveReport::from_solution(
-            &m,
-            vec![true, false],
-            SolveStatus::Heuristic,
-            Duration::from_millis(1),
-            7,
-        )
-        .unwrap();
-        assert_eq!(r.objective, -1.0);
-        assert_eq!(r.iterations, 7);
-        assert!(SolveReport::from_solution(
-            &m,
-            vec![true],
-            SolveStatus::Heuristic,
-            Duration::ZERO,
-            0
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn solver_options_builders() {
-        let o = SolverOptions::default();
-        assert!(o.time_limit.is_none());
-        let o = SolverOptions::with_time_limit(Duration::from_secs(1)).seeded(9);
-        assert_eq!(o.seed, 9);
-        assert_eq!(o.time_limit, Some(Duration::from_secs(1)));
-    }
-
-    #[test]
-    fn random_sampling_solver_returns_valid_report() {
-        let m = random_qubo(&RandomQuboConfig {
-            num_variables: 12,
-            density: 0.4,
-            coefficient_range: 1.0,
-            seed: 1,
-        })
-        .unwrap();
-        let solver = RandomSamplingSolver { samples: 200, seed: 3 };
-        let report = solver.solve(&m).unwrap();
-        assert_eq!(report.solution.len(), 12);
-        assert_eq!(report.status, SolveStatus::Heuristic);
-        assert!((m.evaluate(&report.solution).unwrap() - report.objective).abs() < 1e-12);
-        // Random sampling should at least beat the all-zero assignment here.
-        assert!(report.objective <= m.evaluate(&[false; 12]).unwrap());
     }
 
     #[test]
@@ -551,6 +360,40 @@ mod tests {
         assert_eq!(Budget::unlimited().merged_with_time_limit(None).deadline(), None);
     }
 
+    /// Returns the hint, or the all-zero assignment without one, and reports
+    /// an exhausted budget as a truncation: enough to see what the provided
+    /// `solve` and the forwarding impls pass on.
+    struct Incumbent;
+
+    impl QuboSolver for Incumbent {
+        fn name(&self) -> &str {
+            "incumbent"
+        }
+
+        fn solve_bounded(
+            &self,
+            model: &QuboModel,
+            hint: Option<&[bool]>,
+            budget: &Budget,
+        ) -> Result<SolveReport, QuboError> {
+            let solution =
+                hint.map_or_else(|| vec![false; model.num_variables()], <[bool]>::to_vec);
+            let completion = if budget.is_exhausted() {
+                Completion::Truncated { completed_restarts: 0 }
+            } else {
+                Completion::Full
+            };
+            Ok(SolveReport {
+                objective: model.evaluate(&solution)?,
+                solution,
+                status: SolveStatus::Heuristic,
+                elapsed: Duration::ZERO,
+                iterations: 1,
+                completion,
+            })
+        }
+    }
+
     #[test]
     fn solve_bounded_default_delegates_and_ignores_the_budget() {
         let m = random_qubo(&RandomQuboConfig {
@@ -560,11 +403,14 @@ mod tests {
             seed: 5,
         })
         .unwrap();
-        let solver = RandomSamplingSolver { samples: 50, seed: 3 };
-        let plain = solver.solve(&m).unwrap();
-        let bounded = solver.solve_bounded(&m, None, &Budget::unlimited()).unwrap();
+        // The provided `solve` runs `solve_bounded` with no hint and a budget
+        // that never runs out, so the two agree bit for bit.
+        let plain = Incumbent.solve(&m).unwrap();
+        let bounded = Incumbent.solve_bounded(&m, None, &Budget::unlimited()).unwrap();
         assert_eq!(plain.solution, bounded.solution);
+        assert_eq!(plain.solution, vec![false; 8]);
         assert_eq!(plain.objective.to_bits(), bounded.objective.to_bits());
+        assert!(plain.completion.is_full());
         assert!(bounded.completion.is_full());
     }
 
@@ -577,11 +423,20 @@ mod tests {
             seed: 2,
         })
         .unwrap();
-        let boxed: Box<dyn QuboSolver> = Box::new(RandomSamplingSolver::default());
-        assert_eq!(boxed.name(), "random-sampling");
+        // `solve` is `solve_bounded` without a hint or a budget.
+        let boxed: Box<dyn QuboSolver> = Box::new(Incumbent);
+        assert_eq!(boxed.name(), "incumbent");
         let r = boxed.solve(&m).unwrap();
-        assert_eq!(r.solution.len(), 6);
-        let by_ref: &dyn QuboSolver = &RandomSamplingSolver::default();
-        assert_eq!(by_ref.name(), "random-sampling");
+        assert_eq!(r.solution, vec![false; 6]);
+        assert!(r.completion.is_full());
+        // The forwarding impls pass the hint and the budget on.
+        let by_ref: &dyn QuboSolver = &Incumbent;
+        assert_eq!(by_ref.name(), "incumbent");
+        let hint = [true, false, true, false, true, false];
+        let expired = Budget::unlimited().deadline_at(Instant::now());
+        let r = (&by_ref).solve_bounded(&m, Some(&hint), &expired).unwrap();
+        assert_eq!(r.solution, hint);
+        assert_eq!(r.objective.to_bits(), m.evaluate(&hint).unwrap().to_bits());
+        assert!(!r.completion.is_full());
     }
 }

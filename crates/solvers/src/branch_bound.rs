@@ -8,9 +8,7 @@
 //! comparison protocol (Figures 3 and 4) relies on.
 
 use crate::local_search;
-use qhdcd_qubo::{
-    Budget, Completion, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus, SolverOptions,
-};
+use qhdcd_qubo::{Budget, Completion, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus};
 use std::time::{Duration, Instant};
 
 /// Exact branch-and-bound solver with a configurable time limit.
@@ -18,8 +16,9 @@ use std::time::{Duration, Instant};
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone, Default)]
 pub struct BranchAndBound {
-    /// Time limit and seed.
-    pub options: SolverOptions,
+    /// Wall-clock budget for the search; `None` runs until the tree is
+    /// exhausted.
+    pub time_limit: Option<Duration>,
 }
 
 impl BranchAndBound {
@@ -31,7 +30,7 @@ impl BranchAndBound {
     /// Creates a solver with a wall-clock time limit, after which the best
     /// incumbent is returned with [`SolveStatus::TimeLimit`].
     pub fn with_time_limit(limit: Duration) -> Self {
-        BranchAndBound { options: SolverOptions::with_time_limit(limit) }
+        BranchAndBound { time_limit: Some(limit) }
     }
 }
 
@@ -147,10 +146,20 @@ impl SearchState<'_> {
     }
 }
 
-impl BranchAndBound {
-    /// Shared implementation behind [`QuboSolver::solve`] and
-    /// [`QuboSolver::solve_bounded`].
-    fn solve_impl(&self, model: &QuboModel, budget: &Budget) -> Result<SolveReport, QuboError> {
+impl QuboSolver for BranchAndBound {
+    fn name(&self) -> &str {
+        "branch-and-bound"
+    }
+
+    fn solve_bounded(
+        &self,
+        model: &QuboModel,
+        hint: Option<&[bool]>,
+        budget: &Budget,
+    ) -> Result<SolveReport, QuboError> {
+        // The warm start below (descents from the all-zero/all-one corners) is
+        // already a strong incumbent; an external hint is ignored.
+        let _ = hint;
         let start = Instant::now();
         let n = model.num_variables();
         if n == 0 {
@@ -192,7 +201,7 @@ impl BranchAndBound {
             incumbent,
             incumbent_energy,
             nodes: 0,
-            budget: budget.clone().merged_with_time_limit(self.options.time_limit),
+            budget: budget.clone().merged_with_time_limit(self.time_limit),
             stopped: false,
         };
         state.search(0);
@@ -213,29 +222,6 @@ impl BranchAndBound {
             iterations: state.nodes,
             completion,
         })
-    }
-}
-
-impl QuboSolver for BranchAndBound {
-    fn name(&self) -> &str {
-        "branch-and-bound"
-    }
-
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        self.solve_impl(model, &Budget::unlimited())
-    }
-
-    fn solve_bounded(
-        &self,
-        model: &QuboModel,
-        hint: Option<&[bool]>,
-        budget: &Budget,
-    ) -> Result<SolveReport, QuboError> {
-        // The warm start below (descents from the all-zero/all-one corners) is
-        // already a strong incumbent; an external hint is ignored, matching
-        // `solve_with_hint`'s default.
-        let _ = hint;
-        self.solve_impl(model, budget)
     }
 }
 

@@ -33,10 +33,19 @@ impl ExhaustiveSearch {
     }
 }
 
-impl ExhaustiveSearch {
-    /// Shared implementation behind [`QuboSolver::solve`] and
-    /// [`QuboSolver::solve_bounded`].
-    fn solve_impl(&self, model: &QuboModel, budget: &Budget) -> Result<SolveReport, QuboError> {
+impl QuboSolver for ExhaustiveSearch {
+    fn name(&self) -> &str {
+        "exhaustive"
+    }
+
+    fn solve_bounded(
+        &self,
+        model: &QuboModel,
+        hint: Option<&[bool]>,
+        budget: &Budget,
+    ) -> Result<SolveReport, QuboError> {
+        // Enumeration cannot exploit a hint.
+        let _ = hint;
         let start = Instant::now();
         let n = model.num_variables();
         if n == 0 || n > MAX_EXHAUSTIVE_VARIABLES {
@@ -85,27 +94,6 @@ impl ExhaustiveSearch {
             iterations: visited,
             completion,
         })
-    }
-}
-
-impl QuboSolver for ExhaustiveSearch {
-    fn name(&self) -> &str {
-        "exhaustive"
-    }
-
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        self.solve_impl(model, &Budget::unlimited())
-    }
-
-    fn solve_bounded(
-        &self,
-        model: &QuboModel,
-        hint: Option<&[bool]>,
-        budget: &Budget,
-    ) -> Result<SolveReport, QuboError> {
-        // Enumeration cannot exploit a hint.
-        let _ = hint;
-        self.solve_impl(model, budget)
     }
 }
 

@@ -1,160 +1,68 @@
-//! Multi-start greedy descent for QUBO.
+//! The greedy member of the restart portfolio: descent to a local minimum.
 //!
-//! Restarts are batched over the deterministic parallel
-//! [`runtime`](crate::runtime); restart 0 always descends from the all-zero
-//! assignment so the result is never worse than the trivial one, and every
-//! other restart draws its random start from its own ChaCha stream.
+//! A greedy restart draws a random start from its own ChaCha stream and
+//! descends under the portfolio's [`MoveSet`]; a warm-started solve runs the
+//! same descent from the hint on restart 0.
 
 use crate::local_search;
-use crate::runtime::{self, RestartRun};
-use qhdcd_qubo::{
-    Budget, LocalFieldState, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus,
-    SolverOptions,
-};
+use crate::portfolio::MoveSet;
+use crate::runtime::RestartRun;
+use qhdcd_qubo::{Budget, LocalFieldState};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
 
-/// Repeated greedy single-flip descent from random starting assignments.
-///
-/// The cheapest useful baseline: each restart descends to a 1-opt local
-/// minimum, and the best local minimum over all restarts is returned.
-///
-/// # Example
-///
-/// ```
-/// use qhdcd_qubo::{QuboBuilder, QuboSolver};
-/// use qhdcd_solvers::MultiStartGreedy;
-///
-/// # fn main() -> Result<(), qhdcd_qubo::QuboError> {
-/// let mut b = QuboBuilder::new(3);
-/// b.add_linear(1, -1.0)?;
-/// let report = MultiStartGreedy::default().solve(&b.build())?;
-/// assert_eq!(report.objective, -1.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct MultiStartGreedy {
-    /// Time limit and RNG seed.
-    pub options: SolverOptions,
-    /// Number of random restarts.
-    pub restarts: usize,
-    /// Worker threads the restarts are batched over (`0` = all cores). The
-    /// result does not depend on this value.
-    pub threads: usize,
-    /// Maximum descent sweeps per restart.
-    pub max_sweeps: usize,
-}
-
-impl Default for MultiStartGreedy {
-    fn default() -> Self {
-        MultiStartGreedy {
-            options: SolverOptions::default(),
-            restarts: 16,
-            threads: 1,
-            max_sweeps: 100,
-        }
+/// Installs `start` on the worker's engine and descends under `move_set` for
+/// at most `sweeps` sweeps. Descent only accepts improving moves, so the
+/// result is never worse than `start`.
+pub(crate) fn descent_restart(
+    state: &mut LocalFieldState<'_>,
+    start: &[bool],
+    sweeps: usize,
+    move_set: MoveSet,
+    budget: &Budget,
+) -> RestartRun {
+    state.set_solution(start).expect("the start matches the model");
+    let outcome = match move_set {
+        MoveSet::SingleFlip => local_search::descend_state(state, sweeps, budget),
+        MoveSet::PairAware => local_search::pair_aware_descend_state(state, sweeps, budget),
+    };
+    state.debug_validate();
+    RestartRun {
+        solution: state.solution().to_vec(),
+        energy: state.energy(),
+        iterations: outcome.sweeps,
+        interrupted: outcome.interrupted,
     }
 }
 
-impl MultiStartGreedy {
-    /// Creates a solver with the default parameters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a copy with a different number of restarts.
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
-    /// Returns a copy with a different worker-thread count (`0` = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Returns a copy with a different RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.options.seed = seed;
-        self
-    }
-
-    /// Shared implementation behind [`QuboSolver::solve`] and
-    /// [`QuboSolver::solve_bounded`].
-    fn solve_impl(&self, model: &QuboModel, budget: &Budget) -> Result<SolveReport, QuboError> {
-        let start = Instant::now();
-        let n = model.num_variables();
-        if n == 0 {
-            return Err(QuboError::InvalidConfig { reason: "model has no variables".into() });
-        }
-        let budget = budget.clone().merged_with_time_limit(self.options.time_limit);
-        let max_sweeps = self.max_sweeps;
-        let kernel =
-            |k: usize, rng: &mut ChaCha8Rng, state: &mut LocalFieldState<'_>, budget: &Budget| {
-                // Restart 0 descends from the all-zero assignment so the result is
-                // never worse than the trivial one; all others start random.
-                let x: Vec<bool> =
-                    if k == 0 { vec![false; n] } else { (0..n).map(|_| rng.gen()).collect() };
-                state.set_solution(&x).expect("worker state matches the model");
-                let outcome = local_search::descend_state(state, max_sweeps, budget);
-                state.debug_validate();
-                RestartRun {
-                    solution: state.solution().to_vec(),
-                    energy: state.energy(),
-                    iterations: 1,
-                    interrupted: outcome.interrupted,
-                }
-            };
-        let run = runtime::run_restarts(
-            model,
-            self.restarts.max(1),
-            self.threads,
-            self.options.seed,
-            &budget,
-            &kernel,
-        )?;
-        let completion = run.completion();
-        Ok(SolveReport {
-            solution: run.solution,
-            objective: run.energy,
-            status: SolveStatus::Heuristic,
-            elapsed: start.elapsed(),
-            iterations: run.restarts_completed,
-            completion,
-        })
-    }
-}
-
-impl QuboSolver for MultiStartGreedy {
-    fn name(&self) -> &str {
-        "multi-start-greedy"
-    }
-
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        self.solve_impl(model, &Budget::unlimited())
-    }
-
-    fn solve_bounded(
-        &self,
-        model: &QuboModel,
-        hint: Option<&[bool]>,
-        budget: &Budget,
-    ) -> Result<SolveReport, QuboError> {
-        // Greedy has no warm-start path (matching `solve_with_hint`'s default).
-        let _ = hint;
-        self.solve_impl(model, budget)
-    }
+/// Runs one greedy restart: a random start drawn from the restart's stream,
+/// then [`descent_restart`].
+pub(crate) fn greedy_restart(
+    state: &mut LocalFieldState<'_>,
+    rng: &mut ChaCha8Rng,
+    sweeps: usize,
+    move_set: MoveSet,
+    budget: &Budget,
+) -> RestartRun {
+    let x: Vec<bool> = (0..state.num_variables()).map(|_| rng.gen()).collect();
+    descent_restart(state, &x, sweeps, move_set, budget)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ExhaustiveSearch;
+    use crate::{local_search, ExhaustiveSearch, PortfolioSolver, Strategy};
     use qhdcd_qubo::generate::{random_qubo, RandomQuboConfig};
-    use qhdcd_qubo::QuboBuilder;
+    use qhdcd_qubo::{Budget, QuboBuilder, QuboSolver};
+
+    /// Greedy-only portfolio: 16 restarts of at most 100 descent sweeps.
+    fn greedy(seed: u64) -> PortfolioSolver {
+        let mut solver = PortfolioSolver::default()
+            .with_strategies(vec![Strategy::Greedy])
+            .with_seed(seed)
+            .with_threads(1);
+        solver.config.sweeps = 100;
+        solver
+    }
 
     #[test]
     fn finds_good_solutions_on_small_instances() {
@@ -166,7 +74,7 @@ mod tests {
                 seed,
             })
             .unwrap();
-            let greedy = MultiStartGreedy::default().with_seed(seed).solve(&model).unwrap();
+            let greedy = greedy(seed).solve(&model).unwrap();
             let exact = ExhaustiveSearch.solve(&model).unwrap();
             // Multi-start greedy is not exact but should be within a small gap.
             let gap = (greedy.objective - exact.objective).abs();
@@ -183,7 +91,7 @@ mod tests {
             seed: 4,
         })
         .unwrap();
-        let report = MultiStartGreedy::default().solve(&model).unwrap();
+        let report = greedy(0).solve(&model).unwrap();
         for i in 0..40 {
             assert!(model.flip_delta(&report.solution, i) >= -1e-9);
         }
@@ -192,6 +100,8 @@ mod tests {
 
     #[test]
     fn never_worse_than_the_all_zero_descent() {
+        // Warm-started from the all-zero assignment, restart 0 is the descent
+        // from it and the other restarts keep their random starts.
         let model = random_qubo(&RandomQuboConfig {
             num_variables: 30,
             density: 0.3,
@@ -200,13 +110,16 @@ mod tests {
         })
         .unwrap();
         let (_, zero_descent) = local_search::descend(&model, vec![false; 30], 100);
-        let report = MultiStartGreedy::default().with_restarts(4).solve(&model).unwrap();
+        let report = greedy(0)
+            .with_restarts(4)
+            .solve_bounded(&model, Some(&[false; 30]), &Budget::unlimited())
+            .unwrap();
         assert!(report.objective <= zero_descent + 1e-12);
         assert!(report.iterations >= 1);
     }
 
     #[test]
     fn empty_model_is_rejected() {
-        assert!(MultiStartGreedy::default().solve(&QuboBuilder::new(0).build()).is_err());
+        assert!(greedy(0).solve(&QuboBuilder::new(0).build()).is_err());
     }
 }

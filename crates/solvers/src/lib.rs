@@ -2,23 +2,22 @@
 //!
 //! The paper benchmarks its QHD solver against GUROBI, using GUROBI purely as
 //! "an exact solver that either proves optimality or stops at a time limit with
-//! its best incumbent". This crate provides that role plus the usual heuristic
-//! baselines, all implementing the shared
-//! [`QuboSolver`](qhdcd_qubo::QuboSolver) trait:
+//! its best incumbent". This crate provides that role plus one heuristic
+//! solver, all implementing the shared [`QuboSolver`](qhdcd_qubo::QuboSolver)
+//! trait:
 //!
 //! * [`BranchAndBound`] — exact best-first/depth-first branch-and-bound with a
 //!   wall-clock time limit and an `Optimal` / `TimeLimit` status, the stand-in
 //!   for GUROBI in every experiment (see README.md, "Substitutions").
 //! * [`ExhaustiveSearch`] — brute force over all assignments, the ground truth
 //!   for small instances in tests.
-//! * [`SimulatedAnnealing`] — single-flip Metropolis with geometric cooling.
-//! * [`TabuSearch`] — single-flip tabu search with aspiration.
-//! * [`MultiStartGreedy`] — repeated greedy 1-opt descent from random starts.
-//! * [`PortfolioSolver`] — a restart portfolio interleaving the heuristic
-//!   families above over the deterministic parallel [`runtime`].
+//! * [`PortfolioSolver`] — a restart portfolio over the deterministic parallel
+//!   [`runtime`]. Its member [`Strategy`]s are greedy descent, single-flip
+//!   Metropolis annealing with geometric cooling, and single-flip tabu search
+//!   with aspiration; a one-member portfolio runs that heuristic alone.
 //!
-//! All restart-based solvers, and the samples of `qhdcd_qhd::QhdSolver`,
-//! batch their restarts through the shared [`runtime`]: one
+//! The portfolio's restarts, and the samples of `qhdcd_qhd::QhdSolver`,
+//! batch through the shared [`runtime`]: one
 //! [`LocalFieldState`](qhdcd_qubo::LocalFieldState) per
 //! worker thread, a private ChaCha stream per restart derived from the root
 //! seed, and a reduction ordered by `(energy, restart index)`, so results are
@@ -55,16 +54,13 @@ mod tabu;
 
 pub use branch_bound::BranchAndBound;
 pub use exhaustive::ExhaustiveSearch;
-pub use greedy::MultiStartGreedy;
 pub use portfolio::{MoveSet, PortfolioConfig, PortfolioSolver, Strategy};
-pub use simulated_annealing::SimulatedAnnealing;
-pub use tabu::TabuSearch;
 
 pub mod local_search {
     //! The workspace's descent loops, built on the engine's
     //! [`LocalFieldState::single_flip_sweep`] /
     //! [`LocalFieldState::coupled_pair_sweep`] primitives. The classical
-    //! solvers use them to seed and polish incumbents, and `QhdSolver`
+    //! solvers use them to descend, seed and polish incumbents, and `QhdSolver`
     //! descends every measured candidate with them (`qhdcd_qhd::refine` wraps
     //! them for owned solutions).
 

@@ -34,14 +34,13 @@
 //! # }
 //! ```
 
-use crate::local_search;
-use crate::runtime::{self, RestartRun};
+use crate::greedy::{descent_restart, greedy_restart};
+use crate::runtime;
 use crate::simulated_annealing::{anneal_restart, annealing_scale};
 use crate::tabu::tabu_restart;
 use qhdcd_qubo::{
     Budget, LocalFieldState, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus,
 };
-use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
@@ -125,10 +124,12 @@ pub enum Strategy {
         /// Final temperature.
         final_temperature: f64,
     },
-    /// Tabu search seeded by a short descent; `tenure` as in
-    /// [`crate::TabuSearch`] (`None` picks `max(10, n/10)` capped at `n/2`).
+    /// Tabu search seeded by a short descent, one single-flip move per sweep
+    /// of the budget, with aspiration on the best energy seen.
     Tabu {
-        /// Tabu tenure override.
+        /// Iterations a flipped variable stays tabu; `None` picks
+        /// `max(10, n/10)` capped at `n/2` (the cap only affects `n < 20`,
+        /// where a tenure near `n` degenerates the chain).
         tenure: Option<usize>,
     },
 }
@@ -193,67 +194,31 @@ impl PortfolioSolver {
     }
 }
 
-/// Runs the warm-start restart: installs the incumbent and polishes it by
-/// descent under `move_set`. The result can never be worse than the incumbent
-/// (descent only accepts improving moves), which gives warm-started portfolio
-/// solves a monotonicity guarantee the streaming re-solves rely on.
-fn warm_restart(
-    warm: &[bool],
-    state: &mut LocalFieldState<'_>,
-    sweeps: usize,
-    move_set: MoveSet,
-    budget: &Budget,
-) -> RestartRun {
-    state.set_solution(warm).expect("hint length is validated before the runtime starts");
-    let outcome = match move_set {
-        MoveSet::SingleFlip => local_search::descend_state(state, sweeps, budget),
-        MoveSet::PairAware => local_search::pair_aware_descend_state(state, sweeps, budget),
-    };
-    state.debug_validate();
-    RestartRun {
-        solution: state.solution().to_vec(),
-        energy: state.energy(),
-        iterations: outcome.sweeps,
-        interrupted: outcome.interrupted,
+impl QuboSolver for PortfolioSolver {
+    fn name(&self) -> &str {
+        "portfolio"
     }
-}
 
-/// Runs one greedy restart: random start, descent under `move_set`.
-fn greedy_restart(
-    rng: &mut ChaCha8Rng,
-    state: &mut LocalFieldState<'_>,
-    sweeps: usize,
-    move_set: MoveSet,
-    budget: &Budget,
-) -> RestartRun {
-    let n = state.num_variables();
-    let x: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
-    state.set_solution(&x).expect("worker state matches the model");
-    let outcome = match move_set {
-        MoveSet::SingleFlip => local_search::descend_state(state, sweeps, budget),
-        MoveSet::PairAware => local_search::pair_aware_descend_state(state, sweeps, budget),
-    };
-    state.debug_validate();
-    RestartRun {
-        solution: state.solution().to_vec(),
-        energy: state.energy(),
-        iterations: outcome.sweeps,
-        interrupted: outcome.interrupted,
-    }
-}
-
-impl PortfolioSolver {
-    fn solve_impl(
+    /// Anytime solve: restarts and sweeps observe `budget`, the reduction is
+    /// over completed restarts only, and the report is marked
+    /// [`qhdcd_qubo::Completion::Truncated`] when the budget cut the schedule
+    /// short.
+    ///
+    /// Warm start: with a `hint`, restart 0 polishes it by descent (under the
+    /// configured move set) instead of running its regular strategy, so the
+    /// result is never worse than the polished incumbent. All other restarts
+    /// are unchanged, and determinism across thread counts is preserved.
+    fn solve_bounded(
         &self,
         model: &QuboModel,
-        warm_start: Option<&[bool]>,
+        hint: Option<&[bool]>,
         budget: &Budget,
     ) -> Result<SolveReport, QuboError> {
         let start = Instant::now();
         if model.num_variables() == 0 {
             return Err(QuboError::InvalidConfig { reason: "model has no variables".into() });
         }
-        if let Some(warm) = warm_start {
+        if let Some(warm) = hint {
             if warm.len() != model.num_variables() {
                 return Err(QuboError::SolutionSizeMismatch {
                     solution: warm.len(),
@@ -269,9 +234,10 @@ impl PortfolioSolver {
         }
         for strategy in &self.strategies {
             if let Strategy::Annealing { initial_temperature, final_temperature } = strategy {
-                if *initial_temperature <= 0.0 || *final_temperature <= 0.0 {
+                let valid = |t: f64| t > 0.0 && t.is_finite();
+                if !valid(*initial_temperature) || !valid(*final_temperature) {
                     return Err(QuboError::InvalidConfig {
-                        reason: "annealing temperatures must be positive".into(),
+                        reason: "annealing temperatures must be finite and positive".into(),
                     });
                 }
             }
@@ -284,13 +250,13 @@ impl PortfolioSolver {
                 // Restart 0 becomes the incumbent-polish member of a warm-started
                 // solve; every other restart keeps its regular strategy stream.
                 if k == 0 {
-                    if let Some(warm) = warm_start {
-                        return warm_restart(warm, state, sweeps, self.config.move_set, budget);
+                    if let Some(warm) = hint {
+                        return descent_restart(state, warm, sweeps, self.config.move_set, budget);
                     }
                 }
                 match self.strategies[k % self.strategies.len()] {
                     Strategy::Greedy => {
-                        greedy_restart(rng, state, sweeps, self.config.move_set, budget)
+                        greedy_restart(state, rng, sweeps, self.config.move_set, budget)
                     }
                     Strategy::Annealing { initial_temperature, final_temperature } => {
                         let t_start = initial_temperature * scale;
@@ -311,8 +277,7 @@ impl PortfolioSolver {
         )?;
         let completion = run.completion();
         // The all-zero baseline keeps the result no worse than the trivial
-        // assignment even when every restart lands in a bad basin (same floor
-        // as the standalone greedy/annealing solvers).
+        // assignment even when every restart lands in a bad basin.
         let zero = vec![false; model.num_variables()];
         let zero_e = model.evaluate(&zero)?;
         let (solution, objective) =
@@ -325,37 +290,6 @@ impl PortfolioSolver {
             iterations: run.iterations,
             completion,
         })
-    }
-}
-
-impl QuboSolver for PortfolioSolver {
-    fn name(&self) -> &str {
-        "portfolio"
-    }
-
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        self.solve_impl(model, None, &Budget::unlimited())
-    }
-
-    /// Warm-started solve: restart 0 polishes `hint` by descent (under the
-    /// configured move set) instead of running its regular strategy, so the
-    /// result is never worse than the polished incumbent. All other restarts
-    /// are unchanged, and determinism across thread counts is preserved.
-    fn solve_with_hint(&self, model: &QuboModel, hint: &[bool]) -> Result<SolveReport, QuboError> {
-        self.solve_impl(model, Some(hint), &Budget::unlimited())
-    }
-
-    /// Anytime solve: restarts and sweeps observe `budget`, the reduction is
-    /// over completed restarts only, and the report is marked
-    /// [`qhdcd_qubo::Completion::Truncated`] when the budget cut the schedule
-    /// short.
-    fn solve_bounded(
-        &self,
-        model: &QuboModel,
-        hint: Option<&[bool]>,
-        budget: &Budget,
-    ) -> Result<SolveReport, QuboError> {
-        self.solve_impl(model, hint, budget)
     }
 }
 
@@ -398,11 +332,24 @@ mod tests {
         zero_sweeps.config.sweeps = 0;
         assert!(zero_sweeps.solve(&model).is_err());
         assert!(PortfolioSolver::default().with_strategies(vec![]).solve(&model).is_err());
-        let bad_temps = PortfolioSolver::default().with_strategies(vec![Strategy::Annealing {
-            initial_temperature: -1.0,
-            final_temperature: 0.01,
-        }]);
-        assert!(bad_temps.solve(&model).is_err());
+        // A NaN temperature slips past a plain `<= 0.0` check, and an infinite
+        // one makes the cooling ratio meaningless: both must be rejected.
+        for (initial_temperature, final_temperature) in [
+            (-1.0, 0.01),
+            (f64::NAN, 0.01),
+            (2.0, f64::NAN),
+            (f64::INFINITY, 0.01),
+            (2.0, f64::INFINITY),
+        ] {
+            let bad_temps = PortfolioSolver::default().with_strategies(vec![Strategy::Annealing {
+                initial_temperature,
+                final_temperature,
+            }]);
+            assert!(
+                bad_temps.solve(&model).is_err(),
+                "accepted temperatures {initial_temperature} -> {final_temperature}"
+            );
+        }
     }
 
     #[test]
@@ -483,7 +430,9 @@ mod tests {
             // Use the plain solve's result as the incumbent of a second solve:
             // the warm-started objective must be at least as good.
             let incumbent = solver.solve(&model).unwrap();
-            let warm = solver.solve_with_hint(&model, &incumbent.solution).unwrap();
+            let warm = solver
+                .solve_bounded(&model, Some(&incumbent.solution), &Budget::unlimited())
+                .unwrap();
             assert!(
                 warm.objective <= incumbent.objective + 1e-12,
                 "seed={seed}: warm {} > incumbent {}",
@@ -503,7 +452,7 @@ mod tests {
         let incumbent_energy = model.evaluate(&all_ones).unwrap();
         let mut solver = PortfolioSolver::default();
         solver.config.restarts = 1;
-        let report = solver.solve_with_hint(&model, &all_ones).unwrap();
+        let report = solver.solve_bounded(&model, Some(&all_ones), &Budget::unlimited()).unwrap();
         assert!(report.objective <= incumbent_energy + 1e-12);
     }
 
@@ -514,7 +463,12 @@ mod tests {
         let base = PortfolioSolver::default().with_seed(2).with_restarts(9);
         let runs: Vec<SolveReport> = [1usize, 2, 8]
             .iter()
-            .map(|&t| base.clone().with_threads(t).solve_with_hint(&model, &hint).unwrap())
+            .map(|&t| {
+                base.clone()
+                    .with_threads(t)
+                    .solve_bounded(&model, Some(&hint), &Budget::unlimited())
+                    .unwrap()
+            })
             .collect();
         for r in &runs[1..] {
             assert_eq!(r.solution, runs[0].solution);
@@ -525,7 +479,9 @@ mod tests {
     #[test]
     fn warm_start_rejects_mismatched_hints() {
         let model = instance(10, 0.3, 0);
-        let err = PortfolioSolver::default().solve_with_hint(&model, &[true; 4]).unwrap_err();
+        let err = PortfolioSolver::default()
+            .solve_bounded(&model, Some(&[true; 4]), &Budget::unlimited())
+            .unwrap_err();
         assert!(matches!(err, qhdcd_qubo::QuboError::SolutionSizeMismatch { .. }));
     }
 

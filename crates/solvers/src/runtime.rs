@@ -1,7 +1,7 @@
 //! Deterministic parallel restart runtime shared by every restart-based solver.
 //!
-//! Restarts of local-search solvers (greedy descent, simulated annealing, tabu
-//! search) and the samples of `qhdcd_qhd::QhdSolver` are embarrassingly
+//! Restarts of the portfolio's members (greedy descent, simulated annealing,
+//! tabu search) and the samples of `qhdcd_qhd::QhdSolver` are embarrassingly
 //! parallel, but a naive parallelisation is
 //! *non-deterministic*: if all restarts draw from one shared RNG, the
 //! trajectory of restart `k` depends on how many draws earlier restarts

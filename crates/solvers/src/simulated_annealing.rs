@@ -1,23 +1,17 @@
-//! Single-flip Metropolis simulated annealing for QUBO.
+//! The annealing member of the restart portfolio: single-flip Metropolis
+//! simulated annealing with geometric cooling.
 //!
 //! The Metropolis loop runs on [`LocalFieldState`]: proposing a flip costs
 //! O(1) (one cached-field read) and only *accepted* flips pay the O(deg)
 //! neighbour-field update — on low-acceptance phases late in the cooling
 //! schedule this is the difference between O(deg) and O(1) per proposal.
-//!
-//! Restarts are batched over the deterministic parallel
-//! [`runtime`](crate::runtime): restart `k` draws from its own ChaCha stream
-//! derived from the root seed, so the result is bit-identical for every
-//! worker-thread count.
+//! Restart `k` draws from its own ChaCha stream derived from the root seed,
+//! so the result is bit-identical for every worker-thread count.
 
-use crate::runtime::{self, RestartRun};
-use qhdcd_qubo::{
-    Budget, LocalFieldState, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus,
-    SolverOptions,
-};
+use crate::runtime::RestartRun;
+use qhdcd_qubo::{Budget, LocalFieldState, QuboModel};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
 
 /// The instance's coefficient scale used to normalise annealing temperatures:
 /// the largest absolute linear or quadratic coefficient (at least 1e-9), so
@@ -76,164 +70,25 @@ pub(crate) fn anneal_restart(
     RestartRun { solution: best, energy: best_e, iterations: performed, interrupted }
 }
 
-/// Simulated-annealing QUBO solver with geometric cooling and parallel
-/// restarts.
-///
-/// # Example
-///
-/// ```
-/// use qhdcd_qubo::{QuboBuilder, QuboSolver};
-/// use qhdcd_solvers::SimulatedAnnealing;
-///
-/// # fn main() -> Result<(), qhdcd_qubo::QuboError> {
-/// let mut b = QuboBuilder::new(4);
-/// b.add_quadratic(0, 1, -1.0)?;
-/// b.add_quadratic(2, 3, -1.0)?;
-/// let report = SimulatedAnnealing::default().solve(&b.build())?;
-/// assert_eq!(report.objective, -2.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimulatedAnnealing {
-    /// Time limit and RNG seed.
-    pub options: SolverOptions,
-    /// Number of independent annealing restarts.
-    pub restarts: usize,
-    /// Worker threads the restarts are batched over (`0` = all cores). The
-    /// result does not depend on this value.
-    pub threads: usize,
-    /// Metropolis sweeps per restart.
-    pub sweeps: usize,
-    /// Initial temperature (in units of the typical flip magnitude).
-    pub initial_temperature: f64,
-    /// Final temperature.
-    pub final_temperature: f64,
-}
-
-impl Default for SimulatedAnnealing {
-    fn default() -> Self {
-        SimulatedAnnealing {
-            options: SolverOptions::default(),
-            restarts: 4,
-            threads: 1,
-            sweeps: 200,
-            initial_temperature: 2.0,
-            final_temperature: 0.01,
-        }
-    }
-}
-
-impl SimulatedAnnealing {
-    /// Creates a solver with the default annealing parameters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a copy with a different sweep budget.
-    pub fn with_sweeps(mut self, sweeps: usize) -> Self {
-        self.sweeps = sweeps;
-        self
-    }
-
-    /// Returns a copy with a different number of restarts.
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
-    /// Returns a copy with a different worker-thread count (`0` = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Returns a copy with a different RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.options.seed = seed;
-        self
-    }
-
-    /// Shared implementation behind [`QuboSolver::solve`] and
-    /// [`QuboSolver::solve_bounded`].
-    fn solve_impl(&self, model: &QuboModel, budget: &Budget) -> Result<SolveReport, QuboError> {
-        let start = Instant::now();
-        let n = model.num_variables();
-        if n == 0 {
-            return Err(QuboError::InvalidConfig { reason: "model has no variables".into() });
-        }
-        if self.sweeps == 0 || self.initial_temperature <= 0.0 || self.final_temperature <= 0.0 {
-            return Err(QuboError::InvalidConfig {
-                reason: "sweeps and temperatures must be positive".into(),
-            });
-        }
-        // Scale temperatures by the typical coefficient magnitude so defaults
-        // work for instances of any scale.
-        let scale = annealing_scale(model);
-        let t_start = self.initial_temperature * scale;
-        let t_end = self.final_temperature * scale;
-        let cooling = (t_end / t_start).powf(1.0 / self.sweeps.max(1) as f64);
-        let budget = budget.clone().merged_with_time_limit(self.options.time_limit);
-
-        let kernel =
-            |_k: usize, rng: &mut ChaCha8Rng, state: &mut LocalFieldState<'_>, budget: &Budget| {
-                anneal_restart(state, rng, self.sweeps, t_start, cooling, budget)
-            };
-        let run = runtime::run_restarts(
-            model,
-            self.restarts.max(1),
-            self.threads,
-            self.options.seed,
-            &budget,
-            &kernel,
-        )?;
-        let completion = run.completion();
-        // The all-zero baseline keeps the result no worse than the trivial
-        // assignment even when every restart lands badly.
-        let zero = vec![false; n];
-        let zero_e = model.evaluate(&zero)?;
-        let (solution, objective) =
-            if zero_e < run.energy { (zero, zero_e) } else { (run.solution, run.energy) };
-        Ok(SolveReport {
-            solution,
-            objective,
-            status: SolveStatus::Heuristic,
-            elapsed: start.elapsed(),
-            iterations: run.iterations,
-            completion,
-        })
-    }
-}
-
-impl QuboSolver for SimulatedAnnealing {
-    fn name(&self) -> &str {
-        "simulated-annealing"
-    }
-
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        self.solve_impl(model, &Budget::unlimited())
-    }
-
-    fn solve_bounded(
-        &self,
-        model: &QuboModel,
-        hint: Option<&[bool]>,
-        budget: &Budget,
-    ) -> Result<SolveReport, QuboError> {
-        // Annealing has no warm-start path (matching `solve_with_hint`'s
-        // default).
-        let _ = hint;
-        self.solve_impl(model, budget)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ExhaustiveSearch;
+    use crate::{ExhaustiveSearch, PortfolioSolver, Strategy};
     use qhdcd_qubo::generate::{random_qubo, RandomQuboConfig};
-    use qhdcd_qubo::QuboBuilder;
+    use qhdcd_qubo::{QuboBuilder, QuboSolver, SolveStatus};
     use std::time::Duration;
+
+    /// Annealing-only portfolio: 4 restarts of 200 sweeps cooling from 2.0 to
+    /// 0.01 (in units of the coefficient scale) on one worker.
+    fn annealing(seed: u64) -> PortfolioSolver {
+        PortfolioSolver::default()
+            .with_strategies(vec![Strategy::Annealing {
+                initial_temperature: 2.0,
+                final_temperature: 0.01,
+            }])
+            .with_restarts(4)
+            .with_threads(1)
+            .with_seed(seed)
+    }
 
     #[test]
     fn reaches_the_optimum_on_small_instances() {
@@ -245,7 +100,7 @@ mod tests {
                 seed,
             })
             .unwrap();
-            let sa = SimulatedAnnealing::default().with_seed(seed).solve(&model).unwrap();
+            let sa = annealing(seed).solve(&model).unwrap();
             let exact = ExhaustiveSearch.solve(&model).unwrap();
             assert!(
                 (sa.objective - exact.objective).abs() < 1e-9,
@@ -259,10 +114,15 @@ mod tests {
     #[test]
     fn rejects_degenerate_configurations() {
         let model = QuboBuilder::new(2).build();
-        assert!(SimulatedAnnealing::default().with_sweeps(0).solve(&model).is_err());
-        let bad = SimulatedAnnealing { initial_temperature: -1.0, ..SimulatedAnnealing::default() };
+        let mut no_sweeps = annealing(0);
+        no_sweeps.config.sweeps = 0;
+        assert!(no_sweeps.solve(&model).is_err());
+        let bad = annealing(0).with_strategies(vec![Strategy::Annealing {
+            initial_temperature: -1.0,
+            final_temperature: 0.01,
+        }]);
         assert!(bad.solve(&model).is_err());
-        assert!(SimulatedAnnealing::default().solve(&QuboBuilder::new(0).build()).is_err());
+        assert!(annealing(0).solve(&QuboBuilder::new(0).build()).is_err());
     }
 
     #[test]
@@ -274,7 +134,7 @@ mod tests {
             seed: 5,
         })
         .unwrap();
-        let report = SimulatedAnnealing::default().solve(&model).unwrap();
+        let report = annealing(0).solve(&model).unwrap();
         assert_eq!(report.status, SolveStatus::Heuristic);
         assert!((model.evaluate(&report.solution).unwrap() - report.objective).abs() < 1e-9);
     }
@@ -288,12 +148,9 @@ mod tests {
             seed: 2,
         })
         .unwrap();
-        let solver = SimulatedAnnealing {
-            options: SolverOptions::with_time_limit(Duration::from_millis(30)),
-            restarts: 100,
-            sweeps: 100_000,
-            ..SimulatedAnnealing::default()
-        };
+        let mut solver = annealing(0).with_restarts(100);
+        solver.config.sweeps = 100_000;
+        solver.config.time_limit = Some(Duration::from_millis(30));
         let report = solver.solve(&model).unwrap();
         // Generous bound: the solve should terminate well before the unconstrained
         // budget (100 restarts × 100k sweeps) would take.
@@ -309,11 +166,11 @@ mod tests {
             seed: 8,
         })
         .unwrap();
-        let a = SimulatedAnnealing::default().with_seed(4).solve(&model).unwrap();
-        let b = SimulatedAnnealing::default().with_seed(4).solve(&model).unwrap();
+        let a = annealing(4).solve(&model).unwrap();
+        let b = annealing(4).solve(&model).unwrap();
         assert_eq!(a.objective, b.objective);
         assert_eq!(a.solution, b.solution);
-        let c = SimulatedAnnealing::default().with_seed(4).with_threads(8).solve(&model).unwrap();
+        let c = annealing(4).with_threads(8).solve(&model).unwrap();
         assert_eq!(a.objective.to_bits(), c.objective.to_bits());
         assert_eq!(a.solution, c.solution);
     }
@@ -327,8 +184,9 @@ mod tests {
             b.add_quadratic(i, i + 1, 5.0).unwrap();
         }
         let model = b.build();
-        let report =
-            SimulatedAnnealing::default().with_sweeps(1).with_seed(3).solve(&model).unwrap();
+        let mut solver = annealing(3);
+        solver.config.sweeps = 1;
+        let report = solver.solve(&model).unwrap();
         assert!(report.objective <= 0.0);
     }
 }

@@ -1,23 +1,16 @@
-//! Single-flip tabu search for QUBO.
+//! The tabu member of the restart portfolio: single-flip tabu search.
 //!
 //! The move scan runs on [`LocalFieldState`]: each of the `n` candidate flips
 //! per iteration is scored in O(1) from the cached fields, and only the one
 //! applied move pays the O(deg) field update — an O(nnz) → O(n + deg)
-//! per-iteration improvement.
-//!
-//! Restarts (disabled by default) are batched over the deterministic parallel
-//! [`runtime`](crate::runtime); each restart runs an independent tabu chain
+//! per-iteration improvement. Each restart runs an independent tabu chain
 //! from its own ChaCha stream.
 
 use crate::local_search;
-use crate::runtime::{self, RestartRun};
-use qhdcd_qubo::{
-    Budget, LocalFieldState, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus,
-    SolverOptions,
-};
+use crate::runtime::RestartRun;
+use qhdcd_qubo::{Budget, LocalFieldState};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
 
 /// Runs one tabu restart on the worker's engine: a random start drawn from the
 /// restart's stream, a short seeding descent, then `iterations` tabu moves
@@ -76,147 +69,23 @@ pub(crate) fn tabu_restart(
     RestartRun { solution: best, energy: best_e, iterations: performed, interrupted }
 }
 
-/// Tabu-search QUBO solver: at every iteration the best non-tabu single flip is
-/// applied (even if it worsens the energy), recently flipped variables are tabu
-/// for `tenure` iterations, and an aspiration criterion overrides the tabu
-/// status when a flip would improve on the best solution found so far.
-///
-/// # Example
-///
-/// ```
-/// use qhdcd_qubo::{QuboBuilder, QuboSolver};
-/// use qhdcd_solvers::TabuSearch;
-///
-/// # fn main() -> Result<(), qhdcd_qubo::QuboError> {
-/// let mut b = QuboBuilder::new(3);
-/// b.add_linear(0, -2.0)?;
-/// b.add_quadratic(1, 2, 1.0)?;
-/// let report = TabuSearch::default().solve(&b.build())?;
-/// assert_eq!(report.objective, -2.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct TabuSearch {
-    /// Time limit and RNG seed.
-    pub options: SolverOptions,
-    /// Number of tabu iterations (single flips) per restart.
-    pub iterations: usize,
-    /// Tabu tenure; `None` uses `max(10, n/10)` capped at `n/2` (the cap only
-    /// affects `n < 20`, where a tenure near `n` degenerates the chain).
-    pub tenure: Option<usize>,
-    /// Number of independent restarts (independent chains; best-of reduction).
-    pub restarts: usize,
-    /// Worker threads the restarts are batched over (`0` = all cores). The
-    /// result does not depend on this value.
-    pub threads: usize,
-}
-
-impl Default for TabuSearch {
-    fn default() -> Self {
-        TabuSearch {
-            options: SolverOptions::default(),
-            iterations: 2_000,
-            tenure: None,
-            restarts: 1,
-            threads: 1,
-        }
-    }
-}
-
-impl TabuSearch {
-    /// Creates a solver with the default parameters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a copy with a different iteration budget.
-    pub fn with_iterations(mut self, iterations: usize) -> Self {
-        self.iterations = iterations;
-        self
-    }
-
-    /// Returns a copy with a different number of restarts.
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
-    /// Returns a copy with a different worker-thread count (`0` = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Returns a copy with a different RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.options.seed = seed;
-        self
-    }
-
-    /// Shared implementation behind [`QuboSolver::solve`] and
-    /// [`QuboSolver::solve_bounded`].
-    fn solve_impl(&self, model: &QuboModel, budget: &Budget) -> Result<SolveReport, QuboError> {
-        let start = Instant::now();
-        let n = model.num_variables();
-        if n == 0 {
-            return Err(QuboError::InvalidConfig { reason: "model has no variables".into() });
-        }
-        if self.iterations == 0 {
-            return Err(QuboError::InvalidConfig { reason: "iterations must be positive".into() });
-        }
-        let budget = budget.clone().merged_with_time_limit(self.options.time_limit);
-        let kernel =
-            |_k: usize, rng: &mut ChaCha8Rng, state: &mut LocalFieldState<'_>, budget: &Budget| {
-                tabu_restart(state, rng, self.iterations, self.tenure, budget)
-            };
-        let run = runtime::run_restarts(
-            model,
-            self.restarts.max(1),
-            self.threads,
-            self.options.seed,
-            &budget,
-            &kernel,
-        )?;
-        let completion = run.completion();
-        Ok(SolveReport {
-            solution: run.solution,
-            objective: run.energy,
-            status: SolveStatus::Heuristic,
-            elapsed: start.elapsed(),
-            iterations: run.iterations,
-            completion,
-        })
-    }
-}
-
-impl QuboSolver for TabuSearch {
-    fn name(&self) -> &str {
-        "tabu-search"
-    }
-
-    fn solve(&self, model: &QuboModel) -> Result<SolveReport, QuboError> {
-        self.solve_impl(model, &Budget::unlimited())
-    }
-
-    fn solve_bounded(
-        &self,
-        model: &QuboModel,
-        hint: Option<&[bool]>,
-        budget: &Budget,
-    ) -> Result<SolveReport, QuboError> {
-        // Tabu has no warm-start path (matching `solve_with_hint`'s default).
-        let _ = hint;
-        self.solve_impl(model, budget)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ExhaustiveSearch;
+    use crate::{ExhaustiveSearch, PortfolioSolver, Strategy};
     use qhdcd_qubo::generate::{random_qubo, RandomQuboConfig};
-    use qhdcd_qubo::QuboBuilder;
+    use qhdcd_qubo::{QuboBuilder, QuboSolver, SolveStatus};
+
+    /// Tabu-only portfolio: one chain of `iterations` moves with the default
+    /// tenure on one worker.
+    fn tabu(seed: u64, iterations: usize) -> PortfolioSolver {
+        let mut solver = PortfolioSolver::default()
+            .with_strategies(vec![Strategy::Tabu { tenure: None }])
+            .with_restarts(1)
+            .with_threads(1)
+            .with_seed(seed);
+        solver.config.sweeps = iterations;
+        solver
+    }
 
     #[test]
     fn reaches_the_optimum_on_small_instances() {
@@ -228,7 +97,7 @@ mod tests {
                 seed,
             })
             .unwrap();
-            let tabu = TabuSearch::default().with_seed(seed).solve(&model).unwrap();
+            let tabu = tabu(seed, 2_000).solve(&model).unwrap();
             let exact = ExhaustiveSearch.solve(&model).unwrap();
             assert!(
                 (tabu.objective - exact.objective).abs() < 1e-9,
@@ -249,7 +118,7 @@ mod tests {
         b.add_linear(1, 0.4).unwrap();
         b.add_quadratic(0, 1, -1.5).unwrap();
         let model = b.build();
-        let report = TabuSearch::default().solve(&model).unwrap();
+        let report = tabu(0, 2_000).solve(&model).unwrap();
         assert!((report.objective - (-0.7)).abs() < 1e-9);
         assert_eq!(report.solution, vec![true, true]);
     }
@@ -257,8 +126,8 @@ mod tests {
     #[test]
     fn rejects_degenerate_configurations() {
         let model = QuboBuilder::new(2).build();
-        assert!(TabuSearch::default().with_iterations(0).solve(&model).is_err());
-        assert!(TabuSearch::default().solve(&QuboBuilder::new(0).build()).is_err());
+        assert!(tabu(0, 0).solve(&model).is_err());
+        assert!(tabu(0, 2_000).solve(&QuboBuilder::new(0).build()).is_err());
     }
 
     #[test]
@@ -270,7 +139,7 @@ mod tests {
             seed: 33,
         })
         .unwrap();
-        let report = TabuSearch::default().solve(&model).unwrap();
+        let report = tabu(0, 2_000).solve(&model).unwrap();
         assert!((model.evaluate(&report.solution).unwrap() - report.objective).abs() < 1e-9);
         assert_eq!(report.status, SolveStatus::Heuristic);
         assert!(report.iterations > 0);
@@ -285,8 +154,8 @@ mod tests {
             seed: 12,
         })
         .unwrap();
-        let a = TabuSearch::default().with_seed(7).solve(&model).unwrap();
-        let b = TabuSearch::default().with_seed(7).solve(&model).unwrap();
+        let a = tabu(7, 2_000).solve(&model).unwrap();
+        let b = tabu(7, 2_000).solve(&model).unwrap();
         assert_eq!(a.objective, b.objective);
     }
 
@@ -299,14 +168,8 @@ mod tests {
             seed: 21,
         })
         .unwrap();
-        let single = TabuSearch::default().with_seed(3).with_iterations(400).solve(&model).unwrap();
-        let multi = TabuSearch::default()
-            .with_seed(3)
-            .with_iterations(400)
-            .with_restarts(4)
-            .with_threads(2)
-            .solve(&model)
-            .unwrap();
+        let single = tabu(3, 400).solve(&model).unwrap();
+        let multi = tabu(3, 400).with_restarts(4).with_threads(2).solve(&model).unwrap();
         assert!(multi.objective <= single.objective + 1e-12);
     }
 }

@@ -39,15 +39,6 @@ pub struct StreamConfig {
     /// last full solve, as a fraction of the current total edge weight. Must
     /// be positive.
     pub drift_threshold: f64,
-    /// Adaptive scaling of the drift threshold with batch size: the effective
-    /// threshold of a batch of `b` events over `n` nodes is
-    /// `drift_threshold · (1 + drift_batch_scale · b / n)`. A fixed threshold
-    /// over-triggers full re-detects on bursty traffic, where one heavy batch
-    /// legitimately carries a lot of weight churn; scaling the allowance with
-    /// the batch size keeps small-batch sensitivity while tolerating bursts.
-    /// Must be finite and non-negative. The default `0.0` reproduces the
-    /// fixed-threshold behaviour bit-for-bit (pinned by a regression test).
-    pub drift_batch_scale: f64,
     /// The detector used for the initial solve and for full re-detects (which
     /// are warm-started from the incumbent via
     /// [`CommunityDetector::detect_with_hint`]). Configure a time limit here
@@ -61,7 +52,6 @@ impl Default for StreamConfig {
             refine: RefineConfig::default(),
             frontier_fraction: 0.25,
             drift_threshold: 0.5,
-            drift_batch_scale: 0.0,
             detector: CommunityDetector::classical_fallback(),
         }
     }
@@ -108,14 +98,6 @@ impl StreamConfig {
         if !(self.drift_threshold > 0.0 && self.drift_threshold.is_finite()) {
             return Err(StreamError::InvalidConfig {
                 reason: format!("drift_threshold must be positive, got {}", self.drift_threshold),
-            });
-        }
-        if !(self.drift_batch_scale >= 0.0 && self.drift_batch_scale.is_finite()) {
-            return Err(StreamError::InvalidConfig {
-                reason: format!(
-                    "drift_batch_scale must be finite and non-negative, got {}",
-                    self.drift_batch_scale
-                ),
             });
         }
         if self.refine.max_passes == 0 {
@@ -440,14 +422,9 @@ impl StreamingDetector {
         // --- Phase 3: localized repair or epoch fallback.
         let n = self.graph.num_nodes();
         let total_weight = self.graph.total_edge_weight();
-        // Adaptive drift allowance: `drift_batch_scale == 0.0` multiplies by
-        // exactly 1.0, so the default preserves the fixed-threshold decisions
-        // bit-for-bit.
-        let effective_drift_threshold = self.config.drift_threshold
-            * (1.0 + self.config.drift_batch_scale * events.len() as f64 / n as f64);
         let full_redetect = total_weight > 0.0
             && (frontier.len() as f64 > self.config.frontier_fraction * n as f64
-                || self.drift > effective_drift_threshold * total_weight);
+                || self.drift > self.config.drift_threshold * total_weight);
         let (nodes_moved, refine_passes) = if full_redetect {
             (self.full_redetect()?, 0)
         } else {
@@ -735,8 +712,6 @@ mod tests {
             StreamConfig { frontier_fraction: 1.5, ..StreamConfig::default() },
             StreamConfig { drift_threshold: 0.0, ..StreamConfig::default() },
             StreamConfig { drift_threshold: f64::NAN, ..StreamConfig::default() },
-            StreamConfig { drift_batch_scale: -0.5, ..StreamConfig::default() },
-            StreamConfig { drift_batch_scale: f64::INFINITY, ..StreamConfig::default() },
             StreamConfig {
                 refine: RefineConfig { max_passes: 0, ..RefineConfig::default() },
                 ..StreamConfig::default()
@@ -960,70 +935,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, StreamError::EventFailed { index: 1, .. }));
         assert_q_consistent(&detector);
-    }
-
-    #[test]
-    fn adaptive_drift_threshold_tolerates_heavy_batches() {
-        // One heavy batch whose churn exceeds the fixed allowance: with
-        // drift_batch_scale = 0 it must fall back to a full re-detect, while a
-        // large enough scale raises the per-batch allowance and keeps the
-        // repair localized. Same events, same seed — only the scale differs.
-        let run = |scale: f64| {
-            let pg = generators::ring_of_cliques(6, 5).unwrap();
-            let graph = DynamicGraph::from_graph(&pg.graph);
-            let config = StreamConfig {
-                drift_threshold: 0.05,
-                drift_batch_scale: scale,
-                frontier_fraction: 1.0,
-                ..StreamConfig::default()
-            }
-            .with_seed(3);
-            let mut detector =
-                StreamingDetector::from_partition(graph, pg.ground_truth.clone(), config).unwrap();
-            let stats =
-                detector.apply_events(&[EdgeEvent::Add { u: 0, v: 1, weight: 10.0 }]).unwrap();
-            assert_q_consistent(&detector);
-            stats.full_redetect
-        };
-        assert!(run(0.0), "fixed threshold must trigger the epoch fallback");
-        assert!(!run(200.0), "scaled allowance must keep the heavy batch localized");
-    }
-
-    #[test]
-    fn zero_batch_scale_is_bit_identical_to_the_fixed_threshold() {
-        // The adaptive form with the default scale must reproduce the exact
-        // trace of the pre-adaptive detector (the regression pin for the
-        // existing fixed-seed streaming tests).
-        let run = |config: StreamConfig| {
-            let pg = generators::ring_of_cliques(6, 5).unwrap();
-            let graph = DynamicGraph::from_graph(&pg.graph);
-            let mut detector = StreamingDetector::from_partition(
-                graph,
-                pg.ground_truth.clone(),
-                config.with_seed(7),
-            )
-            .unwrap();
-            let mut trace = Vec::new();
-            for step in 0..10u64 {
-                let u = (step * 11 % 30) as usize;
-                let v = (step * 17 + 1) as usize % 30;
-                let events = if detector.graph().has_edge(u, v) {
-                    vec![EdgeEvent::Remove { u, v }]
-                } else {
-                    vec![EdgeEvent::Add { u, v, weight: 0.5 + step as f64 / 7.0 }]
-                };
-                let stats = detector.apply_events(&events).unwrap();
-                trace.push((stats.modularity.to_bits(), stats.nodes_moved, stats.full_redetect));
-            }
-            (trace, detector.partition())
-        };
-        let fixed = StreamConfig { drift_threshold: 0.08, ..StreamConfig::default() };
-        let adaptive = StreamConfig {
-            drift_threshold: 0.08,
-            drift_batch_scale: 0.0,
-            ..StreamConfig::default()
-        };
-        assert_eq!(run(fixed), run(adaptive));
     }
 
     #[test]

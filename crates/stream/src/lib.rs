@@ -25,9 +25,6 @@
 //!   warm-started from the incumbent partition via
 //!   `CommunityDetector::detect_with_hint` (the portfolio seeds one restart
 //!   from the incumbent, so the re-solve can only improve on local polish).
-//!   The drift allowance optionally scales with the batch size
-//!   ([`StreamConfig::drift_batch_scale`]) so bursty traffic does not
-//!   over-trigger full re-detects.
 //! * **Service layer.** [`StreamingService`] (module [`service`]) runs the
 //!   detector as a long-lived concurrent service: lock-free versioned
 //!   snapshot reads (module [`snapshot`]), bounded-queue ingestion with

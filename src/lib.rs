@@ -10,7 +10,7 @@
 //! | [`graph`] | `qhdcd-graph` | CSR graphs, partitions, modularity, metrics, generators, I/O |
 //! | [`qubo`] | `qhdcd-qubo` | QUBO models, builders, solver trait |
 //! | [`qhd`] | `qhdcd-qhd` | Quantum Hamiltonian Descent simulator and solver |
-//! | [`solvers`] | `qhdcd-solvers` | branch-and-bound (exact), simulated annealing, tabu, greedy |
+//! | [`solvers`] | `qhdcd-solvers` | branch-and-bound (exact), exhaustive search, the restart portfolio (greedy, annealing, tabu members) |
 //! | [`core`] | `qhdcd-core` | QUBO formulation, direct and multilevel pipelines, Louvain baseline |
 //! | [`stream`] | `qhdcd-stream` | dynamic graphs, edge events, incremental community maintenance |
 //!
@@ -45,7 +45,8 @@ pub use qhdcd_qubo as qubo;
 /// Quantum Hamiltonian Descent simulator and QUBO solver.
 pub use qhdcd_qhd as qhd;
 
-/// Classical baseline QUBO solvers (branch-and-bound, SA, tabu, greedy).
+/// Classical baseline QUBO solvers (branch-and-bound, exhaustive search, the
+/// restart portfolio).
 pub use qhdcd_solvers as solvers;
 
 /// Community-detection pipelines: formulation, direct, multilevel, Louvain baseline.
@@ -62,7 +63,7 @@ pub mod prelude {
     };
     pub use crate::qhd::QhdSolver;
     pub use crate::qubo::{QuboBuilder, QuboModel, QuboSolver, SolveStatus};
-    pub use crate::solvers::{BranchAndBound, SimulatedAnnealing};
+    pub use crate::solvers::{BranchAndBound, PortfolioSolver};
     pub use crate::stream::{ServiceConfig, StreamConfig, StreamingDetector, StreamingService};
 }
 

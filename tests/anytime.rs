@@ -19,10 +19,7 @@
 use qhdcd::qhd::QhdSolver;
 use qhdcd::qubo::generate::{random_qubo, RandomQuboConfig};
 use qhdcd::qubo::{Budget, CancelToken, Completion, QuboModel, QuboSolver};
-use qhdcd::solvers::{
-    BranchAndBound, ExhaustiveSearch, MultiStartGreedy, PortfolioSolver, SimulatedAnnealing,
-    TabuSearch,
-};
+use qhdcd::solvers::{BranchAndBound, ExhaustiveSearch, PortfolioSolver, Strategy};
 
 fn instance(n: usize, seed: u64) -> QuboModel {
     random_qubo(&RandomQuboConfig { num_variables: n, density: 0.6, coefficient_range: 1.0, seed })
@@ -32,38 +29,29 @@ fn instance(n: usize, seed: u64) -> QuboModel {
 /// Builds a solver from `(restarts, threads)`.
 type SolverFactory = Box<dyn Fn(usize, usize) -> Box<dyn QuboSolver>>;
 
+/// A portfolio over `strategies`.
+fn portfolio(strategies: Vec<Strategy>) -> SolverFactory {
+    Box::new(move |r, t| {
+        Box::new(
+            PortfolioSolver::default()
+                .with_strategies(strategies.clone())
+                .with_seed(9)
+                .with_restarts(r)
+                .with_threads(t),
+        ) as Box<dyn QuboSolver>
+    })
+}
+
 /// Restart-structured families: `make(restarts, threads)` builds the solver.
+/// Each portfolio member also runs alone.
 fn restart_families() -> Vec<(&'static str, SolverFactory)> {
+    let annealing = Strategy::Annealing { initial_temperature: 2.0, final_temperature: 0.01 };
+    let tabu = Strategy::Tabu { tenure: None };
     vec![
-        (
-            "multi-start-greedy",
-            Box::new(|r, t| {
-                Box::new(MultiStartGreedy::default().with_seed(9).with_restarts(r).with_threads(t))
-                    as Box<dyn QuboSolver>
-            }) as Box<dyn Fn(usize, usize) -> Box<dyn QuboSolver>>,
-        ),
-        (
-            "simulated-annealing",
-            Box::new(|r, t| {
-                Box::new(
-                    SimulatedAnnealing::default().with_seed(9).with_restarts(r).with_threads(t),
-                ) as Box<dyn QuboSolver>
-            }),
-        ),
-        (
-            "tabu-search",
-            Box::new(|r, t| {
-                Box::new(TabuSearch::default().with_seed(9).with_restarts(r).with_threads(t))
-                    as Box<dyn QuboSolver>
-            }),
-        ),
-        (
-            "portfolio",
-            Box::new(|r, t| {
-                Box::new(PortfolioSolver::default().with_seed(9).with_restarts(r).with_threads(t))
-                    as Box<dyn QuboSolver>
-            }),
-        ),
+        ("greedy", portfolio(vec![Strategy::Greedy])),
+        ("annealing", portfolio(vec![annealing])),
+        ("tabu", portfolio(vec![tabu])),
+        ("portfolio", portfolio(vec![Strategy::Greedy, annealing, tabu])),
         (
             "qhd-mean-field",
             Box::new(|r, t| {

@@ -17,7 +17,9 @@
 //! The fingerprints pinned below were captured on the commit *before* each
 //! change. Pins A–C are a small corpus; pins D and E are the two shapes the
 //! benchmark runs: a dense graph that halves per level and a sparse one that
-//! collapses into a star.
+//! collapses into a star. Pin F holds `Method::AnnealingMultilevel`, now an
+//! annealing-only restart portfolio, to the standalone annealing solver it
+//! replaced.
 
 use qhdcd::core::coarsen::{coarsen_hierarchy, CoarsenConfig, Hierarchy};
 use qhdcd::core::formulation::{build_qubo, FormulationConfig};
@@ -106,6 +108,19 @@ const PIN_E_LEVELS: [u64; 20] = [
 ];
 const PIN_E_LABELS: u64 = 0x5ae47f246c7e9fc2;
 const PIN_E_QBITS: u64 = 0x3fe2933ad8d9ea95;
+
+/// Pin F: `Method::AnnealingMultilevel` through `detect` and through
+/// `detect_with_hint` with the hint `(7 i) mod 5`, as labels fingerprint and
+/// Q bits, captured while the method still ran the standalone simulated
+/// annealing solver (which ignored the hint). Karate club at k = 4, seed 3;
+/// `ring_of_cliques(10, 7)` at k = 10, seed 5; a 400-node planted graph at
+/// k = 6, seed 7 (coarsened, θ = 200). On the karate club the locally
+/// refined hint beats the detection, so the warm run returns it.
+const PIN_F: [(u64, u64, u64, u64); 3] = [
+    (0x1330a2b27f1aacc4, 0x3fd6af611d744d6c, 0x36393c463f19d8e4, 0x3fd7083f48e0dcd3),
+    (0xb0509aff90783662, 0x3fea10c1a10c1a10, 0xb0509aff90783662, 0x3fea10c1a10c1a10),
+    (0x5d609541593f9620, 0x3fe0383c9c067946, 0x5d609541593f9620, 0x3fe0383c9c067946),
+];
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -274,6 +289,39 @@ fn hierarchies_and_detections_are_bit_identical_to_the_pins() {
         let out = multilevel::detect(&graph, &solver, &config).unwrap();
         assert_eq!(labels_fingerprint(&out.partition), labels, "{name}: labels");
         assert_eq!(out.modularity.to_bits(), qbits, "{name}: Q");
+    }
+}
+
+#[test]
+fn annealing_multilevel_is_bit_identical_to_the_pins() {
+    let planted = generators::planted_partition(&generators::PlantedPartitionConfig {
+        num_nodes: 400,
+        num_communities: 6,
+        p_in: 0.08,
+        p_out: 0.008,
+        seed: 21,
+    })
+    .unwrap()
+    .graph;
+    let cases = [
+        ("karate", generators::karate_club(), 4, 3),
+        ("ring of cliques", generators::ring_of_cliques(10, 7).unwrap().graph, 10, 5),
+        ("planted", planted, 6, 7),
+    ];
+    for ((name, graph, k, seed), pin) in cases.into_iter().zip(PIN_F) {
+        let detector =
+            CommunityDetector::new(Method::AnnealingMultilevel).with_communities(k).with_seed(seed);
+        let hint =
+            Partition::from_labels((0..graph.num_nodes()).map(|i| (i * 7) % 5).collect()).unwrap();
+        let plain = detector.detect(&graph).unwrap();
+        let warm = detector.detect_with_hint(&graph, &hint).unwrap();
+        let got = (
+            labels_fingerprint(&plain.partition),
+            plain.modularity.to_bits(),
+            labels_fingerprint(&warm.partition),
+            warm.modularity.to_bits(),
+        );
+        assert_eq!(got, pin, "{name}");
     }
 }
 

@@ -4,7 +4,7 @@
 use qhdcd::core::formulation::{build_qubo, FormulationConfig};
 use qhdcd::graph::{generators, metrics, modularity, Partition};
 use qhdcd::prelude::*;
-use qhdcd::solvers::{ExhaustiveSearch, SimulatedAnnealing, TabuSearch};
+use qhdcd::solvers::{ExhaustiveSearch, Strategy};
 
 #[test]
 fn qhd_recovers_planted_communities_end_to_end() {
@@ -63,8 +63,17 @@ fn all_solvers_agree_on_tiny_community_detection_qubos() {
     assert_eq!(bb.status, SolveStatus::Optimal);
     assert!((bb.objective - exact).abs() < 1e-9);
 
-    let sa = SimulatedAnnealing::default().with_seed(1).solve(model).unwrap().objective;
-    let tabu = TabuSearch::default().with_seed(1).solve(model).unwrap().objective;
+    // Annealing and tabu alone: one-member portfolios.
+    let member = |strategy, restarts| {
+        let solver = PortfolioSolver::default()
+            .with_strategies(vec![strategy])
+            .with_restarts(restarts)
+            .with_threads(1)
+            .with_seed(1);
+        solver.solve(model).unwrap().objective
+    };
+    let sa = member(Strategy::Annealing { initial_temperature: 2.0, final_temperature: 0.01 }, 4);
+    let tabu = member(Strategy::Tabu { tenure: None }, 1);
     let qhd = QhdSolver::builder().samples(4).seed(1).build().solve(model).unwrap().objective;
     for (name, value) in [("sa", sa), ("tabu", tabu), ("qhd", qhd)] {
         assert!((value - exact).abs() < 1e-6, "{name}={value} exact={exact}");

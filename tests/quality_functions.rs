@@ -261,6 +261,7 @@ fn coarse_level_cpm_null_term_is_exact_and_multilevel_matches_louvain() {
     use qhdcd::core::coarsen::CoarsenConfig;
     use qhdcd::core::multilevel::{self, MultilevelConfig};
     use qhdcd::graph::quotient;
+    use qhdcd::solvers::Strategy;
 
     for (cliques, size, gamma) in [(4usize, 5usize, 0.5), (6, 5, 0.25)] {
         let pg = generators::ring_of_cliques(cliques, size).unwrap();
@@ -290,9 +291,16 @@ fn coarse_level_cpm_null_term_is_exact_and_multilevel_matches_louvain() {
             ..MultilevelConfig::default()
         }
         .with_quality(quality);
-        let ml =
-            multilevel::detect(&pg.graph, &SimulatedAnnealing::default().with_seed(3), &ml_config)
-                .unwrap();
+        // Simulated annealing alone: a one-member portfolio, 4 restarts.
+        let annealing = PortfolioSolver::default()
+            .with_strategies(vec![Strategy::Annealing {
+                initial_temperature: 2.0,
+                final_temperature: 0.01,
+            }])
+            .with_restarts(4)
+            .with_threads(1)
+            .with_seed(3);
+        let ml = multilevel::detect(&pg.graph, &annealing, &ml_config).unwrap();
         assert!(ml.levels >= 1, "γ={gamma}: the instance must actually coarsen");
         let lv = CommunityDetector::new(Method::Louvain)
             .with_quality(quality)

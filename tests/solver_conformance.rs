@@ -20,10 +20,7 @@ use qhdcd::core::formulation::{build_qubo, FormulationConfig};
 use qhdcd::qhd::{Backend, QhdSolver};
 use qhdcd::qubo::generate::{random_qubo, RandomQuboConfig};
 use qhdcd::qubo::{QuboModel, QuboSolver, SolveReport, SolveStatus};
-use qhdcd::solvers::{
-    BranchAndBound, ExhaustiveSearch, MoveSet, MultiStartGreedy, PortfolioSolver,
-    SimulatedAnnealing, Strategy, TabuSearch,
-};
+use qhdcd::solvers::{BranchAndBound, ExhaustiveSearch, MoveSet, PortfolioSolver, Strategy};
 
 /// The exhaustive optimum — the conformance reference.
 fn exhaustive_optimum(model: &QuboModel) -> f64 {
@@ -52,13 +49,19 @@ fn assert_conforms(name: &str, model: &QuboModel, report: &SolveReport, optimum:
     }
 }
 
+/// The portfolio's members, each of which also runs alone.
+fn members() -> [(&'static str, Strategy); 3] {
+    [
+        ("greedy", Strategy::Greedy),
+        ("annealing", Strategy::Annealing { initial_temperature: 2.0, final_temperature: 0.01 }),
+        ("tabu", Strategy::Tabu { tenure: None }),
+    ]
+}
+
 /// Every solver family, configured for small instances. Boxed so one loop
 /// drives them all.
 fn solver_families(seed: u64) -> Vec<(&'static str, Box<dyn QuboSolver>)> {
-    vec![
-        ("multi-start-greedy", Box::new(MultiStartGreedy::default().with_seed(seed))),
-        ("simulated-annealing", Box::new(SimulatedAnnealing::default().with_seed(seed))),
-        ("tabu-search", Box::new(TabuSearch::default().with_seed(seed))),
+    let mut families: Vec<(&'static str, Box<dyn QuboSolver>)> = vec![
         ("branch-and-bound", Box::new(BranchAndBound::default())),
         ("portfolio", Box::new(PortfolioSolver::default().with_seed(seed))),
         (
@@ -94,7 +97,12 @@ fn solver_families(seed: u64) -> Vec<(&'static str, Box<dyn QuboSolver>)> {
                     .build(),
             ),
         ),
-    ]
+    ];
+    for (name, strategy) in members() {
+        let solver = PortfolioSolver::default().with_seed(seed).with_strategies(vec![strategy]);
+        families.push((name, Box::new(solver)));
+    }
+    families
 }
 
 fn random_instances(sizes: &[usize], seeds: std::ops::Range<u64>) -> Vec<QuboModel> {
@@ -194,22 +202,16 @@ fn restart_solvers_are_bit_deterministic_across_worker_counts() {
         seed: 11,
     })
     .unwrap();
-    let sa_1 = SimulatedAnnealing::default().with_seed(5).with_threads(1).solve(&model).unwrap();
-    let sa_8 = SimulatedAnnealing::default().with_seed(5).with_threads(8).solve(&model).unwrap();
-    assert_eq!(sa_1.solution, sa_8.solution);
-    assert_eq!(sa_1.objective.to_bits(), sa_8.objective.to_bits());
-
-    let greedy_1 = MultiStartGreedy::default().with_seed(5).with_threads(1).solve(&model).unwrap();
-    let greedy_8 = MultiStartGreedy::default().with_seed(5).with_threads(8).solve(&model).unwrap();
-    assert_eq!(greedy_1.solution, greedy_8.solution);
-    assert_eq!(greedy_1.objective.to_bits(), greedy_8.objective.to_bits());
-
-    let tabu_1 =
-        TabuSearch::default().with_seed(5).with_restarts(4).with_threads(1).solve(&model).unwrap();
-    let tabu_4 =
-        TabuSearch::default().with_seed(5).with_restarts(4).with_threads(4).solve(&model).unwrap();
-    assert_eq!(tabu_1.solution, tabu_4.solution);
-    assert_eq!(tabu_1.objective.to_bits(), tabu_4.objective.to_bits());
+    // Each member alone, so a determinism bug in one kernel cannot hide
+    // behind another member winning the reduction.
+    for (name, strategy) in members() {
+        let base = PortfolioSolver::default().with_seed(5).with_strategies(vec![strategy]);
+        let one = base.clone().with_restarts(4).with_threads(1).solve(&model).unwrap();
+        let four = base.with_restarts(4).with_threads(4).solve(&model).unwrap();
+        assert_eq!(one.solution, four.solution, "{name}");
+        assert_eq!(one.objective.to_bits(), four.objective.to_bits(), "{name}");
+        assert_eq!(one.iterations, four.iterations, "{name}");
+    }
 }
 
 #[test]

@@ -12,8 +12,9 @@
 //! The descent copies are verbatim seed implementations. The SA/tabu copies
 //! follow the *current* restart schedule (per-restart ChaCha streams derived
 //! with `runtime::restart_stream_seed`, introduced with the parallel restart
-//! portfolio runtime) — what they pin is the engine arithmetic, not the
-//! seeding scheme.
+//! portfolio runtime) and the portfolio's all-zero floor, and are compared
+//! with one-member portfolios — what they pin is the engine arithmetic, not
+//! the seeding scheme.
 
 // The naive implementations below are verbatim seed code; lints that would
 // rewrite them are suppressed so they stay byte-comparable with history.
@@ -22,7 +23,7 @@
 use qhdcd::qubo::generate::{random_qubo, RandomQuboConfig};
 use qhdcd::qubo::{QuboModel, QuboSolver};
 use qhdcd::solvers::runtime::restart_stream_seed;
-use qhdcd::solvers::{SimulatedAnnealing, TabuSearch};
+use qhdcd::solvers::{PortfolioSolver, Strategy};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -100,14 +101,21 @@ fn naive_pair_aware_descent(
     (x, energy)
 }
 
-/// Naive-engine implementation of the simulated-annealing solve loop, using
+/// Naive-engine implementation of an annealing-only portfolio solve, using
 /// per-candidate `QuboModel::flip_delta` scans but the *production* restart
 /// schedule: restart `k` draws from its own ChaCha stream derived with
-/// `runtime::restart_stream_seed` (PR 3 moved all restart-based solvers onto
-/// the parallel portfolio runtime), and the per-restart best is reduced by
+/// `runtime::restart_stream_seed` (every restart-based solver runs on the
+/// parallel portfolio runtime), and the per-restart best is reduced by
 /// `(energy, restart index)`. A rejected `delta <= 0` short-circuit consumes
 /// no acceptance draw, exactly as in the solver.
-fn naive_simulated_annealing(model: &QuboModel, solver: &SimulatedAnnealing) -> (Vec<bool>, f64) {
+fn naive_simulated_annealing(
+    model: &QuboModel,
+    seed: u64,
+    restarts: usize,
+    sweeps: usize,
+    initial_temperature: f64,
+    final_temperature: f64,
+) -> (Vec<bool>, f64) {
     let n = model.num_variables();
     let scale = model
         .linear()
@@ -116,18 +124,18 @@ fn naive_simulated_annealing(model: &QuboModel, solver: &SimulatedAnnealing) -> 
         .chain(model.quadratic_terms().map(|(_, _, w)| w.abs()))
         .fold(0.0f64, f64::max)
         .max(1e-9);
-    let t_start = solver.initial_temperature * scale;
-    let t_end = solver.final_temperature * scale;
-    let cooling = (t_end / t_start).powf(1.0 / solver.sweeps.max(1) as f64);
+    let t_start = initial_temperature * scale;
+    let t_end = final_temperature * scale;
+    let cooling = (t_end / t_start).powf(1.0 / sweeps as f64);
     let mut best: Option<(Vec<bool>, f64)> = None;
-    for k in 0..solver.restarts.max(1) {
-        let mut rng = ChaCha8Rng::seed_from_u64(restart_stream_seed(solver.options.seed, k as u64));
+    for k in 0..restarts {
+        let mut rng = ChaCha8Rng::seed_from_u64(restart_stream_seed(seed, k as u64));
         let mut x: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
         let mut e = model.evaluate(&x).unwrap();
         let mut restart_best = x.clone();
         let mut restart_best_e = e;
         let mut temperature = t_start;
-        for _ in 0..solver.sweeps {
+        for _ in 0..sweeps {
             for _ in 0..n {
                 let i = rng.gen_range(0..n);
                 let delta = model.flip_delta(&x, i);
@@ -147,8 +155,13 @@ fn naive_simulated_annealing(model: &QuboModel, solver: &SimulatedAnnealing) -> 
         }
     }
     let (best, best_e) = best.unwrap();
-    // The production solver keeps the all-zero baseline as a floor.
-    let zero = vec![false; n];
+    all_zero_floor(model, best, best_e)
+}
+
+/// The portfolio keeps the all-zero assignment as a floor under its best
+/// restart.
+fn all_zero_floor(model: &QuboModel, best: Vec<bool>, best_e: f64) -> (Vec<bool>, f64) {
+    let zero = vec![false; model.num_variables()];
     let zero_e = model.evaluate(&zero).unwrap();
     if zero_e < best_e {
         (zero, zero_e)
@@ -157,22 +170,24 @@ fn naive_simulated_annealing(model: &QuboModel, solver: &SimulatedAnnealing) -> 
     }
 }
 
-/// Naive-engine implementation of the tabu-search solve loop (single restart,
-/// the default), on the production restart stream.
-fn naive_tabu(model: &QuboModel, solver: &TabuSearch) -> (Vec<bool>, f64) {
+/// Naive-engine implementation of a tabu-only portfolio solve with a single
+/// restart, on the production restart stream.
+fn naive_tabu(
+    model: &QuboModel,
+    seed: u64,
+    iterations: usize,
+    tenure: Option<usize>,
+) -> (Vec<bool>, f64) {
     let n = model.num_variables();
-    let tenure = solver
-        .tenure
-        .unwrap_or_else(|| (n / 10).max(10).min(n / 2))
-        .min(n.saturating_sub(1))
-        .max(1);
-    let mut rng = ChaCha8Rng::seed_from_u64(restart_stream_seed(solver.options.seed, 0));
+    let tenure =
+        tenure.unwrap_or_else(|| (n / 10).max(10).min(n / 2)).min(n.saturating_sub(1)).max(1);
+    let mut rng = ChaCha8Rng::seed_from_u64(restart_stream_seed(seed, 0));
     let random_start: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
     let (mut x, mut e) = naive_first_improvement(model, random_start, 50);
     let mut best = x.clone();
     let mut best_e = e;
     let mut tabu_until = vec![0usize; n];
-    for iter in 0..solver.iterations {
+    for iter in 0..iterations {
         let mut chosen: Option<(usize, f64)> = None;
         for i in 0..n {
             let delta = model.flip_delta(&x, i);
@@ -193,7 +208,7 @@ fn naive_tabu(model: &QuboModel, solver: &TabuSearch) -> (Vec<bool>, f64) {
             best.copy_from_slice(&x);
         }
     }
-    (best, best_e)
+    all_zero_floor(model, best, best_e)
 }
 
 fn random_assignment(n: usize, seed: u64) -> Vec<bool> {
@@ -231,9 +246,16 @@ fn pair_aware_descent_walks_the_seed_trajectory() {
 fn simulated_annealing_reproduces_seed_solver_outputs() {
     for seed in 0..4u64 {
         let model = instance(60, 0.1, seed);
-        let solver = SimulatedAnnealing::default().with_seed(seed);
+        let mut solver = PortfolioSolver::default()
+            .with_strategies(vec![Strategy::Annealing {
+                initial_temperature: 2.0,
+                final_temperature: 0.01,
+            }])
+            .with_restarts(4)
+            .with_seed(seed);
+        solver.config.sweeps = 200;
         let report = solver.solve(&model).unwrap();
-        let (naive_best, naive_e) = naive_simulated_annealing(&model, &solver);
+        let (naive_best, naive_e) = naive_simulated_annealing(&model, seed, 4, 200, 2.0, 0.01);
         assert_eq!(report.solution, naive_best, "seed={seed}");
         assert_eq!(
             model.evaluate(&report.solution).unwrap(),
@@ -248,9 +270,13 @@ fn simulated_annealing_reproduces_seed_solver_outputs() {
 fn tabu_search_reproduces_seed_solver_outputs() {
     for seed in 0..4u64 {
         let model = instance(60, 0.1, seed);
-        let solver = TabuSearch::default().with_seed(seed).with_iterations(800);
+        let mut solver = PortfolioSolver::default()
+            .with_strategies(vec![Strategy::Tabu { tenure: None }])
+            .with_restarts(1)
+            .with_seed(seed);
+        solver.config.sweeps = 800;
         let report = solver.solve(&model).unwrap();
-        let (naive_best, naive_e) = naive_tabu(&model, &solver);
+        let (naive_best, naive_e) = naive_tabu(&model, seed, 800, None);
         assert_eq!(report.solution, naive_best, "seed={seed}");
         assert!((report.objective - naive_e).abs() < 1e-9, "seed={seed}");
     }
@@ -258,11 +284,12 @@ fn tabu_search_reproduces_seed_solver_outputs() {
 
 #[test]
 fn multi_start_greedy_is_deterministic_and_exactly_reevaluable() {
-    use qhdcd::solvers::MultiStartGreedy;
     for seed in 0..3u64 {
         let model = instance(70, 0.1, seed);
-        let a = MultiStartGreedy::default().with_seed(seed).solve(&model).unwrap();
-        let b = MultiStartGreedy::default().with_seed(seed).solve(&model).unwrap();
+        let greedy =
+            PortfolioSolver::default().with_strategies(vec![Strategy::Greedy]).with_seed(seed);
+        let a = greedy.solve(&model).unwrap();
+        let b = greedy.solve(&model).unwrap();
         assert_eq!(a.solution, b.solution);
         assert_eq!(a.objective, b.objective);
         assert!((model.evaluate(&a.solution).unwrap() - a.objective).abs() < 1e-9);
