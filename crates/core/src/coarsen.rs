@@ -85,17 +85,6 @@ impl Hierarchy {
     pub fn num_levels(&self) -> usize {
         self.levels.len()
     }
-
-    /// Projects a partition of the coarsest graph back to the original graph by
-    /// walking the hierarchy from coarsest to finest (the Projection step of
-    /// Algorithm 2).
-    pub fn project_to_finest(&self, coarsest_partition: &Partition) -> Partition {
-        let mut partition = coarsest_partition.clone();
-        for level in self.levels.iter().rev() {
-            partition = partition.project(&level.coarse_of);
-        }
-        partition
-    }
 }
 
 /// The matching-order key of the edge `(u, v)`, `u < v`, scored `score` by
@@ -341,7 +330,13 @@ mod tests {
         let h = coarsen_hierarchy(&pg.graph, &config).unwrap();
         let coarsest_nodes = h.coarsest().unwrap().num_nodes();
         let coarsest_partition = Partition::singletons(coarsest_nodes);
-        let lifted = h.project_to_finest(&coarsest_partition);
+        // Walk the levels from coarsest to finest, as multilevel uncoarsening
+        // does (the Projection step of Algorithm 2).
+        let lifted = h
+            .levels
+            .iter()
+            .rev()
+            .fold(coarsest_partition, |partition, level| partition.project(&level.coarse_of));
         assert_eq!(lifted.num_nodes(), pg.graph.num_nodes());
         assert_eq!(lifted.num_communities(), coarsest_nodes);
     }

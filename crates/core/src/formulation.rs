@@ -88,13 +88,7 @@ impl FormulationConfig {
                 });
             }
         }
-        let resolution = self.quality.resolution();
-        if !resolution.is_finite() || resolution < 0.0 {
-            return Err(CdError::InvalidConfig {
-                reason: format!("resolution must be finite and non-negative, got {resolution}"),
-            });
-        }
-        Ok(())
+        self.quality.validate().map_err(|reason| CdError::InvalidConfig { reason })
     }
 }
 
@@ -370,20 +364,9 @@ pub fn build_qubo(graph: &Graph, config: &FormulationConfig) -> Result<CdQubo, C
     Ok(CdQubo { model, num_nodes: n, num_communities: k, quality: config.quality })
 }
 
-/// Evaluates the *modularity* (not the raw QUBO energy) that a binary solution
-/// decodes to — convenience for tests and experiment harnesses.
-///
-/// # Errors
-///
-/// Returns [`CdError::Qubo`] if the solution does not match the encoded model.
-pub fn decoded_modularity(qubo: &CdQubo, graph: &Graph, solution: &[bool]) -> Result<f64, CdError> {
-    let partition = qubo.decode(graph, solution)?;
-    Ok(modularity::modularity(graph, &partition))
-}
-
 /// Evaluates the encoded quality function (not the raw QUBO energy) on the
-/// partition a binary solution decodes to — like [`decoded_modularity`], but
-/// honouring the [`FormulationConfig::quality`] the QUBO was built with.
+/// partition a binary solution decodes to, under the
+/// [`FormulationConfig::quality`] the QUBO was built with.
 ///
 /// # Errors
 ///
@@ -636,7 +619,7 @@ mod tests {
         let qubo = build_qubo(&g, &FormulationConfig::with_communities(4)).unwrap();
         let p = generators::karate_club_communities();
         let x = qubo.encode(&p).unwrap();
-        let via_decode = decoded_modularity(&qubo, &g, &x).unwrap();
+        let via_decode = decoded_quality(&qubo, &g, &x).unwrap();
         let direct = modularity::modularity(&g, &p);
         assert!((via_decode - direct).abs() < 1e-12);
     }

@@ -10,7 +10,7 @@
 //! are preserved exactly by aggregation: super-node degrees are the community
 //! degree sums (modularity), and super-node weights carry the merged node
 //! counts, so coarse-level CPM gains price the `γ n (n − 1)/2` null term
-//! exactly too (via [`qhdcd_graph::QualityFunction::gain_weighted`]). The
+//! exactly too (via [`qhdcd_graph::QualityFunction::gain`]). The
 //! reported quality is always evaluated on the original graph.
 
 use crate::refine::{refine_partition, RefineConfig};

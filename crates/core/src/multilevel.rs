@@ -75,7 +75,7 @@ impl MultilevelConfig {
     /// and super-node weights carry the original node counts through
     /// aggregation, so coarse-level CPM null terms price `γ n (n − 1)/2`
     /// exactly (the former counts-as-one approximation is gone — see
-    /// [`qhdcd_graph::QualityFunction::gain_weighted`]).
+    /// [`qhdcd_graph::QualityFunction::gain`]).
     pub fn with_quality(mut self, quality: qhdcd_graph::QualityFunction) -> Self {
         self.formulation.quality = quality;
         self.refine.quality = quality;

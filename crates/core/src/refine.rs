@@ -7,17 +7,20 @@
 //! the local-move step of Louvain (Blondel et al. 2008), and the same routine
 //! runs the local phase of the Louvain baseline.
 //!
-//! # One kernel
+//! # One state, two loops
 //!
-//! Every refinement in the workspace prices and applies moves through one
-//! per-node step: [`NeighborScan`] accumulates the node's edge weight into
-//! each neighbouring community in one O(deg) pass over its adjacency, prices
-//! every candidate from those sums and the per-community aggregates of
-//! [`ModularityState`] (`Σtot` degree sums for modularity, carried node counts
-//! for CPM), and the best move is applied to the state. [`refine_partition`]
-//! runs that step over every node per pass; [`refine_frontier`] runs it over
-//! a worklist. The streaming detector calls the same [`NeighborScan`] on its
-//! dynamic graph.
+//! Every refinement in the workspace moves nodes through one
+//! [`ModularityState`]: [`ModularityState::move_to_best`] sums the node's edge
+//! weight into each neighbouring community in one O(deg) [`NeighborScan`]
+//! pass, prices every candidate from those sums and the state's
+//! per-community aggregates (`Σtot` degree sums for modularity, carried node
+//! counts for CPM), and applies the best move, patching `Σtot` and `Σin`
+//! from the same sums. [`refine_partition`] runs that step over every node
+//! per pass. [`refine_worklist`] runs it over a worklist that starts at a
+//! frontier and grows by every moved node and its neighbours, as
+//! dynamic-frontier Louvain does (Sahu 2024): [`refine_frontier`] runs that
+//! loop on a fresh state, and the streaming detector (`qhdcd-stream`) runs it
+//! on the state it keeps across batches.
 //!
 //! **Tie-break rule.** A move is applied only if its gain is positive and
 //! exceeds [`QualityFunction::move_tolerance`], and the largest gain wins. An
@@ -31,14 +34,15 @@
 //! are frequent from starts with many small communities and on sparse graphs
 //! with equal weights, and there the rule that resolves them moves the reached
 //! quality by several percent per instance, in both directions.
-//! [`refine_frontier`] always uses the first-seen rule, as the streaming
-//! detector does.
+//! [`refine_frontier`] and the streaming detector always use the first-seen
+//! rule.
 
 use crate::CdError;
 use qhdcd_graph::{
-    modularity::{ModularityState, NeighborScan},
+    modularity::{GraphView, ModularityState, NeighborScan},
     Graph, GraphError, Partition, QualityFunction,
 };
+use std::collections::BTreeSet;
 
 /// Configuration of the quality-gain refinement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,6 +81,20 @@ pub struct RefineOutcome {
     pub converged: bool,
 }
 
+/// What one run of [`refine_worklist`] did to the state it was given.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorklistRun {
+    /// Total quality gain of the applied moves.
+    pub total_gain: f64,
+    /// Number of single-node moves applied.
+    pub moves: usize,
+    /// Number of passes over the worklist.
+    pub passes: usize,
+    /// Whether the worklist ran empty, i.e. no node the moves reached can
+    /// gain by moving.
+    pub converged: bool,
+}
+
 /// Refines `partition` on `graph` by greedy single-node quality-gain moves
 /// under `config.quality` (unit-resolution modularity by default).
 ///
@@ -88,7 +106,8 @@ pub struct RefineOutcome {
 ///
 /// Returns [`CdError::Graph`] if the partition does not cover exactly the nodes
 /// of `graph` or `graph` has no nodes, or [`CdError::InvalidConfig`] if
-/// `config.max_passes` is zero.
+/// `config.max_passes` is zero or the quality function's resolution is not a
+/// finite non-negative number.
 ///
 /// # Example
 ///
@@ -124,7 +143,7 @@ pub fn refine_partition(
         let moves_before = moves;
         let mut pass_gain = 0.0;
         for node in 0..graph.num_nodes() {
-            if let Some(gain) = move_to_best(graph, &mut state, &mut scan, node) {
+            if let Some(gain) = state.move_to_best(&mut scan, graph, node) {
                 pass_gain += gain;
                 moves += 1;
             }
@@ -147,11 +166,17 @@ pub fn refine_partition(
 /// Whether [`refine_partition`] resolves exact gain ties to the lowest
 /// community id rather than to the first-seen neighbour's community, for a
 /// start with `communities` communities (see the tie-break rule in the module
-/// docs).
+/// docs). The non-loop edge count is the edge count minus the self-loops,
+/// found by one binary search per sorted neighbour row.
 fn lowest_id_ties(graph: &Graph, communities: usize) -> bool {
+    let non_loop_edges = || {
+        let n = graph.num_nodes();
+        graph.num_edges()
+            - (0..n).filter(|&u| graph.neighbor_ids(u).binary_search(&u).is_ok()).count()
+    };
     communities > 64
         || graph.num_nodes() * communities > 100_000
-        || graph.edges().filter(|&(u, v, _)| u != v).count() * communities > 1_500_000
+        || non_loop_edges() * communities > 1_500_000
 }
 
 /// Checks the inputs both entry points share and sets up the move state.
@@ -163,55 +188,30 @@ fn initial_state(
     if config.max_passes == 0 {
         return Err(CdError::InvalidConfig { reason: "max_passes must be > 0".into() });
     }
+    config.quality.validate().map_err(|reason| CdError::InvalidConfig { reason })?;
     partition.check_matches(graph).map_err(CdError::Graph)?;
     if graph.num_nodes() == 0 {
         return Err(CdError::Graph(GraphError::EmptyPartition));
     }
-    Ok(ModularityState::with_quality(graph, partition, config.quality))
-}
-
-/// Moves `node` to its best neighbouring community, if one beats the move
-/// tolerance, and returns the gain of that move.
-fn move_to_best(
-    graph: &Graph,
-    state: &mut ModularityState,
-    scan: &mut NeighborScan,
-    node: usize,
-) -> Option<f64> {
-    let (target, gain) = scan.best_move_with_quality_weighted(
-        node,
-        graph.neighbors(node),
-        state.labels(),
-        graph.degree(node),
-        graph.node_weight(node),
-        state.two_m(),
-        state.sigma_tot(),
-        state.quality_function(),
-    )?;
-    state.apply_move(graph, node, target);
-    Some(gain)
+    Ok(ModularityState::new(graph, partition, config.quality))
 }
 
 /// Refines only a *frontier* of nodes (plus whatever the moves reach), leaving
-/// the rest of the partition untouched.
+/// the rest of the partition untouched: [`refine_worklist`] on a fresh
+/// [`ModularityState`] with a first-seen [`NeighborScan`].
 ///
-/// This is the localized counterpart of [`refine_partition`] used by the
-/// streaming subsystem: after a batch of edge events perturbs a neighbourhood,
-/// only the touched nodes and their surroundings can profit from moving, so
-/// the move scan is restricted to a worklist seeded with `frontier`. Whenever
-/// a node moves, it and its neighbours are re-enqueued for the next pass, so
-/// improvements propagate outward exactly as far as they keep paying off.
-///
-/// Each node is moved by the same step [`refine_partition`] applies; the
-/// traversal is fully deterministic — the worklist is scanned in ascending
-/// node order, under the tie-break rule of the module docs — which the
-/// streaming determinism contract relies on.
+/// After a batch of edge events perturbs a neighbourhood, only the touched
+/// nodes and their surroundings can profit from moving, so the move scan is
+/// restricted to a worklist seeded with `frontier`. This is the loop the
+/// streaming detector runs on its persistent state, so on the same graph,
+/// start and frontier the two reach the same partition.
 ///
 /// # Errors
 ///
 /// Returns [`CdError::Graph`] if the partition does not cover exactly the
 /// nodes of `graph`, `graph` has no nodes or a frontier node is out of range,
-/// and [`CdError::InvalidConfig`] if `config.max_passes` is zero.
+/// and [`CdError::InvalidConfig`] if `config.max_passes` is zero or the
+/// quality function's resolution is not a finite non-negative number.
 pub fn refine_frontier(
     graph: &Graph,
     partition: &Partition,
@@ -222,41 +222,59 @@ pub fn refine_frontier(
     for &node in frontier {
         graph.check_node(node).map_err(CdError::Graph)?;
     }
-    let mut scan = NeighborScan::new();
-    let mut worklist: std::collections::BTreeSet<usize> = frontier.iter().copied().collect();
-    let mut total_gain = 0.0;
-    let mut moves = 0usize;
-    let mut passes = 0usize;
+    let worklist = frontier.iter().copied().collect();
+    let run = refine_worklist(graph, &mut state, &mut NeighborScan::new(), worklist, config);
+    Ok(RefineOutcome {
+        partition: state.to_partition().renumbered(),
+        total_gain: run.total_gain,
+        moves: run.moves,
+        passes: run.passes,
+        converged: run.converged,
+    })
+}
+
+/// The worklist loop of localized refinement, on a caller-owned `state` of
+/// `graph`. Each pass visits the worklist in ascending node order and moves
+/// each node by [`ModularityState::move_to_best`]; every node that moves is
+/// queued for the next pass together with its neighbours, so improvements
+/// propagate outward exactly as far as they keep paying off. The loop stops
+/// when the worklist runs empty, after `config.max_passes` passes, or after a
+/// pass that gains less than `config.min_gain`. The traversal is fully
+/// deterministic, which the streaming determinism contract relies on.
+///
+/// On a graph with no edge weight no move has a gain, so a non-empty
+/// worklist costs one pass that moves nothing.
+pub fn refine_worklist(
+    graph: &impl GraphView,
+    state: &mut ModularityState,
+    scan: &mut NeighborScan,
+    mut worklist: BTreeSet<usize>,
+    config: &RefineConfig,
+) -> WorklistRun {
+    let mut run = WorklistRun { total_gain: 0.0, moves: 0, passes: 0, converged: false };
     for _ in 0..config.max_passes {
         if worklist.is_empty() {
             break;
         }
-        passes += 1;
+        run.passes += 1;
         let mut pass_gain = 0.0;
-        let mut next = std::collections::BTreeSet::new();
+        let mut next = BTreeSet::new();
         for &node in &worklist {
-            if let Some(gain) = move_to_best(graph, &mut state, &mut scan, node) {
+            if let Some(gain) = state.move_to_best(scan, graph, node) {
                 pass_gain += gain;
-                moves += 1;
+                run.moves += 1;
                 next.insert(node);
-                for (v, _) in graph.neighbors(node) {
-                    next.insert(v);
-                }
+                next.extend(graph.neighbors(node).map(|(v, _)| v));
             }
         }
-        total_gain += pass_gain;
+        run.total_gain += pass_gain;
         worklist = next;
         if pass_gain < config.min_gain {
             break;
         }
     }
-    Ok(RefineOutcome {
-        partition: state.to_partition().renumbered(),
-        total_gain,
-        moves,
-        passes,
-        converged: worklist.is_empty(),
-    })
+    run.converged = worklist.is_empty();
+    run
 }
 
 #[cfg(test)]
@@ -421,7 +439,8 @@ mod tests {
                 }
                 seen.push(c);
                 let g = state.gain(graph, node, c);
-                let tolerance = state.quality_function().move_tolerance(state.two_m());
+                let two_m = 2.0 * graph.total_edge_weight();
+                let tolerance = state.quality_function().move_tolerance(two_m);
                 if g > best.map_or(0.0, |(_, bg)| bg) && g > tolerance {
                     best = Some((c, g));
                 }
@@ -455,19 +474,10 @@ mod tests {
                 QualityFunction::cpm(2.0),
             ] {
                 for start in [pg.ground_truth.clone(), Partition::singletons(70)] {
-                    let state = ModularityState::with_quality(graph, &start, quality);
+                    let state = ModularityState::new(graph, &start, quality);
                     let before = modularity::quality(graph, &state.to_partition(), quality);
                     for node in 0..70 {
-                        let fast = scan.best_move_with_quality_weighted(
-                            node,
-                            graph.neighbors(node),
-                            state.labels(),
-                            graph.degree(node),
-                            graph.node_weight(node),
-                            state.two_m(),
-                            state.sigma_tot(),
-                            quality,
-                        );
+                        let fast = state.best_move(&mut scan, graph, node);
                         let slow = naive(graph, &state, node);
                         match (fast, slow) {
                             (None, None) => {}

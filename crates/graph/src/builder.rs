@@ -69,15 +69,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Adds an unweighted (weight 1.0) undirected edge.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GraphBuilder::add_edge`].
-    pub fn add_unweighted_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
-        self.add_edge(u, v, 1.0)
-    }
-
     /// Sets the node weight of `node` (used for coarsened super-node graphs).
     ///
     /// # Errors

@@ -153,29 +153,6 @@ pub fn planted_partition_with_edge_budget(
     planted_partition(&PlantedPartitionConfig { num_nodes, num_communities, p_in, p_out, seed })
 }
 
-/// Generates an Erdős–Rényi `G(n, p)` random graph.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidGeneratorConfig`] if `p` is not a probability.
-pub fn erdos_renyi(num_nodes: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
-    if !(0.0..=1.0).contains(&p) || p.is_nan() {
-        return Err(GraphError::InvalidGeneratorConfig {
-            reason: format!("p must be a probability in [0, 1], got {p}"),
-        });
-    }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(num_nodes);
-    for i in 0..num_nodes {
-        for j in (i + 1)..num_nodes {
-            if rng.gen::<f64>() < p {
-                b.add_edge(i, j, 1.0)?;
-            }
-        }
-    }
-    Ok(b.build())
-}
-
 /// Generates a ring of `num_cliques` cliques of `clique_size` nodes each, with
 /// a single edge connecting consecutive cliques. This family has an obvious and
 /// well-separated community structure, useful for tests and examples.
@@ -514,15 +491,6 @@ mod tests {
         assert!(planted_partition_with_edge_budget(10, 2, 1000, 0.2, 1).is_err());
         assert!(planted_partition_with_edge_budget(10, 2, 5, 1.5, 1).is_err());
         assert!(planted_partition_with_edge_budget(1, 1, 0, 0.2, 1).is_err());
-    }
-
-    #[test]
-    fn erdos_renyi_density_tracks_p() {
-        let g = erdos_renyi(200, 0.1, 3).unwrap();
-        assert!((g.density() - 0.1).abs() < 0.03, "density={}", g.density());
-        assert!(erdos_renyi(10, -0.5, 0).is_err());
-        let empty = erdos_renyi(50, 0.0, 0).unwrap();
-        assert_eq!(empty.num_edges(), 0);
     }
 
     #[test]

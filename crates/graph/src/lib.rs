@@ -8,12 +8,13 @@
 //! * [`Partition`] — an assignment of nodes to communities with renumbering and
 //!   aggregation helpers.
 //! * [`modularity`] — quality functions (Newman–Girvan modularity with a
-//!   resolution parameter, the constant Potts model) and single-move gains;
-//!   see [`QualityFunction`].
-//! * [`metrics`] — partition-quality metrics (NMI, ARI, coverage, conductance).
-//! * [`generators`] — deterministic synthetic graph generators (Erdős–Rényi,
-//!   planted partition / SBM, LFR-like power-law, ring of cliques, Zachary's
-//!   karate club) used to stand in for the paper's SNAP datasets.
+//!   resolution parameter, the constant Potts model), single-move gains and
+//!   `ModularityState`, the community bookkeeping static refinement and the
+//!   streaming detector share; see [`QualityFunction`].
+//! * [`metrics`] — partition-quality metrics (NMI, ARI).
+//! * [`generators`] — deterministic synthetic graph generators (planted
+//!   partition / SBM, LFR-like power-law, ring of cliques, Zachary's karate
+//!   club) used to stand in for the paper's SNAP datasets.
 //! * [`DynamicGraph`] — the mutable layer for streaming workloads: sorted
 //!   neighbour lists shared copy-on-write between a graph and its clones,
 //!   mutated through [`EdgeEvent`]s and compacted back to CSR via

@@ -1,10 +1,10 @@
-//! Partition-quality metrics: NMI, ARI, coverage and conductance.
+//! Partition-quality metrics: NMI and ARI.
 //!
 //! These metrics are used by the integration tests and the benchmark harness to
 //! check that detected communities recover the planted ground truth of the
 //! synthetic instances (see `generators`).
 
-use crate::{Graph, Partition};
+use crate::Partition;
 
 /// Builds the contingency table between two partitions of the same node set,
 /// indexed by renumbered labels of `a` then `b`.
@@ -112,75 +112,10 @@ pub fn adjusted_rand_index(a: &Partition, b: &Partition) -> f64 {
     (sum_ij - expected) / (max_index - expected)
 }
 
-/// Coverage of a partition: the fraction of total edge weight that falls inside
-/// communities. Returns a value in `[0, 1]`; 1.0 means no inter-community edges.
-///
-/// # Panics
-///
-/// Panics if the partition does not match the graph's node count.
-pub fn coverage(graph: &Graph, partition: &Partition) -> f64 {
-    let m = graph.total_edge_weight();
-    if m <= 0.0 {
-        return 1.0;
-    }
-    let mut intra = 0.0;
-    for (u, v, w) in graph.edges() {
-        if partition.community_of(u) == partition.community_of(v) {
-            intra += w;
-        }
-    }
-    intra / m
-}
-
-/// Conductance of a single community `c` under `partition`: the ratio of the
-/// cut weight to the smaller of the volumes inside/outside. Lower is better.
-/// Returns 0.0 for communities with no boundary and no volume.
-///
-/// # Panics
-///
-/// Panics if the partition does not match the graph's node count.
-pub fn conductance(graph: &Graph, partition: &Partition, community: usize) -> f64 {
-    let mut cut = 0.0;
-    let mut volume_in = 0.0;
-    let mut volume_out = 0.0;
-    for u in 0..graph.num_nodes() {
-        if partition.community_of(u) == community {
-            volume_in += graph.degree(u);
-            for (v, w) in graph.neighbors(u) {
-                if partition.community_of(v) != community {
-                    cut += w;
-                }
-            }
-        } else {
-            volume_out += graph.degree(u);
-        }
-    }
-    let denom = volume_in.min(volume_out);
-    if denom <= 0.0 {
-        0.0
-    } else {
-        cut / denom
-    }
-}
-
-/// Mean conductance over all communities of a partition. Lower is better.
-///
-/// # Panics
-///
-/// Panics if the partition does not match the graph's node count.
-pub fn mean_conductance(graph: &Graph, partition: &Partition) -> f64 {
-    let renum = partition.renumbered();
-    let k = renum.num_communities();
-    if k == 0 {
-        return 0.0;
-    }
-    (0..k).map(|c| conductance(graph, &renum, c)).sum::<f64>() / k as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, GraphBuilder, Partition};
+    use crate::Partition;
 
     #[test]
     fn nmi_identical_and_permuted_labels() {
@@ -216,42 +151,6 @@ mod tests {
         let a = Partition::all_in_one(3);
         let b = Partition::all_in_one(4);
         normalized_mutual_information(&a, &b);
-    }
-
-    #[test]
-    fn coverage_of_perfect_and_split_partitions() {
-        let g = GraphBuilder::from_unweighted_edges(4, [(0, 1), (2, 3), (1, 2)]).unwrap();
-        let p = Partition::from_labels(vec![0, 0, 1, 1]).unwrap();
-        assert!((coverage(&g, &p) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(coverage(&g, &Partition::all_in_one(4)), 1.0);
-        let empty = GraphBuilder::new(3).build();
-        assert_eq!(coverage(&empty, &Partition::singletons(3)), 1.0);
-    }
-
-    #[test]
-    fn conductance_of_isolated_clique_is_zero() {
-        let pg = generators::ring_of_cliques(2, 4).unwrap();
-        // Remove the bridges by building two disjoint cliques directly.
-        let mut b = GraphBuilder::new(8);
-        for base in [0, 4] {
-            for i in 0..4 {
-                for j in (i + 1)..4 {
-                    b.add_edge(base + i, base + j, 1.0).unwrap();
-                }
-            }
-        }
-        let g = b.build();
-        let p = pg.ground_truth.clone();
-        assert_eq!(conductance(&g, &p, 0), 0.0);
-        assert_eq!(mean_conductance(&g, &p), 0.0);
-    }
-
-    #[test]
-    fn conductance_decreases_with_better_partitions() {
-        let pg = generators::ring_of_cliques(4, 6).unwrap();
-        let good = mean_conductance(&pg.graph, &pg.ground_truth);
-        let bad = mean_conductance(&pg.graph, &Partition::singletons(pg.graph.num_nodes()));
-        assert!(good < bad, "good={good} bad={bad}");
     }
 
     #[test]

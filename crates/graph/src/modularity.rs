@@ -1,4 +1,5 @@
-//! Quality functions (Newman–Girvan modularity, CPM) and single-move gains.
+//! Quality functions (Newman–Girvan modularity, CPM), single-move gains and
+//! the community bookkeeping every refinement runs on.
 //!
 //! Modularity of a partition `P` of an undirected weighted graph is
 //!
@@ -16,19 +17,23 @@
 //! ```
 //!
 //! with `e_c` the internal edge weight and `n_c` the node count of community
-//! `c`. Both are instances of [`QualityFunction`]; this module computes them
-//! from the definition (dense, `O(n²)`, for testing) and from the
-//! community-aggregated form (sparse, `O(m + n)`, used everywhere else), plus
-//! the single-node move gains used by the refinement phase.
+//! `c`. Both are instances of [`QualityFunction`].
+//!
+//! [`ModularityState`] is the one place that keeps a partition's community
+//! bookkeeping: the labels, the per-community aggregate (`Σtot` degree sums,
+//! or carried node counts under CPM) and the internal weights `Σin`. It is
+//! built from either graph type through [`GraphView`], prices and applies
+//! single-node moves through [`NeighborScan`] in O(deg), patches edge-weight
+//! changes in O(1), and reports the quality from its aggregates in O(k).
+//! [`quality`] computes through it; [`quality_dense`] sums the definition over
+//! all node pairs in O(n²) and serves as the tests' oracle.
 
-use crate::{Graph, Partition};
+use crate::{DynamicGraph, Graph, NodeId, Partition};
 
-/// Dimensionless move-acceptance threshold shared by every best-move scan
-/// path: a candidate move is applied only if its gain exceeds the threshold
-/// returned by [`QualityFunction::move_tolerance`], which scales this constant
-/// to the gain units of the quality function in use. Keeping one named
-/// constant (instead of scattered magic numbers) makes the accept decision
-/// identical across the static refinement and the streaming twin.
+/// Dimensionless move-acceptance threshold shared by every best-move scan: a
+/// candidate move is applied only if its gain exceeds the threshold returned
+/// by [`QualityFunction::move_tolerance`], which scales this constant to the
+/// gain units of the quality function in use.
 pub const MOVE_EPSILON: f64 = 1e-12;
 
 /// The quality function optimized by the refinement, multilevel and streaming
@@ -42,10 +47,10 @@ pub const MOVE_EPSILON: f64 = 1e-12;
 ///   not depend on the degree distribution, which frees it from the
 ///   resolution limit.
 ///
-/// The per-community aggregate maintained by the incremental state
-/// ([`ModularityState`], the streaming detector) is quality-dependent: the
-/// degree sum `Σtot_c` for modularity, the node count `n_c` for CPM —
-/// uniformly, a sum of [`QualityFunction::node_factor`] over members.
+/// The per-community aggregate [`ModularityState`] maintains is
+/// quality-dependent: the degree sum `Σtot_c` for modularity, the carried node
+/// count `n_c` for CPM — uniformly, a sum of [`QualityFunction::node_factor`]
+/// over members.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QualityFunction {
     /// Newman–Girvan modularity with resolution `γ`; `γ = 1` is classical.
@@ -86,38 +91,35 @@ impl QualityFunction {
         }
     }
 
-    /// A node's contribution to its community's aggregate: the weighted degree
-    /// under modularity (`Σtot_c`), 1 under CPM (`n_c`).
+    /// Checks that the resolution is finite and non-negative, the range on
+    /// which both quality functions are defined. Every configuration that
+    /// carries a quality function calls this before it is used.
     ///
-    /// This is [`QualityFunction::node_factor_weighted`] at unit node weight —
-    /// correct wherever every node stands for a single original node.
-    #[inline]
-    pub fn node_factor(&self, degree: f64) -> f64 {
-        self.node_factor_weighted(degree, 1.0)
+    /// # Errors
+    ///
+    /// Returns the reason, ready for the caller's configuration error, if `γ`
+    /// is NaN, infinite or negative.
+    pub fn validate(&self) -> Result<(), String> {
+        let resolution = self.resolution();
+        if resolution.is_finite() && resolution >= 0.0 {
+            Ok(())
+        } else {
+            Err(format!("resolution must be finite and non-negative, got {resolution}"))
+        }
     }
 
-    /// A node's contribution to its community's aggregate when the node is a
-    /// super-node standing for `node_weight` original nodes (the coarse levels
-    /// of the multilevel hierarchy and the Louvain aggregation): the weighted
-    /// degree under modularity — degrees already accumulate through
-    /// aggregation — and the **carried node count** under CPM, which makes the
-    /// coarse-level null term `γ n_c (n_c − 1)/2` exact instead of the former
-    /// counts-as-one approximation. At `node_weight = 1` this is bit-identical
-    /// to [`QualityFunction::node_factor`].
+    /// A node's contribution to its community's aggregate: the weighted
+    /// degree under modularity (`Σtot_c`), and under CPM the **carried node
+    /// count** `node_weight` — 1 for an original node, the number of original
+    /// nodes a super-node stands for on the coarse levels of the multilevel
+    /// hierarchy and the Louvain aggregation, which makes the coarse-level
+    /// null term `γ n_c (n_c − 1)/2` exact.
     #[inline]
-    pub fn node_factor_weighted(&self, degree: f64, node_weight: f64) -> f64 {
+    pub fn node_factor(&self, degree: f64, node_weight: f64) -> f64 {
         match self {
             QualityFunction::Modularity { .. } => degree,
             QualityFunction::Cpm { .. } => node_weight,
         }
-    }
-
-    /// Whether the per-community aggregate tracks weighted degrees (and hence
-    /// must be patched on every edge-weight change). Under CPM the aggregate
-    /// is a node count, untouched by edge events.
-    #[inline]
-    pub fn aggregate_tracks_degrees(&self) -> bool {
-        matches!(self, QualityFunction::Modularity { .. })
     }
 
     /// The move-acceptance threshold, scaled from [`MOVE_EPSILON`] to the gain
@@ -140,140 +142,130 @@ impl QualityFunction {
     }
 
     /// The single-node move gain of this quality function, expressed purely in
-    /// scalars. For modularity:
+    /// scalars. `two_m = 2m` is the doubled total edge weight, `f` the node's
+    /// [`QualityFunction::node_factor`], `k_i_cur` / `k_i_target` its edge
+    /// weight into the current and target community (self-loops excluded),
+    /// and `agg_cur` / `agg_target` the two communities' aggregates, the
+    /// current one still counting the node. For modularity (`f = d_i`):
     ///
     /// ```text
     /// ΔQ = (k_{i,target} − k_{i,cur\{i\}}) / m  −  γ d_i (Σtot_target − (Σtot_cur − d_i)) / (2 m²)
     /// ```
     ///
-    /// with `two_m = 2m` the doubled total edge weight, `d_i` the node's
-    /// weighted degree, `k_i_cur` / `k_i_target` its edge weight into the
-    /// current and target community (self-loops excluded), and `agg` the
-    /// per-community aggregates (`Σtot` degree sums). For CPM:
+    /// For CPM (`f = w`, the node's carried node count), expanding
+    /// `n (n − 1)/2` before and after the move gives exactly
     ///
     /// ```text
-    /// ΔQ = (k_{i,target} − k_{i,cur\{i\}})  −  γ (n_target − (n_cur − 1))
+    /// ΔQ = (k_{i,target} − k_{i,cur\{i\}})  −  γ w (n_target − (n_cur − w))
     /// ```
     ///
-    /// where the aggregates are community node counts.
-    ///
-    /// This is the **single source of truth** for the gain arithmetic:
-    /// [`NeighborScan`] (and through it the static refinement and the
-    /// streaming detector's incremental twin) and [`ModularityState::gain`]
-    /// evaluate candidates through this function, so their decisions stay
-    /// bit-identical by construction — the invariant the stream ↔
-    /// `refine_frontier` conformance tests pin. At `γ = 1` the modularity
-    /// branch is bit-identical to the classical formula (the resolution
-    /// factor multiplies the exact original sub-expression).
+    /// This is the **single source of truth** for the gain arithmetic: every
+    /// move [`ModularityState`] prices — in the static refinement, the
+    /// Louvain baseline and the streaming detector — goes through it. At
+    /// `γ = 1` the modularity branch is bit-identical to the classical
+    /// formula (the resolution factor multiplies the exact original
+    /// sub-expression).
     #[inline]
     pub fn gain(
         &self,
         two_m: f64,
-        d_i: f64,
+        node_factor: f64,
         k_i_cur: f64,
         k_i_target: f64,
         agg_cur: f64,
         agg_target: f64,
     ) -> f64 {
-        self.gain_weighted(two_m, d_i, 1.0, k_i_cur, k_i_target, agg_cur, agg_target)
-    }
-
-    /// [`QualityFunction::gain`] for a super-node standing for `node_weight`
-    /// original nodes. Modularity ignores the node weight (degrees carry all
-    /// the information); for CPM the null-term change of moving `w` carried
-    /// nodes from a community of `n_cur` to one of `n_target` is exactly
-    ///
-    /// ```text
-    /// ΔQ = (k_{i,target} − k_{i,cur\{i\}}) − γ w (n_target − (n_cur − w))
-    /// ```
-    ///
-    /// (expand `n(n−1)/2` before and after the move to verify), which makes
-    /// coarse-level CPM refinement price moves exactly instead of under the
-    /// former counts-as-one approximation. At `node_weight = 1` both branches
-    /// are bit-identical to [`QualityFunction::gain`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn gain_weighted(
-        &self,
-        two_m: f64,
-        d_i: f64,
-        node_weight: f64,
-        k_i_cur: f64,
-        k_i_target: f64,
-        agg_cur: f64,
-        agg_target: f64,
-    ) -> f64 {
+        let f = node_factor;
         match *self {
             QualityFunction::Modularity { resolution } => {
                 let m = two_m / 2.0;
                 (k_i_target - k_i_cur) / m
-                    - resolution * (d_i * (agg_target - (agg_cur - d_i)) / (2.0 * m * m))
+                    - resolution * (f * (agg_target - (agg_cur - f)) / (2.0 * m * m))
             }
             QualityFunction::Cpm { resolution } => {
-                (k_i_target - k_i_cur)
-                    - resolution * (node_weight * (agg_target - (agg_cur - node_weight)))
+                (k_i_target - k_i_cur) - resolution * (f * (agg_target - (agg_cur - f)))
             }
         }
+    }
+}
+
+/// The read-only view of an undirected weighted graph that
+/// [`ModularityState`] works on. [`Graph`] (static detection) and
+/// [`DynamicGraph`] (the streaming detector) both implement it, so both keep
+/// their community bookkeeping in the same type. Conventions are the graphs'
+/// own: a self-loop of weight `w` appears once in its node's neighbours and
+/// counts `2w` in its degree, and the total edge weight counts it once.
+pub trait GraphView {
+    /// Number of nodes.
+    fn num_nodes(&self) -> usize;
+    /// Total edge weight `m`.
+    fn total_edge_weight(&self) -> f64;
+    /// Weighted degree of `node`.
+    fn degree(&self, node: NodeId) -> f64;
+    /// Number of original nodes `node` stands for (1.0 on uncoarsened graphs).
+    fn node_weight(&self, node: NodeId) -> f64;
+    /// The `(neighbour, weight)` pairs of `node` in ascending neighbour order.
+    fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_;
+}
+
+impl GraphView for Graph {
+    fn num_nodes(&self) -> usize {
+        Graph::num_nodes(self)
+    }
+    fn total_edge_weight(&self) -> f64 {
+        Graph::total_edge_weight(self)
+    }
+    fn degree(&self, node: NodeId) -> f64 {
+        Graph::degree(self, node)
+    }
+    fn node_weight(&self, node: NodeId) -> f64 {
+        Graph::node_weight(self, node)
+    }
+    fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        Graph::neighbors(self, node)
+    }
+}
+
+impl GraphView for DynamicGraph {
+    fn num_nodes(&self) -> usize {
+        DynamicGraph::num_nodes(self)
+    }
+    fn total_edge_weight(&self) -> f64 {
+        DynamicGraph::total_edge_weight(self)
+    }
+    fn degree(&self, node: NodeId) -> f64 {
+        DynamicGraph::degree(self, node)
+    }
+    fn node_weight(&self, node: NodeId) -> f64 {
+        DynamicGraph::node_weight(self, node)
+    }
+    fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        DynamicGraph::neighbors(self, node)
     }
 }
 
 /// Value of `quality_fn` for `partition` on `graph`, computed in `O(m + n)`
 /// from the community-aggregated form (for modularity,
 /// `Q = Σ_c [ Σin_c/(2m) − γ (Σtot_c/(2m))² ]`; for CPM,
-/// `Q = Σ_c [ Σin_c/2 − γ n_c (n_c − 1)/2 ]`).
+/// `Q = Σ_c [ Σin_c/2 − γ n_c (n_c − 1)/2 ]`) by building a
+/// [`ModularityState`] and reading [`ModularityState::quality`].
 ///
-/// Returns 0.0 for graphs with zero total edge weight (for every quality
-/// function — the degenerate-graph convention shared with the streaming
-/// detector's maintained value).
+/// Returns 0.0 for graphs with zero total edge weight, for every quality
+/// function.
 ///
 /// # Panics
 ///
 /// Panics if the partition has fewer labels than the graph has nodes.
 pub fn quality(graph: &Graph, partition: &Partition, quality_fn: QualityFunction) -> f64 {
-    let two_m = 2.0 * graph.total_edge_weight();
-    if two_m <= 0.0 {
+    if graph.total_edge_weight() <= 0.0 {
         return 0.0;
     }
-    let renum = partition.renumbered();
-    let k = renum.num_communities();
-    // sigma_in[c]: sum over ordered pairs (i, j) in c of A_ij (self-loops contribute twice
-    // via the degree convention); agg[c]: sum of node factors in c (degrees for
-    // modularity, node counts for CPM).
-    let mut sigma_in = vec![0.0f64; k];
-    let mut agg = vec![0.0f64; k];
-    for u in 0..graph.num_nodes() {
-        let cu = renum.community_of(u);
-        agg[cu] += quality_fn.node_factor_weighted(graph.degree(u), graph.node_weight(u));
-        for (v, w) in graph.neighbors(u) {
-            if renum.community_of(v) == cu {
-                // Each undirected edge (u, v) with u != v is visited twice (once from
-                // each endpoint), matching the ordered-pair sum. A self-loop is visited
-                // once but must contribute A_ii once in the ordered-pair sum as well;
-                // the degree convention counts it twice, so scale it by 2 here to stay
-                // consistent with d_i = Σ_j A_ij.
-                sigma_in[cu] += if u == v { 2.0 * w } else { w };
-            }
-        }
-    }
-    let mut q = 0.0;
-    match quality_fn {
-        QualityFunction::Modularity { resolution } => {
-            for c in 0..k {
-                q += sigma_in[c] / two_m - resolution * (agg[c] / two_m).powi(2);
-            }
-        }
-        QualityFunction::Cpm { resolution } => {
-            for c in 0..k {
-                q += sigma_in[c] / 2.0 - resolution * (agg[c] * (agg[c] - 1.0) / 2.0);
-            }
-        }
-    }
-    q
+    ModularityState::new(graph, partition, quality_fn).quality(graph)
 }
 
 /// Modularity of `partition` on `graph` — [`quality`] at the default
 /// unit-resolution [`QualityFunction::Modularity`], kept as the stable entry
-/// point (bit-identical to the pre-generalization implementation).
+/// point.
 ///
 /// # Panics
 ///
@@ -295,7 +287,7 @@ pub fn modularity(graph: &Graph, partition: &Partition) -> f64 {
 }
 
 /// Value of `quality_fn` computed directly from the definition by summing over
-/// all node pairs. `O(n²)`; intended for tests and tiny graphs.
+/// all node pairs. `O(n²)`; the oracle the tests hold [`quality`] to.
 ///
 /// # Panics
 ///
@@ -342,32 +334,30 @@ pub fn quality_dense(graph: &Graph, partition: &Partition, quality_fn: QualityFu
     }
 }
 
-/// Modularity computed directly from the definition — [`quality_dense`] at the
-/// default unit-resolution [`QualityFunction::Modularity`].
-///
-/// # Panics
-///
-/// Panics if the partition has fewer labels than the graph has nodes.
-pub fn modularity_dense(graph: &Graph, partition: &Partition) -> f64 {
-    quality_dense(graph, partition, QualityFunction::default())
+/// Entry `A_ij` of the (symmetric) adjacency matrix, with the convention that a
+/// self-loop of weight `w` contributes `A_ii = 2w` so that `d_i = Σ_j A_ij`.
+fn adjacency_entry(graph: &Graph, i: usize, j: usize) -> f64 {
+    match graph.edge_weight(i, j) {
+        Some(w) if i == j => 2.0 * w,
+        Some(w) => w,
+        None => 0.0,
+    }
 }
 
-/// Reusable scratch for the deterministic one-pass best-move scan shared by
-/// the static refinement (`qhdcd-core`) and the streaming detector's
-/// incremental twin (`qhdcd-stream`).
+/// Reusable scratch for the deterministic one-pass best-move scan.
 ///
 /// One pass over a node's adjacency accumulates its edge weight into every
 /// neighbouring community (`weight`, valid where `stamp` matches the current
-/// visit) and records candidate communities in **first-seen neighbour order**;
-/// the gains are then evaluated in that same order from the accumulated
-/// weights via [`QualityFunction::gain_weighted`]. This replaces
+/// visit), records candidate communities in **first-seen neighbour order**
+/// and notes the node's self-loop weight; [`ModularityState`] then prices the
+/// candidates in that same order from the accumulated weights and, when it
+/// applies the move, patches `Σin` from the same weights. This replaces
 /// per-candidate neighbourhood re-scans — O(deg²) on hubs — with
 /// O(deg + candidates). The strictly best positive gain wins. An exact tie
 /// keeps the first candidate seen, or, for a scan made by
 /// [`NeighborScan::with_lowest_id_ties`], goes to the lowest community id.
 /// For a deterministic neighbour order the decision is reproducible bit for
-/// bit — the invariant the stream ↔ `refine_frontier` conformance tests pin.
-/// Both twins call this one implementation, so they cannot drift apart.
+/// bit.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborScan {
     /// Visit stamp per community slot; `weight[c]` is valid iff
@@ -378,6 +368,8 @@ pub struct NeighborScan {
     /// Candidate communities of the current node, in first-seen order.
     candidates: Vec<usize>,
     visit: u64,
+    /// The current node's self-loop weight (0.0 without one).
+    self_loop: f64,
     /// Whether an exact gain tie goes to the lower community id instead of
     /// the candidate seen first.
     lowest_id_ties: bool,
@@ -396,84 +388,27 @@ impl NeighborScan {
         NeighborScan { lowest_id_ties: true, ..Self::default() }
     }
 
-    /// Deterministic single-node best-move scan over `neighbors` (the node's
-    /// `(neighbour, weight)` adjacency in a deterministic order; self-loops
-    /// are skipped), under the default unit-resolution modularity. `labels`
-    /// maps nodes to communities, `sigma_tot` holds the per-community degree
-    /// sums (every label must index into it), `d_i` is the node's weighted
-    /// degree and `two_m` the doubled total edge weight. Returns the best
-    /// strictly-positive-gain move as `(community, gain)`.
-    pub fn best_move(
+    /// Accumulates `node`'s edge weight into each neighbouring community under
+    /// `labels` (every label below `slots`), in neighbour order.
+    fn gather(
         &mut self,
         node: usize,
         neighbors: impl Iterator<Item = (usize, f64)>,
         labels: &[usize],
-        d_i: f64,
-        two_m: f64,
-        sigma_tot: &[f64],
-    ) -> Option<(usize, f64)> {
-        self.best_move_with_quality(
-            node,
-            neighbors,
-            labels,
-            d_i,
-            two_m,
-            sigma_tot,
-            QualityFunction::default(),
-        )
-    }
-
-    /// [`NeighborScan::best_move`] under an explicit quality function. `agg`
-    /// holds the per-community aggregates of the quality function in use
-    /// (degree sums `Σtot_c` for modularity, node counts `n_c` for CPM —
-    /// sums of [`QualityFunction::node_factor`]); every label must index into
-    /// it. Moves are accepted only above
-    /// [`QualityFunction::move_tolerance`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn best_move_with_quality(
-        &mut self,
-        node: usize,
-        neighbors: impl Iterator<Item = (usize, f64)>,
-        labels: &[usize],
-        d_i: f64,
-        two_m: f64,
-        agg: &[f64],
-        quality_fn: QualityFunction,
-    ) -> Option<(usize, f64)> {
-        self.best_move_with_quality_weighted(
-            node, neighbors, labels, d_i, 1.0, two_m, agg, quality_fn,
-        )
-    }
-
-    /// [`NeighborScan::best_move_with_quality`] for a super-node carrying
-    /// `node_weight` original nodes (coarse multilevel levels); gains are
-    /// priced through [`QualityFunction::gain_weighted`]. At unit node weight
-    /// this is bit-identical to the unweighted scan.
-    #[allow(clippy::too_many_arguments)]
-    pub fn best_move_with_quality_weighted(
-        &mut self,
-        node: usize,
-        neighbors: impl Iterator<Item = (usize, f64)>,
-        labels: &[usize],
-        d_i: f64,
-        node_weight: f64,
-        two_m: f64,
-        agg: &[f64],
-        quality_fn: QualityFunction,
-    ) -> Option<(usize, f64)> {
-        if two_m <= 0.0 {
-            return None;
-        }
+        slots: usize,
+    ) {
         let cur = labels[node];
-        if self.stamp.len() < agg.len() {
-            self.stamp.resize(agg.len(), 0);
-            self.weight.resize(agg.len(), 0.0);
+        if self.stamp.len() < slots {
+            self.stamp.resize(slots, 0);
+            self.weight.resize(slots, 0.0);
         }
         self.visit += 1;
         let visit = self.visit;
         self.candidates.clear();
+        self.self_loop = 0.0;
         for (v, w) in neighbors {
             if v == node {
+                self.self_loop = w;
                 continue;
             }
             let c = labels[v];
@@ -486,74 +421,57 @@ impl NeighborScan {
             }
             self.weight[c] += w;
         }
-        let k_i_cur = if self.stamp[cur] == visit { self.weight[cur] } else { 0.0 };
-        let agg_cur = agg[cur];
-        let tolerance = quality_fn.move_tolerance(two_m);
-        let mut best: Option<(usize, f64)> = None;
-        for &c in &self.candidates {
-            let g = quality_fn.gain_weighted(
-                two_m,
-                d_i,
-                node_weight,
-                k_i_cur,
-                self.weight[c],
-                agg_cur,
-                agg[c],
-            );
-            let better = match best {
-                None => g > 0.0,
-                Some((bc, bg)) => g > bg || (self.lowest_id_ties && g == bg && c < bc),
-            };
-            if better && g > tolerance {
-                best = Some((c, g));
-            }
+    }
+
+    /// The last gathered node's edge weight into community `c` (0.0 if no
+    /// neighbour is in it).
+    fn weight_to(&self, c: usize) -> f64 {
+        if self.stamp.get(c) == Some(&self.visit) {
+            self.weight[c]
+        } else {
+            0.0
         }
-        best
     }
 }
 
-/// Entry `A_ij` of the (symmetric) adjacency matrix, with the convention that a
-/// self-loop of weight `w` contributes `A_ii = 2w` so that `d_i = Σ_j A_ij`.
-pub fn adjacency_entry(graph: &Graph, i: usize, j: usize) -> f64 {
-    match graph.edge_weight(i, j) {
-        Some(w) if i == j => 2.0 * w,
-        Some(w) => w,
-        None => 0.0,
-    }
-}
-
-/// Incremental bookkeeping for single-node quality-gain moves.
+/// The community bookkeeping of a partition under one quality function: the
+/// label of every node, the per-community aggregate (`Σtot_c` degree sums
+/// for modularity, carried node counts for CPM) and the per-community
+/// internal weights `Σin_c` (the sum of `A_ij` over ordered in-community
+/// pairs, a self-loop of weight `w` counting `A_ii = 2w`).
 ///
-/// Holds the per-community aggregate of the configured quality function
-/// (`Σtot_c` degree sums for modularity, node counts for CPM) so that the
-/// gain of moving a node can be evaluated in time proportional to its
-/// neighbourhood, which is what the multilevel refinement phase and the
-/// Louvain baseline need.
+/// Static refinement builds one per call; the streaming detector keeps one
+/// alive across batches and patches it per edge event
+/// ([`ModularityState::patch_edge`]) and per move, so its quality
+/// ([`ModularityState::quality`]) never needs a graph traversal. The state
+/// holds no graph: every method that needs one takes the graph the state
+/// tracks, as a [`GraphView`], and reads the current total edge weight from
+/// it.
 ///
 /// # Community-slot contract
 ///
-/// The state tracks a fixed number of community slots (grown only by
-/// [`ModularityState::apply_move`]): pricing a move via
-/// [`ModularityState::gain`] / [`ModularityState::gain_from_weights`] treats
-/// *any* slot beyond the tracked range — current or target — as an empty
-/// community with aggregate 0, and applying a move into an untracked slot
-/// resizes the aggregate vector on demand (intermediate slots start empty).
-/// Pricing therefore always agrees with applying, including for brand-new
-/// community slots.
+/// The state tracks a fixed number of community slots, some of which may be
+/// empty after moves. Pricing a move with [`ModularityState::gain`] treats a
+/// target beyond the tracked range as an empty community with aggregate 0,
+/// and [`ModularityState::apply_move`] into such a slot grows the slot vectors
+/// on demand (intermediate slots start empty), so pricing always agrees with
+/// applying.
 #[derive(Debug, Clone)]
 pub struct ModularityState {
-    /// Per-community aggregate: total degree under modularity, node count
-    /// under CPM.
-    sigma_tot: Vec<f64>,
     /// Current community per node.
     labels: Vec<usize>,
-    two_m: f64,
+    /// Per-community aggregate: total degree under modularity, carried node
+    /// count under CPM.
+    sigma_tot: Vec<f64>,
+    /// Per-community internal weight (ordered-pair convention).
+    sigma_in: Vec<f64>,
     quality_fn: QualityFunction,
 }
 
 impl ModularityState {
-    /// Builds the move-gain state for `graph` and an initial `partition`
-    /// under the default unit-resolution modularity.
+    /// Builds the state of `partition` on `graph` under `quality_fn`, summing
+    /// the aggregates node by node in ascending order in one pass over the
+    /// adjacency.
     ///
     /// The partition is renumbered internally; use [`ModularityState::labels`]
     /// to read the current assignment back.
@@ -561,33 +479,44 @@ impl ModularityState {
     /// # Panics
     ///
     /// Panics if the partition has fewer labels than the graph has nodes.
-    pub fn new(graph: &Graph, partition: &Partition) -> Self {
-        Self::with_quality(graph, partition, QualityFunction::default())
-    }
-
-    /// Builds the move-gain state for `graph` and an initial `partition`
-    /// under an explicit quality function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition has fewer labels than the graph has nodes.
-    pub fn with_quality(graph: &Graph, partition: &Partition, quality_fn: QualityFunction) -> Self {
-        let renum = partition.renumbered();
-        let k = renum.num_communities().max(1);
+    pub fn new(graph: &impl GraphView, partition: &Partition, quality_fn: QualityFunction) -> Self {
+        let labels = partition.renumbered().labels().to_vec();
+        let k = labels.iter().max().map_or(1, |&c| c + 1);
         let mut sigma_tot = vec![0.0; k];
+        let mut sigma_in = vec![0.0; k];
         for u in 0..graph.num_nodes() {
-            sigma_tot[renum.community_of(u)] +=
-                quality_fn.node_factor_weighted(graph.degree(u), graph.node_weight(u));
+            let cu = labels[u];
+            sigma_tot[cu] += quality_fn.node_factor(graph.degree(u), graph.node_weight(u));
+            for (v, w) in graph.neighbors(u) {
+                if labels[v] == cu {
+                    // Each undirected edge (u, v) with u != v is visited twice
+                    // (once from each endpoint), matching the ordered-pair
+                    // sum. A self-loop is visited once but must contribute
+                    // A_ii = 2w, consistent with d_i = Σ_j A_ij.
+                    sigma_in[cu] += if u == v { 2.0 * w } else { w };
+                }
+            }
         }
-        ModularityState {
-            sigma_tot,
-            labels: renum.labels().to_vec(),
-            two_m: 2.0 * graph.total_edge_weight(),
-            quality_fn,
-        }
+        ModularityState { labels, sigma_tot, sigma_in, quality_fn }
     }
 
-    /// Current community labels (renumbered at construction time).
+    /// Reassembles a state from its parts verbatim — labels, aggregates and
+    /// internal weights as a checkpoint recorded them — without recomputing
+    /// any float. Returns `None` unless both vectors have one entry per
+    /// community slot and every label indexes a slot.
+    pub fn from_parts(
+        labels: Vec<usize>,
+        sigma_tot: Vec<f64>,
+        sigma_in: Vec<f64>,
+        quality_fn: QualityFunction,
+    ) -> Option<Self> {
+        let consistent =
+            sigma_tot.len() == sigma_in.len() && labels.iter().all(|&c| c < sigma_tot.len());
+        consistent.then_some(ModularityState { labels, sigma_tot, sigma_in, quality_fn })
+    }
+
+    /// Current community labels (renumbered at construction time; moves may
+    /// leave slots empty).
     pub fn labels(&self) -> &[usize] {
         &self.labels
     }
@@ -603,14 +532,14 @@ impl ModularityState {
     }
 
     /// The per-community aggregates (indexed by community slot): degree sums
-    /// `Σtot_c` under modularity, node counts under CPM.
+    /// `Σtot_c` under modularity, carried node counts under CPM.
     pub fn sigma_tot(&self) -> &[f64] {
         &self.sigma_tot
     }
 
-    /// The doubled total edge weight `2m` captured at construction.
-    pub fn two_m(&self) -> f64 {
-        self.two_m
+    /// The per-community internal weights `Σin_c` (indexed by community slot).
+    pub fn sigma_in(&self) -> &[f64] {
+        &self.sigma_in
     }
 
     /// The quality function this state evaluates gains for.
@@ -618,23 +547,50 @@ impl ModularityState {
         self.quality_fn
     }
 
-    /// Quality gain of moving `node` from its current community to `target`.
-    ///
-    /// Uses the single-source-of-truth gain formula
-    /// ([`QualityFunction::gain`]); for modularity this is the standard
-    /// Louvain gain
-    /// `ΔQ = (k_{i,target} − k_{i,cur\{i\}}) / m  −  γ d_i (Σtot_target − Σtot_cur + d_i) / (2 m²)`
-    /// where `k_{i,c}` is the weight from `i` to community `c`.
-    ///
-    /// Returns 0.0 if `target` equals the node's current community. A target
-    /// beyond the tracked slots is priced as an empty community (see the
-    /// community-slot contract in the type docs).
-    pub fn gain(&self, graph: &Graph, node: usize, target: usize) -> f64 {
-        let cur = self.labels[node];
-        if cur == target || self.two_m <= 0.0 {
+    /// The value of the quality function, in O(k) from the aggregates:
+    /// `Σ_c [ Σin_c/(2m) − γ (Σtot_c/(2m))² ]` for modularity and
+    /// `Σ_c [ Σin_c/2 − γ n_c (n_c − 1)/2 ]` for CPM, summed over the slots in
+    /// ascending order. 0.0 when `graph` has no edge weight.
+    pub fn quality(&self, graph: &impl GraphView) -> f64 {
+        let two_m = 2.0 * graph.total_edge_weight();
+        if two_m <= 0.0 {
             return 0.0;
         }
-        let d_i = graph.degree(node);
+        let mut q = 0.0;
+        match self.quality_fn {
+            QualityFunction::Modularity { resolution } => {
+                for (&sigma_in, &sigma_tot) in self.sigma_in.iter().zip(&self.sigma_tot) {
+                    q += sigma_in / two_m - resolution * (sigma_tot / two_m).powi(2);
+                }
+            }
+            QualityFunction::Cpm { resolution } => {
+                for (&sigma_in, &n_c) in self.sigma_in.iter().zip(&self.sigma_tot) {
+                    q += sigma_in / 2.0 - resolution * (n_c * (n_c - 1.0) / 2.0);
+                }
+            }
+        }
+        q
+    }
+
+    /// `node`'s contribution to its community's aggregate.
+    fn node_factor(&self, graph: &impl GraphView, node: usize) -> f64 {
+        self.quality_fn.node_factor(graph.degree(node), graph.node_weight(node))
+    }
+
+    /// Quality gain of moving `node` from its current community to `target`,
+    /// priced by its own scan of the node's neighbourhood — the per-candidate
+    /// form the one-pass [`ModularityState::best_move`] is tested against.
+    ///
+    /// Returns 0.0 if `target` equals the node's current community or the
+    /// graph has no edge weight. A target beyond the tracked slots is priced
+    /// as an empty community (see the community-slot contract in the type
+    /// docs).
+    pub fn gain(&self, graph: &impl GraphView, node: usize, target: usize) -> f64 {
+        let cur = self.labels[node];
+        let two_m = 2.0 * graph.total_edge_weight();
+        if cur == target || two_m <= 0.0 {
+            return 0.0;
+        }
         let mut k_i_cur = 0.0;
         let mut k_i_target = 0.0;
         for (v, w) in graph.neighbors(node) {
@@ -648,96 +604,152 @@ impl ModularityState {
                 k_i_target += w;
             }
         }
-        self.gain_from_weights_weighted(
-            cur,
-            target,
-            d_i,
-            graph.node_weight(node),
+        let aggregate = |c: usize| self.sigma_tot.get(c).copied().unwrap_or(0.0);
+        self.quality_fn.gain(
+            two_m,
+            self.node_factor(graph, node),
             k_i_cur,
             k_i_target,
+            aggregate(cur),
+            aggregate(target),
         )
     }
 
-    /// The same gain as [`ModularityState::gain`], but with the
-    /// node-to-community weights already in hand: `d_i` is the node's degree,
-    /// `k_i_cur` / `k_i_target` its edge weight into the current and target
-    /// community (self-loops excluded).
-    ///
-    /// This is the O(1) half of the gain; a caller that accumulates the
-    /// neighbour-community weights for *all* candidate communities in one pass
-    /// over the adjacency can price every candidate through this instead of
-    /// re-scanning the neighbourhood per candidate. As long as the weights are
-    /// accumulated in neighbour order, the result is bit-identical to
-    /// [`ModularityState::gain`].
-    ///
-    /// Both `cur` and `target` may lie beyond the tracked community slots;
-    /// either is then priced as an empty community with aggregate 0,
-    /// consistently with the resize-on-apply behaviour of
-    /// [`ModularityState::apply_move`] (see the community-slot contract in
-    /// the type docs).
-    pub fn gain_from_weights(
+    /// `node`'s best move as `(community, gain)`: one [`NeighborScan`] pass
+    /// over its adjacency, then every neighbouring community priced through
+    /// [`QualityFunction::gain`] in first-seen order. Only a positive gain
+    /// above [`QualityFunction::move_tolerance`] is a move; ties follow the
+    /// scan's rule. `None` when no move pays or `graph` has no edge weight.
+    pub fn best_move(
         &self,
-        cur: usize,
-        target: usize,
-        d_i: f64,
-        k_i_cur: f64,
-        k_i_target: f64,
-    ) -> f64 {
-        self.gain_from_weights_weighted(cur, target, d_i, 1.0, k_i_cur, k_i_target)
-    }
-
-    /// [`ModularityState::gain_from_weights`] for a super-node carrying
-    /// `node_weight` original nodes (see [`QualityFunction::gain_weighted`]);
-    /// bit-identical to the unweighted form at `node_weight = 1`.
-    pub fn gain_from_weights_weighted(
-        &self,
-        cur: usize,
-        target: usize,
-        d_i: f64,
-        node_weight: f64,
-        k_i_cur: f64,
-        k_i_target: f64,
-    ) -> f64 {
-        if cur == target || self.two_m <= 0.0 {
-            return 0.0;
+        scan: &mut NeighborScan,
+        graph: &impl GraphView,
+        node: usize,
+    ) -> Option<(usize, f64)> {
+        let two_m = 2.0 * graph.total_edge_weight();
+        if two_m <= 0.0 {
+            return None;
         }
-        let sigma_cur = self.sigma_tot.get(cur).copied().unwrap_or(0.0);
-        let sigma_target = self.sigma_tot.get(target).copied().unwrap_or(0.0);
-        self.quality_fn.gain_weighted(
-            self.two_m,
-            d_i,
-            node_weight,
-            k_i_cur,
-            k_i_target,
-            sigma_cur,
-            sigma_target,
-        )
+        scan.gather(node, graph.neighbors(node), &self.labels, self.sigma_tot.len());
+        let cur = self.labels[node];
+        let factor = self.node_factor(graph, node);
+        let k_i_cur = scan.weight_to(cur);
+        let agg_cur = self.sigma_tot[cur];
+        let tolerance = self.quality_fn.move_tolerance(two_m);
+        let mut best: Option<(usize, f64)> = None;
+        for &c in &scan.candidates {
+            let g = self.quality_fn.gain(
+                two_m,
+                factor,
+                k_i_cur,
+                scan.weight[c],
+                agg_cur,
+                self.sigma_tot[c],
+            );
+            let better = match best {
+                None => g > 0.0,
+                Some((bc, bg)) => g > bg || (scan.lowest_id_ties && g == bg && c < bc),
+            };
+            if better && g > tolerance {
+                best = Some((c, g));
+            }
+        }
+        best
     }
 
-    /// Applies the move of `node` to `target`, updating the internal totals.
-    /// A target beyond the tracked community slots grows the aggregate vector
-    /// on demand (intermediate slots start empty) — the companion of the
-    /// empty-slot pricing in [`ModularityState::gain_from_weights`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn apply_move(&mut self, graph: &Graph, node: usize, target: usize) {
+    /// Moves `node` to its [`ModularityState::best_move`], if it has one, and
+    /// returns the gain. The move is applied from the weights the scan just
+    /// summed, so pricing and applying walk the adjacency once.
+    pub fn move_to_best(
+        &mut self,
+        scan: &mut NeighborScan,
+        graph: &impl GraphView,
+        node: usize,
+    ) -> Option<f64> {
+        let (target, gain) = self.best_move(scan, graph, node)?;
+        self.patch_move(scan, graph, node, target);
+        Some(gain)
+    }
+
+    /// Moves `node` to `target`, whatever its gain: one scan of the node's
+    /// adjacency, then `Σtot` and `Σin` patched as
+    /// [`ModularityState::move_to_best`] patches them. A target beyond the
+    /// tracked slots grows the slot vectors (see the community-slot contract).
+    pub fn apply_move(
+        &mut self,
+        scan: &mut NeighborScan,
+        graph: &impl GraphView,
+        node: usize,
+        target: usize,
+    ) {
+        scan.gather(node, graph.neighbors(node), &self.labels, self.sigma_tot.len());
+        self.patch_move(scan, graph, node, target);
+    }
+
+    /// Applies the move of `node` to `target` from the weights `scan` gathered
+    /// for `node` under the current labels.
+    fn patch_move(
+        &mut self,
+        scan: &NeighborScan,
+        graph: &impl GraphView,
+        node: usize,
+        target: usize,
+    ) {
         let cur = self.labels[node];
         if cur == target {
             return;
         }
         if target >= self.sigma_tot.len() {
             self.sigma_tot.resize(target + 1, 0.0);
+            self.sigma_in.resize(target + 1, 0.0);
         }
-        let factor =
-            self.quality_fn.node_factor_weighted(graph.degree(node), graph.node_weight(node));
+        let factor = self.node_factor(graph, node);
         self.sigma_tot[cur] -= factor;
         self.sigma_tot[target] += factor;
+        // Ordered-pair convention: each in-community edge counts from both
+        // endpoints; the self-loop (A_ii = 2w) travels with the node.
+        self.sigma_in[cur] -= 2.0 * scan.weight_to(cur) + 2.0 * scan.self_loop;
+        self.sigma_in[target] += 2.0 * scan.weight_to(target) + 2.0 * scan.self_loop;
         self.labels[node] = target;
     }
 
-    /// Converts the current state back into a [`Partition`].
+    /// Patches the aggregates for a change of `delta` in the weight of edge
+    /// `(u, v)` (`u == v` for a self-loop), which the caller has already
+    /// applied to its graph. O(1): both endpoints' degrees change by `delta`
+    /// (a self-loop's by `2 delta`), which moves `Σtot` under modularity
+    /// only, since CPM's node counts ignore edges, and an in-community edge
+    /// moves `Σin` by `2 delta`.
+    pub fn patch_edge(&mut self, u: usize, v: usize, delta: f64) {
+        let (cu, cv) = (self.labels[u], self.labels[v]);
+        let degree_aggregates = matches!(self.quality_fn, QualityFunction::Modularity { .. });
+        if u == v {
+            if degree_aggregates {
+                self.sigma_tot[cu] += 2.0 * delta;
+            }
+            self.sigma_in[cu] += 2.0 * delta;
+        } else {
+            if degree_aggregates {
+                self.sigma_tot[cu] += delta;
+                self.sigma_tot[cv] += delta;
+            }
+            if cu == cv {
+                self.sigma_in[cu] += 2.0 * delta;
+            }
+        }
+    }
+
+    /// Tracks a new isolated node carrying `node_weight` original nodes, in a
+    /// community slot of its own, and returns that slot.
+    pub fn add_node(&mut self, node_weight: f64) -> usize {
+        let community = self.sigma_tot.len();
+        self.labels.push(community);
+        self.sigma_tot.push(self.quality_fn.node_factor(0.0, node_weight));
+        self.sigma_in.push(0.0);
+        community
+    }
+
+    /// Converts the current state back into a [`Partition`] (labels as
+    /// tracked, not renumbered).
     ///
     /// # Panics
     ///
@@ -751,7 +763,7 @@ impl ModularityState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, GraphBuilder, Partition};
+    use crate::{generators, EdgeEvent, GraphBuilder, Partition};
 
     fn two_triangles() -> Graph {
         // Two triangles joined by a single bridge edge.
@@ -760,25 +772,6 @@ mod tests {
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)],
         )
         .unwrap()
-    }
-
-    /// `node`'s best move through the shared one-pass scan.
-    fn best_move(
-        scan: &mut NeighborScan,
-        graph: &Graph,
-        state: &ModularityState,
-        node: usize,
-    ) -> Option<(usize, f64)> {
-        scan.best_move_with_quality_weighted(
-            node,
-            graph.neighbors(node),
-            state.labels(),
-            graph.degree(node),
-            graph.node_weight(node),
-            state.two_m(),
-            state.sigma_tot(),
-            state.quality_function(),
-        )
     }
 
     fn two_triangles_weighted(weight: f64) -> Graph {
@@ -795,7 +788,7 @@ mod tests {
         for labels in [vec![0, 0, 0, 1, 1, 1], vec![0, 1, 0, 1, 0, 1], vec![0; 6]] {
             let p = Partition::from_labels(labels).unwrap();
             let fast = modularity(&g, &p);
-            let dense = modularity_dense(&g, &p);
+            let dense = quality_dense(&g, &p, QualityFunction::default());
             assert!((fast - dense).abs() < 1e-12, "fast={fast} dense={dense}");
         }
     }
@@ -823,7 +816,6 @@ mod tests {
         let p = generators::karate_club_communities();
         let qf = QualityFunction::default();
         assert_eq!(modularity(&g, &p).to_bits(), quality(&g, &p, qf).to_bits());
-        assert_eq!(modularity_dense(&g, &p).to_bits(), quality_dense(&g, &p, qf).to_bits());
     }
 
     #[test]
@@ -884,7 +876,7 @@ mod tests {
         let g = GraphBuilder::new(3).build();
         let p = Partition::singletons(3);
         assert_eq!(modularity(&g, &p), 0.0);
-        assert_eq!(modularity_dense(&g, &p), 0.0);
+        assert_eq!(quality_dense(&g, &p, QualityFunction::default()), 0.0);
         assert_eq!(quality(&g, &p, QualityFunction::cpm(1.0)), 0.0);
         assert_eq!(quality_dense(&g, &p, QualityFunction::cpm(1.0)), 0.0);
     }
@@ -893,7 +885,7 @@ mod tests {
     fn gain_matches_recomputation() {
         let g = two_triangles();
         let p = Partition::from_labels(vec![0, 0, 0, 1, 1, 1]).unwrap();
-        let state = ModularityState::new(&g, &p);
+        let state = ModularityState::new(&g, &p, QualityFunction::default());
         let before = modularity(&g, &p);
         // Move node 2 into community 1 and compare gain with recomputed difference.
         let gain = state.gain(&g, 2, 1);
@@ -909,7 +901,7 @@ mod tests {
         let p = Partition::from_labels(vec![0, 0, 1, 1, 2, 2]).unwrap();
         for resolution in [0.25, 1.0, 4.0] {
             for qf in [QualityFunction::modularity(resolution), QualityFunction::cpm(resolution)] {
-                let state = ModularityState::with_quality(&g, &p, qf);
+                let state = ModularityState::new(&g, &p, qf);
                 let before = quality(&g, &p, qf);
                 for node in 0..6 {
                     for target in 0..3 {
@@ -922,7 +914,8 @@ mod tests {
                         let delta = quality(&g, &moved, qf) - before;
                         assert!(
                             (gain - delta).abs() < 1e-12,
-                            "{qf:?} node {node} -> {target}: gain={gain} delta={delta}"
+                            "{qf:?} node {node} -> {target}: gain={gain} delta={}",
+                            delta
                         );
                     }
                 }
@@ -934,17 +927,17 @@ mod tests {
     fn apply_move_keeps_gain_consistent() {
         let g = two_triangles();
         let p = Partition::singletons(6);
-        let mut state = ModularityState::new(&g, &p);
+        let mut state = ModularityState::new(&g, &p, QualityFunction::default());
         let mut scan = NeighborScan::new();
         // Greedily apply best moves and check modularity never decreases.
         let mut q = modularity(&g, &state.to_partition());
         for _ in 0..10 {
             let mut moved_any = false;
             for node in 0..6 {
-                if let Some((c, gain)) = best_move(&mut scan, &g, &state, node) {
-                    state.apply_move(&g, node, c);
+                if let Some(gain) = state.move_to_best(&mut scan, &g, node) {
                     let q_new = modularity(&g, &state.to_partition());
                     assert!((q_new - (q + gain)).abs() < 1e-9);
+                    assert!((state.quality(&g) - q_new).abs() < 1e-12);
                     q = q_new;
                     moved_any = true;
                 }
@@ -963,15 +956,12 @@ mod tests {
         // must not change any greedy refinement decision: the final partitions
         // at weight 1.0 and weight 1e-9 are identical.
         let refine = |graph: &Graph, qf: QualityFunction| {
-            let mut state = ModularityState::with_quality(graph, &Partition::singletons(6), qf);
+            let mut state = ModularityState::new(graph, &Partition::singletons(6), qf);
             let mut scan = NeighborScan::new();
             for _ in 0..10 {
                 let mut moved_any = false;
                 for node in 0..6 {
-                    if let Some((c, _)) = best_move(&mut scan, graph, &state, node) {
-                        state.apply_move(graph, node, c);
-                        moved_any = true;
-                    }
+                    moved_any |= state.move_to_best(&mut scan, graph, node).is_some();
                 }
                 if !moved_any {
                     break;
@@ -1000,19 +990,17 @@ mod tests {
     fn pricing_and_applying_a_move_into_a_new_slot_agree() {
         // Pricing a move into a community slot the state has never seen must
         // treat it as empty — and agree with the recomputed quality difference
-        // once apply_move grows the slot vector.
+        // once apply_move grows the slot vectors.
         let g = two_triangles();
         let p = Partition::from_labels(vec![0, 0, 0, 1, 1, 1]).unwrap();
         for qf in [QualityFunction::default(), QualityFunction::cpm(1.0)] {
-            let mut state = ModularityState::with_quality(&g, &p, qf);
+            let mut state = ModularityState::new(&g, &p, qf);
             let fresh = state.num_community_slots() + 3;
-            let d_2 = g.degree(2);
-            // Node 2 has 2.0 into its own community, nothing into the fresh one.
-            let priced = state.gain_from_weights(state.community_of(2), fresh, d_2, 2.0, 0.0);
-            assert_eq!(priced.to_bits(), state.gain(&g, 2, fresh).to_bits());
+            let priced = state.gain(&g, 2, fresh);
             let before = quality(&g, &state.to_partition(), qf);
-            state.apply_move(&g, 2, fresh);
+            state.apply_move(&mut NeighborScan::new(), &g, 2, fresh);
             assert_eq!(state.num_community_slots(), fresh + 1);
+            assert_eq!(state.sigma_in().len(), fresh + 1);
             assert_eq!(state.community_of(2), fresh);
             let after = quality(&g, &state.to_partition(), qf);
             assert!(
@@ -1020,10 +1008,7 @@ mod tests {
                 "{qf:?}: priced={priced} delta={}",
                 after - before
             );
-            // An out-of-range *current* community is priced as empty too
-            // (symmetric with the target side), not a panic.
-            let symmetric = state.gain_from_weights(fresh + 7, 0, d_2, 0.0, 2.0);
-            assert!(symmetric.is_finite());
+            assert!((state.quality(&g) - after).abs() < 1e-12, "{qf:?}");
         }
     }
 
@@ -1032,7 +1017,8 @@ mod tests {
     /// comes first in node 0's adjacency, but its community has the higher id.
     fn tied_path() -> (Graph, ModularityState) {
         let g = GraphBuilder::from_unweighted_edges(5, [(0, 3), (0, 4), (1, 4), (2, 3)]).unwrap();
-        let state = ModularityState::new(&g, &Partition::from_labels(vec![0, 1, 2, 2, 1]).unwrap());
+        let p = Partition::from_labels(vec![0, 1, 2, 2, 1]).unwrap();
+        let state = ModularityState::new(&g, &p, QualityFunction::default());
         assert_eq!(g.neighbors(0).next().map(|(v, _)| v), Some(3), "adjacency premise");
         assert_eq!(state.gain(&g, 0, 1).to_bits(), state.gain(&g, 0, 2).to_bits(), "tie premise");
         (g, state)
@@ -1041,7 +1027,7 @@ mod tests {
     #[test]
     fn best_move_ties_resolve_to_the_first_seen_neighbour() {
         let (g, state) = tied_path();
-        let (community, gain) = best_move(&mut NeighborScan::new(), &g, &state, 0).unwrap();
+        let (community, gain) = state.best_move(&mut NeighborScan::new(), &g, 0).unwrap();
         assert_eq!(community, state.community_of(3));
         assert_eq!(community, 2);
         assert!(gain > 0.0);
@@ -1051,7 +1037,7 @@ mod tests {
     fn best_move_ties_resolve_to_the_lowest_community() {
         let (g, state) = tied_path();
         let mut scan = NeighborScan::with_lowest_id_ties();
-        let (community, gain) = best_move(&mut scan, &g, &state, 0).unwrap();
+        let (community, gain) = state.best_move(&mut scan, &g, 0).unwrap();
         assert_eq!(community, 1);
         assert!(gain > 0.0);
     }
@@ -1065,7 +1051,95 @@ mod tests {
         let g = b.build();
         let p = Partition::from_labels(vec![0, 0, 1]).unwrap();
         let fast = modularity(&g, &p);
-        let dense = modularity_dense(&g, &p);
+        let dense = quality_dense(&g, &p, QualityFunction::default());
         assert!((fast - dense).abs() < 1e-12);
+    }
+
+    /// Two triangles with a self-loop on node 2, node weights 1–3 and a
+    /// non-integer bridge: every term of the bookkeeping is exercised.
+    fn weighted_loopy() -> Graph {
+        let mut b = GraphBuilder::new(6);
+        for (u, v, w) in
+            [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.0), (3, 4, 1.5), (4, 5, 1.0), (3, 5, 1.0)]
+        {
+            b.add_edge(u, v, w).unwrap();
+        }
+        b.add_edge(2, 2, 0.5).unwrap();
+        b.add_edge(2, 3, 0.75).unwrap();
+        for node in 0..6 {
+            b.set_node_weight(node, (1 + node % 3) as f64).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn both_graph_types_build_the_same_state() {
+        let g = weighted_loopy();
+        let dynamic = DynamicGraph::from_graph(&g);
+        let p = Partition::from_labels(vec![0, 0, 0, 1, 1, 1]).unwrap();
+        for qf in [QualityFunction::default(), QualityFunction::cpm(0.5)] {
+            let a = ModularityState::new(&g, &p, qf);
+            let b = ModularityState::new(&dynamic, &p, qf);
+            assert_eq!(a.labels(), b.labels());
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.sigma_tot()), bits(b.sigma_tot()));
+            assert_eq!(bits(a.sigma_in()), bits(b.sigma_in()));
+            assert_eq!(a.quality(&g).to_bits(), b.quality(&dynamic).to_bits());
+            assert_eq!(a.quality(&g).to_bits(), quality(&g, &p, qf).to_bits());
+        }
+    }
+
+    #[test]
+    fn patched_state_tracks_moves_and_edge_changes() {
+        // Moves, edge events and a new node on a dynamic graph: after each
+        // step the patched state reports the quality of a fresh build.
+        for qf in [QualityFunction::modularity(0.5), QualityFunction::cpm(0.25)] {
+            let mut graph = DynamicGraph::from_graph(&weighted_loopy());
+            let start = Partition::from_labels(vec![0, 1, 0, 1, 2, 2]).unwrap();
+            let mut state = ModularityState::new(&graph, &start, qf);
+            let mut scan = NeighborScan::new();
+            let check = |state: &ModularityState, graph: &DynamicGraph| {
+                let fresh = quality(&graph.snapshot(), &state.to_partition(), qf);
+                let patched = state.quality(graph);
+                assert!((patched - fresh).abs() < 1e-12, "{qf:?}: {patched} vs {fresh}");
+            };
+            state.apply_move(&mut scan, &graph, 2, 1);
+            check(&state, &graph);
+            for event in [
+                EdgeEvent::Add { u: 0, v: 5, weight: 2.0 },
+                EdgeEvent::Update { u: 2, v: 2, weight: 1.25 },
+                EdgeEvent::Remove { u: 1, v: 2 },
+            ] {
+                let delta = graph.apply(&event).unwrap();
+                let (u, v) = event.endpoints();
+                state.patch_edge(u, v, delta);
+                check(&state, &graph);
+            }
+            for (v, w) in graph.remove_node(3).unwrap() {
+                state.patch_edge(3, v, -w);
+            }
+            check(&state, &graph);
+            let id = graph.add_node();
+            assert_eq!(state.add_node(graph.node_weight(id)), state.num_community_slots() - 1);
+            let delta = graph.insert_edge(id, 0, 1.0).unwrap();
+            state.patch_edge(id, 0, delta);
+            check(&state, &graph);
+            for node in 0..graph.num_nodes() {
+                state.move_to_best(&mut scan, &graph, node);
+                check(&state, &graph);
+            }
+        }
+    }
+
+    #[test]
+    fn from_parts_rejects_inconsistent_parts() {
+        let qf = QualityFunction::default();
+        assert!(
+            ModularityState::from_parts(vec![0, 1], vec![1.0, 1.0], vec![0.0, 0.0], qf).is_some()
+        );
+        assert!(ModularityState::from_parts(vec![0, 1], vec![1.0, 1.0], vec![0.0], qf).is_none());
+        assert!(
+            ModularityState::from_parts(vec![0, 2], vec![1.0, 1.0], vec![0.0, 0.0], qf).is_none()
+        );
     }
 }

@@ -163,7 +163,8 @@ pub struct ServiceCheckpoint {
     pub drift: f64,
     /// Community label per node.
     pub labels: Vec<usize>,
-    /// Per-community degree sums (raw bits semantics).
+    /// Per-community aggregates: degree sums, or carried node counts under CPM
+    /// (raw bits semantics).
     pub sigma_tot: Vec<f64>,
     /// Per-community internal weights (raw bits semantics).
     pub sigma_in: Vec<f64>,

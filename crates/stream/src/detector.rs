@@ -2,27 +2,21 @@
 //!
 //! See the crate docs for the architecture (event model → incremental
 //! bookkeeping → localized refinement → epoch fallback) and the determinism
-//! contract. The quality bookkeeping mirrors the community-aggregated form
-//! used by `qhdcd_graph::modularity::quality` — for resolution-γ modularity:
-//!
-//! ```text
-//! Q = Σ_c [ Σin_c / (2m)  −  γ (Σtot_c / (2m))² ]
-//! ```
-//!
-//! where `Σin_c` sums `A_ij` over ordered in-community pairs (a self-loop of
-//! weight `w` contributes `A_ii = 2w`) and `Σtot_c` sums weighted degrees;
-//! for CPM the second aggregate is the community node count `n_c` and
-//! `Q = Σ_c [ Σin_c / 2 − γ n_c (n_c − 1) / 2 ]`. The aggregate is uniformly
-//! a sum of [`qhdcd_graph::QualityFunction::node_factor`] over members.
-//! Both aggregates are patched in O(1) per edge event and per reassign move,
-//! so the maintained quality never requires a graph traversal. Equality
-//! with the from-scratch recomputation (to 1e-9) is enforced by tests after
-//! every batch.
+//! contract. The community bookkeeping is one
+//! [`ModularityState`](qhdcd_graph::modularity::ModularityState) kept alive
+//! across batches — the type static refinement builds per call. Every edge
+//! event patches its aggregates in O(1), each batch's dirty frontier is
+//! refined by `qhdcd_core::refine::refine_worklist`, the loop
+//! `refine_frontier` runs, and the maintained quality is read from the
+//! aggregates in O(k), never from a graph traversal. Equality with the
+//! from-scratch recomputation (to 1e-9) is enforced by tests after every
+//! batch.
 
-use crate::StreamError;
-use qhdcd_core::refine::RefineConfig;
+use crate::{ServiceCheckpoint, StreamError};
+use qhdcd_core::refine::{refine_worklist, RefineConfig};
 use qhdcd_core::CommunityDetector;
-use qhdcd_graph::{modularity, DynamicGraph, EdgeEvent, NodeId, Partition, QualityFunction};
+use qhdcd_graph::modularity::{ModularityState, NeighborScan};
+use qhdcd_graph::{DynamicGraph, EdgeEvent, NodeId, Partition, QualityFunction};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -84,8 +78,9 @@ impl StreamConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::InvalidConfig`] for out-of-range thresholds or a
-    /// zero refinement pass budget.
+    /// Returns [`StreamError::InvalidConfig`] for out-of-range thresholds, a
+    /// zero refinement pass budget or a resolution that is not a finite
+    /// non-negative number.
     pub fn validate(&self) -> Result<(), StreamError> {
         if !(self.frontier_fraction > 0.0 && self.frontier_fraction <= 1.0) {
             return Err(StreamError::InvalidConfig {
@@ -105,7 +100,7 @@ impl StreamConfig {
                 reason: "refine.max_passes must be > 0".into(),
             });
         }
-        Ok(())
+        self.quality().validate().map_err(|reason| StreamError::InvalidConfig { reason })
     }
 }
 
@@ -158,23 +153,17 @@ pub struct StreamStats {
 pub struct StreamingDetector {
     graph: DynamicGraph,
     config: StreamConfig,
-    /// Current community label per node (labels are community slots, not
-    /// necessarily contiguous after moves empty a community).
-    labels: Vec<usize>,
-    /// Per-community aggregates: degree sums `Σtot_c` under modularity, node
-    /// counts `n_c` under CPM (sums of `QualityFunction::node_factor`).
-    sigma_tot: Vec<f64>,
-    /// Per-community internal weights `Σin_c` (ordered-pair convention).
-    sigma_in: Vec<f64>,
+    /// Labels, per-community aggregates and internal weights of the
+    /// maintained partition, patched per event and per move.
+    state: ModularityState,
     /// Accumulated absolute weight change since the last full solve.
     drift: f64,
     /// Number of batches applied.
     batches: u64,
     /// Number of full re-detect fallbacks triggered.
     full_redetects: u64,
-    /// Scratch of the shared one-pass best-move scan (the same implementation
-    /// `refine_frontier` uses — see [`StreamingDetector::best_move`]).
-    scan: modularity::NeighborScan,
+    /// Scratch of the move scan, reused across batches.
+    scan: NeighborScan,
 }
 
 impl StreamingDetector {
@@ -215,20 +204,16 @@ impl StreamingDetector {
                 nodes: graph.num_nodes(),
             }));
         }
-        let labels = partition.renumbered().labels().to_vec();
-        let mut detector = StreamingDetector {
+        let state = ModularityState::new(&graph, &partition, config.quality());
+        Ok(StreamingDetector {
             graph,
             config,
-            labels,
-            sigma_tot: Vec::new(),
-            sigma_in: Vec::new(),
+            state,
             drift: 0.0,
             batches: 0,
             full_redetects: 0,
-            scan: modularity::NeighborScan::new(),
-        };
-        detector.rebuild_aggregates();
-        Ok(detector)
+            scan: NeighborScan::new(),
+        })
     }
 
     /// The underlying dynamic graph.
@@ -254,13 +239,13 @@ impl StreamingDetector {
 
     /// The maintained labels renumbered to `0..k` in order of first
     /// appearance, as [`Partition::renumbered`] numbers them. Every label
-    /// indexes `Σtot`, so a table indexed by community renumbers them without
-    /// hashing.
+    /// indexes a community slot, so a table indexed by slot renumbers them
+    /// without hashing.
     pub(crate) fn renumbered_labels(&self) -> Vec<usize> {
-        debug_assert!(self.labels.iter().all(|&c| c < self.sigma_tot.len()));
-        let mut renumber = vec![usize::MAX; self.sigma_tot.len()];
+        let mut renumber = vec![usize::MAX; self.state.num_community_slots()];
         let mut next = 0;
-        self.labels
+        self.state
+            .labels()
             .iter()
             .map(|&c| {
                 if renumber[c] == usize::MAX {
@@ -276,31 +261,7 @@ impl StreamingDetector {
     /// [`StreamConfig::with_quality`]), computed in O(k) from the
     /// incrementally patched aggregates (never from a graph traversal).
     pub fn modularity(&self) -> f64 {
-        let two_m = 2.0 * self.graph.total_edge_weight();
-        if two_m <= 0.0 {
-            return 0.0;
-        }
-        let mut q = 0.0;
-        match self.quality_fn() {
-            QualityFunction::Modularity { resolution } => {
-                for c in 0..self.sigma_tot.len() {
-                    q +=
-                        self.sigma_in[c] / two_m - resolution * (self.sigma_tot[c] / two_m).powi(2);
-                }
-            }
-            QualityFunction::Cpm { resolution } => {
-                for c in 0..self.sigma_tot.len() {
-                    let n_c = self.sigma_tot[c];
-                    q += self.sigma_in[c] / 2.0 - resolution * (n_c * (n_c - 1.0) / 2.0);
-                }
-            }
-        }
-        q
-    }
-
-    /// The quality function being maintained.
-    fn quality_fn(&self) -> QualityFunction {
-        self.config.refine.quality
+        self.state.quality(&self.graph)
     }
 
     /// Accumulated absolute weight change since the last full solve.
@@ -322,12 +283,7 @@ impl StreamingDetector {
     /// id.
     pub fn add_node(&mut self) -> NodeId {
         let id = self.graph.add_node();
-        let community = self.sigma_tot.len();
-        self.labels.push(community);
-        // The aggregate of a fresh singleton community: degree 0 under
-        // modularity, node count 1 under CPM.
-        self.sigma_tot.push(self.quality_fn().node_factor(0.0));
-        self.sigma_in.push(0.0);
+        self.state.add_node(self.graph.node_weight(id));
         id
     }
 
@@ -346,66 +302,26 @@ impl StreamingDetector {
         let start = Instant::now();
         let modularity_before = self.modularity();
 
-        // --- Phase 1: apply events, patching aggregates in O(1) per event
-        // (O(deg) for a node deletion, which is one event per incident edge).
+        // --- Phase 1: apply events, patching the aggregates in O(1) per
+        // changed edge (a node deletion changes every incident edge).
         let mut touched: BTreeSet<NodeId> = BTreeSet::new();
-        // Under modularity `Σtot` tracks weighted degrees and must be patched
-        // per event; under CPM it tracks node counts, which edge events never
-        // change (a removed node survives as a tombstone in the label vector
-        // and the snapshot, so it keeps counting).
-        let degree_aggregates = self.quality_fn().aggregate_tracks_degrees();
         for (index, event) in events.iter().enumerate() {
+            let failed = |source| StreamError::EventFailed { index, source };
             if let EdgeEvent::RemoveNode { u } = *event {
-                // A deletion strips every incident edge at once; patch the
-                // aggregates per removed edge exactly as the equivalent
-                // sequence of `Remove` events would.
-                let removed = self
-                    .graph
-                    .remove_node(u)
-                    .map_err(|source| StreamError::EventFailed { index, source })?;
-                let cu = self.labels[u];
-                for &(v, w) in &removed {
-                    if v == u {
-                        if degree_aggregates {
-                            self.sigma_tot[cu] -= 2.0 * w;
-                        }
-                        self.sigma_in[cu] -= 2.0 * w;
-                    } else {
-                        let cv = self.labels[v];
-                        if degree_aggregates {
-                            self.sigma_tot[cu] -= w;
-                            self.sigma_tot[cv] -= w;
-                        }
-                        if cu == cv {
-                            self.sigma_in[cu] -= 2.0 * w;
-                        }
-                        touched.insert(v);
-                    }
+                // A deletion strips every incident edge at once; patch per
+                // removed edge exactly as the equivalent sequence of
+                // `Remove` events would.
+                for (v, w) in self.graph.remove_node(u).map_err(failed)? {
+                    self.state.patch_edge(u, v, -w);
                     self.drift += w;
+                    touched.insert(v);
                 }
                 touched.insert(u);
                 continue;
             }
-            let delta = self
-                .graph
-                .apply(event)
-                .map_err(|source| StreamError::EventFailed { index, source })?;
+            let delta = self.graph.apply(event).map_err(failed)?;
             let (u, v) = event.endpoints();
-            let (cu, cv) = (self.labels[u], self.labels[v]);
-            if u == v {
-                if degree_aggregates {
-                    self.sigma_tot[cu] += 2.0 * delta;
-                }
-                self.sigma_in[cu] += 2.0 * delta;
-            } else {
-                if degree_aggregates {
-                    self.sigma_tot[cu] += delta;
-                    self.sigma_tot[cv] += delta;
-                }
-                if cu == cv {
-                    self.sigma_in[cu] += 2.0 * delta;
-                }
-            }
+            self.state.patch_edge(u, v, delta);
             self.drift += delta.abs();
             touched.insert(u);
             touched.insert(v);
@@ -422,20 +338,32 @@ impl StreamingDetector {
         // --- Phase 3: localized repair or epoch fallback.
         let n = self.graph.num_nodes();
         let total_weight = self.graph.total_edge_weight();
+        let frontier_size = frontier.len();
         let full_redetect = total_weight > 0.0
-            && (frontier.len() as f64 > self.config.frontier_fraction * n as f64
+            && (frontier_size as f64 > self.config.frontier_fraction * n as f64
                 || self.drift > self.config.drift_threshold * total_weight);
         let (nodes_moved, refine_passes) = if full_redetect {
             (self.full_redetect()?, 0)
+        } else if total_weight > 0.0 {
+            let run = refine_worklist(
+                &self.graph,
+                &mut self.state,
+                &mut self.scan,
+                frontier,
+                &self.config.refine,
+            );
+            (run.moves, run.passes)
         } else {
-            self.refine_localized(&frontier)
+            // Without edge weight no move has a gain, so the batch skips
+            // refinement and reports no pass.
+            (0, 0)
         };
 
         self.batches += 1;
         let modularity = self.modularity();
         Ok(StreamStats {
             events_applied: events.len(),
-            frontier_size: frontier.len(),
+            frontier_size,
             nodes_moved,
             refine_passes,
             full_redetect,
@@ -451,196 +379,75 @@ impl StreamingDetector {
         let snapshot = self.graph.snapshot();
         let hint = self.partition();
         let result = self.config.detector.detect_with_hint(&snapshot, &hint)?;
-        let new_labels = result.partition.renumbered().labels().to_vec();
-        let moved = nodes_moved_between(hint.labels(), &new_labels);
-        self.labels = new_labels;
-        self.rebuild_aggregates();
+        self.state = ModularityState::new(&self.graph, &result.partition, self.config.quality());
         self.drift = 0.0;
         self.full_redetects += 1;
-        Ok(moved)
+        Ok(nodes_moved_between(hint.labels(), self.state.labels()))
     }
 
-    /// Localized reassign refinement over `frontier`, mirroring
-    /// `qhdcd_core::refine::refine_frontier` move for move (ascending node
-    /// order, candidate communities in ascending neighbour order, strict
-    /// improvement, the shared quality-scaled move tolerance) while patching
-    /// `Σtot`/`Σin` per move instead of rebuilding any state. Returns
-    /// `(moves, passes)`.
-    fn refine_localized(&mut self, frontier: &BTreeSet<NodeId>) -> (usize, usize) {
-        if self.graph.total_edge_weight() <= 0.0 {
-            return (0, 0);
+    /// Freezes every piece of state a bit-exact checkpoint must capture, as
+    /// cut at `epoch` after `events_applied` journaled events. The float
+    /// aggregates are the *incrementally patched* values — they can differ
+    /// from a fresh summation in the low bits — so they are recorded
+    /// verbatim rather than rebuilt on restore.
+    pub(crate) fn checkpoint(&self, epoch: u64, events_applied: usize) -> ServiceCheckpoint {
+        ServiceCheckpoint {
+            epoch,
+            events_applied,
+            batches: self.batches,
+            full_redetects: self.full_redetects,
+            quality: self.config.quality(),
+            drift: self.drift,
+            labels: self.state.labels().to_vec(),
+            sigma_tot: self.state.sigma_tot().to_vec(),
+            sigma_in: self.state.sigma_in().to_vec(),
+            graph: self.graph.clone(),
         }
-        let mut worklist = frontier.clone();
-        let mut moves = 0usize;
-        let mut passes = 0usize;
-        for _ in 0..self.config.refine.max_passes {
-            if worklist.is_empty() {
-                break;
-            }
-            passes += 1;
-            let mut pass_gain = 0.0;
-            let mut next = BTreeSet::new();
-            for &node in &worklist {
-                if let Some((target, gain)) = self.best_move(node) {
-                    self.apply_move(node, target);
-                    pass_gain += gain;
-                    moves += 1;
-                    next.insert(node);
-                    for (v, _) in self.graph.neighbors(node) {
-                        next.insert(v);
-                    }
-                }
-            }
-            worklist = next;
-            if pass_gain < self.config.refine.min_gain {
-                break;
-            }
-        }
-        (moves, passes)
     }
 
-    /// Deterministic one-pass best-move scan — the *same*
-    /// [`modularity::NeighborScan`] implementation `refine_frontier` runs
-    /// (first-seen candidate order, per-community accumulation in neighbour
-    /// order, the configured quality function's gain arithmetic,
-    /// strict-improvement tie-break), fed
-    /// the detector's incrementally maintained `Σtot` aggregates instead of a
-    /// `ModularityState`. Sharing the implementation is what keeps the
-    /// streaming decisions bit-identical to the static twin (the invariant
-    /// the stream ↔ `refine_frontier` conformance tests pin) — O(deg) per
-    /// node instead of the previous O(deg²) per-candidate re-scans.
-    fn best_move(&mut self, node: NodeId) -> Option<(usize, f64)> {
-        let two_m = 2.0 * self.graph.total_edge_weight();
-        self.scan.best_move_with_quality(
-            node,
-            self.graph.neighbors(node),
-            &self.labels,
-            self.graph.degree(node),
-            two_m,
-            &self.sigma_tot,
-            self.config.refine.quality,
-        )
-    }
-
-    /// Moves `node` to `target`, patching `Σtot` and `Σin` in O(deg).
-    fn apply_move(&mut self, node: NodeId, target: usize) {
-        let cur = self.labels[node];
-        if cur == target {
-            return;
-        }
-        let d_i = self.graph.degree(node);
-        let mut k_cur = 0.0;
-        let mut k_target = 0.0;
-        let mut self_loop = 0.0;
-        for (v, w) in self.graph.neighbors(node) {
-            if v == node {
-                self_loop = w;
-                continue;
-            }
-            let c = self.labels[v];
-            if c == cur {
-                k_cur += w;
-            } else if c == target {
-                k_target += w;
-            }
-        }
-        let factor = self.quality_fn().node_factor(d_i);
-        self.sigma_tot[cur] -= factor;
-        self.sigma_tot[target] += factor;
-        // Ordered-pair convention: each in-community edge counts from both
-        // endpoints; the self-loop (A_ii = 2w) travels with the node.
-        self.sigma_in[cur] -= 2.0 * k_cur + 2.0 * self_loop;
-        self.sigma_in[target] += 2.0 * k_target + 2.0 * self_loop;
-        self.labels[node] = target;
-    }
-
-    /// Borrows every piece of state a bit-exact checkpoint must capture:
-    /// `(graph, labels, sigma_tot, sigma_in, drift, batches, full_redetects)`.
-    /// The float aggregates are the *incrementally patched* values — they can
-    /// differ from a fresh summation in the low bits, so a checkpoint must
-    /// record them verbatim rather than rebuild them on restore.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn checkpoint_parts(
-        &self,
-    ) -> (&DynamicGraph, &[usize], &[f64], &[f64], f64, u64, u64) {
-        (
-            &self.graph,
-            &self.labels,
-            &self.sigma_tot,
-            &self.sigma_in,
-            self.drift,
-            self.batches,
-            self.full_redetects,
-        )
-    }
-
-    /// Reassembles a detector from checkpointed state without touching any of
-    /// the float values (the inverse of [`StreamingDetector::checkpoint_parts`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_checkpoint_parts(
-        graph: DynamicGraph,
-        labels: Vec<usize>,
-        sigma_tot: Vec<f64>,
-        sigma_in: Vec<f64>,
-        drift: f64,
-        batches: u64,
-        full_redetects: u64,
+    /// Reassembles a detector from a checkpoint without touching any of its
+    /// float values (the inverse of [`StreamingDetector::checkpoint`]). The
+    /// caller has checked that `config` maintains the checkpoint's quality
+    /// function.
+    pub(crate) fn from_checkpoint(
+        checkpoint: ServiceCheckpoint,
         config: StreamConfig,
     ) -> Result<Self, StreamError> {
         config.validate()?;
-        if labels.len() != graph.num_nodes() {
-            return Err(StreamError::Graph(qhdcd_graph::GraphError::PartitionSizeMismatch {
-                labels: labels.len(),
-                nodes: graph.num_nodes(),
-            }));
-        }
-        if sigma_tot.len() != sigma_in.len() {
-            return Err(StreamError::InvalidConfig {
-                reason: format!(
-                    "checkpoint aggregates disagree: {} sigma_tot vs {} sigma_in entries",
-                    sigma_tot.len(),
-                    sigma_in.len()
-                ),
-            });
-        }
-        if let Some(&label) = labels.iter().find(|&&label| label >= sigma_tot.len()) {
-            return Err(StreamError::InvalidConfig {
-                reason: format!(
-                    "checkpoint label {label} has no aggregate slot ({} communities)",
-                    sigma_tot.len()
-                ),
-            });
-        }
-        Ok(StreamingDetector {
+        let ServiceCheckpoint {
             graph,
-            config,
             labels,
             sigma_tot,
             sigma_in,
             drift,
             batches,
             full_redetects,
-            scan: modularity::NeighborScan::new(),
-        })
-    }
-
-    /// Rebuilds `Σtot`/`Σin` from the graph and labels (O(n + m)); used only
-    /// at construction and after full re-detects — never on the per-batch
-    /// incremental path.
-    fn rebuild_aggregates(&mut self) {
-        let k = self.labels.iter().copied().max().unwrap_or(0) + 1;
-        self.sigma_tot = vec![0.0; k];
-        self.sigma_in = vec![0.0; k];
-        let quality = self.quality_fn();
-        for u in 0..self.graph.num_nodes() {
-            let cu = self.labels[u];
-            self.sigma_tot[cu] += quality.node_factor(self.graph.degree(u));
-            for (v, w) in self.graph.neighbors(u) {
-                if self.labels[v] == cu {
-                    self.sigma_in[cu] += if u == v { 2.0 * w } else { w };
-                }
-            }
+            ..
+        } = checkpoint;
+        if labels.len() != graph.num_nodes() {
+            return Err(StreamError::Graph(qhdcd_graph::GraphError::PartitionSizeMismatch {
+                labels: labels.len(),
+                nodes: graph.num_nodes(),
+            }));
         }
+        let (slots, internal) = (sigma_tot.len(), sigma_in.len());
+        let labelled = labels.iter().max().map_or(0, |&c| c + 1);
+        let state = ModularityState::from_parts(labels, sigma_tot, sigma_in, config.quality())
+            .ok_or_else(|| StreamError::InvalidConfig {
+                reason: format!(
+                    "checkpoint aggregates disagree with its labels: {slots} sigma_tot and \
+                     {internal} sigma_in entries for {labelled} labelled communities"
+                ),
+            })?;
+        Ok(StreamingDetector {
+            graph,
+            config,
+            state,
+            drift,
+            batches,
+            full_redetects,
+            scan: NeighborScan::new(),
+        })
     }
 }
 

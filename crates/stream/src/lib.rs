@@ -7,18 +7,22 @@
 //!
 //! * **Event model.** The graph lives in a [`DynamicGraph`] (copy-on-write
 //!   neighbour lists from `qhdcd-graph`) and is mutated by batches of
-//!   [`EdgeEvent`]s — edge insertions, removals and absolute weight updates,
-//!   optionally parsed from timestamped logs by
-//!   `qhdcd_graph::io::parse_event_log`.
-//! * **Incremental bookkeeping.** [`StreamingDetector`] keeps the modularity
-//!   aggregates (per-community degree sums `Σtot` and internal weights `Σin`)
-//!   patched in O(1) per event, so the maintained modularity is always
-//!   available in O(k) without touching the graph.
+//!   [`EdgeEvent`]s — edge insertions, removals, absolute weight updates and
+//!   node deletions (`RemoveNode`, which strips every incident edge and keeps
+//!   the id as an isolated tombstone) — optionally parsed from timestamped
+//!   logs by `qhdcd_graph::io::parse_event_log`.
+//! * **Incremental bookkeeping.** [`StreamingDetector`] keeps its partition in
+//!   a `qhdcd_graph::modularity::ModularityState`, the type static refinement
+//!   uses: labels, per-community aggregates (`Σtot` degree sums, or carried
+//!   node counts under CPM) and internal weights `Σin`. Every changed edge
+//!   patches them in O(1), so the maintained quality is always available in
+//!   O(k) without touching the graph.
 //! * **Localized refinement.** Each batch marks a *dirty frontier* — the
-//!   touched endpoints plus their neighbours — and runs modularity-gain
-//!   reassign moves over only that frontier, expanding outward exactly as far
-//!   as moves keep paying off (the same deterministic loop as
-//!   `qhdcd_core::refine::refine_frontier`).
+//!   touched endpoints plus their neighbours — and runs quality-gain reassign
+//!   moves over only that frontier, expanding outward exactly as far as moves
+//!   keep paying off. The loop is `qhdcd_core::refine::refine_worklist`, the
+//!   one `qhdcd_core::refine::refine_frontier` runs on a fresh state; the
+//!   detector runs it on its persistent one.
 //! * **Epoch fallback.** When accumulated drift (total absolute weight change
 //!   since the last full solve) or the frontier size crosses a configured
 //!   threshold, the detector performs a full re-detect on a CSR snapshot,
@@ -35,8 +39,9 @@
 //!
 //! For a fixed initial graph, seed and event sequence, the maintained
 //! partition and all reported statistics are **bit-identical across reruns**:
-//! frontier sets are ordered, the refinement loop scans nodes and candidate
-//! communities in ascending order with strict-improvement tie-breaks, and
+//! frontier sets are ordered, the refinement loop scans nodes in ascending
+//! order and candidate communities in first-seen neighbour order with
+//! strict-improvement tie-breaks, and
 //! full re-detects use the deterministic portfolio runtime. The only escape
 //! is an explicit wall-clock time limit on the fallback detector.
 //!

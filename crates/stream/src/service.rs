@@ -788,22 +788,8 @@ impl StreamingService {
     /// returns its serialized text. Recovery needs this text plus the journal
     /// ([`StreamingService::journal_log`]) from the same or a later moment.
     pub fn checkpoint(&mut self) -> String {
-        let (graph, labels, sigma_tot, sigma_in, drift, batches, full_redetects) =
-            self.detector.checkpoint_parts();
-        let checkpoint = ServiceCheckpoint {
-            epoch: self.epoch,
-            events_applied: self.journal.len(),
-            batches,
-            full_redetects,
-            quality: self.detector.config().quality(),
-            drift,
-            labels: labels.to_vec(),
-            sigma_tot: sigma_tot.to_vec(),
-            sigma_in: sigma_in.to_vec(),
-            graph: graph.clone(),
-        };
         #[allow(unused_mut)]
-        let mut text = checkpoint.to_text();
+        let mut text = self.detector.checkpoint(self.epoch, self.journal.len()).to_text();
         #[cfg(feature = "fault-injection")]
         if let Some(keep) = self.faults.truncates_checkpoint() {
             // Simulates a torn checkpoint write: only a prefix survives.
@@ -934,24 +920,10 @@ impl StreamingService {
                 ),
             });
         }
-        let detector = StreamingDetector::from_checkpoint_parts(
-            checkpoint.graph,
-            checkpoint.labels,
-            checkpoint.sigma_tot,
-            checkpoint.sigma_in,
-            checkpoint.drift,
-            checkpoint.batches,
-            checkpoint.full_redetects,
-            config.stream.clone(),
-        )?;
-        let offset = checkpoint.events_applied;
-        let mut service = Self::assemble(
-            detector,
-            config,
-            journal,
-            checkpoint.epoch,
-            Some(checkpoint_text.to_string()),
-        );
+        let (offset, epoch) = (checkpoint.events_applied, checkpoint.epoch);
+        let detector = StreamingDetector::from_checkpoint(checkpoint, config.stream.clone())?;
+        let mut service =
+            Self::assemble(detector, config, journal, epoch, Some(checkpoint_text.to_string()));
         let replay: Vec<Vec<EdgeEvent>> =
             service.journal.batches_from(offset).map(<[EdgeEvent]>::to_vec).collect();
         for batch in replay {

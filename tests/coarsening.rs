@@ -25,7 +25,7 @@ use qhdcd::core::coarsen::{coarsen_hierarchy, CoarsenConfig, Hierarchy};
 use qhdcd::core::formulation::{build_qubo, FormulationConfig};
 use qhdcd::core::multilevel::{self, MultilevelConfig};
 use qhdcd::core::refine::{refine_partition, RefineConfig};
-use qhdcd::graph::modularity::{self, ModularityState};
+use qhdcd::graph::modularity::{self, ModularityState, NeighborScan};
 use qhdcd::graph::{generators, Graph, GraphBuilder, Partition};
 use qhdcd::prelude::*;
 use qhdcd::qhd::meanfield::{evolve, evolve_reference, MeanFieldConfig, MeanFieldOutcome};
@@ -501,8 +501,9 @@ fn refinements_from_few_communities_are_bit_identical_to_the_pins() {
 /// id order and each priced by its own neighbourhood re-scan
 /// (`ModularityState::gain`), as refinement ran before `NeighborScan`.
 fn ascending_order_refine(graph: &Graph, start: &Partition, config: &RefineConfig) -> Partition {
-    let mut state = ModularityState::with_quality(graph, start, config.quality);
-    let tolerance = config.quality.move_tolerance(state.two_m());
+    let mut state = ModularityState::new(graph, start, config.quality);
+    let mut scan = NeighborScan::new();
+    let tolerance = config.quality.move_tolerance(2.0 * graph.total_edge_weight());
     for _ in 0..config.max_passes {
         let mut pass_gain = 0.0;
         for node in 0..graph.num_nodes() {
@@ -520,7 +521,7 @@ fn ascending_order_refine(graph: &Graph, start: &Partition, config: &RefineConfi
                 }
             }
             if let Some((target, gain)) = best {
-                state.apply_move(graph, node, target);
+                state.apply_move(&mut scan, graph, node, target);
                 pass_gain += gain;
             }
         }

@@ -59,7 +59,7 @@ proptest! {
         let labels: Vec<usize> = (0..n).map(|i| labels[i % labels.len()]).collect();
         let partition = Partition::from_labels(labels).expect("non-empty");
         let q = modularity::modularity(&graph, &partition);
-        let q_dense = modularity::modularity_dense(&graph, &partition);
+        let q_dense = modularity::quality_dense(&graph, &partition, Default::default());
         prop_assert!((-1.0..=1.0).contains(&q), "q={q}");
         prop_assert!((q - q_dense).abs() < 1e-9, "sparse={q} dense={q_dense}");
     }
@@ -87,23 +87,13 @@ proptest! {
             QualityFunction::cpm(4.0),
         ] {
             let partition = Partition::from_labels(labels.clone()).expect("non-empty");
-            let mut state = modularity::ModularityState::with_quality(&graph, &partition, quality);
+            let mut state = modularity::ModularityState::new(&graph, &partition, quality);
             let before = modularity::quality(
                 &graph,
                 &Partition::from_labels(state.labels().to_vec()).expect("non-empty"),
                 quality,
             );
-            let best = modularity::NeighborScan::new().best_move_with_quality(
-                node,
-                graph.neighbors(node),
-                state.labels(),
-                graph.degree(node),
-                state.two_m(),
-                state.sigma_tot(),
-                quality,
-            );
-            if let Some((target, gain)) = best {
-                state.apply_move(&graph, node, target);
+            if let Some(gain) = state.move_to_best(&mut modularity::NeighborScan::new(), &graph, node) {
                 let after = modularity::quality(
                     &graph,
                     &Partition::from_labels(state.labels().to_vec()).expect("non-empty"),
@@ -114,6 +104,8 @@ proptest! {
                     "quality={quality:?} priced={gain} realized={}",
                     after - before,
                 );
+                // The moved state's own aggregates report the same quality.
+                prop_assert!((state.quality(&graph) - after).abs() <= 1e-12);
             }
         }
     }

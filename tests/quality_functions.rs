@@ -210,9 +210,9 @@ fn self_loop_convention_agrees_across_all_five_paths() {
         // 3. Incremental gain-then-apply: price moving node 2 (the self-loop
         // carrier) to the other community, apply, and compare against the
         // from-scratch quality difference.
-        let mut state = modularity::ModularityState::with_quality(&graph, &partition, quality);
+        let mut state = modularity::ModularityState::new(&graph, &partition, quality);
         let gain = state.gain(&graph, 2, 1);
-        state.apply_move(&graph, 2, 1);
+        state.apply_move(&mut modularity::NeighborScan::new(), &graph, 2, 1);
         let moved = state.to_partition();
         let q_moved = modularity::quality(&graph, &moved, quality);
         assert!(
@@ -318,5 +318,58 @@ fn coarse_level_cpm_null_term_is_exact_and_multilevel_matches_louvain() {
             "γ={gamma}: decoded CPM {} missed the planted optimum {q_fine}",
             ml.modularity
         );
+    }
+}
+
+/// A resolution that is NaN, infinite or negative is rejected wherever a
+/// quality function enters: the QUBO formulation, both refinement entry
+/// points and the streaming configuration, so no detector starts on one and
+/// no batch is applied before a re-detect would refuse it.
+#[test]
+fn invalid_resolutions_are_rejected_at_every_entry_point() {
+    use qhdcd::core::formulation::FormulationConfig;
+    use qhdcd::core::refine::refine_frontier;
+    use qhdcd::stream::StreamError;
+    let graph = generators::karate_club();
+    let start = generators::karate_club_communities();
+    for resolution in [f64::NAN, f64::INFINITY, -1.0] {
+        for quality in [QualityFunction::modularity(resolution), QualityFunction::cpm(resolution)] {
+            let formulation = FormulationConfig { quality, ..FormulationConfig::default() };
+            assert!(
+                matches!(formulation.validate(), Err(CdError::InvalidConfig { .. })),
+                "{quality:?}: formulation"
+            );
+            let refine = RefineConfig { quality, ..RefineConfig::default() };
+            assert!(
+                matches!(
+                    refine_partition(&graph, &start, &refine),
+                    Err(CdError::InvalidConfig { .. })
+                ),
+                "{quality:?}: refine_partition"
+            );
+            assert!(
+                matches!(
+                    refine_frontier(&graph, &start, &[0], &refine),
+                    Err(CdError::InvalidConfig { .. })
+                ),
+                "{quality:?}: refine_frontier"
+            );
+            let stream = StreamConfig::default().with_quality(quality);
+            assert!(
+                matches!(stream.validate(), Err(StreamError::InvalidConfig { .. })),
+                "{quality:?}: stream config"
+            );
+            assert!(
+                matches!(
+                    StreamingDetector::from_partition(
+                        DynamicGraph::from_graph(&graph),
+                        start.clone(),
+                        stream
+                    ),
+                    Err(StreamError::InvalidConfig { .. })
+                ),
+                "{quality:?}: streaming detector"
+            );
+        }
     }
 }

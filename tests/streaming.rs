@@ -132,11 +132,26 @@ proptest! {
     }
 }
 
-/// The streaming detector's localized refinement must agree with
+/// The quotient of `ring_of_cliques(6, 4)` that merges nodes 2i and 2i+1:
+/// 12 super-nodes of node weight 2, each pair's edge kept as a self-loop. A
+/// clique's two super-nodes share a weight-4 edge, and the ring's bridges
+/// join super-nodes 2j and 2j+2. The start pairs super-nodes 2j and 2j+1 back
+/// into the six cliques.
+fn paired_ring_of_cliques() -> (Graph, Partition) {
+    let pg = generators::ring_of_cliques(6, 4).unwrap();
+    let pairs = Partition::from_labels((0..24).map(|i| i / 2).collect()).unwrap();
+    let graph = qhdcd::graph::quotient::aggregate(&pg.graph, &pairs).unwrap().graph;
+    assert!((0..12).all(|i| graph.node_weight(i) == 2.0), "node-weight premise");
+    (graph, Partition::from_labels((0..12).map(|i| i / 2).collect()).unwrap())
+}
+
+/// Conformance: the streaming detector's localized refinement equals
 /// `core::refine::refine_frontier` run on a snapshot with the same start
 /// partition and frontier: identical partitions on integer-weight graphs.
-/// Checked for every quality function (γ=1 and γ≠1 modularity, CPM) — the
-/// twin contract holds regardless of the gain arithmetic in use.
+/// Both run the same worklist loop, one on the detector's patched state, one
+/// on a fresh one. Checked for every quality function (γ=1 and γ≠1
+/// modularity, CPM), on a planted graph and on a node-weighted quotient
+/// graph with self-loops.
 #[test]
 fn localized_refinement_conforms_to_refine_frontier() {
     let pg = generators::planted_partition(&generators::PlantedPartitionConfig {
@@ -147,71 +162,138 @@ fn localized_refinement_conforms_to_refine_frontier() {
         seed: 17,
     })
     .unwrap();
-    for quality in [
-        modularity::QualityFunction::default(),
-        modularity::QualityFunction::modularity(0.5),
-        modularity::QualityFunction::modularity(2.0),
-        modularity::QualityFunction::cpm(0.5),
-    ] {
-        for step in 0..6u64 {
-            // Perturb a fresh detector with a deterministic batch of unit edges.
-            let mut detector = StreamingDetector::from_partition(
-                DynamicGraph::from_graph(&pg.graph),
-                pg.ground_truth.clone(),
-                StreamConfig {
-                    frontier_fraction: 1.0, // force the localized path
-                    drift_threshold: 1e9,
-                    ..StreamConfig::default()
+    for (graph, start) in [(pg.graph, pg.ground_truth), paired_ring_of_cliques()] {
+        let n = graph.num_nodes() as u64;
+        for quality in [
+            modularity::QualityFunction::default(),
+            modularity::QualityFunction::modularity(0.5),
+            modularity::QualityFunction::modularity(2.0),
+            modularity::QualityFunction::cpm(0.5),
+        ] {
+            for step in 0..6u64 {
+                // Perturb a fresh detector with a deterministic batch of unit edges.
+                let mut detector = StreamingDetector::from_partition(
+                    DynamicGraph::from_graph(&graph),
+                    start.clone(),
+                    StreamConfig {
+                        frontier_fraction: 1.0, // force the localized path
+                        drift_threshold: 1e9,
+                        ..StreamConfig::default()
+                    }
+                    .with_quality(quality),
+                )
+                .unwrap();
+                let events: Vec<EdgeEvent> = (0..4)
+                    .map(|i| {
+                        let u = ((step * 13 + i * 7) % n) as usize;
+                        let v = ((step * 31 + i * 11 + 1) % n) as usize;
+                        (u, v)
+                    })
+                    .filter(|&(u, v)| u != v && !graph.has_edge(u, v))
+                    .map(|(u, v)| EdgeEvent::Add { u, v, weight: 1.0 })
+                    .collect();
+                if events.is_empty() {
+                    continue;
                 }
-                .with_quality(quality),
-            )
-            .unwrap();
-            let events: Vec<EdgeEvent> = (0..4)
-                .map(|i| {
-                    let u = ((step * 13 + i * 7) % 80) as usize;
-                    let v = ((step * 31 + i * 11 + 1) % 80) as usize;
-                    (u, v)
-                })
-                .filter(|&(u, v)| u != v && !pg.graph.has_edge(u, v))
-                .map(|(u, v)| EdgeEvent::Add { u, v, weight: 1.0 })
-                .collect();
-            if events.is_empty() {
-                continue;
-            }
-            let stats = detector.apply_events(&events).unwrap();
-            assert!(!stats.full_redetect);
+                let stats = detector.apply_events(&events).unwrap();
+                assert!(!stats.full_redetect);
 
-            // Reproduce the same state with the static-graph API: apply the events
-            // to a copy, compute the same frontier, call refine_frontier.
-            let mut reference_graph = DynamicGraph::from_graph(&pg.graph);
-            let mut touched = BTreeSet::new();
-            for event in &events {
-                reference_graph.apply(event).unwrap();
-                let (u, v) = event.endpoints();
-                touched.insert(u);
-                touched.insert(v);
-            }
-            let mut frontier = touched.clone();
-            for &u in &touched {
-                for (v, _) in reference_graph.neighbors(u) {
-                    frontier.insert(v);
+                // Reproduce the same state with the static-graph API: apply the
+                // events to a copy, compute the same frontier, call
+                // refine_frontier.
+                let mut reference_graph = DynamicGraph::from_graph(&graph);
+                let mut touched = BTreeSet::new();
+                for event in &events {
+                    reference_graph.apply(event).unwrap();
+                    let (u, v) = event.endpoints();
+                    touched.insert(u);
+                    touched.insert(v);
                 }
+                let mut frontier = touched.clone();
+                for &u in &touched {
+                    for (v, _) in reference_graph.neighbors(u) {
+                        frontier.insert(v);
+                    }
+                }
+                let frontier: Vec<usize> = frontier.into_iter().collect();
+                let reference = refine_frontier(
+                    &reference_graph.snapshot(),
+                    &start,
+                    &frontier,
+                    &RefineConfig { quality, ..RefineConfig::default() },
+                )
+                .unwrap();
+                assert_eq!(
+                    detector.partition(),
+                    reference.partition,
+                    "{n} nodes, quality {quality:?}, step {step}: streaming and static frontier \
+                     refinement diverged"
+                );
+                assert_eq!(
+                    (stats.nodes_moved, stats.refine_passes),
+                    (reference.moves, reference.passes)
+                );
             }
-            let frontier: Vec<usize> = frontier.into_iter().collect();
-            let reference = refine_frontier(
-                &reference_graph.snapshot(),
-                &pg.ground_truth,
-                &frontier,
-                &RefineConfig { quality, ..RefineConfig::default() },
-            )
-            .unwrap();
-            assert_eq!(
-                detector.partition(),
-                reference.partition,
-                "quality {quality:?}, step {step}: streaming and static frontier refinement diverged"
-            );
         }
     }
+}
+
+/// A streaming detector over a node-weighted graph prices and reports CPM with
+/// its node weights, as `modularity::quality` does: each clique of the paired
+/// ring holds 4 original nodes in 2 super-nodes, so Q = 6 × (6 − 0.5·4·3/2)
+/// = 18, not the 6 × (6 − 0.5·2·1/2) = 33 of counting each super-node as one.
+#[test]
+fn node_weighted_cpm_matches_the_snapshot_quality() {
+    let (graph, start) = paired_ring_of_cliques();
+    let quality = modularity::QualityFunction::cpm(0.5);
+    let config =
+        StreamConfig { frontier_fraction: 1.0, drift_threshold: 1e9, ..StreamConfig::default() }
+            .with_quality(quality);
+    let mut detector =
+        StreamingDetector::from_partition(DynamicGraph::from_graph(&graph), start, config).unwrap();
+    let check = |detector: &StreamingDetector| {
+        let recomputed =
+            modularity::quality(&detector.graph().snapshot(), &detector.partition(), quality);
+        let maintained = detector.modularity();
+        assert!((maintained - recomputed).abs() < 1e-9, "maintained {maintained} vs {recomputed}");
+    };
+    check(&detector);
+    assert!((detector.modularity() - 18.0).abs() < 1e-9, "Q = {}", detector.modularity());
+    let stats = detector
+        .apply_events(&[
+            EdgeEvent::Add { u: 0, v: 6, weight: 1.0 },
+            EdgeEvent::Add { u: 3, v: 9, weight: 2.0 },
+            EdgeEvent::Remove { u: 0, v: 2 },
+        ])
+        .unwrap();
+    assert!(!stats.full_redetect);
+    check(&detector);
+}
+
+/// With no edge weight no move has a gain. `refine_frontier` prices its
+/// frontier in one pass that moves nothing; the streaming detector skips
+/// refinement and reports no pass. Both leave the partition as it was.
+#[test]
+fn an_edgeless_graph_refines_nothing() {
+    let graph = GraphBuilder::new(6).build();
+    let start = Partition::from_labels(vec![0, 0, 1, 1, 2, 2]).unwrap();
+    let frontier: Vec<usize> = (0..6).collect();
+    let out = refine_frontier(&graph, &start, &frontier, &RefineConfig::default()).unwrap();
+    assert_eq!((out.passes, out.moves, out.converged), (1, 0, true));
+    assert_eq!(out.partition, start);
+    let mut detector = StreamingDetector::from_partition(
+        DynamicGraph::from_graph(&graph),
+        start.clone(),
+        StreamConfig::default(),
+    )
+    .unwrap();
+    // A zero-weight edge touches nodes 0 and 3 but leaves the total weight 0,
+    // which also rules out a full re-detect however wide the frontier.
+    let stats = detector.apply_events(&[EdgeEvent::Add { u: 0, v: 3, weight: 0.0 }]).unwrap();
+    assert_eq!(stats.frontier_size, 2);
+    assert_eq!((stats.refine_passes, stats.nodes_moved, stats.full_redetect), (0, 0, false));
+    assert_eq!(stats.modularity, 0.0);
+    assert_eq!(detector.partition(), start);
 }
 
 /// Full end-to-end determinism: same seed + same event log ⇒ bit-identical
