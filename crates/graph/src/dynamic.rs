@@ -18,8 +18,11 @@
 //! batch touches.
 //!
 //! Edge mutations arrive as [`EdgeEvent`] values (insert / remove / absolute
-//! weight update), the unit the streaming community-detection subsystem
-//! replays in batches. Conventions match [`Graph`] exactly: undirected edges,
+//! weight update / node deletion), the unit the streaming community-detection
+//! subsystem replays in batches. A batch applies all or nothing:
+//! [`DynamicGraph::check_events`] checks it against the rules every mutation
+//! applies before [`DynamicGraph::apply_events`] changes anything.
+//! Conventions match [`Graph`] exactly: undirected edges,
 //! merged parallel edges, self-loops allowed and counted twice in degrees,
 //! total edge weight counting each undirected edge (and self-loop) once.
 //!
@@ -43,6 +46,7 @@
 //! ```
 
 use crate::{Graph, GraphError, NodeId};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A single timestamp-ordered mutation of a dynamic graph.
@@ -304,6 +308,30 @@ impl DynamicGraph {
         Ok(())
     }
 
+    /// The event rules, written once: both endpoints in range, a finite
+    /// non-negative weight, and for a `Remove` or an `Update` an edge that
+    /// `present` reports. The mutations ask with the live edges,
+    /// [`DynamicGraph::check_events`] with those the batch so far leaves.
+    fn admit(
+        &self,
+        event: &EdgeEvent,
+        present: impl Fn(NodeId, NodeId) -> bool,
+    ) -> Result<(), GraphError> {
+        let (u, v) = event.endpoints();
+        self.check_endpoints(u, v)?;
+        if let EdgeEvent::Add { weight, .. } | EdgeEvent::Update { weight, .. } = *event {
+            if !weight.is_finite() || weight < 0.0 {
+                return Err(GraphError::InvalidEdgeWeight { weight });
+            }
+        }
+        match event {
+            EdgeEvent::Remove { .. } | EdgeEvent::Update { .. } if !present(u, v) => {
+                Err(GraphError::EdgeNotFound { u, v })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Applies a weight delta to the cached degree/total aggregates.
     fn patch_aggregates(&mut self, u: NodeId, v: NodeId, delta: f64) {
         self.total_edge_weight += delta;
@@ -334,10 +362,7 @@ impl DynamicGraph {
     /// * [`GraphError::InvalidEdgeWeight`] if `weight` is negative, NaN or
     ///   infinite.
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId, weight: f64) -> Result<f64, GraphError> {
-        self.check_endpoints(u, v)?;
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(GraphError::InvalidEdgeWeight { weight });
-        }
+        self.admit(&EdgeEvent::Add { u, v, weight }, |u, v| self.has_edge(u, v))?;
         let existing = add_weight(&mut self.adjacency[u], v, weight);
         if u != v {
             add_weight(&mut self.adjacency[v], u, weight);
@@ -357,8 +382,8 @@ impl DynamicGraph {
     /// * [`GraphError::NodeOutOfBounds`] if either endpoint is out of range.
     /// * [`GraphError::EdgeNotFound`] if the edge does not exist.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<f64, GraphError> {
-        self.check_endpoints(u, v)?;
-        let weight = self.unlink(u, v).ok_or(GraphError::EdgeNotFound { u, v })?;
+        self.admit(&EdgeEvent::Remove { u, v }, |u, v| self.has_edge(u, v))?;
+        let weight = self.unlink(u, v).expect("admitted: the edge exists");
         if u != v {
             self.unlink(v, u);
         }
@@ -378,11 +403,8 @@ impl DynamicGraph {
     ///   infinite.
     /// * [`GraphError::EdgeNotFound`] if the edge does not exist.
     pub fn update_weight(&mut self, u: NodeId, v: NodeId, weight: f64) -> Result<f64, GraphError> {
-        self.check_endpoints(u, v)?;
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(GraphError::InvalidEdgeWeight { weight });
-        }
-        let i = position(&self.adjacency[u], v).map_err(|_| GraphError::EdgeNotFound { u, v })?;
+        self.admit(&EdgeEvent::Update { u, v, weight }, |u, v| self.has_edge(u, v))?;
+        let i = position(&self.adjacency[u], v).expect("admitted: the edge exists");
         let old = std::mem::replace(&mut Arc::make_mut(&mut self.adjacency[u])[i].1, weight);
         if u != v {
             let list = Arc::make_mut(&mut self.adjacency[v]);
@@ -405,7 +427,7 @@ impl DynamicGraph {
     ///
     /// * [`GraphError::NodeOutOfBounds`] if `node` is out of range.
     pub fn remove_node(&mut self, node: NodeId) -> Result<Vec<(NodeId, f64)>, GraphError> {
-        self.check_endpoints(node, node)?;
+        self.admit(&EdgeEvent::RemoveNode { u: node }, |u, v| self.has_edge(u, v))?;
         let removed = std::mem::take(&mut self.adjacency[node]).to_vec();
         for &(v, w) in &removed {
             if v != node {
@@ -438,15 +460,50 @@ impl DynamicGraph {
         }
     }
 
-    /// Applies a batch of events in order. On error, events before the failing
-    /// one remain applied; the failing event's index is reported alongside it.
+    /// Checks a batch without changing the graph: each event must pass the
+    /// rules of its mutation on the graph the events before it would leave,
+    /// which an overlay of the edge presence they changed stands in for.
     ///
     /// # Errors
     ///
-    /// The first event error, wrapped with its position in the batch.
+    /// The first failing event with its position in the batch: where
+    /// applying the events one at a time would stop.
+    pub fn check_events(&self, events: &[EdgeEvent]) -> Result<(), (usize, GraphError)> {
+        let key = |u: NodeId, v: NodeId| (u.min(v), u.max(v));
+        let mut overlay: BTreeMap<(NodeId, NodeId), bool> = BTreeMap::new();
+        for (index, event) in events.iter().enumerate() {
+            let present =
+                |u, v| overlay.get(&key(u, v)).copied().unwrap_or_else(|| self.has_edge(u, v));
+            self.admit(event, present).map_err(|e| (index, e))?;
+            match *event {
+                EdgeEvent::Add { u, v, .. } | EdgeEvent::Remove { u, v } => {
+                    overlay.insert(key(u, v), matches!(event, EdgeEvent::Add { .. }));
+                }
+                EdgeEvent::Update { .. } => {}
+                EdgeEvent::RemoveNode { u } => {
+                    // Every edge at `u` goes, the live ones and the batch's own.
+                    overlay
+                        .iter_mut()
+                        .filter(|((a, b), _)| *a == u || *b == u)
+                        .for_each(|(_, p)| *p = false);
+                    overlay.extend(self.neighbors(u).map(|(v, _)| (key(u, v), false)));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies a batch of events in order, all or nothing: the batch passes
+    /// [`DynamicGraph::check_events`] before any event is applied, so a
+    /// failing batch leaves the graph as it was.
+    ///
+    /// # Errors
+    ///
+    /// The first inadmissible event, with its position in the batch.
     pub fn apply_events(&mut self, events: &[EdgeEvent]) -> Result<(), (usize, GraphError)> {
-        for (i, event) in events.iter().enumerate() {
-            self.apply(event).map_err(|e| (i, e))?;
+        self.check_events(events)?;
+        for event in events {
+            self.apply(event).expect("the batch check admitted every event");
         }
         Ok(())
     }
@@ -739,15 +796,51 @@ mod tests {
             g.update_weight(0, 1, f64::INFINITY),
             Err(GraphError::InvalidEdgeWeight { .. })
         ));
-        // Batch application reports the failing index and keeps the prefix.
-        let err = g
-            .apply_events(&[
-                EdgeEvent::Add { u: 0, v: 0, weight: 1.0 },
-                EdgeEvent::Remove { u: 1, v: 1 },
-            ])
-            .unwrap_err();
-        assert_eq!(err.0, 1);
-        assert!(g.has_edge(0, 0));
+    }
+
+    /// On every prefix of `events`, the check fails exactly where applying
+    /// them one at a time to a copy first fails, with the same error (as
+    /// `Debug` text: NaN is unequal to itself); `apply_events` applies all or
+    /// leaves the checkpoint text as it was. Returns where the batch fails.
+    fn assert_batch_check_agrees(graph: &DynamicGraph, events: &[EdgeEvent]) -> Result<(), usize> {
+        let mut copy = graph.clone();
+        let mut failed = None;
+        for end in 0..=events.len() {
+            let checked =
+                graph.check_events(&events[..end]).map_err(|(i, e)| (i, format!("{e:?}")));
+            assert_eq!(checked, failed.clone().map_or(Ok(()), Err), "{:?}", &events[..end]);
+            if let (None, Some(event)) = (&failed, events.get(end)) {
+                failed = copy.apply(event).err().map(|e| (end, format!("{e:?}")));
+            }
+        }
+        let mut batched = graph.clone();
+        let outcome = batched.apply_events(events);
+        let expected = if outcome.is_ok() { &copy } else { graph };
+        assert_eq!(batched.to_checkpoint_text(), expected.to_checkpoint_text(), "{events:?}");
+        outcome.map_err(|(i, _)| i)
+    }
+
+    /// How the check tracks the batch's own earlier events, on batches
+    /// applied in turn to the karate club.
+    #[test]
+    fn batch_check_tracks_intra_batch_state() {
+        let mut g = DynamicGraph::from_graph(&crate::generators::karate_club());
+        let add = |u, v| EdgeEvent::Add { u, v, weight: 1.0 };
+        let (rm, del) = (|u, v| EdgeEvent::Remove { u, v }, |u| EdgeEvent::RemoveNode { u });
+        let upd = |u, v| EdgeEvent::Update { u, v, weight: 0.5 };
+        for (events, expected) in [
+            (vec![rm(0, 1), rm(0, 1)], Err(1)),
+            (vec![add(0, 20), upd(0, 20), rm(0, 20)], Ok(())),
+            // A deletion removes the edges the batch added before it...
+            (vec![add(0, 20), del(0), upd(0, 20)], Err(2)),
+            // ... and a re-add after it is valid.
+            (vec![del(0), add(0, 20), upd(0, 20)], Ok(())),
+            (vec![EdgeEvent::Add { u: 0, v: 1, weight: f64::NAN }], Err(0)),
+            (vec![del(99)], Err(0)),
+        ] {
+            assert_eq!(assert_batch_check_agrees(&g, &events), expected, "{events:?}");
+            let _ = g.apply_events(&events);
+        }
     }
 
     #[test]
@@ -1008,8 +1101,52 @@ mod tests {
         )
     }
 
+    /// A graph on 2–8 nodes and a batch of all four event kinds over ids up
+    /// to one past the last node, weights NaN, ∞ and −1 among them. A drawn
+    /// event that would fail is kept one time in eight, so batches run long
+    /// and fail anywhere: removals of removed edges, updates after a node
+    /// deletion, while re-adds after a deletion pass.
+    fn graph_and_batch() -> impl Strategy<Value = (DynamicGraph, Vec<EdgeEvent>)> {
+        let edge = (0usize..8, 0usize..8, 0usize..4);
+        let event = ((0usize..4, 0usize..9), (0usize..9, 0usize..10, 0usize..8));
+        (2usize..9, collection::vec(edge, 0..16), collection::vec(event, 0..32)).prop_map(
+            |(n, edges, draws)| {
+                let mut graph = DynamicGraph::new(n);
+                for (u, v, w) in edges {
+                    graph.insert_edge(u % n, v % n, 0.5 * w as f64).unwrap();
+                }
+                let mut shadow = graph.clone();
+                let mut events = Vec::new();
+                for ((kind, u), (v, w, keep)) in draws {
+                    let (u, v) = (u % (n + 1), v % (n + 1));
+                    let weight =
+                        [f64::NAN, f64::INFINITY, -1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0][w];
+                    let event = match kind {
+                        0 => EdgeEvent::Add { u, v, weight },
+                        1 => EdgeEvent::Remove { u, v },
+                        2 => EdgeEvent::Update { u, v, weight },
+                        _ => EdgeEvent::RemoveNode { u },
+                    };
+                    if shadow.apply(&event).is_ok() || keep == 0 {
+                        events.push(event);
+                    }
+                }
+                (graph, events)
+            },
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The batch check agrees with the mutations on every prefix of the
+        /// batch, and a failing batch leaves the graph untouched.
+        #[test]
+        fn batch_check_agrees_with_applying_one_event_at_a_time(
+            (graph, events) in graph_and_batch(),
+        ) {
+            let _ = assert_batch_check_agrees(&graph, &events);
+        }
 
         /// Bulk row copies give the bits of the per-edge insert loop, on
         /// builder graphs and on their coarsened quotient graphs.

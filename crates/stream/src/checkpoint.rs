@@ -1,5 +1,6 @@
-//! Durable state for the streaming service: the event journal and the
-//! bit-exact service checkpoint.
+//! The two halves of the streaming service's recovery record, which its
+//! [`CheckpointStore`](crate::CheckpointStore) keeps: the event journal and
+//! the bit-exact service checkpoint, whose journal offset bounds the replay.
 //!
 //! Together they implement the crash-recovery contract: a crashed service is
 //! reconstructed from its last checkpoint plus a replay of the journaled
@@ -20,6 +21,8 @@
 //!   event is the index of the batch that applied it, so consecutive equal
 //!   timestamps delimit one batch and replay regroups events exactly as the
 //!   original run did.
+//!
+//! The reader accepts only the `qhdcd-service v2` text format.
 
 use crate::StreamError;
 use qhdcd_graph::{io, DynamicGraph, EdgeEvent, GraphError, QualityFunction};
@@ -95,6 +98,17 @@ impl EventJournal {
         })
     }
 
+    /// Splits the journal at the event offset `at`, which must lie on a batch
+    /// boundary: `self` keeps the batches before it and the returned journal
+    /// holds the rest.
+    pub(crate) fn split_off(&mut self, at: usize) -> EventJournal {
+        debug_assert!(self.is_batch_boundary(at));
+        let kept = self.batch_ends.partition_point(|&end| end <= at);
+        let events = self.events.split_off(at);
+        let batch_ends = self.batch_ends.split_off(kept).into_iter().map(|end| end - at).collect();
+        EventJournal { events, batch_ends }
+    }
+
     /// Serializes the journal as a standard timestamped event log whose
     /// timestamp column is the batch index (see the module docs). The output
     /// round-trips bit-exactly through [`EventJournal::from_event_log`].
@@ -156,8 +170,7 @@ pub struct ServiceCheckpoint {
     /// Detector full re-detect counter.
     pub full_redetects: u64,
     /// The quality function whose aggregates the checkpoint freezes. Replay
-    /// must run under the same quality function for bit-identity; v1
-    /// checkpoints (which predate the field) restore as γ=1 modularity.
+    /// must run under the same quality function for bit-identity.
     pub quality: QualityFunction,
     /// Accumulated drift since the last full solve (raw bits semantics).
     pub drift: f64,
@@ -245,7 +258,7 @@ impl ServiceCheckpoint {
             Ok((lineno, rest.trim().to_string()))
         };
         let (lineno, version) = expect("qhdcd-service")?;
-        if version != "v1" && version != "v2" {
+        if version != "v2" {
             return Err(err(lineno + 1, format!("unsupported checkpoint version `{version}`")));
         }
         // Everything after the checksum line is the checksummed body.
@@ -269,35 +282,25 @@ impl ServiceCheckpoint {
         let batches = parse_u64(lineno, &body)?;
         let (lineno, body) = expect("full_redetects")?;
         let full_redetects = parse_u64(lineno, &body)?;
-        // v1 predates the quality line and always maintained γ=1 modularity.
-        let quality = if version == "v2" {
-            let (lineno, body) = expect("quality")?;
-            let mut tokens = body.split_whitespace();
-            let kind = tokens.next().unwrap_or("");
-            let resolution = match tokens.next() {
-                Some(tok) => parse_bits(lineno, tok)?,
-                None => {
-                    return Err(err(
-                        lineno + 1,
-                        format!("missing resolution bits in quality line `{body}`"),
-                    ))
-                }
-            };
-            if tokens.next().is_some() {
+        let (lineno, body) = expect("quality")?;
+        let mut tokens = body.split_whitespace();
+        let kind = tokens.next().unwrap_or("");
+        let resolution = match tokens.next() {
+            Some(tok) => parse_bits(lineno, tok)?,
+            None => {
                 return Err(err(
                     lineno + 1,
-                    format!("unexpected tokens after quality line `{body}`"),
-                ));
+                    format!("missing resolution bits in quality line `{body}`"),
+                ))
             }
-            match kind {
-                "modularity" => QualityFunction::Modularity { resolution },
-                "cpm" => QualityFunction::Cpm { resolution },
-                other => {
-                    return Err(err(lineno + 1, format!("unknown quality function `{other}`")))
-                }
-            }
-        } else {
-            QualityFunction::default()
+        };
+        if tokens.next().is_some() {
+            return Err(err(lineno + 1, format!("unexpected tokens after quality line `{body}`")));
+        }
+        let quality = match kind {
+            "modularity" => QualityFunction::Modularity { resolution },
+            "cpm" => QualityFunction::Cpm { resolution },
+            other => return Err(err(lineno + 1, format!("unknown quality function `{other}`"))),
         };
         let (lineno, body) = expect("drift")?;
         let drift = parse_bits(lineno, &body)?;
@@ -467,12 +470,14 @@ mod tests {
             ServiceCheckpoint::from_text(&truncated),
             Err(StreamError::Checkpoint { line: 0, .. })
         ));
-        // Wrong version: line 1.
-        let bad = text.replace("qhdcd-service v2", "qhdcd-service v9");
-        assert!(matches!(
-            ServiceCheckpoint::from_text(&bad),
-            Err(StreamError::Checkpoint { line: 1, .. })
-        ));
+        // Wrong version, including the retired v1: line 1.
+        for version in ["v9", "v1"] {
+            let bad = text.replace("qhdcd-service v2", &format!("qhdcd-service {version}"));
+            assert!(matches!(
+                ServiceCheckpoint::from_text(&bad),
+                Err(StreamError::Checkpoint { line: 1, .. })
+            ));
+        }
         // A mangled checksum line: line 2.
         let bad = text.replace("checksum ", "checksum zz");
         assert!(matches!(
@@ -514,38 +519,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn v1_checkpoints_restore_as_unit_resolution_modularity() {
-        // A v1 document has no quality line; rebuilding one from a v2 body
-        // (quality line stripped, checksum recomputed) must parse and default
-        // to γ=1 modularity.
-        let mut graph = DynamicGraph::new(2);
-        graph.insert_edge(0, 1, 1.0).unwrap();
-        let checkpoint = ServiceCheckpoint {
-            epoch: 4,
-            events_applied: 2,
-            batches: 4,
-            full_redetects: 1,
-            quality: QualityFunction::default(),
-            drift: 0.5,
-            labels: vec![0, 1],
-            sigma_tot: vec![1.0, 1.0],
-            sigma_in: vec![0.0, 0.0],
-            graph,
-        };
-        let v2 = checkpoint.to_text();
-        let body: String = v2
-            .lines()
-            .skip(2)
-            .filter(|line| !line.starts_with("quality "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let v1 = format!("qhdcd-service v1\nchecksum {:016x}\n{body}", fnv1a(body.as_bytes()));
-        let restored = ServiceCheckpoint::from_text(&v1).unwrap();
-        assert_eq!(restored, checkpoint);
-        assert_eq!(restored.quality, QualityFunction::default());
     }
 
     #[test]

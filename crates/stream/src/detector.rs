@@ -295,23 +295,25 @@ impl StreamingDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::EventFailed`] if an event is invalid (events
-    /// before it remain applied and the bookkeeping stays consistent), or
+    /// Returns [`StreamError::EventFailed`] if an event fails
+    /// [`DynamicGraph::check_events`], which runs before anything changes, or
     /// [`StreamError::Detect`] if a full re-detect fails.
     pub fn apply_events(&mut self, events: &[EdgeEvent]) -> Result<StreamStats, StreamError> {
         let start = Instant::now();
         let modularity_before = self.modularity();
+        self.graph
+            .check_events(events)
+            .map_err(|(index, source)| StreamError::EventFailed { index, source })?;
 
         // --- Phase 1: apply events, patching the aggregates in O(1) per
         // changed edge (a node deletion changes every incident edge).
         let mut touched: BTreeSet<NodeId> = BTreeSet::new();
-        for (index, event) in events.iter().enumerate() {
-            let failed = |source| StreamError::EventFailed { index, source };
+        for event in events {
             if let EdgeEvent::RemoveNode { u } = *event {
                 // A deletion strips every incident edge at once; patch per
                 // removed edge exactly as the equivalent sequence of
                 // `Remove` events would.
-                for (v, w) in self.graph.remove_node(u).map_err(failed)? {
+                for (v, w) in self.graph.remove_node(u).expect("the batch check admitted it") {
                     self.state.patch_edge(u, v, -w);
                     self.drift += w;
                     touched.insert(v);
@@ -319,7 +321,7 @@ impl StreamingDetector {
                 touched.insert(u);
                 continue;
             }
-            let delta = self.graph.apply(event).map_err(failed)?;
+            let delta = self.graph.apply(event).expect("the batch check admitted it");
             let (u, v) = event.endpoints();
             self.state.patch_edge(u, v, delta);
             self.drift += delta.abs();
@@ -624,6 +626,9 @@ mod tests {
     #[test]
     fn event_errors_keep_bookkeeping_consistent() {
         let mut detector = karate_detector();
+        // The checkpoint text holds the graph's own checkpoint text, the
+        // labels, the `Σtot`, `Σin` and drift bits and the batch counter.
+        let before = detector.checkpoint(0, 0).to_text();
         let err = detector
             .apply_events(&[
                 EdgeEvent::Add { u: 0, v: 2, weight: 1.0 },
@@ -631,7 +636,8 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, StreamError::EventFailed { index: 1, .. }));
-        // The applied prefix is reflected and the aggregates still match.
+        // The batch is all or nothing: not even the `Add 0-2` is applied.
+        assert_eq!(detector.checkpoint(0, 0).to_text(), before);
         assert_q_consistent(&detector);
     }
 
@@ -734,6 +740,7 @@ mod tests {
     #[test]
     fn remove_node_out_of_bounds_reports_the_event_index() {
         let mut detector = karate_detector();
+        let before = detector.checkpoint(0, 0).to_text();
         let err = detector
             .apply_events(&[
                 EdgeEvent::Add { u: 0, v: 2, weight: 1.0 },
@@ -741,6 +748,7 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, StreamError::EventFailed { index: 1, .. }));
+        assert_eq!(detector.checkpoint(0, 0).to_text(), before);
         assert_q_consistent(&detector);
     }
 

@@ -11,8 +11,8 @@ pub enum StreamError {
     Graph(GraphError),
     /// An error bubbled up from a full re-detect.
     Detect(CdError),
-    /// Applying an event failed. Events before `index` remain applied; the
-    /// detector's bookkeeping stays consistent with its graph.
+    /// A batch failed its check at the event `index`; no event of the batch
+    /// was applied.
     EventFailed {
         /// Position of the failing event within the batch.
         index: usize,

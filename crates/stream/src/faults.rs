@@ -5,7 +5,7 @@
 //! **zero** fault-injection code (no branches, no fields, no strings).
 //!
 //! A [`FaultPlan`] is a pure value: which batch index panics the writer,
-//! which batch fails validation, how many bytes of the next checkpoint
+//! which batch fails its check, how many bytes of the next checkpoint
 //! survive a torn write, and how large the harness-driven queue-full storms
 //! are. Plans are either built literally or derived from a seed with
 //! [`FaultPlan::from_seed`], so a failing randomized sweep reproduces from
@@ -32,12 +32,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// [`StreamingService::inject_faults`](crate::StreamingService::inject_faults).
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    /// Panic inside the writer while applying this batch (after validation,
-    /// before the epoch publishes) — simulates a writer crash mid-apply.
+    /// Panic inside the writer while applying this batch (after the detector
+    /// applied it, before it is journaled or its epoch publishes) — simulates
+    /// a writer crash mid-apply.
     pub panic_at_batch: Option<u64>,
-    /// Fail validation of this batch with a poisoned (NaN-weight) event.
-    /// The fault is consumed once the service dead-letters the batch, so a
-    /// quarantine loop observes a bounded number of failures.
+    /// Fail the check of this batch with a poisoned (NaN-weight) event. The
+    /// fault is consumed once the service's quarantine dead-letters the
+    /// batch; in fail-fast mode it stays armed, and every batch at this
+    /// epoch fails.
     pub fail_validation_at: Option<u64>,
     /// Truncate the next checkpoint text to this many bytes — simulates a
     /// torn checkpoint write. Fires once, then later checkpoints are intact.
@@ -95,16 +97,16 @@ impl FaultPlan {
         self.panic_at_batch == Some(batch)
     }
 
-    /// Whether validation of batch `batch` should fail (until the fault is
+    /// Whether the check of batch `batch` should fail (until the fault is
     /// consumed by [`FaultPlan::consume_validation_fault`]).
     pub fn fails_validation_at(&self, batch: u64) -> bool {
         self.fail_validation_at == Some(batch) && !self.validation_consumed.load(Ordering::Relaxed)
     }
 
-    /// Marks the validation fault as spent. The service calls this when it
-    /// dead-letters the poisoned batch so the *next* batch at the same epoch
-    /// is clean — without this, a quarantined batch would poison the queue
-    /// forever (the epoch does not advance on dead-letter).
+    /// Marks the validation fault as spent. The service's quarantine calls
+    /// this once, when it dead-letters the poisoned batch, so the *next*
+    /// batch at the same epoch is clean (the epoch does not advance on
+    /// dead-letter).
     pub fn consume_validation_fault(&self) {
         self.validation_consumed.store(true, Ordering::Relaxed);
     }

@@ -13,31 +13,34 @@
 //! * **Bounded ingestion with backpressure.** Clients enqueue events into a
 //!   bounded queue. [`ServiceClient::try_submit`] fails fast with
 //!   [`StreamError::Backpressure`] when the batch does not fit;
-//!   [`ServiceClient::submit`] blocks until the writer drains room. Events
-//!   are applied strictly in submission order — the backpressure tests pin
-//!   that a fill/drain cycle loses and reorders nothing.
-//! * **Checkpoint / replay recovery.** Every applied batch is appended to an
-//!   [`EventJournal`]; [`StreamingService::checkpoint`] freezes the full
-//!   detector state bit-exactly (see [`crate::checkpoint`]).
-//!   [`StreamingService::recover`] rebuilds a service from a checkpoint and
-//!   the journal, replaying post-checkpoint batches with their original
-//!   boundaries — the recovered partition, modularity bits, counters and
-//!   epoch are **bit-identical** to the uninterrupted run.
+//!   [`ServiceClient::submit`] blocks until the writer drains room, and
+//!   [`ServiceClient::submit_timeout`] blocks until a deadline. Events are
+//!   applied strictly in submission order — the backpressure tests pin that
+//!   a fill/drain cycle loses and reorders nothing.
+//! * **Checkpoint / replay recovery.** The service's one recovery record is
+//!   its [`CheckpointStore`]: each applied batch is appended to its
+//!   [`EventJournal`] in O(batch), and [`StreamingService::checkpoint`]
+//!   freezes the detector state bit-exactly into it (see
+//!   [`crate::checkpoint`]). [`StreamingService::recover`] (from text) and
+//!   [`StreamingService::resume_from_store`] replay the batches after the
+//!   checkpoint with their original boundaries — the recovered partition,
+//!   modularity bits, counters and epoch are **bit-identical** to the
+//!   uninterrupted run.
 //!
-//! Batches are validated *atomically* before application: a batch that would
-//! fail mid-way (out-of-range endpoint, missing edge, invalid weight) is
-//! rejected as a whole and mutates nothing, so the journal always mirrors the
-//! applied state exactly — a prefix-applied batch would otherwise diverge
-//! from its journal entry and break replay.
+//! A batch is all or nothing: the detector checks it with
+//! [`DynamicGraph::check_events`] before it changes anything, so a failing
+//! batch leaves every layer as it was and the journal always holds exactly
+//! the applied batches — a prefix-applied batch would diverge from its
+//! journal entry and break replay.
 
 use crate::checkpoint::{EventJournal, ServiceCheckpoint};
 use crate::snapshot::{PartitionSnapshot, SnapshotPublisher, SnapshotReader};
 use crate::{StreamConfig, StreamError, StreamStats, StreamingDetector};
-use qhdcd_graph::{DynamicGraph, EdgeEvent, GraphError};
-use std::collections::{BTreeMap, VecDeque};
+use qhdcd_graph::{DynamicGraph, EdgeEvent};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Configuration of a [`StreamingService`].
 #[derive(Debug, Clone)]
@@ -54,14 +57,14 @@ pub struct ServiceConfig {
     /// (checkpoints are then cut manually via
     /// [`StreamingService::checkpoint`]).
     pub checkpoint_every: u64,
-    /// Poisoned-batch quarantine. `0` (the default) keeps the fail-fast
-    /// contract: a batch failing validation is dropped and the error returned
-    /// to the caller of [`StreamingService::step`]. With `n > 0`, a drained
-    /// batch is validated up to `n` times; one that never passes is moved to
-    /// the [dead-letter log](StreamingService::dead_letters) and *skipped*, so
-    /// a single poisoned batch can never wedge the queue or kill the writer
-    /// loop.
-    pub max_validation_attempts: u32,
+    /// Poisoned-batch quarantine. Off (the default) keeps the fail-fast
+    /// contract: a batch failing its check is dropped and the error returned
+    /// to the caller of [`StreamingService::step`]. On, such a batch is moved
+    /// to the [dead-letter log](StreamingService::dead_letters) and
+    /// *skipped*, so a single poisoned batch can never wedge the queue or
+    /// kill the writer loop. The check is a pure function of the graph and
+    /// the batch, so there is nothing to retry.
+    pub quarantine: bool,
 }
 
 impl Default for ServiceConfig {
@@ -71,7 +74,7 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             max_batch: 256,
             checkpoint_every: 0,
-            max_validation_attempts: 0,
+            quarantine: false,
         }
     }
 }
@@ -124,6 +127,17 @@ struct EventQueue {
     items: Condvar,
 }
 
+/// How long an enqueue may wait for room in the queue.
+#[derive(Debug, Clone, Copy)]
+enum Deadline {
+    /// Not at all: a batch that does not fit is [`StreamError::Backpressure`].
+    Now,
+    /// Until this instant, then [`StreamError::SubmitTimeout`].
+    At(Instant),
+    /// Until the batch fits or the service closes.
+    Never,
+}
+
 impl EventQueue {
     fn new(capacity: usize) -> Self {
         EventQueue {
@@ -135,7 +149,7 @@ impl EventQueue {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().expect("ingestion queue mutex poisoned")
     }
 
@@ -150,6 +164,47 @@ impl EventQueue {
         drop(state);
         self.items.notify_all();
         self.space.notify_all();
+    }
+
+    /// Enqueues the whole batch once it fits, waiting for room until
+    /// `deadline`. A batch larger than the capacity could never fit, so a
+    /// caller that would wait is refused at once.
+    fn enqueue(&self, events: &[EdgeEvent], deadline: Deadline) -> Result<(), StreamError> {
+        let capacity = self.capacity;
+        if !matches!(deadline, Deadline::Now) && events.len() > capacity {
+            return Err(StreamError::Backpressure { queued: 0, capacity });
+        }
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                return Err(StreamError::ServiceClosed);
+            }
+            let queued = state.events.len();
+            if queued + events.len() <= capacity {
+                state.events.extend(events.iter().copied());
+                self.depth.store(state.events.len(), Ordering::Release);
+                drop(state);
+                self.items.notify_all();
+                return Ok(());
+            }
+            state = match deadline {
+                Deadline::Now => return Err(StreamError::Backpressure { queued, capacity }),
+                Deadline::Never => self.space.wait(state).expect("ingestion queue mutex poisoned"),
+                Deadline::At(at) => {
+                    // The wait is re-derived from the deadline on every turn,
+                    // so a spurious wakeup never extends it.
+                    let remaining = at.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return Err(StreamError::SubmitTimeout { queued, capacity });
+                    }
+                    let (guard, _timed_out) = self
+                        .space
+                        .wait_timeout(state, remaining)
+                        .expect("ingestion queue mutex poisoned");
+                    guard
+                }
+            };
+        }
     }
 
     /// Drains up to `max` queued events in submission order and wakes blocked
@@ -185,21 +240,7 @@ impl ServiceClient {
     ///   for a batch larger than the queue capacity.
     /// * [`StreamError::ServiceClosed`] after [`ServiceClient::close`].
     pub fn try_submit(&self, events: &[EdgeEvent]) -> Result<(), StreamError> {
-        let mut state = self.queue.lock();
-        if state.closed {
-            return Err(StreamError::ServiceClosed);
-        }
-        if state.events.len() + events.len() > self.queue.capacity {
-            return Err(StreamError::Backpressure {
-                queued: state.events.len(),
-                capacity: self.queue.capacity,
-            });
-        }
-        state.events.extend(events.iter().cloned());
-        self.queue.depth.store(state.events.len(), Ordering::Release);
-        drop(state);
-        self.queue.items.notify_all();
-        Ok(())
+        self.queue.enqueue(events, Deadline::Now)
     }
 
     /// Enqueues `events`, blocking while the queue is full until the writer
@@ -212,23 +253,7 @@ impl ServiceClient {
     /// * [`StreamError::ServiceClosed`] if the service closes before the
     ///   batch is accepted.
     pub fn submit(&self, events: &[EdgeEvent]) -> Result<(), StreamError> {
-        if events.len() > self.queue.capacity {
-            return Err(StreamError::Backpressure { queued: 0, capacity: self.queue.capacity });
-        }
-        let mut state = self.queue.lock();
-        loop {
-            if state.closed {
-                return Err(StreamError::ServiceClosed);
-            }
-            if state.events.len() + events.len() <= self.queue.capacity {
-                state.events.extend(events.iter().cloned());
-                self.queue.depth.store(state.events.len(), Ordering::Release);
-                drop(state);
-                self.queue.items.notify_all();
-                return Ok(());
-            }
-            state = self.queue.space.wait(state).expect("ingestion queue mutex poisoned");
-        }
+        self.queue.enqueue(events, Deadline::Never)
     }
 
     /// Enqueues `events`, blocking at most `timeout` for the writer to free
@@ -247,38 +272,8 @@ impl ServiceClient {
         events: &[EdgeEvent],
         timeout: Duration,
     ) -> Result<(), StreamError> {
-        if events.len() > self.queue.capacity {
-            return Err(StreamError::Backpressure { queued: 0, capacity: self.queue.capacity });
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.queue.lock();
-        loop {
-            if state.closed {
-                return Err(StreamError::ServiceClosed);
-            }
-            if state.events.len() + events.len() <= self.queue.capacity {
-                state.events.extend(events.iter().cloned());
-                self.queue.depth.store(state.events.len(), Ordering::Release);
-                drop(state);
-                self.queue.items.notify_all();
-                return Ok(());
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Err(StreamError::SubmitTimeout {
-                    queued: state.events.len(),
-                    capacity: self.queue.capacity,
-                });
-            }
-            let (guard, _timed_out) = self
-                .queue
-                .space
-                .wait_timeout(state, remaining)
-                .expect("ingestion queue mutex poisoned");
-            // Timeouts are re-derived from the deadline at the loop top, so a
-            // spurious wakeup never extends the wait.
-            state = guard;
-        }
+        let deadline = Instant::now().checked_add(timeout).map_or(Deadline::Never, Deadline::At);
+        self.queue.enqueue(events, deadline)
     }
 
     /// Retries [`ServiceClient::try_submit`] under a deterministic capped
@@ -365,37 +360,37 @@ impl Default for BackoffPolicy {
 }
 
 /// A batch moved to the dead-letter log by the poisoned-batch quarantine
-/// (see [`ServiceConfig::max_validation_attempts`]).
+/// (see [`ServiceConfig::quarantine`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeadLetter {
     /// The quarantined batch, in submission order.
     pub batch: Vec<EdgeEvent>,
-    /// The validation error of the final attempt.
+    /// The error its check failed with.
     pub error: StreamError,
-    /// How many validation attempts were made before giving up.
-    pub attempts: u32,
 }
 
-/// Internal state of a [`CheckpointStore`].
+/// The contents of a [`CheckpointStore`].
 #[derive(Debug, Default)]
-struct StoreState {
+struct Record {
+    /// Every applied batch since the service started, boundaries kept.
+    journal: EventJournal,
+    /// The latest checkpoint text; its offset into `journal` bounds replay.
     checkpoint: Option<String>,
-    journal: String,
 }
 
-/// A shared, crash-surviving home for the latest checkpoint and journal text.
+/// The service's one recovery record: the journal of every applied batch and
+/// the latest checkpoint text, behind a shared lock.
 ///
-/// The service only keeps its recovery state (`latest_checkpoint`, journal)
-/// in fields of its own — state that dies with the writer thread when it
-/// panics. Attaching a store ([`StreamingService::attach_store`]) mirrors the
-/// checkpoint at every refresh and the journal after every applied batch into
-/// this handle, which the supervising side holds on to; after a writer death
-/// [`StreamingService::resume_from_store`] rebuilds a bit-identical service
-/// from it while existing [`SnapshotReader`]s keep serving the last published
-/// epoch (degraded read-only mode).
+/// Every [`StreamingService`] keeps its record in a store. Attach one you
+/// hold ([`StreamingService::attach_store`]) and the record outlives the
+/// writer thread: [`StreamingService::resume_from_store`] rebuilds a
+/// bit-identical service from it, while existing [`SnapshotReader`]s keep
+/// serving the last published epoch. The store lives in process memory; to
+/// survive a process crash, persist its text and use
+/// [`StreamingService::recover`].
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
-    inner: Arc<Mutex<StoreState>>,
+    inner: Arc<Mutex<Record>>,
 }
 
 impl CheckpointStore {
@@ -404,10 +399,12 @@ impl CheckpointStore {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, StoreState> {
-        // A writer panicking *between* store updates leaves the store intact;
-        // one panicking *during* an update can poison the mutex — the stored
-        // text is still a complete earlier state, so recovery proceeds.
+    fn lock(&self) -> MutexGuard<'_, Record> {
+        // A writer that panics while holding the lock leaves the record as it
+        // was: a checkpoint's text is assigned only once it is built, and a
+        // journal append copies plain events and pushes one offset, which
+        // cannot stop halfway short of running out of memory. So a poisoned
+        // lock still guards a complete state, and recovery proceeds.
         match self.inner.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -419,17 +416,10 @@ impl CheckpointStore {
         self.lock().checkpoint.clone()
     }
 
-    /// The most recently recorded journal log.
+    /// The journal serialized as a timestamped event log (timestamps are
+    /// batch indices; see [`crate::checkpoint`]).
     pub fn journal_log(&self) -> String {
-        self.lock().journal.clone()
-    }
-
-    fn record_checkpoint(&self, text: &str) {
-        self.lock().checkpoint = Some(text.to_string());
-    }
-
-    fn record_journal(&self, log: String) {
-        self.lock().journal = log;
+        self.lock().journal.to_event_log()
     }
 }
 
@@ -441,11 +431,10 @@ pub struct StreamingService {
     config: ServiceConfig,
     queue: Arc<EventQueue>,
     publisher: SnapshotPublisher,
-    journal: EventJournal,
     epoch: u64,
-    latest_checkpoint: Option<String>,
+    /// The journal and the latest checkpoint.
+    store: CheckpointStore,
     dead_letters: Vec<DeadLetter>,
-    store: Option<CheckpointStore>,
     #[cfg(feature = "fault-injection")]
     faults: crate::faults::FaultPlan,
 }
@@ -473,7 +462,7 @@ impl StreamingService {
     pub fn new(graph: DynamicGraph, config: ServiceConfig) -> Result<Self, StreamError> {
         config.validate()?;
         let detector = StreamingDetector::new(graph, config.stream.clone())?;
-        Ok(Self::assemble(detector, config, EventJournal::new(), 0, None))
+        Ok(Self::assemble(detector, config, CheckpointStore::new(), 0))
     }
 
     /// Creates a service around an existing detector (e.g. one seeded with a
@@ -487,15 +476,14 @@ impl StreamingService {
         config: ServiceConfig,
     ) -> Result<Self, StreamError> {
         config.validate()?;
-        Ok(Self::assemble(detector, config, EventJournal::new(), 0, None))
+        Ok(Self::assemble(detector, config, CheckpointStore::new(), 0))
     }
 
     fn assemble(
         detector: StreamingDetector,
         config: ServiceConfig,
-        journal: EventJournal,
+        store: CheckpointStore,
         epoch: u64,
-        latest_checkpoint: Option<String>,
     ) -> Self {
         let snapshot = Self::build_snapshot(&detector, epoch);
         let (publisher, _) = SnapshotPublisher::new(snapshot);
@@ -505,11 +493,9 @@ impl StreamingService {
             config,
             queue,
             publisher,
-            journal,
             epoch,
-            latest_checkpoint,
+            store,
             dead_letters: Vec::new(),
-            store: None,
             #[cfg(feature = "fault-injection")]
             faults: crate::faults::FaultPlan::default(),
         }
@@ -553,111 +539,29 @@ impl StreamingService {
         &self.detector
     }
 
-    /// The event journal accumulated so far.
-    pub fn journal(&self) -> &EventJournal {
-        &self.journal
+    /// A copy of the journal of applied batches.
+    pub fn journal(&self) -> EventJournal {
+        self.store.lock().journal.clone()
     }
 
     /// The journal serialized as a timestamped event log (timestamps are
     /// batch indices; see [`crate::checkpoint`]).
     pub fn journal_log(&self) -> String {
-        self.journal.to_event_log()
+        self.store.journal_log()
     }
 
-    /// Validates `events` against the current graph state *as a batch* (see
-    /// [`validate_batch`]), with the fault-injection hook applied first.
-    fn validate_batch(&self, events: &[EdgeEvent]) -> Result<(), StreamError> {
-        #[cfg(feature = "fault-injection")]
-        if self.faults.fails_validation_at(self.epoch + 1) {
-            return Err(StreamError::EventFailed {
-                index: 0,
-                source: GraphError::InvalidEdgeWeight { weight: f64::NAN },
-            });
-        }
-        validate_batch(self.detector.graph(), events)
-    }
-}
-
-/// Validates `events` against `graph` *as a batch*: every event is checked
-/// against the state the preceding events would leave behind, without
-/// mutating anything. This is what makes batch application all-or-nothing.
-fn validate_batch(graph: &DynamicGraph, events: &[EdgeEvent]) -> Result<(), StreamError> {
-    let n = graph.num_nodes();
-    let key = |u: usize, v: usize| if u <= v { (u, v) } else { (v, u) };
-    // Overlay of edge presence changes the batch would make; absent keys
-    // defer to the live graph.
-    let mut overlay: BTreeMap<(usize, usize), bool> = BTreeMap::new();
-    let present = |overlay: &BTreeMap<(usize, usize), bool>, u: usize, v: usize| {
-        overlay.get(&key(u, v)).copied().unwrap_or_else(|| graph.has_edge(u, v))
-    };
-    let fail = |index: usize, source: GraphError| StreamError::EventFailed { index, source };
-    for (index, event) in events.iter().enumerate() {
-        let check_bounds = |node: usize| -> Result<(), StreamError> {
-            if node >= n {
-                return Err(fail(index, GraphError::NodeOutOfBounds { node, num_nodes: n }));
-            }
-            Ok(())
-        };
-        let check_weight = |weight: f64| -> Result<(), StreamError> {
-            if !weight.is_finite() || weight < 0.0 {
-                return Err(fail(index, GraphError::InvalidEdgeWeight { weight }));
-            }
-            Ok(())
-        };
-        match *event {
-            EdgeEvent::Add { u, v, weight } => {
-                check_bounds(u)?;
-                check_bounds(v)?;
-                check_weight(weight)?;
-                overlay.insert(key(u, v), true);
-            }
-            EdgeEvent::Remove { u, v } => {
-                check_bounds(u)?;
-                check_bounds(v)?;
-                if !present(&overlay, u, v) {
-                    return Err(fail(index, GraphError::EdgeNotFound { u, v }));
-                }
-                overlay.insert(key(u, v), false);
-            }
-            EdgeEvent::Update { u, v, weight } => {
-                check_bounds(u)?;
-                check_bounds(v)?;
-                check_weight(weight)?;
-                if !present(&overlay, u, v) {
-                    return Err(fail(index, GraphError::EdgeNotFound { u, v }));
-                }
-            }
-            EdgeEvent::RemoveNode { u } => {
-                check_bounds(u)?;
-                // Every edge incident to `u` — live or added earlier in
-                // this batch — is gone after the deletion.
-                let incident: Vec<(usize, usize)> =
-                    overlay.keys().filter(|&&(a, b)| a == u || b == u).copied().collect();
-                for k in incident {
-                    overlay.insert(k, false);
-                }
-                for (v, _) in graph.neighbors(u) {
-                    overlay.insert(key(u, v), false);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-impl StreamingService {
-    /// Applies one batch synchronously: validate atomically, apply, journal,
-    /// publish the next epoch, and refresh the automatic checkpoint when due.
-    /// This is the deterministic ingestion path — the queue-driven
-    /// [`StreamingService::step`] and crash replay both funnel through it, so
-    /// a fixed event-batch sequence always produces the same state regardless
-    /// of how it arrived.
+    /// Applies one batch synchronously: check and apply it atomically,
+    /// journal it, publish the next epoch, and refresh the automatic
+    /// checkpoint when due. This is the deterministic ingestion path — the
+    /// queue-driven [`StreamingService::step`] and crash replay both funnel
+    /// through it, so a fixed event-batch sequence always produces the same
+    /// state regardless of how it arrived.
     ///
     /// An empty batch is a no-op (nothing applied, journaled or published).
     ///
     /// # Errors
     ///
-    /// Returns the first event's validation error ([`StreamError::EventFailed`])
+    /// Returns the first invalid event's error ([`StreamError::EventFailed`])
     /// with **nothing applied**, or [`StreamError::Detect`] if a full
     /// re-detect fails.
     pub fn ingest(&mut self, events: &[EdgeEvent]) -> Result<StreamStats, StreamError> {
@@ -675,28 +579,19 @@ impl StreamingService {
                 elapsed: Duration::ZERO,
             });
         }
-        self.validate_batch(events)?;
-        self.apply_validated(events, true)
-    }
-
-    /// Applies a pre-validated batch; `record` is false during crash replay
-    /// (the events are already journaled).
-    fn apply_validated(
-        &mut self,
-        events: &[EdgeEvent],
-        record: bool,
-    ) -> Result<StreamStats, StreamError> {
         #[cfg(feature = "fault-injection")]
-        if record && self.faults.panics_at_batch(self.epoch + 1) {
-            panic!("injected fault: writer panic at batch {}", self.epoch + 1);
+        if self.faults.fails_validation_at(self.epoch + 1) {
+            return Err(StreamError::EventFailed {
+                index: 0,
+                source: qhdcd_graph::GraphError::InvalidEdgeWeight { weight: f64::NAN },
+            });
         }
         let stats = self.detector.apply_events(events)?;
-        if record {
-            self.journal.record_batch(events);
-            if let Some(store) = &self.store {
-                store.record_journal(self.journal.to_event_log());
-            }
+        #[cfg(feature = "fault-injection")]
+        if self.faults.panics_at_batch(self.epoch + 1) {
+            panic!("injected fault: writer panic at batch {}", self.epoch + 1);
         }
+        self.store.lock().journal.record_batch(events);
         self.epoch += 1;
         self.publisher.publish(Self::build_snapshot(&self.detector, self.epoch));
         if self.config.checkpoint_every > 0
@@ -712,35 +607,23 @@ impl StreamingService {
     ///
     /// # Errors
     ///
-    /// Same as [`StreamingService::ingest`]. A batch that fails validation is
-    /// dropped from the queue as a whole with no state change.
+    /// Same as [`StreamingService::ingest`]. A batch that fails its check is
+    /// dropped from the queue as a whole with no state change; under
+    /// [`ServiceConfig::quarantine`] it goes to the dead-letter log and the
+    /// next batch is drained instead.
     pub fn step(&mut self) -> Result<Option<StreamStats>, StreamError> {
         loop {
             let batch = self.queue.drain_batch(self.config.max_batch);
             if batch.is_empty() {
                 return Ok(None);
             }
-            if self.config.max_validation_attempts == 0 {
-                return self.ingest(&batch).map(Some);
-            }
-            // Quarantine mode: a batch failing validation
-            // `max_validation_attempts` times is moved to the dead-letter log
-            // and skipped, and the loop drains the next batch — one poisoned
-            // batch can never wedge the queue.
-            let attempts = self.config.max_validation_attempts;
-            let mut outcome = self.validate_batch(&batch);
-            let mut made = 1u32;
-            while outcome.is_err() && made < attempts {
-                outcome = self.validate_batch(&batch);
-                made += 1;
-            }
-            match outcome {
-                Ok(()) => return self.apply_validated(&batch, true).map(Some),
-                Err(error) => {
-                    self.dead_letters.push(DeadLetter { batch, error, attempts: made });
+            match self.ingest(&batch) {
+                Err(error @ StreamError::EventFailed { .. }) if self.config.quarantine => {
+                    self.dead_letters.push(DeadLetter { batch, error });
                     #[cfg(feature = "fault-injection")]
                     self.faults.consume_validation_fault();
                 }
+                outcome => return outcome.map(Some),
             }
         }
     }
@@ -784,31 +667,30 @@ impl StreamingService {
     }
 
     /// Cuts a bit-exact checkpoint of the current state at the current batch
-    /// boundary, stores it as [`StreamingService::latest_checkpoint`], and
-    /// returns its serialized text. Recovery needs this text plus the journal
+    /// boundary, records it in the store as
+    /// [`StreamingService::latest_checkpoint`], and returns its serialized
+    /// text. Recovery needs this text plus the journal
     /// ([`StreamingService::journal_log`]) from the same or a later moment.
     pub fn checkpoint(&mut self) -> String {
+        let mut record = self.store.lock();
         #[allow(unused_mut)]
-        let mut text = self.detector.checkpoint(self.epoch, self.journal.len()).to_text();
+        let mut text = self.detector.checkpoint(self.epoch, record.journal.len()).to_text();
         #[cfg(feature = "fault-injection")]
         if let Some(keep) = self.faults.truncates_checkpoint() {
             // Simulates a torn checkpoint write: only a prefix survives.
             text.truncate(keep.min(text.len()));
         }
-        self.latest_checkpoint = Some(text.clone());
-        if let Some(store) = &self.store {
-            store.record_checkpoint(&text);
-        }
+        record.checkpoint = Some(text.clone());
         text
     }
 
     /// The most recent checkpoint text (manual or automatic), if any.
-    pub fn latest_checkpoint(&self) -> Option<&str> {
-        self.latest_checkpoint.as_deref()
+    pub fn latest_checkpoint(&self) -> Option<String> {
+        self.store.latest_checkpoint()
     }
 
     /// Batches quarantined by the poisoned-batch dead-letter log, oldest
-    /// first (see [`ServiceConfig::max_validation_attempts`]).
+    /// first (see [`ServiceConfig::quarantine`]).
     pub fn dead_letters(&self) -> &[DeadLetter] {
         &self.dead_letters
     }
@@ -818,21 +700,28 @@ impl StreamingService {
         std::mem::take(&mut self.dead_letters)
     }
 
-    /// Attaches a [`CheckpointStore`] that outlives the writer: the current
-    /// state is checkpointed into it immediately (so a recovery point always
-    /// exists), and every future checkpoint refresh and applied batch is
-    /// mirrored. Hold the store on the supervising side and rebuild after a
-    /// writer death with [`StreamingService::resume_from_store`].
+    /// Keeps the service's record in `store`, which the supervising side
+    /// holds on to so that it outlives the writer: the journal moves into it
+    /// (a store the service kept before is left empty), the current state is
+    /// checkpointed into it at once so a recovery point always exists, and
+    /// every later batch and checkpoint goes to it. Rebuild after a writer
+    /// death with [`StreamingService::resume_from_store`].
     pub fn attach_store(&mut self, store: &CheckpointStore) {
-        self.store = Some(store.clone());
-        let text = self.checkpoint();
-        store.record_checkpoint(&text);
-        store.record_journal(self.journal.to_event_log());
+        self.keep_record_in(store);
+        self.checkpoint();
     }
 
-    /// Rebuilds a service from the state a [`CheckpointStore`] captured before
-    /// a writer death, replaying journaled batches past the checkpoint — the
-    /// supervisor's restart path. The new service re-attaches to the store.
+    /// Moves the record into `store` and keeps it there from now on.
+    fn keep_record_in(&mut self, store: &CheckpointStore) {
+        let record = std::mem::take(&mut *self.store.lock());
+        *store.lock() = record;
+        self.store = store.clone();
+    }
+
+    /// Rebuilds a service from the record a [`CheckpointStore`] holds after a
+    /// writer death, replaying journaled batches past the checkpoint — the
+    /// supervisor's restart path. It reads the store's journal as it is, with
+    /// no text round trip, and the new service keeps its record in the store.
     /// Readers of the dead service keep serving its last published epoch
     /// while this runs; hand out fresh clients/readers once it returns.
     ///
@@ -840,16 +729,23 @@ impl StreamingService {
     ///
     /// * [`StreamError::InvalidConfig`] if the store holds no checkpoint (the
     ///   store was never attached to a service).
-    /// * Same as [`StreamingService::recover`] for corrupt store contents.
+    /// * Same as [`StreamingService::recover`] for a corrupt checkpoint; the
+    ///   store is then left as it was.
     pub fn resume_from_store(
         store: &CheckpointStore,
         config: ServiceConfig,
     ) -> Result<Self, StreamError> {
-        let checkpoint = store.latest_checkpoint().ok_or_else(|| StreamError::InvalidConfig {
-            reason: "checkpoint store holds no checkpoint to resume from".into(),
-        })?;
-        let mut service = Self::recover(&checkpoint, &store.journal_log(), config)?;
-        service.store = Some(store.clone());
+        let (checkpoint_text, journal) = {
+            let record = store.lock();
+            let text = record.checkpoint.clone().ok_or_else(|| StreamError::InvalidConfig {
+                reason: "checkpoint store holds no checkpoint to resume from".into(),
+            })?;
+            (text, record.journal.clone())
+        };
+        config.validate()?;
+        let checkpoint = ServiceCheckpoint::from_text(&checkpoint_text)?;
+        let mut service = Self::restore(checkpoint, checkpoint_text, journal, config)?;
+        service.keep_record_in(store);
         Ok(service)
     }
 
@@ -860,12 +756,13 @@ impl StreamingService {
         self.faults = faults;
     }
 
-    /// Rebuilds a service from a checkpoint and the full event journal,
-    /// replaying every journaled batch after the checkpoint's offset with its
-    /// original boundaries. The recovered service is **bit-identical** to the
-    /// uninterrupted run at the same point: partition, modularity bits,
-    /// drift, counters, epoch and journal all match (the crash-consistency
-    /// contract pinned by `tests/service.rs`).
+    /// Rebuilds a service from checkpoint text and the full journal text —
+    /// the recovery path after a process crash, from text the caller
+    /// persisted — replaying every journaled batch after the checkpoint's
+    /// offset with its original boundaries. The recovered service is
+    /// **bit-identical** to the uninterrupted run at the same point:
+    /// partition, modularity bits, drift, counters, epoch and journal all
+    /// match (the crash-consistency contract pinned by `tests/service.rs`).
     ///
     /// # Errors
     ///
@@ -873,7 +770,7 @@ impl StreamingService {
     ///   checkpoint offset that is beyond the journal or not on one of its
     ///   batch boundaries.
     /// * [`StreamError::Graph`] for malformed journal text.
-    /// * Any replay error (replayed batches were validated when first
+    /// * Any replay error (replayed batches passed their check when first
     ///   applied, so this indicates a truncated or edited journal).
     pub fn recover(
         checkpoint_text: &str,
@@ -883,6 +780,20 @@ impl StreamingService {
         config.validate()?;
         let checkpoint = ServiceCheckpoint::from_text(checkpoint_text)?;
         let journal = EventJournal::from_event_log(journal_text)?;
+        Self::restore(checkpoint, checkpoint_text.to_string(), journal, config)
+    }
+
+    /// The restore body of `recover` and `resume_from_store`: checks the
+    /// checkpoint against the journal and the config, restores the detector,
+    /// and replays the later batches through [`StreamingService::ingest`],
+    /// which journals them again, so an automatic checkpoint cut during the
+    /// replay carries the offset of the batch it follows.
+    fn restore(
+        checkpoint: ServiceCheckpoint,
+        checkpoint_text: String,
+        mut journal: EventJournal,
+        config: ServiceConfig,
+    ) -> Result<Self, StreamError> {
         if checkpoint.events_applied > journal.len() {
             return Err(StreamError::Checkpoint {
                 line: 3,
@@ -922,12 +833,12 @@ impl StreamingService {
         }
         let (offset, epoch) = (checkpoint.events_applied, checkpoint.epoch);
         let detector = StreamingDetector::from_checkpoint(checkpoint, config.stream.clone())?;
-        let mut service =
-            Self::assemble(detector, config, journal, epoch, Some(checkpoint_text.to_string()));
-        let replay: Vec<Vec<EdgeEvent>> =
-            service.journal.batches_from(offset).map(<[EdgeEvent]>::to_vec).collect();
-        for batch in replay {
-            service.apply_validated(&batch, false)?;
+        let replay = journal.split_off(offset);
+        let record = Record { journal, checkpoint: Some(checkpoint_text) };
+        let store = CheckpointStore { inner: Arc::new(Mutex::new(record)) };
+        let mut service = Self::assemble(detector, config, store, epoch);
+        for batch in replay.batches_from(0) {
+            service.ingest(batch)?;
         }
         Ok(service)
     }
@@ -936,7 +847,7 @@ impl StreamingService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qhdcd_graph::generators;
+    use qhdcd_graph::{generators, GraphError};
 
     fn karate_service(config: ServiceConfig) -> StreamingService {
         let graph = DynamicGraph::from_graph(&generators::karate_club());
@@ -995,52 +906,6 @@ mod tests {
         assert_eq!(service.detector().graph(), &before);
         assert_eq!(service.epoch(), epoch_before);
         assert!(service.journal().is_empty());
-    }
-
-    #[test]
-    fn batch_validation_tracks_intra_batch_state() {
-        let mut service = karate_service(ServiceConfig::default());
-        // Remove-then-remove of the same edge must fail on the second event.
-        let err = service
-            .ingest(&[EdgeEvent::Remove { u: 0, v: 1 }, EdgeEvent::Remove { u: 0, v: 1 }])
-            .unwrap_err();
-        assert!(matches!(err, StreamError::EventFailed { index: 1, .. }));
-        // Add-then-remove of a new edge is fine; so is updating it in between.
-        service
-            .ingest(&[
-                EdgeEvent::Add { u: 0, v: 20, weight: 1.0 },
-                EdgeEvent::Update { u: 0, v: 20, weight: 0.5 },
-                EdgeEvent::Remove { u: 0, v: 20 },
-            ])
-            .unwrap();
-        // A node deletion kills edges added earlier in the same batch.
-        let err = service
-            .ingest(&[
-                EdgeEvent::Add { u: 0, v: 20, weight: 1.0 },
-                EdgeEvent::RemoveNode { u: 0 },
-                EdgeEvent::Update { u: 0, v: 20, weight: 0.5 },
-            ])
-            .unwrap_err();
-        assert!(matches!(err, StreamError::EventFailed { index: 2, .. }));
-        // ... but re-adding after the deletion is valid.
-        service
-            .ingest(&[
-                EdgeEvent::RemoveNode { u: 0 },
-                EdgeEvent::Add { u: 0, v: 20, weight: 1.0 },
-                EdgeEvent::Update { u: 0, v: 20, weight: 0.5 },
-            ])
-            .unwrap();
-        // Invalid weights and out-of-range endpoints are caught up front.
-        let err = service.ingest(&[EdgeEvent::Add { u: 0, v: 1, weight: f64::NAN }]).unwrap_err();
-        assert!(matches!(
-            err,
-            StreamError::EventFailed { index: 0, source: GraphError::InvalidEdgeWeight { .. } }
-        ));
-        let err = service.ingest(&[EdgeEvent::RemoveNode { u: 99 }]).unwrap_err();
-        assert!(matches!(
-            err,
-            StreamError::EventFailed { index: 0, source: GraphError::NodeOutOfBounds { .. } }
-        ));
     }
 
     #[test]
@@ -1195,7 +1060,7 @@ mod tests {
     fn quarantine_dead_letters_poisoned_batches_and_keeps_draining() {
         let mut service = karate_service(ServiceConfig {
             max_batch: 1,
-            max_validation_attempts: 2,
+            quarantine: true,
             ..ServiceConfig::default()
         });
         let client = service.client();
@@ -1212,7 +1077,6 @@ mod tests {
         assert_eq!(letters.len(), 1);
         // NaN never compares equal, so match the quarantined batch by shape.
         assert!(matches!(letters[0].batch[..], [EdgeEvent::Add { u: 0, v: 20, .. }]));
-        assert_eq!(letters[0].attempts, 2);
         assert!(matches!(letters[0].error, StreamError::EventFailed { index: 0, .. }));
         // The quarantined batch is journaled nowhere: replay stays exact.
         assert_eq!(service.journal().len(), 1);
@@ -1235,8 +1099,20 @@ mod tests {
         let mut service = karate_service(config.clone());
         let store = CheckpointStore::new();
         service.attach_store(&store);
+        // Attaching the store changes nothing that a twin without one shows:
+        // published epochs, checkpoint bytes and journal, all of which the
+        // store holds too.
+        let mut reference = karate_service(config.clone());
+        reference.checkpoint(); // attaching cut one
         for v in 20..25 {
             service.ingest(&[EdgeEvent::Add { u: 0, v, weight: 1.0 }]).unwrap();
+            reference.ingest(&[EdgeEvent::Add { u: 0, v, weight: 1.0 }]).unwrap();
+            let (snap, twin) = (service.latest_snapshot(), reference.latest_snapshot());
+            assert_eq!((snap.epoch(), snap.labels()), (twin.epoch(), twin.labels()));
+            assert_eq!(snap.modularity().to_bits(), twin.modularity().to_bits());
+            let record = (reference.latest_checkpoint(), reference.journal_log());
+            assert_eq!((service.latest_checkpoint(), service.journal_log()), record);
+            assert_eq!((store.latest_checkpoint(), store.journal_log()), record);
         }
         assert_eq!(service.epoch(), 5);
         let mut client = service.client();
@@ -1251,10 +1127,6 @@ mod tests {
         assert_eq!(resumed.epoch(), 5);
         // Bit-exactness: the resumed state checkpoints identically to an
         // uninterrupted run over the same batches.
-        let mut reference = karate_service(config);
-        for v in 20..25 {
-            reference.ingest(&[EdgeEvent::Add { u: 0, v, weight: 1.0 }]).unwrap();
-        }
         assert_eq!(resumed.checkpoint(), reference.checkpoint());
         assert_eq!(resumed.journal_log(), reference.journal_log());
         assert_eq!(resumed.latest_snapshot().community_of(0), last_published.community_of(0));

@@ -141,7 +141,7 @@ fn main() -> Result<(), StreamError> {
 
     // 4. Crash recovery: the automatic checkpoint plus the journal rebuild the
     //    exact service state — partition and modularity bit-identical.
-    let checkpoint = service.latest_checkpoint().expect("auto checkpoint was cut").to_string();
+    let checkpoint = service.latest_checkpoint().expect("auto checkpoint was cut");
     let journal = service.journal_log();
     let recovered = StreamingService::recover(&checkpoint, &journal, config)?;
     assert_eq!(recovered.epoch(), service.epoch());

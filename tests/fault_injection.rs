@@ -93,7 +93,7 @@ fn injected_writer_panic_is_contained_and_recoverable() {
 #[test]
 fn injected_validation_failure_is_quarantined_without_wedging() {
     let mut config = karate_config();
-    config.max_validation_attempts = 3;
+    config.quarantine = true;
     let mut service = karate_service(&config);
     service.inject_faults(FaultPlan::default().with_validation_failure_at(1));
     let client = service.client();
@@ -104,7 +104,6 @@ fn injected_validation_failure_is_quarantined_without_wedging() {
     assert!(service.step().unwrap().is_none());
     assert_eq!(service.epoch(), 0);
     assert_eq!(service.dead_letters().len(), 1);
-    assert_eq!(service.dead_letters()[0].attempts, 3);
 
     // The fault was consumed with the dead letter: the next batch at the
     // same epoch is clean and the service keeps going.
@@ -191,7 +190,7 @@ fn randomized_fault_plan_sweep() {
     'seeds: for seed in 0..48u64 {
         let plan = FaultPlan::from_seed(seed);
         let mut config = karate_config();
-        config.max_validation_attempts = 2;
+        config.quarantine = true;
         let mut service = karate_service(&config);
         let store = CheckpointStore::new();
         service.attach_store(&store);

@@ -439,6 +439,7 @@ proptest! {
         let pg = generators::ring_of_cliques(4, 5).unwrap();
         let config = ServiceConfig {
             stream: StreamConfig { drift_threshold: 0.25, ..StreamConfig::default() },
+            checkpoint_every: 2,
             ..ServiceConfig::default()
         }
         .with_seed(seed);
@@ -457,6 +458,9 @@ proptest! {
         let recovered =
             StreamingService::recover(&checkpoint, &service.journal_log(), config).unwrap();
         prop_assert_eq!(fingerprint(&recovered), fingerprint(&service));
+        // The automatic checkpoints the replay cuts carry the journal offset
+        // of the batch they follow: byte for byte the live run's.
+        prop_assert_eq!(recovered.latest_checkpoint(), service.latest_checkpoint());
     }
 }
 
