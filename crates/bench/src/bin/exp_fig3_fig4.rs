@@ -5,7 +5,9 @@
 //! GUROBI stand-in) is then given exactly QHD's wall-clock time on each
 //! instance. Instances are bucketed by whether the exact solver proved
 //! optimality (Figure 4) or hit its time limit (Figure 3), and within each
-//! bucket the solution quality of the two solvers is compared.
+//! bucket the solution quality of the two solvers is compared. Each row also
+//! shows the modularity of both decoded solutions and of Louvain on the graph;
+//! the rows and the quality-record verdict follow.
 //!
 //! Usage:
 //!
@@ -14,165 +16,131 @@
 //! ```
 //!
 //! `--full` uses the paper-scale corpus shape (more and larger instances); the
-//! default is a smaller corpus that finishes in a few minutes.
+//! default is a smaller corpus that finishes in a few seconds.
 
-use qhdcd_bench::{arg_value, cd_qubo, communities_for};
-use qhdcd_graph::generators::{self, PlantedPartitionConfig};
-use qhdcd_qhd::QhdSolver;
-use qhdcd_qubo::{QuboSolver, SolveStatus};
-use qhdcd_solvers::BranchAndBound;
+use qhdcd_bench::corpus::{fig34_instance, Pipeline};
+use qhdcd_bench::record::Recorder;
+use qhdcd_bench::{arg_value, cd_qubo};
+use qhdcd_core::CdError;
+use qhdcd_qubo::SolveStatus;
+use std::time::Duration;
 
+/// The energies of QHD and of branch and bound on one instance, with the
+/// QUBO's size.
 struct InstanceOutcome {
     variables: usize,
     density: f64,
     qhd_objective: f64,
     exact_objective: f64,
-    exact_status: SolveStatus,
 }
 
-fn main() {
+fn main() -> Result<(), CdError> {
     let full = std::env::args().any(|a| a == "--full");
     let default_instances = if full { 120 } else { 40 };
     let instances: usize =
         arg_value("--instances").and_then(|v| v.parse().ok()).unwrap_or(default_instances);
-    // Size strata follow the paper's reported statistics: the "small" stratum
-    // (tens of variables) where the exact solver usually proves optimality, and
-    // the "large" stratum (hundreds of variables) where it usually times out.
-    let small_nodes = 4usize..=16; // × k communities ⇒ ~12–50 variables.
-    let large_nodes = if full { 40usize..=300 } else { 40usize..=120 };
+    let mut recorder = Recorder::from_args();
 
     println!("# EXP-F3 / EXP-F4: QHD vs exact solver under equal wall-clock time");
     println!("# instances = {instances} (half small, half large stratum)");
     println!(
-        "{:>5} {:>8} {:>9} {:>14} {:>14} {:>12}",
-        "id", "vars", "density", "qhd", "exact", "exact status"
+        "{:>5} {:>8} {:>9} {:>14} {:>14} {:>12} {:>8} {:>8} {:>8}",
+        "id", "vars", "density", "qhd", "exact", "exact status", "qhd Q", "exact Q", "louvain"
     );
 
-    let mut outcomes = Vec::new();
+    let (mut optimal, mut timed_out) = (Vec::new(), Vec::new());
     for id in 0..instances {
-        let small = id < instances / 2;
-        let range = if small { small_nodes.clone() } else { large_nodes.clone() };
-        let span = range.end() - range.start() + 1;
-        let nodes = range.start() + (id * 7919) % span;
-        let k = if small { 3 } else { communities_for(nodes * 12).clamp(2, 4) };
-        let pg = generators::planted_partition(&PlantedPartitionConfig {
-            num_nodes: nodes,
-            num_communities: k,
-            p_in: if small { 0.45 } else { 0.15 },
-            p_out: if small { 0.08 } else { 0.02 },
-            seed: 1_000 + id as u64,
-        })
-        .expect("valid generator configuration");
-        let qubo = cd_qubo(&pg.graph, k).expect("valid formulation");
+        let instance = fig34_instance(id, instances, full)?;
+        let Pipeline::Qubo(k) = instance.pipeline else { unreachable!("Fig 3/4 solves QUBOs") };
+        let qubo = cd_qubo(&instance.planted.graph, k)?;
         let model = qubo.model();
-
-        // The paper measures QHD first and hands the same wall-clock budget to
-        // the exact solver; QHD is configured as it would be in production
-        // (eight parallel samples), which also gives the exact solver a
-        // realistic time budget on the small stratum.
-        let qhd = QhdSolver::builder().samples(8).steps(150).seed(id as u64).build();
-        let qhd_report = qhd.solve(model).expect("qhd solve succeeds");
-        let exact = BranchAndBound::with_time_limit(qhd_report.elapsed);
-        let exact_report = exact.solve(model).expect("exact solve succeeds");
-
+        let [qhd, exact, louvain] = recorder.run_paper_methods(&instance, Duration::ZERO)?;
+        let (qhd_objective, exact_objective) = (
+            qhd.energy.expect("QUBO rows carry an energy"),
+            exact.energy.expect("QUBO rows carry an energy"),
+        );
+        let status = exact.status.expect("QUBO rows carry a status");
         println!(
-            "{:>5} {:>8} {:>9.3} {:>14.4} {:>14.4} {:>12}",
+            "{:>5} {:>8} {:>9.3} {:>14.4} {:>14.4} {:>12} {:>8.4} {:>8.4} {:>8.4}",
             id,
             model.num_variables(),
             model.density(),
-            qhd_report.objective,
-            exact_report.objective,
-            exact_report.status
+            qhd_objective,
+            exact_objective,
+            status,
+            qhd.q,
+            exact.q,
+            louvain.q
         );
-        outcomes.push(InstanceOutcome {
+        let outcome = InstanceOutcome {
             variables: model.num_variables(),
             density: model.density(),
-            qhd_objective: qhd_report.objective,
-            exact_objective: exact_report.objective,
-            exact_status: exact_report.status,
-        });
+            qhd_objective,
+            exact_objective,
+        };
+        if status == SolveStatus::Optimal.to_string() {
+            optimal.push(outcome);
+        } else {
+            timed_out.push(outcome);
+        }
     }
 
-    summarize(&outcomes);
+    summarize(&optimal, &timed_out);
+    recorder.finish();
+    Ok(())
 }
 
-fn summarize(outcomes: &[InstanceOutcome]) {
-    let tol = 1e-6;
-    let (optimal, timed_out): (Vec<_>, Vec<_>) =
-        outcomes.iter().partition(|o| o.exact_status == SolveStatus::Optimal);
-
-    println!();
-    println!("## Figure 4 — instances where the exact solver proved optimality");
-    if optimal.is_empty() {
-        println!("(no instances in this bucket — increase --instances)");
-    } else {
-        let matched = optimal
-            .iter()
-            .filter(|o| {
-                (o.qhd_objective - o.exact_objective).abs()
-                    <= tol * o.exact_objective.abs().max(1.0)
-            })
-            .count();
-        let max_gap = optimal
-            .iter()
-            .map(|o| {
-                ((o.qhd_objective - o.exact_objective) / o.exact_objective.abs().max(1e-9)).max(0.0)
-            })
-            .fold(0.0f64, f64::max);
-        let mean_vars =
-            optimal.iter().map(|o| o.variables as f64).sum::<f64>() / optimal.len() as f64;
-        let mean_density = optimal.iter().map(|o| o.density).sum::<f64>() / optimal.len() as f64;
-        println!("instances            : {}", optimal.len());
-        println!("mean variables       : {mean_vars:.1}   (paper: 54)");
-        println!("mean density         : {mean_density:.3} (paper: 0.157)");
+fn summarize(optimal: &[InstanceOutcome], timed_out: &[InstanceOutcome]) {
+    // QHD's energy above the exact solver's, relative to max(|exact|, 1).
+    let excess = |o: &&InstanceOutcome| {
+        (o.qhd_objective - o.exact_objective) / o.exact_objective.abs().max(1.0)
+    };
+    let count = |bucket: &[InstanceOutcome], hit: &dyn Fn(f64) -> bool| {
+        let hits = bucket.iter().filter(|o| hit(excess(o))).count();
+        format!("{hits}/{} = {:.1}%", bucket.len(), 100.0 * hits as f64 / bucket.len() as f64)
+    };
+    let buckets = [
+        (true, "4 — instances where the exact solver proved optimality", optimal, "54", "0.157"),
+        (
+            false,
+            "3 — instances where the exact solver hit its time limit",
+            timed_out,
+            "614",
+            "0.028",
+        ),
+    ];
+    for (proved, figure, bucket, paper_vars, paper_density) in buckets {
+        println!("\n## Figure {figure}");
+        if bucket.is_empty() {
+            println!("(no instances in this bucket — change --instances or --full)");
+            continue;
+        }
+        let mean = |f: fn(&InstanceOutcome) -> f64| {
+            bucket.iter().map(f).sum::<f64>() / bucket.len() as f64
+        };
+        println!("instances            : {}", bucket.len());
         println!(
-            "QHD matched optimum  : {matched}/{} = {:.1}%   (paper: 75.4%)",
-            optimal.len(),
-            100.0 * matched as f64 / optimal.len() as f64
+            "mean variables       : {:.1}   (paper: {paper_vars})",
+            mean(|o| o.variables as f64)
         );
-        println!("max relative gap     : {:.2}%          (paper: ≤1.6%)", 100.0 * max_gap);
-    }
-
-    println!();
-    println!("## Figure 3 — instances where the exact solver hit its time limit");
-    if timed_out.is_empty() {
-        println!("(no instances in this bucket — increase instance sizes)");
-    } else {
-        let qhd_better = timed_out
-            .iter()
-            .filter(|o| {
-                o.qhd_objective < o.exact_objective - tol * o.exact_objective.abs().max(1.0)
-            })
-            .count();
-        let equal = timed_out
-            .iter()
-            .filter(|o| {
-                (o.qhd_objective - o.exact_objective).abs()
-                    <= tol * o.exact_objective.abs().max(1.0)
-            })
-            .count();
-        let exact_better = timed_out.len() - qhd_better - equal;
-        let mean_vars =
-            timed_out.iter().map(|o| o.variables as f64).sum::<f64>() / timed_out.len() as f64;
-        let mean_density =
-            timed_out.iter().map(|o| o.density).sum::<f64>() / timed_out.len() as f64;
-        println!("instances            : {}", timed_out.len());
-        println!("mean variables       : {mean_vars:.1}   (paper: 614)");
-        println!("mean density         : {mean_density:.3} (paper: 0.028)");
-        println!(
-            "QHD found better     : {qhd_better}/{} = {:.1}%   (paper: 71.4%)",
-            timed_out.len(),
-            100.0 * qhd_better as f64 / timed_out.len() as f64
-        );
-        println!(
-            "QHD matched          : {equal}/{} = {:.1}%   (paper: 17.2%)",
-            timed_out.len(),
-            100.0 * equal as f64 / timed_out.len() as f64
-        );
-        println!(
-            "exact solver better  : {exact_better}/{} = {:.1}%",
-            timed_out.len(),
-            100.0 * exact_better as f64 / timed_out.len() as f64
-        );
+        println!("mean density         : {:.3} (paper: {paper_density})", mean(|o| o.density));
+        if proved {
+            let max_gap = bucket
+                .iter()
+                .map(|o| (o.qhd_objective - o.exact_objective) / o.exact_objective.abs().max(1e-9))
+                .fold(0.0f64, f64::max);
+            println!(
+                "QHD matched optimum  : {}   (paper: 75.4%)",
+                count(bucket, &|e| e.abs() <= 1e-6)
+            );
+            println!("max relative gap     : {:.2}%          (paper: ≤1.6%)", 100.0 * max_gap);
+        } else {
+            println!("QHD found better     : {}   (paper: 71.4%)", count(bucket, &|e| e < -1e-6));
+            println!(
+                "QHD matched          : {}   (paper: 17.2%)",
+                count(bucket, &|e| e.abs() <= 1e-6)
+            );
+            println!("exact solver better  : {}", count(bucket, &|e| e > 1e-6));
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! EXP-T1 / EXP-F5 — regenerates the paper's Table I and Figure 5.
 //!
 //! Ten small/medium networks (52–1 034 nodes) matched to the paper's rows are
-//! synthesised; each is solved by the direct QUBO + QHD pipeline and by the
+//! synthesised; each is solved by the direct QUBO + QHD pipeline, by the
 //! direct QUBO + branch-and-bound pipeline (the GUROBI stand-in) given the same
-//! wall-clock time QHD used. Modularity scores and the time ratio are printed
-//! per instance, followed by the Figure 5 summary (win rate, mean modularity
-//! difference, fraction of exact-solver time used).
+//! wall-clock time QHD used, and by Louvain. Modularity scores and the time
+//! ratio are printed per instance, followed by the Figure 5 summary (win rate,
+//! mean modularity difference, fraction of exact-solver time used), the rows
+//! and the quality-record verdict.
 //!
 //! Usage:
 //!
@@ -15,82 +16,79 @@
 //!
 //! `--max-nodes N` skips rows larger than `N` nodes (useful for quick runs).
 
-use qhdcd_bench::{arg_value, communities_for, matched_graph, TABLE1_ROWS};
-use qhdcd_core::direct::{detect, DirectConfig};
-use qhdcd_qhd::QhdSolver;
-use qhdcd_solvers::BranchAndBound;
+use qhdcd_bench::corpus::table1_instance;
+use qhdcd_bench::record::Recorder;
+use qhdcd_bench::{arg_value, mean_std, TABLE1_ROWS};
+use qhdcd_core::CdError;
+use std::time::Duration;
 
-fn main() {
+fn main() -> Result<(), CdError> {
     let max_nodes: usize =
         arg_value("--max-nodes").and_then(|v| v.parse().ok()).unwrap_or(usize::MAX);
+    let mut recorder = Recorder::from_args();
 
     println!("# EXP-T1 / EXP-F5: Table I small/medium networks, QHD vs exact solver");
     println!(
-        "{:>6} {:>6} {:>8} {:>9} {:>10} {:>10} {:>10} {:>10} {:>9}",
+        "{:>6} {:>6} {:>8} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9}",
         "inst",
         "nodes",
         "edges",
         "density%",
         "exact Q",
         "qhd Q",
+        "louvain Q",
         "paper ex",
         "paper qhd",
         "t(q)/t(e)"
     );
 
-    let mut qhd_wins = 0usize;
-    let mut ties = 0usize;
     let mut diffs = Vec::new();
     let mut time_ratios = Vec::new();
-    let mut rows_run = 0usize;
-    for (i, row) in TABLE1_ROWS.iter().enumerate() {
-        if row.nodes > max_nodes {
+    for (i, paper) in TABLE1_ROWS.iter().enumerate() {
+        if paper.nodes > max_nodes {
             continue;
         }
-        rows_run += 1;
-        let pg = matched_graph(row.nodes, row.edges, 7_000 + i as u64).expect("valid row");
-        let k = communities_for(row.nodes);
-        let config = DirectConfig::with_communities(k);
-
-        let qhd_solver = QhdSolver::builder().samples(4).steps(100).seed(i as u64).build();
-        let qhd = detect(&pg.graph, &qhd_solver, &config).expect("qhd pipeline succeeds");
-
-        let exact_solver = BranchAndBound::with_time_limit(qhd.solver_time);
-        let exact = detect(&pg.graph, &exact_solver, &config).expect("exact pipeline succeeds");
-
-        let time_ratio = qhd.solver_time.as_secs_f64() / exact.solver_time.as_secs_f64().max(1e-9);
+        let instance = table1_instance(i)?;
+        let [qhd, exact, louvain] = recorder.run_paper_methods(&instance, Duration::ZERO)?;
+        let time_ratio = qhd.solver_ms / exact.solver_ms.max(1e-6);
+        let (name, gurobi_paper, qhd_paper) = (paper.name, paper.paper_gurobi, paper.paper_qhd);
         println!(
-            "{:>6} {:>6} {:>8} {:>9.2} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>9.2}",
-            row.id,
-            pg.graph.num_nodes(),
-            pg.graph.num_edges(),
-            100.0 * pg.graph.density(),
-            exact.modularity,
-            qhd.modularity,
-            row.paper_gurobi,
-            row.paper_qhd,
-            time_ratio
+            "{name:>6} {:>6} {:>8} {:>9.2} {:>10.4} {:>10.4} {:>10.4} {gurobi_paper:>10.4} \
+             {qhd_paper:>10.4} {time_ratio:>9.2}",
+            qhd.n,
+            qhd.m,
+            100.0 * instance.planted.graph.density(),
+            exact.q,
+            qhd.q,
+            louvain.q,
         );
-        let diff = qhd.modularity - exact.modularity;
-        diffs.push(diff);
+        diffs.push(qhd.q - exact.q);
         time_ratios.push(time_ratio);
-        if diff > 1e-6 {
-            qhd_wins += 1;
-        } else if diff.abs() <= 1e-6 {
-            ties += 1;
-        }
     }
 
-    let (mean_diff, _) = qhdcd_bench::mean_std(&diffs);
-    let (mean_ratio, _) = qhdcd_bench::mean_std(&time_ratios);
+    let rows_run = diffs.len();
+    let at_least = |diffs: &[f64]| diffs.iter().filter(|&&d| d >= -1e-6).count();
+    let paper_diffs: Vec<f64> = TABLE1_ROWS.iter().map(|r| r.paper_qhd - r.paper_gurobi).collect();
+    let paper_at_least = at_least(&paper_diffs);
     println!();
     println!("## Figure 5 summary");
-    println!("rows evaluated              : {rows_run}/10");
+    println!("rows evaluated              : {rows_run}/{}", TABLE1_ROWS.len());
     println!(
-        "QHD modularity ≥ exact on   : {}/{rows_run} = {:.0}%   (paper: 8/10 = 80%)",
-        qhd_wins + ties,
-        100.0 * (qhd_wins + ties) as f64 / rows_run.max(1) as f64
+        "QHD modularity ≥ exact on   : {}/{rows_run} = {:.0}%   (paper: {paper_at_least}/{} = {:.0}%)",
+        at_least(&diffs),
+        100.0 * at_least(&diffs) as f64 / rows_run.max(1) as f64,
+        paper_diffs.len(),
+        100.0 * paper_at_least as f64 / paper_diffs.len() as f64
     );
-    println!("mean modularity difference  : {mean_diff:+.4}      (paper: +0.0029)");
-    println!("QHD / exact solver time     : {mean_ratio:.2}        (paper: 0.20 with four GPUs)");
+    println!(
+        "mean modularity difference  : {:+.4}      (paper: {:+.4})",
+        mean_std(&diffs).0,
+        mean_std(&paper_diffs).0
+    );
+    println!(
+        "QHD / exact solver time     : {:.2}        (paper: 0.20 with four GPUs)",
+        mean_std(&time_ratios).0
+    );
+    recorder.finish();
+    Ok(())
 }

@@ -3,10 +3,11 @@
 //! The four large SNAP networks (facebook, lastfm_asia, musae_chameleon,
 //! tvshow) are replaced by matched synthetic graphs (same node count, edge
 //! count and density, planted communities). Each is solved `--repeats` times by
-//! the multilevel QHD pipeline and by the multilevel pipeline with the exact
+//! the multilevel QHD pipeline, by the multilevel pipeline with the exact
 //! branch-and-bound base solver under a time limit (the GUROBI stand-in at this
-//! scale), and the mean ± std modularity is reported per network, followed by
-//! the Figure 6 density-vs-advantage series.
+//! scale), by portfolio and annealing multilevel and by Louvain. The mean ± std
+//! modularity is reported per network, followed by the Figure 6
+//! density-vs-advantage series, the rows and the quality-record verdict.
 //!
 //! Usage:
 //!
@@ -17,94 +18,69 @@
 //! `--scale S` (default 4) divides the node/edge counts to keep the default run
 //! under a few minutes; pass `--scale 1` for the paper-size graphs.
 
-use qhdcd_bench::{arg_value, communities_for, matched_graph, mean_std, TABLE2_ROWS};
-use qhdcd_core::coarsen::CoarsenConfig;
-use qhdcd_core::multilevel::{detect, MultilevelConfig};
-use qhdcd_qhd::QhdSolver;
-use qhdcd_solvers::BranchAndBound;
+use qhdcd_bench::corpus::{table2_instance, Method};
+use qhdcd_bench::record::Recorder;
+use qhdcd_bench::{arg_value, mean_std, TABLE2_ROWS};
+use qhdcd_core::CdError;
 use std::time::Duration;
 
-fn main() {
+fn main() -> Result<(), CdError> {
     let repeats: usize = arg_value("--repeats").and_then(|v| v.parse().ok()).unwrap_or(3);
     let scale: usize = arg_value("--scale").and_then(|v| v.parse().ok()).unwrap_or(4).max(1);
+    let mut recorder = Recorder::from_args();
 
     println!("# EXP-T2 / EXP-F6: Table II large networks (synthetic, matched size/density), scale 1/{scale}");
     println!(
-        "{:>16} {:>7} {:>8} {:>9} {:>17} {:>17} {:>9} {:>9}",
+        "{:>16} {:>7} {:>8} {:>9} {:>17} {:>17} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "network",
         "nodes",
         "edges",
         "density%",
         "exact Q (±std)",
         "qhd Q (±std)",
+        "portfolio",
+        "annealing",
+        "louvain",
         "paper ex",
         "paper qhd"
     );
 
     let mut fig6 = Vec::new();
-    for (i, row) in TABLE2_ROWS.iter().enumerate() {
-        let nodes = (row.nodes / scale).max(100);
-        let edges = (row.edges / scale).max(nodes);
-        let k = communities_for(nodes);
-        let mut qhd_scores = Vec::new();
-        let mut exact_scores = Vec::new();
+    for (i, paper) in TABLE2_ROWS.iter().enumerate() {
+        // Q per method: QHD, branch and bound, Louvain, portfolio, annealing.
+        let mut scores = [(); 5].map(|()| Vec::new());
         let mut density = 0.0;
-        let (mut n_actual, mut m_actual) = (0, 0);
+        let (mut n, mut m) = (0, 0);
         for r in 0..repeats {
-            let pg = matched_graph(nodes, edges, 9_000 + (i * 31 + r) as u64).expect("valid row");
-            density = pg.graph.density();
-            n_actual = pg.graph.num_nodes();
-            m_actual = pg.graph.num_edges();
-            let config = MultilevelConfig {
-                num_communities: k,
-                coarsen: CoarsenConfig { threshold: 150, ..CoarsenConfig::default() },
-                ..MultilevelConfig::default()
-            };
-
-            let qhd_solver =
-                QhdSolver::builder().samples(4).steps(100).seed((i * 100 + r) as u64).build();
-            let qhd = detect(&pg.graph, &qhd_solver, &config).expect("qhd multilevel succeeds");
-            qhd_scores.push(qhd.modularity);
-
-            let exact_solver =
-                BranchAndBound::with_time_limit(qhd.solver_time.max(Duration::from_millis(200)));
-            let exact =
-                detect(&pg.graph, &exact_solver, &config).expect("exact multilevel succeeds");
-            exact_scores.push(exact.modularity);
+            let instance = table2_instance(i, scale, r)?;
+            density = instance.planted.graph.density();
+            let rows = recorder.run_paper_methods(&instance, Duration::from_millis(200))?;
+            let portfolio = recorder.run(&instance, Method::Portfolio)?;
+            let annealing = recorder.run(&instance, Method::Annealing)?;
+            for (score, row) in scores.iter_mut().zip(rows.iter().chain([&portfolio, &annealing])) {
+                score.push(row.q);
+            }
+            (n, m) = (rows[0].n, rows[0].m);
         }
-        let (qhd_mean, qhd_std) = mean_std(&qhd_scores);
-        let (exact_mean, exact_std) = mean_std(&exact_scores);
+        let [(qhd, qhd_std), (exact, exact_std), (louvain, _), (portfolio, _), (annealing, _)] =
+            scores.map(|s| mean_std(&s));
+        let (name, gurobi_paper, qhd_paper) = (paper.name, paper.paper_gurobi, paper.paper_qhd);
         println!(
-            "{:>16} {:>7} {:>8} {:>9.2} {:>9.4} ±{:>5.4} {:>9.4} ±{:>5.4} {:>9.4} {:>9.4}",
-            row.name,
-            n_actual,
-            m_actual,
-            100.0 * density,
-            exact_mean,
-            exact_std,
-            qhd_mean,
-            qhd_std,
-            row.paper_gurobi,
-            row.paper_qhd
+            "{name:>16} {n:>7} {m:>8} {:>9.2} {exact:>9.4} ±{exact_std:>5.4} {qhd:>9.4} ±{qhd_std:>5.4} \
+             {portfolio:>9.4} {annealing:>9.4} {louvain:>9.4} {gurobi_paper:>9.4} {qhd_paper:>9.4}",
+            100.0 * density
         );
-        fig6.push((
-            row.name,
-            density,
-            100.0 * (qhd_mean - exact_mean) / exact_mean.abs().max(1e-9),
-        ));
+        let advantage = |qhd: f64, exact: f64| 100.0 * (qhd - exact) / exact.abs().max(1e-9);
+        fig6.push((name, density, advantage(qhd, exact), advantage(qhd_paper, gurobi_paper)));
     }
 
     println!();
     println!("## Figure 6 — modularity advantage of QHD vs network density");
     println!("{:>16} {:>10} {:>14} {:>14}", "network", "density", "advantage %", "paper %");
-    let paper_advantage = [5.49, -3.79, -0.19, 0.33];
-    let mut ordered: Vec<usize> = (0..fig6.len()).collect();
-    ordered.sort_by(|&a, &b| fig6[a].1.partial_cmp(&fig6[b].1).expect("densities are finite"));
-    for idx in ordered {
-        let (name, density, advantage) = fig6[idx];
-        println!(
-            "{:>16} {:>10.4} {:>14.2} {:>14.2}",
-            name, density, advantage, paper_advantage[idx]
-        );
+    fig6.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("densities are finite"));
+    for (name, density, advantage, paper_advantage) in fig6 {
+        println!("{name:>16} {density:>10.4} {advantage:>14.2} {paper_advantage:>14.2}");
     }
+    recorder.finish();
+    Ok(())
 }

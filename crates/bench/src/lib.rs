@@ -1,4 +1,6 @@
-//! Shared helpers for the benchmark harness and experiment binaries.
+//! The paper's experiments: their instances and methods ([`corpus`]), the
+//! record and gate of their fixed-seed quality ([`record`]), and the helpers
+//! both use.
 //!
 //! The paper's datasets (SNAP graphs and an unnamed 938-instance QUBO corpus)
 //! are not redistributable in this offline environment, so every experiment
@@ -8,44 +10,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod corpus;
+pub mod record;
+
 use qhdcd_core::formulation::{build_qubo, CdQubo, FormulationConfig};
 use qhdcd_core::CdError;
 use qhdcd_graph::generators::{self, PlantedGraph};
 
-/// One row of the paper's Table I (instance id, nodes, edges, and the
-/// modularity scores reported for GUROBI and QHD).
+/// One row of the paper's Table I or Table II: a network with the modularity
+/// the paper reports for GUROBI and for QHD.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Table1Row {
-    /// Instance identifier used in the paper.
-    pub id: &'static str,
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Number of edges.
-    pub edges: usize,
-    /// Modularity the paper reports for GUROBI.
-    pub paper_gurobi: f64,
-    /// Modularity the paper reports for QHD.
-    pub paper_qhd: f64,
-}
-
-/// The ten instances of the paper's Table I.
-pub const TABLE1_ROWS: &[Table1Row] = &[
-    Table1Row { id: "0", nodes: 333, edges: 2_519, paper_gurobi: 0.4523, paper_qhd: 0.4610 },
-    Table1Row { id: "107", nodes: 1_034, edges: 26_749, paper_gurobi: 0.5290, paper_qhd: 0.5241 },
-    Table1Row { id: "348", nodes: 224, edges: 3_192, paper_gurobi: 0.3055, paper_qhd: 0.3063 },
-    Table1Row { id: "414", nodes: 150, edges: 1_693, paper_gurobi: 0.5438, paper_qhd: 0.5438 },
-    Table1Row { id: "686", nodes: 168, edges: 1_656, paper_gurobi: 0.3347, paper_qhd: 0.3347 },
-    Table1Row { id: "698", nodes: 61, edges: 270, paper_gurobi: 0.5369, paper_qhd: 0.5369 },
-    Table1Row { id: "1684", nodes: 786, edges: 14_024, paper_gurobi: 0.5528, paper_qhd: 0.5640 },
-    Table1Row { id: "1912", nodes: 747, edges: 30_025, paper_gurobi: 0.5167, paper_qhd: 0.5239 },
-    Table1Row { id: "3437", nodes: 534, edges: 4_813, paper_gurobi: 0.6724, paper_qhd: 0.6784 },
-    Table1Row { id: "3980", nodes: 52, edges: 146, paper_gurobi: 0.4619, paper_qhd: 0.4619 },
-];
-
-/// One row of the paper's Table II (large SNAP networks).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Table2Row {
-    /// Network name used in the paper.
+pub struct PaperRow {
+    /// Instance id (Table I) or network name (Table II) used in the paper.
     pub name: &'static str,
     /// Number of nodes.
     pub nodes: usize,
@@ -57,36 +33,31 @@ pub struct Table2Row {
     pub paper_qhd: f64,
 }
 
-/// The four networks of the paper's Table II.
-pub const TABLE2_ROWS: &[Table2Row] = &[
-    Table2Row {
-        name: "facebook",
-        nodes: 4_039,
-        edges: 88_234,
-        paper_gurobi: 0.7121,
-        paper_qhd: 0.7512,
-    },
-    Table2Row {
-        name: "lastfm_asia",
-        nodes: 7_626,
-        edges: 27_807,
-        paper_gurobi: 0.7455,
-        paper_qhd: 0.7172,
-    },
-    Table2Row {
-        name: "musae_chameleon",
-        nodes: 2_279,
-        edges: 31_372,
-        paper_gurobi: 0.6567,
-        paper_qhd: 0.6554,
-    },
-    Table2Row {
-        name: "tvshow",
-        nodes: 3_894,
-        edges: 17_240,
-        paper_gurobi: 0.8196,
-        paper_qhd: 0.8223,
-    },
+/// A row of [`TABLE1_ROWS`] or [`TABLE2_ROWS`].
+const fn paper(name: &'static str, nodes: usize, edges: usize, gurobi: f64, qhd: f64) -> PaperRow {
+    PaperRow { name, nodes, edges, paper_gurobi: gurobi, paper_qhd: qhd }
+}
+
+/// The ten instances of the paper's Table I.
+pub const TABLE1_ROWS: &[PaperRow] = &[
+    paper("0", 333, 2_519, 0.4523, 0.4610),
+    paper("107", 1_034, 26_749, 0.5290, 0.5241),
+    paper("348", 224, 3_192, 0.3055, 0.3063),
+    paper("414", 150, 1_693, 0.5438, 0.5438),
+    paper("686", 168, 1_656, 0.3347, 0.3347),
+    paper("698", 61, 270, 0.5369, 0.5369),
+    paper("1684", 786, 14_024, 0.5528, 0.5640),
+    paper("1912", 747, 30_025, 0.5167, 0.5239),
+    paper("3437", 534, 4_813, 0.6724, 0.6784),
+    paper("3980", 52, 146, 0.4619, 0.4619),
+];
+
+/// The four networks of the paper's Table II (large SNAP networks).
+pub const TABLE2_ROWS: &[PaperRow] = &[
+    paper("facebook", 4_039, 88_234, 0.7121, 0.7512),
+    paper("lastfm_asia", 7_626, 27_807, 0.7455, 0.7172),
+    paper("musae_chameleon", 2_279, 31_372, 0.6567, 0.6554),
+    paper("tvshow", 3_894, 17_240, 0.8196, 0.8223),
 ];
 
 /// Number of communities used when synthesising an instance of a given size:

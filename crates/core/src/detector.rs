@@ -195,6 +195,22 @@ impl CommunityDetector {
         self.method
     }
 
+    /// Checks the detector's own settings before any graph is seen, as
+    /// [`MultilevelConfig::validate`] does for the QUBO methods; Louvain takes
+    /// no community count, so only its quality function is checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CdError::InvalidConfig`] for an invalid setting.
+    pub fn validate(&self) -> Result<(), CdError> {
+        match self.method {
+            Method::Louvain => {
+                self.quality.validate().map_err(|reason| CdError::InvalidConfig { reason })
+            }
+            _ => self.multilevel_config().validate(),
+        }
+    }
+
     fn formulation(&self) -> FormulationConfig {
         FormulationConfig {
             num_communities: self.num_communities,
@@ -436,6 +452,13 @@ mod tests {
         let g = generators::karate_club();
         let result = CommunityDetector::qhd().with_communities(0).detect(&g);
         assert!(result.is_err());
+        let louvain = CommunityDetector::new(Method::Louvain);
+        assert!(CommunityDetector::qhd().with_communities(0).validate().is_err());
+        assert!(CommunityDetector::qhd().with_balance_weight(-1.0).validate().is_err());
+        assert!(louvain.clone().with_quality(QualityFunction::cpm(f64::NAN)).validate().is_err());
+        // Louvain takes no community count, so k = 0 is no error for it.
+        assert!(louvain.with_communities(0).validate().is_ok());
+        assert!(CommunityDetector::qhd().validate().is_ok());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   classical baselines, together with [`SolveReport`] / [`SolveStatus`]
 //!   describing the outcome (`Optimal` vs `TimeLimit` is exactly the split the
 //!   paper's Figures 3 and 4 are built on).
-//! * [`generate`] — seeded random QUBO instance generators used to rebuild the
-//!   938-instance corpus of the paper's solver comparison.
+//! * [`generate`] — seeded random QUBO instances with uniform couplings, the
+//!   inputs of the solver tests and throughput benches.
 //!
 //! # Example
 //!

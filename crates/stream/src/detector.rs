@@ -14,7 +14,7 @@
 
 use crate::{ServiceCheckpoint, StreamError};
 use qhdcd_core::refine::{refine_worklist, RefineConfig};
-use qhdcd_core::CommunityDetector;
+use qhdcd_core::{CdError, CommunityDetector};
 use qhdcd_graph::modularity::{ModularityState, NeighborScan};
 use qhdcd_graph::{DynamicGraph, EdgeEvent, NodeId, Partition, QualityFunction};
 use std::collections::BTreeSet;
@@ -79,8 +79,11 @@ impl StreamConfig {
     /// # Errors
     ///
     /// Returns [`StreamError::InvalidConfig`] for out-of-range thresholds, a
-    /// zero refinement pass budget or a resolution that is not a finite
-    /// non-negative number.
+    /// zero refinement pass budget, a resolution that is not a finite
+    /// non-negative number, or a detector that
+    /// [`CommunityDetector::validate`] refuses. The detector is checked here,
+    /// at construction, because a full re-detect that fails mid-batch would
+    /// leave the batch applied but not journaled.
     pub fn validate(&self) -> Result<(), StreamError> {
         if !(self.frontier_fraction > 0.0 && self.frontier_fraction <= 1.0) {
             return Err(StreamError::InvalidConfig {
@@ -100,7 +103,13 @@ impl StreamConfig {
                 reason: "refine.max_passes must be > 0".into(),
             });
         }
-        self.quality().validate().map_err(|reason| StreamError::InvalidConfig { reason })
+        self.quality().validate().map_err(|reason| StreamError::InvalidConfig { reason })?;
+        self.detector.validate().map_err(|e| match e {
+            CdError::InvalidConfig { reason } => {
+                StreamError::InvalidConfig { reason: format!("detector: {reason}") }
+            }
+            other => StreamError::Detect(other),
+        })
     }
 }
 

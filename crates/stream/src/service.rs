@@ -870,6 +870,36 @@ mod tests {
     }
 
     #[test]
+    fn a_detector_that_cannot_redetect_is_refused_at_construction() {
+        // Accepted, this config failed its first drift-triggered re-detect
+        // after the batch had been applied but before it was journaled: an
+        // `Add 0-1` of weight 10 left weight 11 on the edge at epoch 0 with
+        // an empty journal, and `recover` gave weight 1.
+        let pg = generators::ring_of_cliques(6, 5).unwrap();
+        let graph = DynamicGraph::from_graph(&pg.graph);
+        let mut good = ServiceConfig::default();
+        good.stream.drift_threshold = 0.05;
+        let mut bad = good.clone();
+        bad.stream.detector = bad.stream.detector.with_communities(0);
+        let refused = |e: StreamError| matches!(e, StreamError::InvalidConfig { .. });
+        let seeded = |config: &ServiceConfig| {
+            StreamingDetector::from_partition(
+                graph.clone(),
+                pg.ground_truth.clone(),
+                config.stream.clone(),
+            )
+        };
+        assert!(refused(seeded(&bad).unwrap_err()));
+        assert!(refused(StreamingDetector::new(graph.clone(), bad.stream.clone()).unwrap_err()));
+        assert!(refused(StreamingService::new(graph.clone(), bad.clone()).unwrap_err()));
+        let mut service = StreamingService::from_detector(seeded(&good).unwrap(), good).unwrap();
+        let checkpoint = service.checkpoint();
+        assert!(refused(
+            StreamingService::recover(&checkpoint, &service.journal_log(), bad).unwrap_err()
+        ));
+    }
+
+    #[test]
     fn ingest_publishes_monotonic_epochs() {
         let mut service = karate_service(ServiceConfig::default());
         assert_eq!(service.latest_snapshot().epoch(), 0);
