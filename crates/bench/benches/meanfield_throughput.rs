@@ -18,8 +18,9 @@
 //!   part the batch engine rewrites; this carries the ≥ 4× single-core
 //!   acceptance gate, and a counting global allocator asserts the batch
 //!   variant performs **zero heap allocations** inside it. The batch engine
-//!   runs its AVX2 kernels on CPUs that have AVX2, so there the gate times
-//!   the AVX2 step loop;
+//!   runs the AVX2 build of its kernels on CPUs that have AVX2 (the same
+//!   source compiled with AVX2 enabled), so there the gate times that
+//!   build's step loop; elsewhere it times the plain build;
 //! * **fused trailing phase + expectation** — the fused
 //!   `apply_prepared_phase_expectation_batch` step loop against the unfused
 //!   (separate trailing half-phase, then expectation sweep) loop it replaced,

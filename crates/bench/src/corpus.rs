@@ -95,7 +95,9 @@ pub struct Row {
     pub q: f64,
     /// NMI of that partition against the planted communities.
     pub nmi: f64,
-    /// Energy of the whole graph's QUBO solution (direct and QUBO pipelines).
+    /// Energy of the QUBO solution: the whole graph's QUBO on the direct and
+    /// QUBO pipelines, the coarsest graph's on the multilevel one. `None` for
+    /// the methods run through `CommunityDetector`.
     pub energy: Option<f64>,
     /// Wall time of the QUBO solve, or of the whole detection for the
     /// methods run through `CommunityDetector`.
@@ -150,7 +152,15 @@ fn solve<S: QuboSolver>(instance: &Instance, solver: &S) -> Result<Outcome, CdEr
         }
         Pipeline::Multilevel(config) => {
             let out = multilevel::detect(graph, solver, config)?;
-            ("multilevel", out.partition, out.modularity, None, out.solver_time, out.solver_status)
+            let energy = Some(out.qubo_objective);
+            (
+                "multilevel",
+                out.partition,
+                out.modularity,
+                energy,
+                out.solver_time,
+                out.solver_status,
+            )
         }
         Pipeline::Qubo(k) => {
             let qubo = cd_qubo(graph, *k)?;

@@ -110,6 +110,10 @@ pub struct MultilevelOutcome {
     pub levels: usize,
     /// Number of nodes of the coarsest graph that was solved directly.
     pub coarsest_nodes: usize,
+    /// Energy of the base solver's best solution of the coarsest graph's
+    /// QUBO, before decoding and refinement (the base solve's
+    /// [`DirectOutcome::qubo_objective`](crate::direct::DirectOutcome::qubo_objective)).
+    pub qubo_objective: f64,
     /// Status reported by the base QUBO solver.
     pub solver_status: qhdcd_qubo::SolveStatus,
     /// Total wall-clock time.
@@ -269,6 +273,7 @@ pub fn detect_bounded<S: QuboSolver>(
         modularity: q,
         levels: hierarchy.num_levels(),
         coarsest_nodes,
+        qubo_objective: base.qubo_objective,
         solver_status,
         elapsed: start.elapsed(),
         solver_time,

@@ -25,17 +25,9 @@
 //! **Tie-break rule.** A move is applied only if its gain is positive and
 //! exceeds [`QualityFunction::move_tolerance`], and the largest gain wins. An
 //! exact gain tie goes to the community of the earliest neighbour in the
-//! adjacency list when the start has `k ≤ 64` communities, `n·k ≤ 100 000`
-//! and `m·k ≤ 1 500 000` (`n` nodes, `m` non-loop edges), and to the lowest
-//! community id otherwise. Within those limits refinement used to build a
-//! per-slot QUBO whose scan kept first-seen order; larger starts went through
-//! an ascending-id scan. Keeping both rules keeps every output bit-identical
-//! (pinned in `tests/coarsening.rs` and `tests/quality_functions.rs`): ties
-//! are frequent from starts with many small communities and on sparse graphs
-//! with equal weights, and there the rule that resolves them moves the reached
-//! quality by several percent per instance, in both directions.
-//! [`refine_frontier`] and the streaming detector always use the first-seen
-//! rule.
+//! adjacency list, the order in which [`NeighborScan`] meets the candidates.
+//! Every refinement — [`refine_partition`], [`refine_frontier`] and the
+//! streaming detector — uses this one rule.
 
 use crate::CdError;
 use qhdcd_graph::{
@@ -129,11 +121,7 @@ pub fn refine_partition(
     config: &RefineConfig,
 ) -> Result<RefineOutcome, CdError> {
     let mut state = initial_state(graph, partition, config)?;
-    let mut scan = if lowest_id_ties(graph, state.num_community_slots()) {
-        NeighborScan::with_lowest_id_ties()
-    } else {
-        NeighborScan::new()
-    };
+    let mut scan = NeighborScan::new();
     let mut total_gain = 0.0;
     let mut moves = 0usize;
     let mut passes = 0usize;
@@ -161,22 +149,6 @@ pub fn refine_partition(
         passes,
         converged,
     })
-}
-
-/// Whether [`refine_partition`] resolves exact gain ties to the lowest
-/// community id rather than to the first-seen neighbour's community, for a
-/// start with `communities` communities (see the tie-break rule in the module
-/// docs). The non-loop edge count is the edge count minus the self-loops,
-/// found by one binary search per sorted neighbour row.
-fn lowest_id_ties(graph: &Graph, communities: usize) -> bool {
-    let non_loop_edges = || {
-        let n = graph.num_nodes();
-        graph.num_edges()
-            - (0..n).filter(|&u| graph.neighbor_ids(u).binary_search(&u).is_ok()).count()
-    };
-    communities > 64
-        || graph.num_nodes() * communities > 100_000
-        || non_loop_edges() * communities > 1_500_000
 }
 
 /// Checks the inputs both entry points share and sets up the move state.
@@ -295,7 +267,6 @@ mod tests {
             .unwrap()
         };
         let small = planted(120, 4, 0.3, 0.02, 1);
-        // 600 singletons: past the 64-community limit of first-seen ties.
         let large = planted(600, 6, 0.1, 0.005, 4);
         for (graph, start) in [
             (&small.graph, Partition::singletons(120)),

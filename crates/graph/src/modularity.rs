@@ -353,11 +353,9 @@ fn adjacency_entry(graph: &Graph, i: usize, j: usize) -> f64 {
 /// candidates in that same order from the accumulated weights and, when it
 /// applies the move, patches `Σin` from the same weights. This replaces
 /// per-candidate neighbourhood re-scans — O(deg²) on hubs — with
-/// O(deg + candidates). The strictly best positive gain wins. An exact tie
-/// keeps the first candidate seen, or, for a scan made by
-/// [`NeighborScan::with_lowest_id_ties`], goes to the lowest community id.
-/// For a deterministic neighbour order the decision is reproducible bit for
-/// bit.
+/// O(deg + candidates). The strictly best positive gain wins, and an exact
+/// tie keeps the first candidate seen. For a deterministic neighbour order
+/// the decision is reproducible bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborScan {
     /// Visit stamp per community slot; `weight[c]` is valid iff
@@ -370,22 +368,12 @@ pub struct NeighborScan {
     visit: u64,
     /// The current node's self-loop weight (0.0 without one).
     self_loop: f64,
-    /// Whether an exact gain tie goes to the lower community id instead of
-    /// the candidate seen first.
-    lowest_id_ties: bool,
 }
 
 impl NeighborScan {
-    /// Creates an empty scan whose exact gain ties keep the first candidate
-    /// seen; scratch grows on demand.
+    /// Creates an empty scan; scratch grows on demand.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty scan whose exact gain ties go to the lowest community
-    /// id, the same decision as trying the candidates in ascending id order.
-    pub fn with_lowest_id_ties() -> Self {
-        NeighborScan { lowest_id_ties: true, ..Self::default() }
     }
 
     /// Accumulates `node`'s edge weight into each neighbouring community under
@@ -618,8 +606,9 @@ impl ModularityState {
     /// `node`'s best move as `(community, gain)`: one [`NeighborScan`] pass
     /// over its adjacency, then every neighbouring community priced through
     /// [`QualityFunction::gain`] in first-seen order. Only a positive gain
-    /// above [`QualityFunction::move_tolerance`] is a move; ties follow the
-    /// scan's rule. `None` when no move pays or `graph` has no edge weight.
+    /// above [`QualityFunction::move_tolerance`] is a move, and an exact tie
+    /// keeps the community seen first. `None` when no move pays or `graph`
+    /// has no edge weight.
     pub fn best_move(
         &self,
         scan: &mut NeighborScan,
@@ -646,11 +635,7 @@ impl ModularityState {
                 agg_cur,
                 self.sigma_tot[c],
             );
-            let better = match best {
-                None => g > 0.0,
-                Some((bc, bg)) => g > bg || (scan.lowest_id_ties && g == bg && c < bc),
-            };
-            if better && g > tolerance {
+            if g > best.map_or(0.0, |(_, bg)| bg) && g > tolerance {
                 best = Some((c, g));
             }
         }
@@ -1030,15 +1015,6 @@ mod tests {
         let (community, gain) = state.best_move(&mut NeighborScan::new(), &g, 0).unwrap();
         assert_eq!(community, state.community_of(3));
         assert_eq!(community, 2);
-        assert!(gain > 0.0);
-    }
-
-    #[test]
-    fn best_move_ties_resolve_to_the_lowest_community() {
-        let (g, state) = tied_path();
-        let mut scan = NeighborScan::with_lowest_id_ties();
-        let (community, gain) = state.best_move(&mut scan, &g, 0).unwrap();
-        assert_eq!(community, 1);
         assert!(gain > 0.0);
     }
 

@@ -129,8 +129,8 @@ impl From<f64> for Complex {
 /// The batched mean-field kernels keep wavefunctions as split re/im `f64`
 /// planes, so they multiply components directly instead of going through
 /// [`Complex`]. This helper is the single definition of that expression —
-/// `(ar·br − ai·bi, ar·bi + ai·br)`, the exact operand order the AVX2 bodies
-/// mirror term for term.
+/// `(ar·br − ai·bi, ar·bi + ai·br)` — in both builds of the kernels, the
+/// plain one and the AVX2 one.
 #[inline]
 pub fn cmul_parts(ar: f64, ai: f64, br: f64, bi: f64) -> (f64, f64) {
     (ar * br - ai * bi, ar * bi + ai * br)

@@ -6,19 +6,20 @@
 //! propagator (a tridiagonal solve — "only matrix operations", as the paper
 //! emphasises), the diagonal potential phase, and measurement helpers.
 //!
-//! Two call shapes share **one** set of scalar kernels (in the private
-//! `kernels` module):
+//! Two call shapes share **one** set of kernels (in the private `kernels`
+//! module):
 //!
 //! * **per-variable** kernels ([`Grid::kinetic_step`],
 //!   [`Grid::apply_linear_potential_phase`], …) operating on one AoS
 //!   `&mut [Complex]` wavefunction — thin `n = 1` wrappers over the batched
-//!   scalar reference, always taking the scalar path;
+//!   kernels, always in their plain (non-AVX2) build;
 //! * **batched** kernels ([`Grid::kinetic_step_batch`],
 //!   [`Grid::apply_potential_phase_batch`], …) operating on a whole
 //!   [`WaveBatch`] of split-plane wavefunctions at once. On `x86_64` CPUs
-//!   with AVX2 the per-step ones (the phases and the kinetic step) run AVX2
-//!   bodies that produce the scalar kernels' bits; the CPU is checked on
-//!   every call and nothing else selects a path. The Crank–Nicolson system is
+//!   with AVX2 the per-step ones (the phases and the kinetic step) run the
+//!   same kernels compiled with AVX2 enabled, which give the plain build's
+//!   bits; the CPU is checked on every call and nothing else selects a
+//!   build. The Crank–Nicolson system is
 //!   *identical for every variable within a step* (it depends only on the
 //!   kinetic coefficient, `dt` and the grid spacing), so the batched path
 //!   factors it **once per step** into [`ThomasFactors`] and then runs a
@@ -224,8 +225,8 @@ impl Grid {
 
     /// Applies the linear-potential phase `ψ(x) ← e^{-i·dt·slope·x} ψ(x)` in
     /// place — the `n = 1` form of [`Grid::apply_potential_phase_batch`],
-    /// running the *same* scalar phase-rotation recurrence (one `sin`/`cos`
-    /// for the whole grid, never the AVX2 path). The mean-field potential is
+    /// running the *same* phase-rotation recurrence (one `sin`/`cos` for the
+    /// whole grid, never the AVX2 build). The mean-field potential is
     /// always linear in `x`, so this is the only potential shape the engine
     /// needs.
     ///
@@ -249,8 +250,6 @@ impl Grid {
             &mut cur_im,
             1,
             res,
-            0,
-            1,
         );
         merge_planes(psi, &re, &im);
     }
@@ -262,8 +261,8 @@ impl Grid {
     /// a single tridiagonal solve per step — unconditionally stable and exactly
     /// norm-preserving up to floating-point error. The `n = 1` form of
     /// [`Grid::kinetic_step_batch`]: it factors the system
-    /// ([`ThomasFactors`]) and runs the same scalar Thomas sweep (never the
-    /// AVX2 path).
+    /// ([`ThomasFactors`]) and runs the same Thomas sweep (never the AVX2
+    /// build).
     ///
     /// # Panics
     ///
@@ -276,7 +275,7 @@ impl Grid {
         let (mut re, mut im) = split_planes(psi);
         let mut d_re = vec![0.0; res];
         let mut d_im = vec![0.0; res];
-        kernels::scalar::thomas_sweep(&mut re, &mut im, &mut d_re, &mut d_im, &factors, 1, 0, 1);
+        kernels::scalar::thomas_sweep(&mut re, &mut im, &mut d_re, &mut d_im, &factors, 1);
         merge_planes(psi, &re, &im);
     }
 
@@ -291,7 +290,7 @@ impl Grid {
         assert_eq!(psi.len(), self.points.len(), "state length must match grid");
         let (re, im) = split_planes(psi);
         let (mut num, mut den) = ([0.0], [0.0]);
-        kernels::scalar::expectation_rows(&re, &im, &self.points, &mut num, &mut den, 1, 0, 1);
+        kernels::scalar::expectation_rows(&re, &im, &self.points, &mut num, &mut den, 1);
         if den[0] > 0.0 {
             num[0] / den[0]
         } else {
@@ -501,8 +500,6 @@ impl Grid {
             &mut ws.num[..n],
             &mut ws.den[..n],
             n,
-            0,
-            n,
         );
         for (o, (&nm, &dn)) in out.iter_mut().zip(ws.num[..n].iter().zip(&ws.den[..n])) {
             *o = if dn > 0.0 { nm / dn } else { 0.5 };
@@ -537,8 +534,6 @@ impl Grid {
             &mut ws.num[..n],
             &mut ws.den[..n],
             n,
-            0,
-            n,
         );
         for (o, (&nm, &dn)) in out.iter_mut().zip(ws.num[..n].iter().zip(&ws.den[..n])) {
             *o = if dn > 0.0 { nm / dn } else { 0.5 };
@@ -557,7 +552,7 @@ impl Grid {
         assert_eq!(psi.len(), self.points.len(), "state length must match grid");
         let (re, im) = split_planes(psi);
         let (mut upper, mut total) = ([0.0], [0.0]);
-        kernels::scalar::probability_rows(&re, &im, &self.points, &mut upper, &mut total, 1, 0, 1);
+        kernels::scalar::probability_rows(&re, &im, &self.points, &mut upper, &mut total, 1);
         if total[0] > 0.0 {
             upper[0] / total[0]
         } else {

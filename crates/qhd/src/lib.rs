@@ -16,15 +16,16 @@
 //! nothing but (sparse) matrix multiplication, and offers two backends:
 //!
 //! * [`statevector`] — an **exact** simulator on the Boolean hypercube for
-//!   instances of up to ~16 variables. Used for validation and for the very
-//!   coarsest graphs.
+//!   instances of up to [`statevector::MAX_EXACT_VARIABLES`] (18) variables;
+//!   [`Backend::Auto`] picks it for 12 variables or fewer. Used for
+//!   validation and for the very coarsest graphs.
 //! * [`meanfield`] — a **scalable** product-state (mean-field) simulator: one
 //!   wavefunction per binary variable on a discretised `[0,1]` grid, coupled
 //!   through expectation values. This is the classical surrogate of the same
 //!   Hamiltonian dynamics used for large instances, and is what the paper's
-//!   GPU implementation parallelises. Its per-step kernels run AVX2 on
-//!   `x86_64` CPUs that have it and scalar code elsewhere, with the same
-//!   bits either way.
+//!   GPU implementation parallelises. Its per-step kernels run an AVX2
+//!   build of the same source on `x86_64` CPUs that have it and the plain
+//!   build elsewhere, with the same bits either way.
 //!
 //! The high-level entry point is [`QhdSolver`], which runs many samples in
 //! parallel threads on the workspace's restart runtime (standing in for the
@@ -50,9 +51,10 @@
 //! # }
 //! ```
 
-// `unsafe` is denied everywhere except `kernels.rs`, where the AVX2 bodies,
-// the calls into them behind `is_x86_feature_detected!("avx2")` and the
-// tests that call them allow the lint. CI fails if any other file does.
+// `unsafe` is denied everywhere except `kernels.rs`, where the calls into
+// its `#[target_feature(enable = "avx2")]` functions, behind
+// `is_x86_feature_detected!("avx2")` and in the tests, allow the lint. CI
+// fails if any other file does.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

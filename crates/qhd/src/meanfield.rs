@@ -36,9 +36,9 @@
 //! sweep can be sharded over worker threads ([`MeanFieldConfig::threads`])
 //! with bit-identical results for every thread count (see the determinism
 //! contract in [`crate::batch`]). On
-//! `x86_64` CPUs with AVX2 the per-step kernels run four variables per
-//! instruction; they produce the scalar kernels' bits, so results do not
-//! depend on the CPU either.
+//! `x86_64` CPUs with AVX2 the per-step kernels run an AVX2 build of the same
+//! source, four variables per instruction; it produces the plain build's
+//! bits, so results do not depend on the CPU either.
 //!
 //! [`evolve_reference`] retains the per-variable AoS formulation (one
 //! [`Grid::kinetic_step`] call per variable per step, always on the scalar
@@ -366,13 +366,13 @@ fn sweep_block(
 /// Runs one mean-field QHD trajectory on the **per-variable AoS path**: one
 /// `Vec<Complex>` wavefunction per variable, one [`Grid::kinetic_step`] /
 /// [`Grid::apply_linear_potential_phase`] call (each an `n = 1` wrapper over
-/// the scalar reference kernels, with per-call split/merge and scratch
+/// the batched kernels, with per-call split/merge and scratch
 /// allocations) per variable per step.
 ///
 /// Retained as the equivalence reference for the batched engine:
 /// `tests/solver_equivalence.rs` pins the two paths to bit-identical
-/// outcomes, and because the wrappers always take the *scalar* kernel path,
-/// on a CPU with AVX2 the pin also covers the AVX2 kernels [`evolve`] runs
+/// outcomes, and because the wrappers always run the kernels' plain build,
+/// on a CPU with AVX2 the pin also covers the AVX2 build [`evolve`] runs
 /// there. Both paths share `measure_shots`, so any divergence isolates
 /// to the propagation kernels or the mean fields: this path computes the
 /// fields with a flat sweep over the sorted pair list, the reference that

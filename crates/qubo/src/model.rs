@@ -365,44 +365,6 @@ impl QuboModel {
         add_shared(fields, p, &vars[own_end..], &weights[own_end..]);
     }
 
-    /// Evaluates the continuous relaxation `E(p)` for `p ∈ [0,1]ⁿ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuboError::SolutionSizeMismatch`] if `p` has the wrong length.
-    pub fn evaluate_relaxed(&self, p: &[f64]) -> Result<f64, QuboError> {
-        if p.len() != self.num_variables {
-            return Err(QuboError::SolutionSizeMismatch {
-                solution: p.len(),
-                variables: self.num_variables,
-            });
-        }
-        let mut e = self.offset;
-        for (i, &pi) in p.iter().enumerate() {
-            e += self.linear[i] * pi;
-        }
-        for &(i, j, w) in &self.pairs {
-            e += w * p[i] * p[j];
-        }
-        Ok(e)
-    }
-
-    /// Returns the dense symmetric coupling matrix `W` (with `W_ij = W_ji =`
-    /// the coefficient of `x_i x_j`, zero diagonal) as a single flat row-major
-    /// buffer of length `n²` (entry `(i, j)` at index `i * n + j`). One
-    /// contiguous allocation instead of `n` boxed rows, so dense backends can
-    /// stream it cache-linearly. `O(n²)` memory; intended for the exact
-    /// small-instance QHD simulator and for tests.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let n = self.num_variables;
-        let mut m = vec![0.0; n * n];
-        for &(i, j, w) in &self.pairs {
-            m[i * n + j] = w;
-            m[j * n + i] = w;
-        }
-        m
-    }
-
     /// Validates a candidate solution length, as a `Result` instead of a panic.
     ///
     /// # Errors
@@ -504,31 +466,6 @@ mod tests {
                 assert!((after - before - delta).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn relaxed_evaluation_agrees_on_binary_points() {
-        let m = small_model();
-        for x in [[true, false, true], [false, true, false]] {
-            let p: Vec<f64> = x.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
-            assert!((m.evaluate(&x).unwrap() - m.evaluate_relaxed(&p).unwrap()).abs() < 1e-12);
-        }
-        assert!(m.evaluate_relaxed(&[0.5]).is_err());
-    }
-
-    #[test]
-    fn dense_matrix_is_symmetric_with_zero_diagonal() {
-        let m = small_model();
-        let d = m.to_dense();
-        assert_eq!(d.len(), 9);
-        for i in 0..3 {
-            assert_eq!(d[i * 3 + i], 0.0);
-            for j in 0..3 {
-                assert_eq!(d[i * 3 + j], d[j * 3 + i]);
-            }
-        }
-        assert_eq!(d[1], 3.0); // (0, 1)
-        assert_eq!(d[5], -1.5); // (1, 2)
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! bound by one contract: every hierarchy, matching, partition, QUBO and
 //! mean-field outcome stays **bit-identical** to the per-edge `HashSet`
 //! scoring, comparator-sorted matching, `GraphBuilder` and sort-based
-//! aggregation, unconditional final refine, per-slot QUBO and ascending-order
-//! refinement paths, `BTreeMap` accumulation and flat pair sweep it replaced.
+//! aggregation, unconditional final refine, per-slot QUBO refinement path,
+//! `BTreeMap` accumulation and flat pair sweep it replaced. Refinement from
+//! starts past the per-slot path's size limits follows the first-seen tie
+//! rule too, held to an oracle below.
 //! The fingerprints pinned below were captured on the commit *before* each
 //! change. Pins A–C are a small corpus; pins D and E are the two shapes the
 //! benchmark runs: a dense graph that halves per level and a sparse one that
@@ -30,7 +32,6 @@ use qhdcd::graph::{generators, Graph, GraphBuilder, Partition};
 use qhdcd::prelude::*;
 use qhdcd::qhd::meanfield::{evolve, evolve_reference, MeanFieldConfig, MeanFieldOutcome};
 use qhdcd::qubo::Budget;
-use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Pin A: a planted 1 000-node, 8-community graph, θ = 60 (captured
@@ -496,11 +497,12 @@ fn refinements_from_few_communities_are_bit_identical_to_the_pins() {
     }
 }
 
-/// The reference for starts with more than 64 communities: the same full
-/// sweep as `refine_partition`, but candidate communities tried in ascending
-/// id order and each priced by its own neighbourhood re-scan
-/// (`ModularityState::gain`), as refinement ran before `NeighborScan`.
-fn ascending_order_refine(graph: &Graph, start: &Partition, config: &RefineConfig) -> Partition {
+/// The reference for the tie rule: the same full sweep as
+/// `refine_partition`, but each candidate community priced by its own
+/// neighbourhood re-scan (`ModularityState::gain`), as refinement ran before
+/// `NeighborScan`, and tried in the order its first member appears in the
+/// node's adjacency, so an exact gain tie keeps the community seen first.
+fn first_seen_order_refine(graph: &Graph, start: &Partition, config: &RefineConfig) -> Partition {
     let mut state = ModularityState::new(graph, start, config.quality);
     let mut scan = NeighborScan::new();
     let tolerance = config.quality.move_tolerance(2.0 * graph.total_edge_weight());
@@ -508,13 +510,15 @@ fn ascending_order_refine(graph: &Graph, start: &Partition, config: &RefineConfi
         let mut pass_gain = 0.0;
         for node in 0..graph.num_nodes() {
             let cur = state.community_of(node);
-            let candidates: BTreeSet<usize> = graph
-                .neighbors(node)
-                .filter(|&(v, _)| v != node)
-                .map(|(v, _)| state.community_of(v))
-                .collect();
+            let mut candidates: Vec<usize> = Vec::new();
+            for (v, _) in graph.neighbors(node).filter(|&(v, _)| v != node) {
+                let c = state.community_of(v);
+                if c != cur && !candidates.contains(&c) {
+                    candidates.push(c);
+                }
+            }
             let mut best: Option<(usize, f64)> = None;
-            for c in candidates.into_iter().filter(|&c| c != cur) {
+            for c in candidates {
                 let gain = state.gain(graph, node, c);
                 if gain > best.map_or(0.0, |(_, g)| g) && gain > tolerance {
                     best = Some((c, gain));
@@ -532,15 +536,15 @@ fn ascending_order_refine(graph: &Graph, start: &Partition, config: &RefineConfi
     state.to_partition().renumbered()
 }
 
-/// Starts past the first-seen tie rule's limits resolve exact gain ties to the
-/// lowest community id: singletons (more than 64 communities, large or small)
-/// and starts with at most 64 communities but `n·k > 100 000` or
-/// `m·k > 1 500 000`. On equal or integer weights, where ties are common and
+/// Large starts resolve exact gain ties like small ones, to the community
+/// seen first: singletons (more than 64 communities, large or small) and
+/// starts with at most 64 communities but `n·k > 100 000` or
+/// `m·k > 1 500 000`, the limits past which refinement once sent ties to the
+/// lowest community id. On equal or integer weights, where ties are common and
 /// their resolution moves the reached quality by several percent, they must
-/// reproduce the ascending-order oracle exactly. Each limit decides at least
-/// one case.
+/// reproduce the first-seen oracle exactly.
 #[test]
-fn starts_past_the_first_seen_limits_match_the_ascending_order_oracle() {
+fn large_starts_match_the_first_seen_order_oracle() {
     let mut cases: Vec<(Graph, Partition, QualityFunction)> = Vec::new();
     for seed in 101..=105 {
         let graph = planted_integer(2_000, 0.04, 0.002, seed);
@@ -573,7 +577,7 @@ fn starts_past_the_first_seen_limits_match_the_ascending_order_oracle() {
     for (graph, start, quality) in &cases {
         let config = RefineConfig { quality: *quality, ..RefineConfig::default() };
         let out = refine_partition(graph, start, &config).unwrap();
-        let oracle = ascending_order_refine(graph, start, &config);
+        let oracle = first_seen_order_refine(graph, start, &config);
         assert_eq!(out.partition, oracle, "{} nodes, {quality:?}", graph.num_nodes());
     }
 }

@@ -305,8 +305,8 @@ fn multi_start_greedy_is_deterministic_and_exactly_reevaluable() {
 // per-variable formulation on the scalar kernels; these tests pin the two
 // paths together: outcomes bit-identical, states within 1e-12, and the
 // sharded sweep bit-identical for every worker count. On a CPU with AVX2,
-// `evolve` runs the AVX2 kernels, so the first pin is also the
-// trajectory-level AVX2-vs-scalar pin.
+// `evolve` runs the kernels' AVX2 build and the reference their plain build,
+// so the first pin is also the trajectory-level AVX2-vs-plain pin.
 // ---------------------------------------------------------------------------
 
 mod meanfield_batch {
@@ -318,7 +318,8 @@ mod meanfield_batch {
 
     #[test]
     fn batch_outcomes_are_bit_identical_to_the_reference() {
-        // 43 variables leave a 3-column tail after the 4-lane AVX2 columns.
+        // 43 variables leave a 3-column remainder after the fused kernel's
+        // blocks of four.
         let cases = [(40usize, 0.2f64, 1u64), (80, 0.1, 7), (120, 0.05, 42), (43, 0.15, 3)];
         for (n, density, seed) in cases {
             let model = instance(n, density, seed);
