@@ -7,7 +7,7 @@
 
 use crate::{cd_qubo, communities_for, matched_graph, TABLE1_ROWS, TABLE2_ROWS};
 use qhdcd_core::coarsen::CoarsenConfig;
-use qhdcd_core::{direct, multilevel, CdError, CommunityDetector, DirectConfig};
+use qhdcd_core::{multilevel, CdError, CommunityDetector};
 use qhdcd_core::{FormulationConfig, MultilevelConfig};
 use qhdcd_graph::generators::{self, PlantedGraph, PlantedPartitionConfig};
 use qhdcd_graph::metrics::normalized_mutual_information;
@@ -20,7 +20,8 @@ use std::time::Duration;
 /// The pipeline an instance runs its QUBO solvers through.
 #[derive(Debug, Clone)]
 pub enum Pipeline {
-    /// Algorithm 1 on the whole graph (`direct::detect`).
+    /// Algorithm 1 on the whole graph, then local refinement: `multilevel::detect`
+    /// with `θ = usize::MAX`, so no coarsening level is built.
     Direct(FormulationConfig),
     /// Algorithm 2 (`multilevel::detect`).
     Multilevel(MultilevelConfig),
@@ -96,8 +97,8 @@ pub struct Row {
     /// NMI of that partition against the planted communities.
     pub nmi: f64,
     /// Energy of the QUBO solution: the whole graph's QUBO on the direct and
-    /// QUBO pipelines, the coarsest graph's on the multilevel one. `None` for
-    /// the methods run through `CommunityDetector`.
+    /// QUBO pipelines, the coarsest graph's on the multilevel one and for
+    /// portfolio and annealing multilevel. `None` for Louvain.
     pub energy: Option<f64>,
     /// Wall time of the QUBO solve, or of the whole detection for the
     /// methods run through `CommunityDetector`.
@@ -142,35 +143,29 @@ pub fn run(command: &str, instance: &Instance, method: Method) -> Result<Row, Cd
 
 fn solve<S: QuboSolver>(instance: &Instance, solver: &S) -> Result<Outcome, CdError> {
     let graph = &instance.planted.graph;
-    let (pipeline, partition, q, energy, solver_time, status) = match &instance.pipeline {
+    let (pipeline, config) = match &instance.pipeline {
         Pipeline::Direct(formulation) => {
-            let config =
-                DirectConfig { formulation: formulation.clone(), ..DirectConfig::default() };
-            let out = direct::detect(graph, solver, &config)?;
-            let energy = Some(out.qubo_objective);
-            ("direct", out.partition, out.modularity, energy, out.solver_time, out.solver_status)
+            let config = MultilevelConfig {
+                num_communities: formulation.num_communities,
+                coarsen: CoarsenConfig { threshold: usize::MAX, ..CoarsenConfig::default() },
+                formulation: formulation.clone(),
+                ..MultilevelConfig::default()
+            };
+            ("direct", config)
         }
-        Pipeline::Multilevel(config) => {
-            let out = multilevel::detect(graph, solver, config)?;
-            let energy = Some(out.qubo_objective);
-            (
-                "multilevel",
-                out.partition,
-                out.modularity,
-                energy,
-                out.solver_time,
-                out.solver_status,
-            )
-        }
+        Pipeline::Multilevel(config) => ("multilevel", config.clone()),
         Pipeline::Qubo(k) => {
             let qubo = cd_qubo(graph, *k)?;
             let report = solver.solve(qubo.model())?;
             let partition = qubo.decode(graph, &report.solution)?;
             let q = modularity::modularity(graph, &partition);
-            ("qubo", partition, q, Some(report.objective), report.elapsed, report.status)
+            let (method, energy) = (format!("{}-qubo", solver.name()), Some(report.objective));
+            return Ok((method, partition, q, energy, report.elapsed, Some(report.status)));
         }
     };
-    Ok((format!("{}-{pipeline}", solver.name()), partition, q, energy, solver_time, Some(status)))
+    let out = multilevel::detect(graph, solver, &config)?;
+    let (method, energy) = (format!("{}-{pipeline}", solver.name()), Some(out.qubo_objective));
+    Ok((method, out.partition, out.modularity, energy, out.solver_time, Some(out.solver_status)))
 }
 
 fn front_end(instance: &Instance, method: qhdcd_core::Method) -> Result<Outcome, CdError> {
@@ -181,7 +176,8 @@ fn front_end(instance: &Instance, method: qhdcd_core::Method) -> Result<Outcome,
         detector = detector.with_coarsen_threshold(config.coarsen.threshold);
     }
     let result = detector.detect(&instance.planted.graph)?;
-    Ok((method.to_string(), result.partition, result.modularity, None, result.elapsed, None))
+    let energy = result.qubo_objective;
+    Ok((method.to_string(), result.partition, result.modularity, energy, result.elapsed, None))
 }
 
 /// Table I row `i`: its matched graph through the direct pipeline, QHD with 4

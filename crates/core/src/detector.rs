@@ -1,27 +1,34 @@
-//! A one-stop front end over all community-detection pipelines.
+//! A one-stop front end over the community-detection pipelines.
 //!
 //! [`CommunityDetector`] selects a [`Method`] (QHD direct, QHD multilevel, the
 //! branch-and-bound and restart-portfolio classical substitutes, or the
 //! Louvain baseline), carries the shared knobs (number of communities, seed,
-//! time limit) and returns a uniform [`DetectionResult`].
+//! time limit) and returns a uniform [`DetectionResult`]. Every QUBO method
+//! runs the one pipeline, [`multilevel::detect_bounded`]; a method chooses
+//! only its base solver, its coarsening threshold θ (`usize::MAX` for the
+//! direct methods, so no level is built) and whether the time limit bounds
+//! the solver or the whole pipeline.
 
-use crate::direct::{self, DirectConfig};
 use crate::formulation::FormulationConfig;
 use crate::multilevel::{self, MultilevelConfig};
 use crate::{louvain, CdError};
 use qhdcd_graph::{Graph, Partition, QualityFunction};
 use qhdcd_qhd::QhdSolver;
+use qhdcd_qubo::{Budget, QuboSolver};
 use qhdcd_solvers::{BranchAndBound, MoveSet, PortfolioConfig, PortfolioSolver, Strategy};
 use std::time::{Duration, Instant};
 
 /// The detection algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
-    /// Direct QUBO formulation solved by the QHD solver (small/medium graphs).
+    /// The QHD solver on the whole graph's QUBO (Algorithm 1), then local
+    /// refinement, for small/medium graphs: the multilevel pipeline with
+    /// `θ = usize::MAX`, so no coarsening level is built.
     QhdDirect,
     /// Multilevel pipeline with the QHD solver on the coarsest graph.
     QhdMultilevel,
-    /// Direct QUBO formulation solved by branch-and-bound (the GUROBI stand-in).
+    /// Branch and bound (the GUROBI stand-in) on the whole graph's QUBO, with
+    /// no coarsening level, like [`Method::QhdDirect`].
     BranchAndBoundDirect,
     /// Multilevel pipeline with simulated annealing on the coarsest graph: a
     /// restart portfolio whose only member is annealing (4 restarts of 200
@@ -60,6 +67,12 @@ pub struct DetectionResult {
     pub modularity: f64,
     /// Number of communities found.
     pub num_communities: usize,
+    /// Energy of the base solver's best solution of the coarsest graph's
+    /// QUBO ([`multilevel::MultilevelOutcome::qubo_objective`]), before
+    /// decoding, refinement and the floor of
+    /// [`CommunityDetector::detect_with_hint`]; `None` for
+    /// [`Method::Louvain`], which solves no QUBO.
+    pub qubo_objective: Option<f64>,
     /// The method that produced the result.
     pub method: Method,
     /// Total wall-clock time of the detection.
@@ -90,7 +103,6 @@ pub struct CommunityDetector {
     qhd_samples: usize,
     qhd_steps: usize,
     coarsen_threshold: usize,
-    balance_weight: f64,
     quality: QualityFunction,
 }
 
@@ -105,7 +117,6 @@ impl CommunityDetector {
             qhd_samples: 8,
             qhd_steps: 120,
             coarsen_threshold: 200,
-            balance_weight: FormulationConfig::default().balance_weight,
             quality: QualityFunction::default(),
         }
     }
@@ -115,11 +126,6 @@ impl CommunityDetector {
     /// because small graphs are never coarsened).
     pub fn qhd() -> Self {
         CommunityDetector::new(Method::QhdMultilevel)
-    }
-
-    /// Shorthand for the classical exact baseline (branch-and-bound direct).
-    pub fn classical_exact() -> Self {
-        CommunityDetector::new(Method::BranchAndBoundDirect)
     }
 
     /// The recommended *classical fallback* configuration: the multilevel
@@ -149,7 +155,13 @@ impl CommunityDetector {
         self
     }
 
-    /// Sets a wall-clock time limit for the underlying QUBO solver.
+    /// Sets a wall-clock time limit on the QUBO methods.
+    ///
+    /// Branch and bound and the restart portfolios apply it to their QUBO
+    /// solve. QHD has no limit of its own, so the QHD methods take it as the
+    /// pipeline's [`Budget`] (see [`multilevel::detect_bounded`]): samples and
+    /// mean-field steps observe it, and refinement after expiry is skipped.
+    /// Louvain ignores it.
     pub fn with_time_limit(mut self, limit: Duration) -> Self {
         self.time_limit = Some(limit);
         self
@@ -170,12 +182,6 @@ impl CommunityDetector {
     /// Sets the coarsening threshold `θ` of the multilevel pipelines.
     pub fn with_coarsen_threshold(mut self, threshold: usize) -> Self {
         self.coarsen_threshold = threshold.max(1);
-        self
-    }
-
-    /// Sets the relative weight of the balanced-community-size penalty.
-    pub fn with_balance_weight(mut self, weight: f64) -> Self {
-        self.balance_weight = weight;
         self
     }
 
@@ -214,7 +220,6 @@ impl CommunityDetector {
     fn formulation(&self) -> FormulationConfig {
         FormulationConfig {
             num_communities: self.num_communities,
-            balance_weight: self.balance_weight,
             quality: self.quality,
             ..FormulationConfig::default()
         }
@@ -287,30 +292,18 @@ impl CommunityDetector {
         hint: Option<&Partition>,
     ) -> Result<DetectionResult, CdError> {
         let start = Instant::now();
-        let direct_config = || DirectConfig {
-            formulation: self.formulation(),
-            refine_config: self.refine_config(),
-            hint: hint.cloned(),
-            ..DirectConfig::default()
-        };
-        let multilevel_config =
-            || MultilevelConfig { hint: hint.cloned(), ..self.multilevel_config() };
-        let (partition, modularity) = match self.method {
-            Method::QhdDirect => {
-                let out = direct::detect(graph, &self.qhd_solver(), &direct_config())?;
-                (out.partition, out.modularity)
-            }
-            Method::QhdMultilevel => {
-                let out = multilevel::detect(graph, &self.qhd_solver(), &multilevel_config())?;
-                (out.partition, out.modularity)
-            }
+        let theta = self.coarsen_threshold;
+        let mut hint = hint;
+        // The direct methods build no coarsening level: θ = usize::MAX.
+        // QhdSolver has no time limit of its own, so the QHD methods take the
+        // limit as the pipeline's budget; the other solvers apply it to their
+        // own solve.
+        let (solver, threshold, budget_limit): (Box<dyn QuboSolver>, _, _) = match self.method {
+            Method::QhdDirect => (Box::new(self.qhd_solver()), usize::MAX, self.time_limit),
+            Method::QhdMultilevel => (Box::new(self.qhd_solver()), theta, self.time_limit),
             Method::BranchAndBoundDirect => {
-                let solver = match self.time_limit {
-                    Some(limit) => BranchAndBound::with_time_limit(limit),
-                    None => BranchAndBound::default(),
-                };
-                let out = direct::detect(graph, &solver, &direct_config())?;
-                (out.partition, out.modularity)
+                let solver = BranchAndBound { time_limit: self.time_limit };
+                (Box::new(solver), usize::MAX, None)
             }
             Method::AnnealingMultilevel => {
                 let solver = PortfolioSolver {
@@ -328,8 +321,8 @@ impl CommunityDetector {
                 };
                 // Always cold-started: a hint only floors the result in
                 // `detect_with_hint`.
-                let out = multilevel::detect(graph, &solver, &self.multilevel_config())?;
-                (out.partition, out.modularity)
+                hint = None;
+                (Box::new(solver), theta, None)
             }
             Method::PortfolioMultilevel => {
                 // Pair-aware moves let the greedy members reassign one-hot
@@ -337,8 +330,7 @@ impl CommunityDetector {
                 let mut solver = PortfolioSolver::default().with_seed(self.seed);
                 solver.config.move_set = MoveSet::PairAware;
                 solver.config.time_limit = self.time_limit;
-                let out = multilevel::detect(graph, &solver, &multilevel_config())?;
-                (out.partition, out.modularity)
+                (Box::new(solver), theta, None)
             }
             Method::Louvain => {
                 let config = louvain::LouvainConfig {
@@ -346,16 +338,31 @@ impl CommunityDetector {
                     ..louvain::LouvainConfig::default()
                 };
                 let out = louvain::detect(graph, &config)?;
-                (out.partition, out.modularity)
+                return Ok(self.result(out.partition, out.modularity, None, start));
             }
         };
-        Ok(DetectionResult {
+        let mut config = MultilevelConfig { hint: hint.cloned(), ..self.multilevel_config() };
+        config.coarsen.threshold = threshold;
+        let budget = Budget::unlimited().merged_with_time_limit(budget_limit);
+        let out = multilevel::detect_bounded(graph, &solver, &config, &budget)?;
+        Ok(self.result(out.partition, out.modularity, Some(out.qubo_objective), start))
+    }
+
+    fn result(
+        &self,
+        partition: Partition,
+        modularity: f64,
+        qubo_objective: Option<f64>,
+        start: Instant,
+    ) -> DetectionResult {
+        DetectionResult {
             num_communities: partition.num_communities(),
             partition,
             modularity,
+            qubo_objective,
             method: self.method,
             elapsed: start.elapsed(),
-        })
+        }
     }
 }
 
@@ -391,18 +398,41 @@ mod tests {
             assert!(result.modularity > 0.2, "{method}: q={}", result.modularity);
             assert_eq!(result.partition.num_nodes(), 34);
             assert_eq!(result.num_communities, result.partition.num_communities());
+            assert_eq!(result.qubo_objective.is_some(), method != Method::Louvain, "{method}");
         }
     }
 
     #[test]
     fn branch_and_bound_direct_with_time_limit_runs() {
         let pg = generators::ring_of_cliques(3, 4).unwrap();
-        let result = CommunityDetector::classical_exact()
+        let result = CommunityDetector::new(Method::BranchAndBoundDirect)
             .with_communities(3)
             .with_time_limit(Duration::from_millis(300))
             .detect(&pg.graph)
             .unwrap();
         assert!(result.modularity > 0.4, "q={}", result.modularity);
+    }
+
+    #[test]
+    fn qhd_methods_observe_the_time_limit() {
+        // A zero limit is the pipeline run under an exhausted budget: the
+        // solve keeps its best-so-far incumbent and refinement is skipped.
+        let g = generators::karate_club();
+        let solver = QhdSolver::builder().samples(8).steps(120).seed(3).build();
+        let config = MultilevelConfig::with_communities(4);
+        let budget = Budget::with_time_limit(Duration::ZERO);
+        let expected = multilevel::detect_bounded(&g, &solver, &config, &budget).unwrap();
+        assert!(!expected.completion.is_full());
+        for method in [Method::QhdDirect, Method::QhdMultilevel] {
+            let result = CommunityDetector::new(method)
+                .with_communities(4)
+                .with_seed(3)
+                .with_time_limit(Duration::ZERO)
+                .detect(&g)
+                .unwrap();
+            assert_eq!(result.partition, expected.partition, "{method}");
+            assert_eq!(result.modularity.to_bits(), expected.modularity.to_bits(), "{method}");
+        }
     }
 
     #[test]
@@ -413,7 +443,6 @@ mod tests {
             .with_qhd_samples(3)
             .with_qhd_steps(50)
             .with_coarsen_threshold(123)
-            .with_balance_weight(0.2)
             .with_quality(QualityFunction::cpm(0.5));
         assert_eq!(d.method(), Method::QhdMultilevel);
         assert_eq!(d.num_communities, 7);
@@ -421,7 +450,6 @@ mod tests {
         assert_eq!(d.qhd_samples, 3);
         assert_eq!(d.qhd_steps, 50);
         assert_eq!(d.coarsen_threshold, 123);
-        assert_eq!(d.balance_weight, 0.2);
         assert_eq!(d.quality, QualityFunction::cpm(0.5));
         assert_eq!(d.formulation().quality, QualityFunction::cpm(0.5));
         assert_eq!(d.multilevel_config().refine.quality, QualityFunction::cpm(0.5));
@@ -454,7 +482,6 @@ mod tests {
         assert!(result.is_err());
         let louvain = CommunityDetector::new(Method::Louvain);
         assert!(CommunityDetector::qhd().with_communities(0).validate().is_err());
-        assert!(CommunityDetector::qhd().with_balance_weight(-1.0).validate().is_err());
         assert!(louvain.clone().with_quality(QualityFunction::cpm(f64::NAN)).validate().is_err());
         // Louvain takes no community count, so k = 0 is no error for it.
         assert!(louvain.with_communities(0).validate().is_ok());

@@ -7,12 +7,12 @@
 //! * [`formulation`] — the community-detection → QUBO encoding of Algorithm 1:
 //!   a modularity reward, a one-community-per-node assignment penalty and a
 //!   balanced-size penalty, plus the decoder back to a [`Partition`].
-//! * [`direct`] — the direct pipeline for small/medium graphs (`|V| ≲ 1000`):
-//!   build the QUBO, hand it to any [`QuboSolver`] (QHD by default), decode and
-//!   locally refine.
 //! * [`coarsen`] — heavy-edge-matching coarsening with the paper's Eq. 6 score.
-//! * [`multilevel`] — the multilevel pipeline of Algorithm 2 (coarsen → solve
-//!   base → project → refine) for large graphs.
+//! * [`multilevel`] — the one detection pipeline, Algorithm 2: coarsen → build
+//!   the coarsest graph's QUBO and hand it to any [`QuboSolver`] (QHD by
+//!   default) → decode → project → refine. A graph at or below the threshold
+//!   θ is not coarsened, which is the paper's direct path for small and
+//!   medium graphs (`|V| ≲ 1000`).
 //! * [`refine`] — modularity-gain local move refinement used at every level.
 //! * [`louvain`] — the classical Louvain baseline (no QUBO involved).
 //! * [`detector`] — a one-stop [`CommunityDetector`] front end.
@@ -41,14 +41,12 @@ mod error;
 
 pub mod coarsen;
 pub mod detector;
-pub mod direct;
 pub mod formulation;
 pub mod louvain;
 pub mod multilevel;
 pub mod refine;
 
 pub use detector::{CommunityDetector, DetectionResult, Method};
-pub use direct::DirectConfig;
 pub use error::CdError;
 pub use formulation::FormulationConfig;
 pub use multilevel::MultilevelConfig;

@@ -1,7 +1,11 @@
 //! The multilevel community-detection pipeline (Algorithm 2 of the paper).
 //!
 //! 1. **Coarsening** — heavy-edge matching (Eq. 6) until at most `θ` nodes remain.
-//! 2. **Initial partition** — the direct QUBO + solver pipeline on the coarsest graph.
+//! 2. **Initial partition** — the coarsest graph's QUBO (Algorithm 1) solved
+//!    by the base solver and decoded. A graph already at or below `θ` is not
+//!    coarsened, so the base solve runs on the graph itself: that is the
+//!    paper's direct path for graphs of up to ~1 000 nodes, which
+//!    [`Method::QhdDirect`](crate::Method::QhdDirect) runs with `θ = usize::MAX`.
 //! 3. **Uncoarsening** — project the communities back level by level.
 //! 4. **Refinement** — modularity-gain local moves at every level.
 //!
@@ -9,8 +13,7 @@
 //! large stratum of the solver comparison).
 
 use crate::coarsen::{coarsen_hierarchy, CoarsenConfig};
-use crate::direct::{self, DirectConfig};
-use crate::formulation::FormulationConfig;
+use crate::formulation::{build_qubo, FormulationConfig};
 use crate::refine::{refine_partition, RefineConfig};
 use crate::CdError;
 use qhdcd_graph::{modularity, Graph, Partition};
@@ -111,8 +114,8 @@ pub struct MultilevelOutcome {
     /// Number of nodes of the coarsest graph that was solved directly.
     pub coarsest_nodes: usize,
     /// Energy of the base solver's best solution of the coarsest graph's
-    /// QUBO, before decoding and refinement (the base solve's
-    /// [`DirectOutcome::qubo_objective`](crate::direct::DirectOutcome::qubo_objective)).
+    /// QUBO ([`qhdcd_qubo::SolveReport::objective`]), before decoding and
+    /// refinement.
     pub qubo_objective: f64,
     /// Status reported by the base QUBO solver.
     pub solver_status: qhdcd_qubo::SolveStatus,
@@ -163,7 +166,7 @@ pub fn detect<S: QuboSolver>(
 /// Runs the multilevel pipeline under an anytime [`Budget`].
 ///
 /// The budget flows into the base solve (via
-/// [`direct::detect_bounded`]) and is re-checked at every level boundary of
+/// [`QuboSolver::solve_bounded`]) and is re-checked at every level boundary of
 /// the uncoarsening phase: once exhausted, the remaining refinement passes are
 /// skipped and the partition is only *projected* down to the original graph —
 /// projection is cheap and always required to return a valid partition.
@@ -184,19 +187,13 @@ pub fn detect_bounded<S: QuboSolver>(
     config.validate()?;
     let start = Instant::now();
 
-    // --- Coarsening phase.
+    // --- Coarsening phase. A graph at or below θ is not coarsened, and the
+    // base solve runs on the graph itself.
     let hierarchy = coarsen_hierarchy(graph, &config.coarsen)?;
-    let coarsest_owned;
-    let coarsest: &Graph = match hierarchy.coarsest() {
-        Some(g) => g,
-        None => {
-            coarsest_owned = graph.clone();
-            &coarsest_owned
-        }
-    };
+    let coarsest = hierarchy.coarsest().unwrap_or(graph);
     let coarsest_nodes = coarsest.num_nodes();
 
-    // --- Initial partition on the coarsest graph via the direct QUBO pipeline.
+    // --- Initial partition: the coarsest graph's QUBO, solved and decoded.
     let mut formulation = config.formulation.clone();
     formulation.num_communities = config.num_communities.min(coarsest_nodes.max(1));
     // Push the warm-start hint (a partition of the original graph) up the
@@ -219,20 +216,18 @@ pub fn detect_bounded<S: QuboSolver>(
         }
         None => None,
     };
-    let direct_config = DirectConfig {
-        formulation,
-        refine: false,
-        refine_config: config.refine,
-        hint: coarse_hint,
-    };
-    let base = direct::detect_bounded(coarsest, solver, &direct_config, budget)?;
-    let solver_time = base.solver_time;
-    let solver_status = base.solver_status;
+    let qubo = build_qubo(coarsest, &formulation)?;
+    let solve_start = Instant::now();
+    let warm = coarse_hint.map(|hint| qubo.encode(&hint)).transpose()?;
+    let base = solver.solve_bounded(qubo.model(), warm.as_deref(), budget)?;
+    let solver_time = solve_start.elapsed();
+    let mut partition = qubo.decode(coarsest, &base.solution)?;
+    // The QUBO is not needed again; uncoarsening runs without it in memory.
+    drop(qubo);
     let mut skipped_refinement = false;
 
     // --- Uncoarsening with per-level refinement. The budget is observed at
     // every level boundary: refinement is optional polish, projection is not.
-    let mut partition = base.partition;
     // Refines `partition` on `g` unless the budget is exhausted; returns
     // whether a refine ran and converged.
     let mut refine = |g: &Graph, partition: &mut Partition| -> Result<bool, CdError> {
@@ -244,7 +239,8 @@ pub fn detect_bounded<S: QuboSolver>(
         *partition = out.partition;
         Ok(out.converged)
     };
-    // Refine on the coarsest graph itself first.
+    // Refine on the coarsest graph itself first (the original graph when no
+    // level was built).
     let mut converged = refine(coarsest, &mut partition)?;
     for level_index in (0..hierarchy.levels.len()).rev() {
         let level = &hierarchy.levels[level_index];
@@ -273,8 +269,8 @@ pub fn detect_bounded<S: QuboSolver>(
         modularity: q,
         levels: hierarchy.num_levels(),
         coarsest_nodes,
-        qubo_objective: base.qubo_objective,
-        solver_status,
+        qubo_objective: base.objective,
+        solver_status: base.status,
         elapsed: start.elapsed(),
         solver_time,
         completion,
@@ -286,7 +282,8 @@ mod tests {
     use super::*;
     use qhdcd_graph::{generators, metrics};
     use qhdcd_qhd::QhdSolver;
-    use qhdcd_solvers::{PortfolioSolver, Strategy};
+    use qhdcd_qubo::SolveStatus;
+    use qhdcd_solvers::{BranchAndBound, PortfolioSolver, Strategy};
 
     /// Annealing-only portfolio: 4 restarts of 200 sweeps on one worker.
     fn annealing(seed: u64) -> PortfolioSolver {
@@ -365,6 +362,17 @@ mod tests {
     }
 
     #[test]
+    fn branch_and_bound_reports_its_status() {
+        // No level is built, so the base solver's status is reported as it came.
+        let pg = generators::ring_of_cliques(2, 4).unwrap();
+        let solver = BranchAndBound::with_time_limit(std::time::Duration::from_millis(200));
+        let out = detect(&pg.graph, &solver, &MultilevelConfig::with_communities(2)).unwrap();
+        assert_eq!(out.levels, 0);
+        assert!(matches!(out.solver_status, SolveStatus::Optimal | SolveStatus::TimeLimit));
+        assert!(out.modularity > 0.3, "q={}", out.modularity);
+    }
+
+    #[test]
     fn bounded_detection_projects_to_a_valid_partition_when_exhausted() {
         use qhdcd_qubo::CancelToken;
         let pg = generators::planted_partition(&generators::PlantedPartitionConfig {
@@ -395,6 +403,25 @@ mod tests {
     }
 
     #[test]
+    fn bounded_detection_reports_truncation_and_still_partitions() {
+        use qhdcd_qubo::CancelToken;
+        // The karate club builds no level, so the truncated solve's incumbent
+        // is decoded straight into the partition.
+        let g = generators::karate_club();
+        let config = MultilevelConfig::with_communities(4);
+        let solver = annealing(11);
+        let full = detect_bounded(&g, &solver, &config, &Budget::unlimited()).unwrap();
+        assert!(full.completion.is_full());
+        assert_eq!(full.levels, 0);
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let out = detect_bounded(&g, &solver, &config, &Budget::unlimited().cancelled_by(&cancel))
+            .unwrap();
+        assert!(!out.completion.is_full());
+        assert_eq!(out.partition.labels().len(), 34);
+    }
+
+    #[test]
     fn cpm_multilevel_threads_the_quality_through_the_hierarchy() {
         // Force real coarsening levels so the CPM quality flows through the
         // base solve, the per-level refinement and the final exact polish.
@@ -421,16 +448,39 @@ mod tests {
     }
 
     #[test]
+    fn cpm_direct_pipeline_recovers_planted_communities() {
+        // With no level built, CPM runs through the base solve and one refine
+        // of the graph itself and reaches the cliques' exact value: each
+        // 5-clique has e = 10 and 10 node pairs, so 10 − 0.5 · 10 = 5.
+        let pg = generators::ring_of_cliques(3, 5).unwrap();
+        let config = MultilevelConfig::with_communities(3)
+            .with_quality(qhdcd_graph::QualityFunction::cpm(0.5));
+        let out = detect(&pg.graph, &annealing(2), &config).unwrap();
+        assert_eq!(out.levels, 0);
+        let nmi = metrics::normalized_mutual_information(&out.partition, &pg.ground_truth);
+        assert!(nmi > 0.9, "nmi={nmi}");
+        assert!((out.modularity - 15.0).abs() < 1e-9, "q={}", out.modularity);
+    }
+
+    #[test]
     fn multilevel_matches_direct_quality_on_small_graphs() {
+        // θ = 20 coarsens the 30-node ring once; θ = usize::MAX builds no
+        // level, the direct path. Coarsening may cost at most 0.05 Q.
         let pg = generators::ring_of_cliques(5, 6).unwrap();
         let solver = annealing(9);
-        let direct_out = crate::direct::detect(
-            &pg.graph,
-            &solver,
-            &crate::direct::DirectConfig::with_communities(5),
-        )
-        .unwrap();
-        let multi_out = detect(&pg.graph, &solver, &MultilevelConfig::with_communities(5)).unwrap();
-        assert!((multi_out.modularity - direct_out.modularity).abs() < 0.05);
+        let with_threshold = |threshold| MultilevelConfig {
+            coarsen: CoarsenConfig { threshold, ..CoarsenConfig::default() },
+            ..MultilevelConfig::with_communities(5)
+        };
+        let direct = detect(&pg.graph, &solver, &with_threshold(usize::MAX)).unwrap();
+        let coarsened = detect(&pg.graph, &solver, &with_threshold(20)).unwrap();
+        assert_eq!(direct.levels, 0);
+        assert!(coarsened.levels >= 1);
+        assert!(
+            coarsened.modularity > direct.modularity - 0.05,
+            "multilevel {} direct {}",
+            coarsened.modularity,
+            direct.modularity
+        );
     }
 }

@@ -11,7 +11,7 @@
 //! | [`qubo`] | `qhdcd-qubo` | QUBO models, builders, solver trait |
 //! | [`qhd`] | `qhdcd-qhd` | Quantum Hamiltonian Descent simulator and solver |
 //! | [`solvers`] | `qhdcd-solvers` | branch-and-bound (exact), exhaustive search, the restart portfolio (greedy, annealing, tabu members) |
-//! | [`core`] | `qhdcd-core` | QUBO formulation, direct and multilevel pipelines, Louvain baseline |
+//! | [`core`] | `qhdcd-core` | QUBO formulation, the multilevel pipeline (direct when no level is built), Louvain baseline |
 //! | [`stream`] | `qhdcd-stream` | dynamic graphs, edge events, incremental community maintenance |
 //!
 //! # Quickstart
@@ -49,7 +49,8 @@ pub use qhdcd_qhd as qhd;
 /// restart portfolio).
 pub use qhdcd_solvers as solvers;
 
-/// Community-detection pipelines: formulation, direct, multilevel, Louvain baseline.
+/// Community detection: formulation, the multilevel pipeline (direct when no
+/// level is built), Louvain baseline.
 pub use qhdcd_core as core;
 
 /// Streaming subsystem: dynamic graphs, edge events, incremental maintenance.

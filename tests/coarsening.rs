@@ -21,7 +21,8 @@
 //! benchmark runs: a dense graph that halves per level and a sparse one that
 //! collapses into a star. Pin F holds `Method::AnnealingMultilevel`, now an
 //! annealing-only restart portfolio, to the standalone annealing solver it
-//! replaced.
+//! replaced. Pin G holds the direct methods, now the multilevel pipeline with
+//! no coarsening level, to the separate direct pipeline they ran before.
 
 use qhdcd::core::coarsen::{coarsen_hierarchy, CoarsenConfig, Hierarchy};
 use qhdcd::core::formulation::{build_qubo, FormulationConfig};
@@ -326,6 +327,57 @@ fn annealing_multilevel_is_bit_identical_to_the_pins() {
     }
 }
 
+/// Pin G: the direct path through `detect` and through `detect_with_hint`
+/// with the hint `(7 i) mod 5`, as labels fingerprint and Q bits, captured
+/// while `Method::QhdDirect` and `Method::BranchAndBoundDirect` still ran a
+/// pipeline of their own: QHD direct on the karate club at k = 4 (default
+/// QHD settings) and on a 150-node planted graph at k = 4 (2 samples × 40
+/// steps), both seed 3; branch and bound without a time limit on
+/// `ring_of_cliques(2, 4)` at k = 2, where it proves optimality; and QHD
+/// multilevel on the karate club at k = 4, seed 3 (34 nodes, below θ = 200,
+/// so no level is built).
+const PIN_G: [(u64, u64, u64, u64); 4] = [
+    (0xb785e2c2a6c262c4, 0x3fdaddd53fca2404, 0xb785e2c2a6c262c4, 0x3fdaddd53fca2404),
+    (0x7cb51d57026e2e47, 0x3fe2d4fb10386b32, 0x7cb51d57026e2e47, 0x3fe2d4fb10386b32),
+    (0xaafde6d0594ae3e5, 0x3fd6db6db6db6db6, 0xaafde6d0594ae3e5, 0x3fd6db6db6db6db6),
+    (0xb785e2c2a6c262c4, 0x3fdaddd53fca2404, 0xb785e2c2a6c262c4, 0x3fdaddd53fca2404),
+];
+
+#[test]
+fn direct_detection_is_bit_identical_to_the_pins() {
+    let karate = generators::karate_club;
+    let cases = [
+        ("qhd-direct karate", CommunityDetector::new(Method::QhdDirect).with_seed(3), karate()),
+        (
+            "qhd-direct planted",
+            CommunityDetector::new(Method::QhdDirect)
+                .with_seed(3)
+                .with_qhd_samples(2)
+                .with_qhd_steps(40),
+            planted_small(150, 7),
+        ),
+        (
+            "branch-and-bound-direct",
+            CommunityDetector::new(Method::BranchAndBoundDirect).with_communities(2),
+            generators::ring_of_cliques(2, 4).unwrap().graph,
+        ),
+        ("qhd-multilevel karate", CommunityDetector::qhd().with_seed(3), karate()),
+    ];
+    for ((name, detector, graph), pin) in cases.into_iter().zip(PIN_G) {
+        let hint =
+            Partition::from_labels((0..graph.num_nodes()).map(|i| (i * 7) % 5).collect()).unwrap();
+        let plain = detector.detect(&graph).unwrap();
+        let warm = detector.detect_with_hint(&graph, &hint).unwrap();
+        let got = (
+            labels_fingerprint(&plain.partition),
+            plain.modularity.to_bits(),
+            labels_fingerprint(&warm.partition),
+            warm.modularity.to_bits(),
+        );
+        assert_eq!(got, pin, "{name}");
+    }
+}
+
 /// `multilevel::detect` composed from its public layer calls with an
 /// unconditional final refine, as the benchmark's traced run composes it.
 /// Returns the partition after the final refine, the one before it, and
@@ -355,7 +407,11 @@ fn composed(
 #[test]
 fn skipping_a_converged_final_refine_is_output_identical() {
     let mut final_pass_moved = 0;
-    for Case { name, graph, threshold, .. } in corpus() {
+    // The karate club at θ = usize::MAX builds no level, so its uncoarsening
+    // refine is the one refine of the original graph.
+    let zero_levels = ("karate club, no level", generators::karate_club(), usize::MAX);
+    let cases = corpus().map(|case| (case.name, case.graph, case.threshold));
+    for (name, graph, threshold) in cases.into_iter().chain([zero_levels]) {
         // Default passes: the original graph's refine converges on every
         // corpus graph, so `detect` skips the final pass, and the composition
         // that runs it lands on the same partition.
