@@ -18,14 +18,19 @@
 //! [`Partition`], repairing nodes whose one-hot constraint is violated.
 //!
 //! Every term above joins two slots of one node or the same slot of two
-//! nodes, and each node pair gets the same coefficient bits in every slot.
-//! [`build_qubo`] declares that layout on the model it returns
-//! ([`QuboModel::with_node_slots`]), which checks it against the rows, so the
-//! mean-field sweep walks each node's couplings once for all `k` slots.
+//! nodes. Per slot, the node-pair block is the graph's edges (`−2w₁A`, sparse)
+//! plus two rank-one terms, the null model (`κ·q qᵀ`, with `q` the degrees
+//! for modularity and the node weights for CPM) and the balance penalty
+//! (`2λ_S`); per node, the assignment penalty couples every two slots by
+//! `2λ_A`. [`build_qubo`] declares that node-slot form on the model it returns
+//! ([`QuboModel::with_slot_form`], which checks it against the rows), so the
+//! mean-field sweep computes from the graph and per-slot aggregates in
+//! O(m·k + n·k) per step instead of reading the n²·k dense couplings. The
+//! dense rows stay the model every other consumer reads.
 
 use crate::CdError;
 use qhdcd_graph::{modularity, Graph, Partition, QualityFunction};
-use qhdcd_qubo::{BinarySolution, QuboBuilder, QuboModel};
+use qhdcd_qubo::{BinarySolution, QuboBuilder, QuboModel, SlotForm};
 
 /// Configuration of the QUBO encoding.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,6 +244,64 @@ pub fn build_qubo(graph: &Graph, config: &FormulationConfig) -> Result<CdQubo, C
     }
     let k = config.num_communities;
     let two_m = 2.0 * graph.total_edge_weight();
+    let w1 = config.modularity_weight;
+    // λ_A is scaled to dominate the largest per-node quality stake (the
+    // node's row of |B|) so that violating the one-hot constraint can never
+    // be energetically favourable.
+    let max_stake = (0..n)
+        .map(|i| {
+            let null_model = match config.quality {
+                QualityFunction::Modularity { resolution } => {
+                    if two_m > 0.0 {
+                        resolution * (graph.degree(i) * graph.degree(i) / two_m)
+                    } else {
+                        0.0
+                    }
+                }
+                QualityFunction::Cpm { resolution } => {
+                    // Row sum of the weighted null model:
+                    // Σ_{j≠i} γ w_i w_j + γ w_i (w_i − 1) = γ w_i (W − 1).
+                    resolution * (graph.node_weight(i) * (graph.total_node_weight() - 1.0))
+                }
+            };
+            let row: f64 = graph.neighbors(i).map(|(_, w)| w).sum::<f64>() + null_model;
+            2.0 * w1 * row
+        })
+        .fold(1.0f64, f64::max);
+    let lambda_a = config.assignment_weight * max_stake;
+    let lambda_s = if config.balance_weight > 0.0 {
+        config.balance_weight * two_m.max(1.0) * (k as f64).powi(2) / (n as f64).powi(2)
+    } else {
+        0.0
+    };
+
+    // The terms below as a node-slot form: per slot, the graph's edges plus
+    // the rank-one null model and balance terms; per node, the one-hot
+    // penalty's clique. `with_slot_form` checks it against the rows. It is
+    // built first, so its few small allocations sit below the builder's
+    // rows: built after them, they kept the freed rows from going back to
+    // the system and raised perfbench's lastfm peak RSS by ~6 MB.
+    let (q, kappa, pairs) = if two_m > 0.0 {
+        let (q, kappa) = match config.quality {
+            QualityFunction::Modularity { resolution } => {
+                (graph.degrees().to_vec(), resolution * (2.0 * w1 / two_m))
+            }
+            QualityFunction::Cpm { resolution } => {
+                (graph.node_weights().to_vec(), 2.0 * w1 * resolution)
+            }
+        };
+        let pairs: Vec<_> = graph
+            .edges()
+            .filter(|&(u, v, _)| u != v)
+            .map(|(u, v, w)| (u, v, -2.0 * w1 * w))
+            .collect();
+        (q, kappa, pairs)
+    } else {
+        (vec![0.0; n], 0.0, Vec::new())
+    };
+    let form = SlotForm::new(k, q, kappa, 2.0 * lambda_s, 2.0 * lambda_a, &pairs);
+    drop(pairs);
+
     let mut builder = QuboBuilder::new(n * k);
     let idx = |i: usize, c: usize| i * k + c;
 
@@ -251,7 +314,6 @@ pub fn build_qubo(graph: &Graph, config: &FormulationConfig) -> Result<CdQubo, C
     // k · O(n²)/2 pairs. For CPM the correction is a flat −γ per same-community
     // ordered pair of distinct nodes. For the direct formulation (small graphs)
     // we add it exactly; it is what makes the encoding faithful to Eq. 2.
-    let w1 = config.modularity_weight;
     if two_m > 0.0 {
         // A_ij part (off-diagonal edges contribute to ordered pairs twice).
         for (u, v, w) in graph.edges() {
@@ -318,30 +380,6 @@ pub fn build_qubo(graph: &Graph, config: &FormulationConfig) -> Result<CdQubo, C
     }
 
     // --- Assignment constraint λ_A Σ_i (1 − Σ_c x_ic)².
-    // λ_A is scaled to dominate the largest per-node quality stake (the
-    // node's row of |B|) so that violating the one-hot constraint can never
-    // be energetically favourable.
-    let max_stake = (0..n)
-        .map(|i| {
-            let null_model = match config.quality {
-                QualityFunction::Modularity { resolution } => {
-                    if two_m > 0.0 {
-                        resolution * (graph.degree(i) * graph.degree(i) / two_m)
-                    } else {
-                        0.0
-                    }
-                }
-                QualityFunction::Cpm { resolution } => {
-                    // Row sum of the weighted null model:
-                    // Σ_{j≠i} γ w_i w_j + γ w_i (w_i − 1) = γ w_i (W − 1).
-                    resolution * (graph.node_weight(i) * (graph.total_node_weight() - 1.0))
-                }
-            };
-            let row: f64 = graph.neighbors(i).map(|(_, w)| w).sum::<f64>() + null_model;
-            2.0 * w1 * row
-        })
-        .fold(1.0f64, f64::max);
-    let lambda_a = config.assignment_weight * max_stake;
     for i in 0..n {
         let vars: Vec<usize> = (0..k).map(|c| idx(i, c)).collect();
         builder.add_penalty_exactly_one(&vars, lambda_a)?;
@@ -349,8 +387,6 @@ pub fn build_qubo(graph: &Graph, config: &FormulationConfig) -> Result<CdQubo, C
 
     // --- Balanced-size constraint λ_S Σ_c (Σ_i x_ic − n/k)².
     if config.balance_weight > 0.0 {
-        let lambda_s =
-            config.balance_weight * two_m.max(1.0) * (k as f64).powi(2) / (n as f64).powi(2);
         let target = n as f64 / k as f64;
         for c in 0..k {
             let vars: Vec<usize> = (0..n).map(|i| idx(i, c)).collect();
@@ -358,9 +394,7 @@ pub fn build_qubo(graph: &Graph, config: &FormulationConfig) -> Result<CdQubo, C
         }
     }
 
-    // Every node-pair coefficient above went into each slot with the same
-    // additions in the same order, so the declared layout holds bit for bit.
-    let model = builder.build().with_node_slots(k);
+    let model = builder.build().with_slot_form(form);
     Ok(CdQubo { model, num_nodes: n, num_communities: k, quality: config.quality })
 }
 
@@ -653,7 +687,7 @@ mod tests {
         .graph
     }
 
-    /// Every encoding shape whose QUBO must carry its node slots: resolution
+    /// Every encoding shape whose QUBO must carry its slot form: resolution
     /// modularity, CPM on a coarsened graph with super-node weights and
     /// self-loops, no balance term, no assignment penalty, and graphs with
     /// no edges, isolated nodes, self-loops and zero-weight edges.
@@ -697,14 +731,19 @@ mod tests {
         FormulationConfig { num_communities: k, ..config.clone() }
     }
 
-    /// Asserts that `mean_fields` gives every variable of `vars` the bits of
-    /// `mean_field`.
-    fn assert_gather_is_mean_field(model: &QuboModel, p: &[f64], vars: Range<usize>) {
+    /// Asserts that `mean_fields` gives every variable of `vars` a field
+    /// within 1e-12 of `mean_field`, relative to the absolute sum of the
+    /// variable's row, and returns the fields.
+    fn assert_fields_near_mean_field(model: &QuboModel, p: &[f64], vars: Range<usize>) -> Vec<f64> {
         let mut fields = vec![f64::NAN; vars.len()];
         model.mean_fields(p, vars.clone(), &mut fields);
-        for (i, field) in vars.zip(&fields) {
-            assert_eq!(field.to_bits(), model.mean_field(p, i).to_bits(), "variable {i}");
+        for (i, &field) in vars.zip(&fields) {
+            let exact = model.mean_field(p, i);
+            let scale = model.linear()[i].abs()
+                + model.couplings(i).map(|(j, w)| (w * p[j]).abs()).sum::<f64>();
+            assert!((field - exact).abs() <= 1e-12 * scale, "variable {i}: {field} vs {exact}");
         }
+        fields
     }
 
     /// `model`'s coefficients, with `edit` applied to its pair list, rebuilt
@@ -736,23 +775,33 @@ mod tests {
     fn every_build_qubo_model_carries_its_node_slots() {
         for seed in [1u64, 2] {
             for (name, graph, config) in layout_variants(seed) {
-                for k in [2usize, 3, 5, 8] {
+                for k in [1usize, 2, 3, 5, 8] {
                     let qubo = build_qubo(&graph, &at(&config, k)).unwrap();
                     assert_eq!(qubo.model().node_slots(), Some(k), "{name}, k = {k}");
                 }
-                // One slot per node is no layout to share.
-                let qubo = build_qubo(&graph, &at(&config, 1)).unwrap();
-                assert_eq!(qubo.model().node_slots(), None, "{name}, k = 1");
             }
         }
     }
 
     #[test]
-    fn the_node_slot_check_refuses_every_near_miss() {
+    fn the_slot_form_check_refuses_every_near_miss() {
         let k = 3;
         let graph = planted(10, 4);
-        let qubo = build_qubo(&graph, &FormulationConfig::with_communities(k)).unwrap();
+        let config = FormulationConfig::with_communities(k);
+        let qubo = build_qubo(&graph, &config).unwrap();
         let model = qubo.model();
+        let n = graph.num_nodes();
+        // The form stated from Eq. 2–4 alone: q = degrees, κ = 2w₁/2m,
+        // s = −2w₁A, σ = 2λ_S, and ρ = 2λ_A read off the first node's slots.
+        let two_m = 2.0 * graph.total_edge_weight();
+        let sigma = 2.0 * config.balance_weight * two_m * (k * k) as f64 / (n * n) as f64;
+        let rho = model.coupling(0, 1);
+        let pairs: Vec<_> =
+            graph.edges().filter(|&(u, v, _)| u != v).map(|(u, v, w)| (u, v, -2.0 * w)).collect();
+        let form = |kappa: f64, sigma: f64, rho: f64| {
+            SlotForm::new(k, graph.degrees().to_vec(), kappa, sigma, rho, &pairs)
+        };
+        let kappa = 2.0 / two_m;
         let p = uniform_p(model.num_variables() + 1, 9);
         // The first slot-1 pair of two different nodes, and where it sits.
         let (a, b, _) = model
@@ -762,48 +811,58 @@ mod tests {
         let position = |pairs: &[(usize, usize, f64)]| {
             pairs.iter().position(|&(i, j, _)| (i, j) == (a, b)).unwrap()
         };
+        let scaled = |by: f64| {
+            rebuilt(model, 0, |pairs| {
+                let at = position(pairs);
+                pairs[at].2 *= by;
+            })
+        };
         let same = rebuilt(model, 0, |_| {});
-        assert_eq!(same.clone().with_node_slots(k).node_slots(), Some(k), "control");
+        for (name, control) in
+            [("the same rows", same.clone()), ("one pair 1e-14 off", scaled(1.0 + 1e-14))]
+        {
+            let declared = control.with_slot_form(form(kappa, sigma, rho));
+            assert_eq!(declared.node_slots(), Some(k), "control: {name}");
+        }
         let near_misses = [
+            ("one pair 1e-9 off", scaled(1.0 + 1e-9), form(kappa, sigma, rho)),
             (
-                "one ulp off in one slot",
-                rebuilt(model, 0, |pairs| {
-                    let at = position(pairs);
-                    pairs[at].2 = f64::from_bits(pairs[at].2.to_bits() + 1);
-                }),
-                k,
-            ),
-            (
-                "a same-slot pair missing from one slot",
+                "a same-slot pair missing",
                 rebuilt(model, 0, |pairs| {
                     pairs.remove(position(pairs));
                 }),
-                k,
+                form(kappa, sigma, rho),
             ),
             (
                 "a cross-slot coupling between two nodes",
                 rebuilt(model, 0, |pairs| pairs.push((a - 1, b, 0.5))),
-                k,
+                form(kappa, sigma, rho),
             ),
-            ("k does not divide the variables", rebuilt(model, 1, |_| {}), k),
-            ("k = 1", same, 1),
+            ("κ off", same.clone(), form(kappa * (1.0 + 1e-9), sigma, rho)),
+            ("σ off", same.clone(), form(kappa, sigma * (1.0 + 1e-9), rho)),
+            ("ρ off", same.clone(), form(kappa, sigma, rho * (1.0 + 1e-9))),
+            ("k does not divide the variables", rebuilt(model, 1, |_| {}), form(kappa, sigma, rho)),
         ];
-        for (name, near_miss, slots) in near_misses {
-            let declared = near_miss.with_node_slots(slots);
+        for (name, near_miss, form) in near_misses {
+            let declared = near_miss.with_slot_form(form);
             assert_eq!(declared.node_slots(), None, "{name}");
             let n = declared.num_variables();
-            assert_gather_is_mean_field(&declared, &p[..n], 0..n);
+            let mut fields = vec![f64::NAN; n];
+            declared.mean_fields(&p[..n], 0..n, &mut fields);
+            for (i, field) in fields.iter().enumerate() {
+                assert_eq!(field.to_bits(), declared.mean_field(&p, i).to_bits(), "{name}");
+            }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The shared-row gather gives every variable the bits of the row
-        /// gather, over the whole model and over random ranges that may cut
-        /// nodes, on every encoding shape.
+        /// The slot-form gather gives every variable a field within 1e-12 of
+        /// the row gather on every encoding shape, and the same bits over the
+        /// whole model and over random ranges that may cut nodes.
         #[test]
-        fn the_shared_row_gather_is_bit_equal_to_mean_field(
+        fn slot_form_fields_lie_within_tolerance_of_mean_field(
             (seed, variant, k) in (0u64..1_000, 0usize..10, 0usize..4),
         ) {
             let (_, graph, config) = layout_variants(seed).swap_remove(variant);
@@ -813,12 +872,16 @@ mod tests {
             prop_assert_eq!(model.node_slots(), Some(k));
             let n = model.num_variables();
             let p = uniform_p(n, seed);
-            assert_gather_is_mean_field(model, &p, 0..n);
+            let whole = assert_fields_near_mean_field(model, &p, 0..n);
             let mut rng = ChaCha8Rng::seed_from_u64(!seed);
             for _ in 0..4 {
                 let start = rng.gen_range(0..=n);
                 let end = rng.gen_range(start..=n);
-                assert_gather_is_mean_field(model, &p, start..end);
+                let mut fields = vec![f64::NAN; end - start];
+                model.mean_fields(&p, start..end, &mut fields);
+                for (i, field) in (start..end).zip(&fields) {
+                    prop_assert_eq!(field.to_bits(), whole[i].to_bits(), "variable {}", i);
+                }
             }
         }
     }

@@ -50,13 +50,16 @@
 //!   is derived by each worker for its own variable range from a copy of the
 //!   published expectation vector (one atomic `f64`-bits cell per variable,
 //!   disjoint writers) with the serial sweep's gather,
-//!   `qhdcd_qubo::QuboModel::mean_fields`. It gives every variable the bits
-//!   of `QuboModel::mean_field`, which sums the variable's adjacency row in
-//!   ascending-neighbour order: by that row, or, on a model with declared
-//!   node slots, by one walk over the node's slot-0 row that adds each term
-//!   into every slot at its place in that order. A node that a range
-//!   boundary cuts goes by row. So a field's additions, and therefore its
-//!   bits, do not depend on which worker computes it or which walk it takes;
+//!   `qhdcd_qubo::QuboModel::mean_fields`. Its every field is a pure
+//!   function of the model, the expectation vector and the variable, never
+//!   of the range asked for: without a slot form it is
+//!   `QuboModel::mean_field`, the variable's adjacency row summed in
+//!   ascending-neighbour order; with one (`qhdcd_qubo::SlotForm`) each
+//!   worker sums the per-slot aggregates over *all* nodes in ascending
+//!   order, then walks the node's sparse row, so a node that a range
+//!   boundary cuts gets the same bits on either side. So a field's
+//!   additions, and therefore its bits, do not depend on which worker
+//!   computes it;
 //! * two barriers per step separate every worker's *read* of the expectations
 //!   from every worker's *publish* of its refreshed slice, so no half-updated
 //!   vector is ever observed.

@@ -29,13 +29,15 @@
 //! every variable, and all per-step scratch lives in reusable
 //! [`crate::batch::MeanFieldWorkspace`]s — the per-step loop performs zero
 //! heap allocations. Each step's mean fields come from one gather,
-//! `QuboModel::mean_fields`: on a model that declares a `node·k + slot`
-//! layout (every `build_qubo` model does) it walks each node's coupling row
-//! once for all `k` slots, elsewhere each variable's own row, and either way
-//! every field has the bits of `QuboModel::mean_field`. The per-step variable
-//! sweep can be sharded over worker threads ([`MeanFieldConfig::threads`])
-//! with bit-identical results for every thread count (see the determinism
-//! contract in [`crate::batch`]). On
+//! `QuboModel::mean_fields`: on a model that declares a node-slot form
+//! (`qhdcd_qubo::SlotForm`; every `build_qubo` model does) it computes them
+//! from the form's sparse node graph and per-slot aggregates in
+//! O(m·k + n·k), within rounding of the dense rows; elsewhere it sums each
+//! variable's own row with the bits of `QuboModel::mean_field`. Either way a
+//! field is a pure function of the model, the expectations and the variable.
+//! The per-step variable sweep can be sharded over worker threads
+//! ([`MeanFieldConfig::threads`]) with bit-identical results for every
+//! thread count (see the determinism contract in [`crate::batch`]). On
 //! `x86_64` CPUs with AVX2 the per-step kernels run an AVX2 build of the same
 //! source, four variables per instruction; it produces the plain build's
 //! bits, so results do not depend on the CPU either.
@@ -221,12 +223,10 @@ pub fn evolve_bounded(
             let potential_coeff = config.schedule.potential(t);
             // All wavefunctions in a step see the same expectation vector.
             // Each mean field h_i = b_i + Σ_j W_ij ⟨x_j⟩ is gathered by
-            // `QuboModel::mean_fields`: along variable i's adjacency row, or,
-            // on a model with declared node slots, along its node's slot-0
-            // row once for all the node's slots. Either way every field sums
-            // its terms in ascending j, the order the flat sweep of
-            // `evolve_reference` does, bit for bit. The field is reduced to
-            // the per-variable potential slope.
+            // `QuboModel::mean_fields`: along variable i's adjacency row, in
+            // the flat sweep's order and bits, or, on a model with a declared
+            // slot form, from the form's sparse rows and per-slot aggregates.
+            // The field is reduced to the per-variable potential slope.
             model.mean_fields(&expectations, 0..n, &mut slopes);
             for slope in &mut slopes {
                 *slope = potential_coeff * (*slope / scale);
@@ -256,11 +256,11 @@ pub fn evolve_bounded(
         // disjoint atomic cells), so no worker ever reads a half-updated
         // vector. Each worker gathers its own range's fields with the serial
         // path's gather (`QuboModel::mean_fields` over the same expectation
-        // values; a node the range boundary cuts goes row by row, with the
-        // same bits), and the per-step Thomas factorization is O(resolution),
-        // so recomputing it per worker is free; results are therefore
-        // bit-identical to the serial path. See crate::batch for the full
-        // determinism contract.
+        // values, whose every field is a function of the model, the values
+        // and the variable alone, whatever range it is asked for in), and the
+        // per-step Thomas factorization is O(resolution), so recomputing it
+        // per worker is free; results are therefore bit-identical to the
+        // serial path. See crate::batch for the full determinism contract.
         let shared: Vec<AtomicU64> =
             expectations.iter().map(|e| AtomicU64::new(e.to_bits())).collect();
         let barrier = std::sync::Barrier::new(blocks.len());
@@ -375,9 +375,10 @@ fn sweep_block(
 /// on a CPU with AVX2 the pin also covers the AVX2 build [`evolve`] runs
 /// there. Both paths share `measure_shots`, so any divergence isolates
 /// to the propagation kernels or the mean fields: this path computes the
-/// fields with a flat sweep over the sorted pair list, the reference that
-/// [`evolve`]'s gather (`QuboModel::mean_fields`, by row or by shared node
-/// row) is pinned against. (The
+/// fields with a flat sweep over the sorted pair list of the dense rows,
+/// the oracle of [`evolve`]'s gather (`QuboModel::mean_fields`), which
+/// matches it bit for bit on a model without a slot form and within
+/// rounding on one with a form. (The
 /// `meanfield_throughput` bench times its own verbatim copy of the seed's
 /// naive per-point kernels instead, so its speedup gate is not affected by
 /// this dedup.)

@@ -19,7 +19,8 @@
 //! * a **delta query** is O(1):    `Δ_i = (1 − 2 x_i) · field[i]`,
 //! * an **applied flip** is O(deg i): toggle `x_i`, add `±w_ij` to each
 //!   neighbour's field, add `Δ_i` to the energy,
-//! * a **bulk rebuild** is O(n + nnz), used on construction and restarts.
+//! * a **bulk rebuild** is O(n + Σ deg of the set variables), used on
+//!   construction and restarts.
 //!
 //! # Invariants
 //!
@@ -75,7 +76,7 @@ pub struct LocalFieldState<'m> {
 
 impl<'m> LocalFieldState<'m> {
     /// Builds the engine for `solution`, computing fields and energy in
-    /// O(n + nnz).
+    /// O(n + Σ deg of the set variables).
     ///
     /// # Panics
     ///
@@ -103,27 +104,34 @@ impl<'m> LocalFieldState<'m> {
     }
 
     /// Recomputes every field and the energy from the current assignment in
-    /// O(n + nnz). Called by the constructor and by [`set_solution`]; also the
-    /// escape hatch after very long flip sequences if accumulated rounding
-    /// drift ever matters.
+    /// O(n + Σ deg of the set variables). Called by the constructor and by
+    /// [`set_solution`]; also the escape hatch after very long flip sequences
+    /// if accumulated rounding drift ever matters.
+    ///
+    /// Only the rows of set variables are read, in ascending order, and each
+    /// is scattered into its neighbours' fields. Every field so adds its set
+    /// neighbours' couplings in ascending order, and the energy its set
+    /// pairs in pair order: the bits of a sweep over the sorted pair list.
     ///
     /// [`set_solution`]: LocalFieldState::set_solution
     pub fn rebuild(&mut self) {
-        let linear = self.model.linear();
+        let model = self.model;
+        let linear = model.linear();
         self.field.copy_from_slice(linear);
-        let mut energy = self.model.offset();
+        let mut energy = model.offset();
         for (i, &xi) in self.x.iter().enumerate() {
             if xi {
                 energy += linear[i];
             }
         }
-        for (i, j, w) in self.model.quadratic_terms() {
-            if self.x[j] {
-                self.field[i] += w;
+        for i in 0..self.x.len() {
+            if !self.x[i] {
+                continue;
             }
-            if self.x[i] {
+            let (vars, weights) = model.row(i);
+            for (&j, &w) in vars.iter().zip(weights) {
                 self.field[j] += w;
-                if self.x[j] {
+                if j > i && self.x[j] {
                     energy += w;
                 }
             }
@@ -131,8 +139,9 @@ impl<'m> LocalFieldState<'m> {
         self.energy = energy;
     }
 
-    /// Replaces the assignment (same length) and rebuilds in O(n + nnz),
-    /// reusing the internal buffers — the cheap way to restart a search.
+    /// Replaces the assignment (same length) and rebuilds in O(n + Σ deg of
+    /// the set variables), reusing the internal buffers — the cheap way to
+    /// restart a search.
     ///
     /// # Errors
     ///
@@ -372,23 +381,37 @@ impl<'m> LocalFieldState<'m> {
     /// one-hot "move the indicator" move); same-state pairs fall back to
     /// [`apply_pair_flip`]. Returns whether any move was applied.
     ///
+    /// Each row starts at its first `j > i`. The delta is
+    /// [`pair_flip_delta_with_coupling`]'s, bit for bit: `Δ_i` and `x_i` stay
+    /// in locals until a move touches `i`, and the sign factors, each a
+    /// multiplication by ±1 and so exact, are applied as sign-bit flips.
+    ///
     /// [`apply_reassign`]: LocalFieldState::apply_reassign
     /// [`apply_pair_flip`]: LocalFieldState::apply_pair_flip
+    /// [`pair_flip_delta_with_coupling`]: LocalFieldState::pair_flip_delta_with_coupling
     pub fn coupled_pair_sweep(&mut self) -> bool {
+        /// `value`, negated when `negate` holds.
+        fn flip(value: f64, negate: bool) -> f64 {
+            f64::from_bits(value.to_bits() ^ (u64::from(negate) << 63))
+        }
         let model = self.model;
         let mut improved = false;
         for i in 0..self.x.len() {
-            for (j, w_ij) in model.couplings(i) {
-                if j <= i {
-                    continue;
-                }
-                if self.pair_flip_delta_with_coupling(i, j, w_ij) < -1e-15 {
-                    match (self.x[i], self.x[j]) {
+            let (vars, weights) = model.row(i);
+            let above = vars.partition_point(|&j| j <= i);
+            let mut x_i = self.x[i];
+            let mut delta_i = flip(self.field[i], x_i);
+            for (&j, &w_ij) in vars[above..].iter().zip(&weights[above..]) {
+                let x_j = self.x[j];
+                if delta_i + flip(self.field[j], x_j) + flip(w_ij, x_i ^ x_j) < -1e-15 {
+                    match (x_i, x_j) {
                         (true, false) => self.apply_reassign(i, j),
                         (false, true) => self.apply_reassign(j, i),
                         _ => self.apply_pair_flip(i, j),
                     };
                     improved = true;
+                    x_i = self.x[i];
+                    delta_i = flip(self.field[i], x_i);
                 }
             }
         }

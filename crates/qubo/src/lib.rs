@@ -7,8 +7,12 @@
 //!   incremental (single-flip) evaluation, built through [`QuboBuilder`].
 //! * [`LocalFieldState`] — the incremental local-field engine powering every
 //!   single-flip search loop in the workspace: O(1) flip-delta queries,
-//!   O(deg) applied flips, O(nnz) rebuilds (see [`fields`] for the
-//!   invariants).
+//!   O(deg) applied flips, rebuilds that read only the set variables' rows
+//!   (see [`fields`] for the invariants).
+//! * [`SlotForm`] — the node-slot form of a community-detection QUBO's
+//!   couplings (a sparse node graph plus rank-one terms per slot), from which
+//!   a model that declares it computes its mean fields without reading its
+//!   dense couplings.
 //! * [`solver`] — the [`QuboSolver`] trait shared by the QHD solver and all
 //!   classical baselines, together with [`SolveReport`] / [`SolveStatus`]
 //!   describing the outcome (`Optimal` vs `TimeLimit` is exactly the split the
@@ -37,6 +41,7 @@
 
 mod builder;
 mod error;
+mod form;
 mod model;
 
 pub mod fields;
@@ -46,5 +51,6 @@ pub mod solver;
 pub use builder::QuboBuilder;
 pub use error::QuboError;
 pub use fields::LocalFieldState;
+pub use form::SlotForm;
 pub use model::{BinarySolution, QuboModel};
 pub use solver::{Budget, CancelToken, Completion, QuboSolver, SolveReport, SolveStatus};

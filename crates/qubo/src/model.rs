@@ -1,4 +1,4 @@
-use crate::QuboError;
+use crate::{QuboError, SlotForm};
 use std::ops::Range;
 
 /// A binary assignment of the model's variables (`x ∈ {0,1}ⁿ` stored as `bool`s).
@@ -46,10 +46,9 @@ pub struct QuboModel {
     adj_weights: Vec<f64>,
     /// Upper-triangular pair list `(i, j, w)` with `i < j`, sorted.
     pairs: Vec<(usize, usize, f64)>,
-    /// The slot count `k` of a `node·k + slot` layout that
-    /// [`QuboModel::with_node_slots`] checked against the rows; `None` when
-    /// no declaration held.
-    node_slots: Option<usize>,
+    /// The node-slot form [`QuboModel::with_slot_form`] checked against the
+    /// rows; `None` when no declaration held.
+    slot_form: Option<SlotForm>,
 }
 
 impl QuboModel {
@@ -94,56 +93,33 @@ impl QuboModel {
             adj_vars,
             adj_weights,
             pairs,
-            node_slots: None,
+            slot_form: None,
         }
     }
 
-    /// Declares that variable `node·k + slot` is slot `slot` of node `node`,
-    /// with couplings shared by every slot, and records `k` only if the
-    /// model's own rows show it:
+    /// Declares that the couplings have `form`, a node-slot form (see
+    /// [`SlotForm`]), and records it only if the model's own rows show it:
+    /// `form.slots()` slots divide the variables into the form's nodes,
+    /// every stored coupling lies within 1e-12 of its form value, relative to
+    /// the sum of its terms' magnitudes, and every form value beyond that
+    /// tolerance is stored. The check takes time linear in the couplings. A
+    /// form that fails records nothing.
     ///
-    /// * `k ≥ 2` and `k` divides the number of variables;
-    /// * every coupling joins two slots of one node or the same slot of two
-    ///   nodes;
-    /// * each pair of nodes has the same entries, with the same bits, in
-    ///   every slot.
-    ///
-    /// The check takes time linear in the number of couplings. A declaration
-    /// that does not hold records nothing. A recorded layout changes only how
-    /// [`QuboModel::mean_fields`] walks the rows, never a result. This is the
-    /// one-hot layout of a community-detection QUBO (one slot per community),
-    /// whose node-pair coefficients repeat in every slot.
-    pub fn with_node_slots(mut self, k: usize) -> Self {
-        if self.node_slots_hold(k) {
-            self.node_slots = Some(k);
+    /// A recorded form changes only how [`QuboModel::mean_fields`] computes,
+    /// in O(m·k + n·k) per call instead of O(couplings); every other method
+    /// reads the rows.
+    pub fn with_slot_form(mut self, form: SlotForm) -> Self {
+        if form.holds(&self) {
+            self.slot_form = Some(form);
         }
         self
     }
 
-    /// The slot count recorded by [`QuboModel::with_node_slots`], if a
-    /// declaration held.
+    /// The slot count `k` of the form recorded by
+    /// [`QuboModel::with_slot_form`], if a declaration held: variable
+    /// `node·k + slot` is then slot `slot` of node `node`.
     pub fn node_slots(&self) -> Option<usize> {
-        self.node_slots
-    }
-
-    /// Whether the rows show the layout [`QuboModel::with_node_slots`]
-    /// declares for `k` slots per node.
-    fn node_slots_hold(&self, k: usize) -> bool {
-        if k < 2 || !self.num_variables.is_multiple_of(k) {
-            return false;
-        }
-        (0..self.num_variables / k).all(|node| {
-            let own = node * k..node * k + k;
-            // Slot `slot`'s couplings to other nodes, shifted to slot 0.
-            let shared = |slot: usize| {
-                let own = own.clone();
-                self.couplings(node * k + slot)
-                    .filter(move |(j, _)| !own.contains(j))
-                    .map(move |(j, w)| (j.wrapping_sub(slot), w.to_bits()))
-            };
-            shared(0).all(|(j, _)| j.is_multiple_of(k))
-                && (1..k).all(|slot| shared(slot).eq(shared(0)))
-        })
+        self.slot_form.as_ref().map(SlotForm::slots)
     }
 
     /// Number of binary variables.
@@ -177,8 +153,15 @@ impl QuboModel {
     ///
     /// Panics if `i >= self.num_variables()`.
     pub fn couplings(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (vars, weights) = self.row(i);
+        vars.iter().copied().zip(weights.iter().copied())
+    }
+
+    /// The CSR row of variable `i`: its coupled variables, ascending, and
+    /// their weights.
+    pub(crate) fn row(&self, i: usize) -> (&[usize], &[f64]) {
         let range = self.adj_offsets[i]..self.adj_offsets[i + 1];
-        self.adj_vars[range.clone()].iter().copied().zip(self.adj_weights[range].iter().copied())
+        (&self.adj_vars[range.clone()], &self.adj_weights[range])
     }
 
     /// The coupling coefficient `w_ij` of the `x_i x_j` term, or `0.0` if the
@@ -282,10 +265,9 @@ impl QuboModel {
     /// The terms are added in ascending-neighbour order, starting from the
     /// linear coefficient — the order in which a sweep over the sorted pair
     /// list reaches them — so the result is a pure function of the model,
-    /// `p` and `i`. This order is the contract [`QuboModel::mean_fields`]
-    /// reproduces bit for bit, on every layout and every variable range, and
-    /// the mean-field QHD sweep relies on it for results that are
-    /// bit-identical across shard counts.
+    /// `p` and `i`, with the bits of the flat pair sweep of
+    /// `qhdcd_qhd::meanfield::evolve_reference`. [`QuboModel::mean_fields`]
+    /// reproduces them on a model without a recorded form.
     ///
     /// # Panics
     ///
@@ -298,17 +280,15 @@ impl QuboModel {
         field
     }
 
-    /// The mean fields of the variables in `vars`: `fields[t]` gets the bits
-    /// of [`QuboModel::mean_field`]`(p, vars.start + t)`.
+    /// The mean fields of the variables in `vars`: `fields[t]` gets the field
+    /// of variable `vars.start + t`.
     ///
-    /// On a model with recorded node slots ([`QuboModel::with_node_slots`]),
-    /// each node whose `k` slots all lie in `vars` is gathered in one pass:
-    /// its slot-0 row is walked once, each weight is added into the node's `k`
-    /// slot fields together, and each slot's terms within the node come from
-    /// that slot's own row, at their place in the ascending order. Every field
-    /// so sums the terms `mean_field` sums, in the same order, while the row
-    /// is read once instead of `k` times and the `k` additions per weight are
-    /// independent. Every other variable is gathered from its own row.
+    /// On a model without a recorded form, each field has the bits of
+    /// [`QuboModel::mean_field`]. On a model with one
+    /// ([`QuboModel::with_slot_form`]), the fields come from the form in
+    /// O(m·k + n·k) (see [`SlotForm`]) and lie within rounding of
+    /// `mean_field`. Either way a field is a function of the model, `p` and
+    /// its variable alone, whatever range it is asked for in.
     ///
     /// # Panics
     ///
@@ -317,52 +297,14 @@ impl QuboModel {
     pub fn mean_fields(&self, p: &[f64], vars: Range<usize>, fields: &mut [f64]) {
         assert!(vars.end <= self.num_variables, "variable range past the model");
         assert_eq!(fields.len(), vars.len(), "one field per variable of the range");
-        let by_row = |fields: &mut [f64], vars: Range<usize>| {
-            for (field, i) in fields.iter_mut().zip(vars) {
-                *field = self.mean_field(p, i);
+        match &self.slot_form {
+            Some(form) => form.mean_fields(&self.linear, &p[..self.num_variables], vars, fields),
+            None => {
+                for (field, i) in fields.iter_mut().zip(vars) {
+                    *field = self.mean_field(p, i);
+                }
             }
-        };
-        let Some(k) = self.node_slots else {
-            return by_row(fields, vars);
-        };
-        // Whole nodes inside `vars`; a node cut by either end goes by row.
-        let (first, last) = (vars.start.div_ceil(k), vars.end / k);
-        if first >= last {
-            return by_row(fields, vars);
         }
-        let (head, rest) = fields.split_at_mut(first * k - vars.start);
-        let (body, tail) = rest.split_at_mut((last - first) * k);
-        by_row(head, vars.start..first * k);
-        for (node, node_fields) in (first..last).zip(body.chunks_exact_mut(k)) {
-            self.gather_node(p, node, node_fields);
-        }
-        by_row(tail, last * k..vars.end);
-    }
-
-    /// The mean fields of the `k = fields.len()` slots of `node`, from one
-    /// walk over its slot-0 row (see [`QuboModel::mean_fields`]).
-    fn gather_node(&self, p: &[f64], node: usize, fields: &mut [f64]) {
-        let k = fields.len();
-        let base = node * k;
-        fields.copy_from_slice(&self.linear[base..base + k]);
-        let row = self.adj_offsets[base]..self.adj_offsets[base + 1];
-        let (vars, weights) = (&self.adj_vars[row.clone()], &self.adj_weights[row]);
-        // The row holds the lower nodes, the node's own slots, then the
-        // higher nodes; every slot's row has as many lower and higher entries.
-        let own_start = vars.partition_point(|&j| j < base);
-        let own_end = vars.partition_point(|&j| j < base + k);
-        let higher = vars.len() - own_end;
-        add_shared(fields, p, &vars[..own_start], &weights[..own_start]);
-        for (slot, field) in fields.iter_mut().enumerate() {
-            let own = self.adj_offsets[base + slot] + own_start
-                ..self.adj_offsets[base + slot + 1] - higher;
-            let mut sum = *field;
-            for (&j, &w) in self.adj_vars[own.clone()].iter().zip(&self.adj_weights[own]) {
-                sum += w * p[j];
-            }
-            *field = sum;
-        }
-        add_shared(fields, p, &vars[own_end..], &weights[own_end..]);
     }
 
     /// Validates a candidate solution length, as a `Result` instead of a panic.
@@ -382,47 +324,9 @@ impl QuboModel {
     }
 }
 
-/// Adds `w · p[j + slot]` into `fields[slot]` for every `(j, w)` of a
-/// slot-0 row span, in row order, for every slot. The slots go in blocks of
-/// 8, 4, 2 and 1, which cover any slot count, and a block keeps its sums in
-/// registers for the whole span. Wider blocks measured no faster: at 16
-/// slots, one 16-slot block ran as fast as two 8-slot blocks.
-fn add_shared(fields: &mut [f64], p: &[f64], vars: &[usize], weights: &[f64]) {
-    let mut first = 0;
-    while first < fields.len() {
-        first += match fields.len() - first {
-            8.. => add_block::<8>(fields, first, p, vars, weights),
-            4..=7 => add_block::<4>(fields, first, p, vars, weights),
-            2 | 3 => add_block::<2>(fields, first, p, vars, weights),
-            _ => add_block::<1>(fields, first, p, vars, weights),
-        };
-    }
-}
-
-/// [`add_shared`] for the `W` slots from `first`, summed in registers.
-/// Returns `W`.
-fn add_block<const W: usize>(
-    fields: &mut [f64],
-    first: usize,
-    p: &[f64],
-    vars: &[usize],
-    weights: &[f64],
-) -> usize {
-    let block: &mut [f64; W] = (&mut fields[first..first + W]).try_into().expect("W slots");
-    let mut sums = *block;
-    for (&j, &w) in vars.iter().zip(weights) {
-        let x: &[f64; W] = p[j + first..j + first + W].try_into().expect("W slots");
-        for (sum, &x) in sums.iter_mut().zip(x) {
-            *sum += w * x;
-        }
-    }
-    *block = sums;
-    W
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::QuboBuilder;
+    use crate::{QuboBuilder, SlotForm};
 
     fn small_model() -> crate::QuboModel {
         let mut b = QuboBuilder::new(3);
@@ -504,16 +408,27 @@ mod tests {
         assert!(c1.contains(&(2, -1.5)));
     }
 
+    /// The form of [`two_slot_model`]: `s₀₁ = −1.5`, `q = (1, 2, ½)`,
+    /// `κ = ¼`, `σ = 0.1` and the one-hot penalty's `ρ = 2·4`.
+    fn two_slot_form(kappa: f64, sigma: f64, rho: f64) -> SlotForm {
+        SlotForm::new(2, vec![1.0, 2.0, 0.5], kappa, sigma, rho, &[(0, 1, -1.5)])
+    }
+
     /// Three nodes of two slots, `node·2 + slot`: a one-hot pair per node and
-    /// the same node-pair couplings in both slots.
+    /// in each slot the node-pair couplings `s + κ·q qᵀ + σ`, each term added
+    /// on its own.
     fn two_slot_model() -> crate::QuboModel {
         let mut b = QuboBuilder::new(6);
         for (v, w) in [-1.0, 0.5, 2.0, -0.25, 3.0, 1.0].into_iter().enumerate() {
             b.add_linear(v, w).unwrap();
         }
+        let q = [1.0, 2.0, 0.5];
         for slot in 0..2 {
             b.add_quadratic(slot, 2 + slot, -1.5).unwrap();
-            b.add_quadratic(slot, 4 + slot, 0.75).unwrap();
+            for (u, v) in [(0, 1), (0, 2), (1, 2)] {
+                b.add_quadratic(2 * u + slot, 2 * v + slot, 0.25 * q[u] * q[v]).unwrap();
+                b.add_quadratic(2 * u + slot, 2 * v + slot, 0.1).unwrap();
+            }
         }
         for node in 0..3 {
             b.add_penalty_exactly_one(&[2 * node, 2 * node + 1], 4.0).unwrap();
@@ -525,28 +440,47 @@ mod tests {
     fn node_slots_are_recorded_only_where_the_rows_show_them() {
         let m = two_slot_model();
         assert_eq!(m.node_slots(), None);
-        assert_eq!(m.clone().with_node_slots(2).node_slots(), Some(2));
-        // At three slots, variables 0 and 4 would be different slots of two nodes.
-        assert_eq!(m.clone().with_node_slots(3).node_slots(), None);
-        assert_eq!(m.clone().with_node_slots(1).node_slots(), None);
-        assert_eq!(m.with_node_slots(4).node_slots(), None);
+        assert_eq!(m.clone().with_slot_form(two_slot_form(0.25, 0.1, 8.0)).node_slots(), Some(2));
+        for (name, form) in [
+            ("κ off", two_slot_form(0.26, 0.1, 8.0)),
+            ("σ off", two_slot_form(0.25, 0.0, 8.0)),
+            ("ρ off", two_slot_form(0.25, 0.1, 4.0)),
+            ("no sparse term", SlotForm::new(2, vec![1.0, 2.0, 0.5], 0.25, 0.1, 8.0, &[])),
+            // At three slots, variables 0 and 4 would be different slots of two nodes.
+            ("three slots", SlotForm::new(3, vec![1.0, 1.0], 0.0, 0.1, 8.0, &[])),
+            ("a slot count that does not divide", SlotForm::new(4, vec![1.0], 0.0, 0.0, 8.0, &[])),
+        ] {
+            assert_eq!(m.clone().with_slot_form(form).node_slots(), None, "{name}");
+        }
     }
 
     #[test]
     fn mean_fields_match_mean_field_on_every_range() {
         let p = [0.1, 0.9, 0.35, 0.5, 1.0, 0.0];
-        for m in [two_slot_model(), two_slot_model().with_node_slots(2)] {
-            for start in 0..=6 {
-                for end in start..=6 {
-                    let mut fields = vec![f64::NAN; end - start];
-                    m.mean_fields(&p, start..end, &mut fields);
-                    for (i, field) in (start..end).zip(fields) {
-                        assert_eq!(
-                            field.to_bits(),
-                            m.mean_field(&p, i).to_bits(),
-                            "{start}..{end}"
-                        );
-                    }
+        let plain = two_slot_model();
+        let declared = two_slot_model().with_slot_form(two_slot_form(0.25, 0.1, 8.0));
+        let mut whole = vec![f64::NAN; 6];
+        declared.mean_fields(&p, 0..6, &mut whole);
+        for (i, field) in whole.iter().enumerate() {
+            let exact = plain.mean_field(&p, i);
+            let scale = plain.linear()[i].abs()
+                + plain.couplings(i).map(|(j, w)| (w * p[j]).abs()).sum::<f64>();
+            assert!((field - exact).abs() <= 1e-12 * scale, "variable {i}: {field} vs {exact}");
+        }
+        for start in 0..=6 {
+            for end in start..=6 {
+                let mut fields = vec![f64::NAN; end - start];
+                plain.mean_fields(&p, start..end, &mut fields);
+                for (i, field) in (start..end).zip(&fields) {
+                    assert_eq!(
+                        field.to_bits(),
+                        plain.mean_field(&p, i).to_bits(),
+                        "{start}..{end}"
+                    );
+                }
+                declared.mean_fields(&p, start..end, &mut fields);
+                for (i, field) in (start..end).zip(&fields) {
+                    assert_eq!(field.to_bits(), whole[i].to_bits(), "{start}..{end}");
                 }
             }
         }
@@ -555,7 +489,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "variable range past the model")]
     fn mean_fields_rejects_a_range_past_the_model() {
-        two_slot_model().with_node_slots(2).mean_fields(&[0.5; 7], 4..7, &mut [0.0; 3]);
+        let declared = two_slot_model().with_slot_form(two_slot_form(0.25, 0.1, 8.0));
+        assert_eq!(declared.node_slots(), Some(2));
+        declared.mean_fields(&[0.5; 7], 4..7, &mut [0.0; 3]);
     }
 
     #[test]

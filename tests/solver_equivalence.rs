@@ -414,13 +414,15 @@ mod meanfield_batch {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-row mean-field gather: a `build_qubo` model declares its
-// `node·k + slot` layout, and its sweep gathers each node's k fields from one
-// walk over the node's slot-0 row. The same coefficients rebuilt through
-// `QuboBuilder` declare nothing and gather row by row. Both give the same bits.
+// Slot-form mean-field gather: a `build_qubo` model declares its node-slot
+// form, and its sweep computes each mean field from the graph and per-slot
+// aggregates. The same coefficients rebuilt through `QuboBuilder` declare
+// nothing and gather row by row. The fields agree within rounding, so both
+// solve to the same bits, and the declared model's sweep is bit-identical
+// across thread counts.
 // ---------------------------------------------------------------------------
 
-mod shared_row_gather {
+mod slot_form_gather {
     use qhdcd::core::formulation::{build_qubo, FormulationConfig};
     use qhdcd::graph::generators::{planted_partition, PlantedPartitionConfig};
     use qhdcd::qhd::meanfield::{evolve, MeanFieldConfig};
@@ -437,7 +439,7 @@ mod shared_row_gather {
     }
 
     #[test]
-    fn a_declared_model_solves_bit_identically_to_its_builder_rebuild() {
+    fn declared_and_rebuilt_models_solve_to_the_same_bits() {
         let graph = planted_partition(&PlantedPartitionConfig {
             num_nodes: 31,
             num_communities: 3,
@@ -447,8 +449,8 @@ mod shared_row_gather {
         })
         .unwrap()
         .graph;
-        // Five slots over 31 nodes: the gather splits each node into blocks of
-        // 4 and 1 slots, and the sweeps at 2 and 3 workers cut nodes.
+        // Five slots over 31 nodes: the gather splits the slots into blocks
+        // of 4 and 1, and the sweeps at 2 and 3 workers cut nodes.
         let k = 5;
         let qubo = build_qubo(&graph, &FormulationConfig::with_communities(k)).unwrap();
         let declared = qubo.model();
@@ -478,14 +480,108 @@ mod shared_row_gather {
             assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "threads={threads}");
         }
         let base = MeanFieldConfig { seed: 7, steps: 30, shots: 8, ..MeanFieldConfig::default() };
+        let serial = evolve(declared, &base).unwrap();
         for threads in [1usize, 2, 3] {
             let config = MeanFieldConfig { threads, ..base.clone() };
             let (a, b) = (evolve(declared, &config).unwrap(), evolve(&rebuilt, &config).unwrap());
             assert_eq!(a.best_solution, b.best_solution, "threads={threads}");
             assert_eq!(a.best_energy.to_bits(), b.best_energy.to_bits(), "threads={threads}");
-            for (x, y) in a.expectations.iter().zip(&b.expectations) {
-                assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
+            for ((x, y), s) in a.expectations.iter().zip(&b.expectations).zip(&serial.expectations)
+            {
+                assert!((x - y).abs() <= 1e-12, "threads={threads}: {x} vs {y}");
+                assert_eq!(x.to_bits(), s.to_bits(), "threads={threads}");
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Local-field rebuild: `LocalFieldState` scatters only the rows of set
+// variables. The sweep over the sorted pair list it replaced stays here as
+// the oracle; both give every field and the energy the same bits.
+// ---------------------------------------------------------------------------
+
+mod local_field_rebuild {
+    use super::instance;
+    use qhdcd::core::formulation::{build_qubo, FormulationConfig};
+    use qhdcd::graph::generators::{planted_partition, PlantedPartitionConfig};
+    use qhdcd::graph::QualityFunction;
+    use qhdcd::qubo::{LocalFieldState, QuboModel};
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
+
+    /// The pair-order rebuild: every field and the energy from one sweep
+    /// over the sorted pair list.
+    fn pair_order_rebuild(model: &QuboModel, x: &[bool]) -> (Vec<f64>, f64) {
+        let linear = model.linear();
+        let mut field = linear.to_vec();
+        let mut energy = model.offset();
+        for (i, &xi) in x.iter().enumerate() {
+            if xi {
+                energy += linear[i];
+            }
+        }
+        for (i, j, w) in model.quadratic_terms() {
+            if x[j] {
+                field[i] += w;
+            }
+            if x[i] {
+                field[j] += w;
+                if x[j] {
+                    energy += w;
+                }
+            }
+        }
+        (field, energy)
+    }
+
+    /// Asserts that the engine built for `x`, and the engine moved to `x`
+    /// from the all-set assignment, hold the oracle's bits.
+    fn assert_rebuild_is_the_oracle(model: &QuboModel, x: &[bool], what: &str) {
+        let (field, energy) = pair_order_rebuild(model, x);
+        let mut restarted = LocalFieldState::new(model, vec![true; x.len()]);
+        restarted.set_solution(x).unwrap();
+        for state in [LocalFieldState::new(model, x.to_vec()), restarted] {
+            assert_eq!(state.energy().to_bits(), energy.to_bits(), "{what}: energy");
+            for (i, f) in field.iter().enumerate() {
+                assert_eq!(state.field(i).to_bits(), f.to_bits(), "{what}: field {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_set_row_rebuild_is_bit_equal_to_the_pair_order_rebuild() {
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        for (n, density, seed) in [(40usize, 0.3f64, 1u64), (150, 0.05, 2), (90, 0.6, 3)] {
+            let model = instance(n, density, seed);
+            for share in [0.0, 0.1, 0.5, 1.0] {
+                let x: Vec<bool> = (0..n).map(|_| rng.gen_bool(share)).collect();
+                assert_rebuild_is_the_oracle(&model, &x, &format!("random n={n}, share {share}"));
+            }
+        }
+        let graph = planted_partition(&PlantedPartitionConfig {
+            num_nodes: 60,
+            num_communities: 3,
+            p_in: 0.3,
+            p_out: 0.05,
+            seed: 5,
+        })
+        .unwrap()
+        .graph;
+        for (k, quality) in [(4usize, QualityFunction::default()), (5, QualityFunction::cpm(0.1))] {
+            let config = FormulationConfig { quality, ..FormulationConfig::with_communities(k) };
+            let qubo = build_qubo(&graph, &config).unwrap();
+            let model = qubo.model();
+            // One-hot assignments, then the same with random extra bits.
+            let mut x = vec![false; model.num_variables()];
+            for node in 0..graph.num_nodes() {
+                x[qubo.variable_index(node, rng.gen_range(0..k))] = true;
+            }
+            assert_rebuild_is_the_oracle(model, &x, &format!("build_qubo k={k}, one-hot"));
+            for bit in x.iter_mut() {
+                *bit |= rng.gen_bool(0.2);
+            }
+            assert_rebuild_is_the_oracle(model, &x, &format!("build_qubo k={k}, noisy"));
         }
     }
 }
